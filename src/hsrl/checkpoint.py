@@ -18,6 +18,22 @@ CHECKPOINT_MAGIC = b"HSRLPN1\x00"
 CHECKPOINT_VERSION = 1
 
 
+class BinaryReader:
+    """Bounds-checked cursor over a binary blob; `label` names the format."""
+
+    def __init__(self, blob: bytes, label: str):
+        self.blob = blob
+        self.label = label
+        self.pos = 0
+
+    def take(self, n: int, what: str) -> bytes:
+        if self.pos + n > len(self.blob):
+            raise FormatError(f"{self.label} truncated while reading {what}")
+        out = self.blob[self.pos:self.pos + n]
+        self.pos += n
+        return out
+
+
 def save_tensors(path, named: dict[str, np.ndarray]) -> None:
     parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(named))]
     for name, arr in named.items():
@@ -34,31 +50,21 @@ def save_tensors(path, named: dict[str, np.ndarray]) -> None:
 
 def load_tensors(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    pos = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal pos
-        if pos + n > len(blob):
-            raise FormatError(f"checkpoint truncated while reading {what}")
-        out = blob[pos:pos + n]
-        pos += n
-        return out
-
-    if take(len(CHECKPOINT_MAGIC), "magic") != CHECKPOINT_MAGIC:
+        rd = BinaryReader(fh.read(), "checkpoint")
+    if rd.take(len(CHECKPOINT_MAGIC), "magic") != CHECKPOINT_MAGIC:
         raise FormatError("bad checkpoint magic")
-    version, count = struct.unpack("<II", take(8, "header"))
+    version, count = struct.unpack("<II", rd.take(8, "header"))
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
     named: dict[str, np.ndarray] = {}
     for i in range(count):
-        (name_len,) = struct.unpack("<H", take(2, f"block {i} name length"))
-        name = take(name_len, f"block {i} name").decode("utf-8")
-        (ndim,) = struct.unpack("<B", take(1, f"block {name} ndim"))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"block {name} shape"))
+        (name_len,) = struct.unpack("<H", rd.take(2, f"block {i} name length"))
+        name = rd.take(name_len, f"block {i} name").decode("utf-8")
+        (ndim,) = struct.unpack("<B", rd.take(1, f"block {name} ndim"))
+        shape = struct.unpack(f"<{ndim}I", rd.take(4 * ndim, f"block {name} shape"))
         size = int(np.prod(shape)) if ndim else 1
-        raw = take(8 * size, f"block {name} data")
+        raw = rd.take(8 * size, f"block {name} data")
         named[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    if pos != len(blob):
+    if rd.pos != len(rd.blob):
         raise FormatError("trailing bytes after checkpoint payload")
     return named

@@ -43,14 +43,28 @@ _DATA_SEED_TAG = 100
 # ---------------------------------------------------------------------------
 
 
+def _synthesize(cfg: RunConfig, out: Path) -> env_mod.SyntheticDataset:
+    synth = env_mod.generate_synthetic(
+        cfg.synth_config(), [cfg["seeds"]["simulator"], _DATA_SEED_TAG])
+    tok_mod.save_embeddings(out / "embeddings.tsv", synth.items)
+    env_mod.save_records(out / "records.tsv", synth.records)
+    return synth
+
+
+def _check_records(items, records) -> None:
+    known = set(items.ids.tolist())
+    for n, rec in enumerate(records, start=1):
+        unknown = set(rec.history + rec.slate) - known
+        if unknown:
+            raise DataError(f"record {n} names item {min(unknown)}, which is "
+                            f"not in the embeddings catalog")
+
+
 def _load_dataset(cfg: RunConfig, out: Path):
     """Resolve (items, records) from the synthetic generator or user files."""
     data = cfg["data"]
     if data["source"] == "synthetic":
-        synth = env_mod.generate_synthetic(
-            cfg.synth_config(), [cfg["seeds"]["simulator"], _DATA_SEED_TAG])
-        tok_mod.save_embeddings(out / "embeddings.tsv", synth.items)
-        env_mod.save_records(out / "records.tsv", synth.records)
+        synth = _synthesize(cfg, out)
         return synth.items, synth.records
 
     if not data["embeddings_path"]:
@@ -62,7 +76,12 @@ def _load_dataset(cfg: RunConfig, out: Path):
         records, _ = env_mod.ingest_ml1m_style(data["ratings_path"])
     else:
         raise DataError("data.source=files needs records_path or ratings_path")
+    _check_records(items, records)
     return items, records
+
+
+def _n_items(items) -> int:
+    return int(items.ids.max()) + 1  # item ids index table rows directly
 
 
 def _build_codebook(cfg: RunConfig, items, out: Path):
@@ -73,24 +92,19 @@ def _build_codebook(cfg: RunConfig, items, out: Path):
 
 
 def _build_simulators(cfg: RunConfig, items, records, out: Path):
-    n_items = int(items.ids.max()) + 1
     train_sim, eval_sim = env_mod.fit_simulators(
-        records, n_items, cfg.sim_config(), cfg["seeds"]["simulator"],
+        records, _n_items(items), cfg.sim_config(), cfg["seeds"]["simulator"],
         item_features=items.vectors)
     env_mod.save_response_model(out / "sim_train.ckpt", train_sim)
     env_mod.save_response_model(out / "sim_eval.ckpt", eval_sim)
     return train_sim, eval_sim
 
 
-def _build_context(cfg: RunConfig, out: Path) -> tr_mod.ExperimentContext:
-    items, records = _load_dataset(cfg, out)
-    book, index = _build_codebook(cfg, items, out)
-    train_sim, eval_sim = _build_simulators(cfg, items, records, out)
-    pool = env_mod.make_user_pool(records)
+def _experiment_context(cfg: RunConfig, items, book, index, train_sim,
+                        eval_sim, pool) -> tr_mod.ExperimentContext:
     env_cfg = cfg.env_config()
-    n_items = int(items.ids.max()) + 1
     return tr_mod.ExperimentContext(
-        policy_cfg=cfg.policy_config(n_items),
+        policy_cfg=cfg.policy_config(_n_items(items)),
         critic_cfg=cfg.critic_config(),
         env_cfg=env_cfg,
         codebook=book,
@@ -100,6 +114,14 @@ def _build_context(cfg: RunConfig, out: Path) -> tr_mod.ExperimentContext:
         eval_env=env_mod.Environment(eval_sim, pool, env_cfg),
         item_features=items.vectors,
     )
+
+
+def _build_context(cfg: RunConfig, out: Path) -> tr_mod.ExperimentContext:
+    items, records = _load_dataset(cfg, out)
+    book, index = _build_codebook(cfg, items, out)
+    train_sim, eval_sim = _build_simulators(cfg, items, records, out)
+    return _experiment_context(cfg, items, book, index, train_sim, eval_sim,
+                               env_mod.make_user_pool(records))
 
 
 def _save_agent(path, agent: tr_mod.Agent) -> None:
@@ -112,10 +134,7 @@ def _save_agent(path, agent: tr_mod.Agent) -> None:
 
 
 def cmd_gen_data(cfg: RunConfig, out: Path, args) -> int:
-    synth = env_mod.generate_synthetic(
-        cfg.synth_config(), [cfg["seeds"]["simulator"], _DATA_SEED_TAG])
-    tok_mod.save_embeddings(out / "embeddings.tsv", synth.items)
-    env_mod.save_records(out / "records.tsv", synth.records)
+    synth = _synthesize(cfg, out)
     with open(out / "clusters.tsv", "w") as fh:
         for i, c in enumerate(synth.item_clusters):
             fh.write(f"item\t{i}\t{c}\n")
@@ -261,8 +280,6 @@ def cmd_sweep(cfg: RunConfig, out: Path, args) -> int:
     items, records = _load_dataset(cfg, out)
     train_sim, eval_sim = _build_simulators(cfg, items, records, out)
     pool = env_mod.make_user_pool(records)
-    env_cfg = cfg.env_config()
-    n_items = int(items.ids.max()) + 1
 
     writer = tr_mod.MetricsWriter(out / "sweep.csv", [
         "axis", "value", "median_total_reward", "mean_total_reward",
@@ -280,15 +297,8 @@ def cmd_sweep(cfg: RunConfig, out: Path, args) -> int:
                 point.values["tokenizer"]["vocab_sizes"] = ()
             book, index = tok_mod.fit_codebook(items, point.vocab_sizes(),
                                                point["seeds"]["tokenizer"])
-            ctx = tr_mod.ExperimentContext(
-                policy_cfg=point.policy_config(n_items),
-                critic_cfg=point.critic_config(),
-                env_cfg=env_cfg, codebook=book, index=index,
-                catalog=[int(i) for i in items.ids],
-                train_env=env_mod.Environment(train_sim, pool, env_cfg),
-                eval_env=env_mod.Environment(eval_sim, pool, env_cfg),
-                item_features=items.vectors,
-            )
+            ctx = _experiment_context(point, items, book, index, train_sim,
+                                      eval_sim, pool)
             base = point.train_config()
             rewards, depths = [], []
             for seed in seeds:

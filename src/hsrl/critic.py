@@ -4,12 +4,14 @@ A small value head (2-layer perceptron, tanh hidden layer) scores every
 context of the policy trajectory; raw level weights pass through a
 softmax so the fused estimate is always a convex combination. The head is
 shared across levels by default, with independent per-level heads behind
-a config flag. A frozen target copy supplies bootstrap values and is kept
-in step by soft or hard synchronization.
+a config flag. The bootstrap target is the same critic, frozen: a deep
+copy of the parameters that takes no gradient, evaluated by the same
+functions and kept in step by soft or hard synchronization.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,51 +82,42 @@ def aggregate(params: CriticParams, values: list[Tensor]) -> Tensor:
 
 
 def weight_snapshot(params: CriticParams) -> np.ndarray:
-    w = params.w_raw.data
-    e = np.exp(w - w.max())
-    return e / e.sum()
+    with ad.no_grad():
+        return ad.softmax(params.w_raw).data
 
 
 class TargetCritic:
-    """Frozen copy of the critic used for bootstrap targets."""
+    """The critic frozen for bootstrap targets: a deep copy of the live
+    parameters that takes no gradient, read by the live evaluator."""
 
     def __init__(self, live: CriticParams):
-        self.cfg = live.cfg
-        self.arrays = {name: t.data.copy() for name, t in live.tensors().items()}
-        self.staleness = 0
+        self.params = copy.deepcopy(live)
+        for t in self.params.tensors().values():
+            t.requires_grad = False
 
-    def _check(self, live: CriticParams) -> dict[str, np.ndarray]:
-        tensors = live.tensors()
-        if set(tensors) != set(self.arrays):
+    def _pairs(self, live: CriticParams) -> list[tuple[Tensor, Tensor]]:
+        own, tensors = self.params.tensors(), live.tensors()
+        if set(tensors) != set(own):
             raise ContractError("live/target critic structures differ")
         for name, t in tensors.items():
-            if t.data.shape != self.arrays[name].shape:
+            if t.data.shape != own[name].data.shape:
                 raise ContractError(f"live/target shape mismatch on {name}")
-        return tensors
+        return [(own[name], t) for name, t in tensors.items()]
 
     def soft_update(self, live: CriticParams, tau: float) -> None:
-        for name, t in self._check(live).items():
-            self.arrays[name] = tau * t.data + (1.0 - tau) * self.arrays[name]
-        self.staleness = 0
+        for own, t in self._pairs(live):
+            own.data = tau * t.data + (1.0 - tau) * own.data
 
     def hard_sync(self, live: CriticParams) -> None:
-        for name, t in self._check(live).items():
-            self.arrays[name] = t.data.copy()
-        self.staleness = 0
-
-    def _head_value(self, context: np.ndarray, level: int) -> float:
-        h = level if self.cfg.per_level_heads else 0
-        hidden = np.tanh(self.arrays[f"head{h}/w1"] @ context + self.arrays[f"head{h}/b1"])
-        return float(self.arrays[f"head{h}/w2"] @ hidden + self.arrays[f"head{h}/b2"])
+        for own, t in self._pairs(live):
+            own.data = t.data.copy()
 
     def value(self, contexts: list[np.ndarray]) -> float:
         """Fused value of a trajectory; a single context bypasses fusion
         (single-level critic ablation)."""
-        values = np.array([self._head_value(c, lvl) for lvl, c in enumerate(contexts)])
-        if len(values) == 1:
-            return float(values[0])
-        if len(values) != self.cfg.n_values:
-            raise ContractError(f"{len(values)} contexts, expected {self.cfg.n_values}")
-        w = self.arrays["weights"]
-        e = np.exp(w - w.max())
-        return float((e / e.sum()) @ values)
+        with ad.no_grad():
+            trajectory = [ad.constant(c) for c in contexts]
+            if len(trajectory) == 1:
+                return float(value_of_context(self.params, trajectory[0]).data)
+            return float(aggregate(self.params,
+                                   per_level_values(self.params, trajectory)).data)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ShapeError, UnknownItemError
+from .errors import DataError, ShapeError, UnknownItemError
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,20 @@ class EncoderParams:
         if self.profile_w is not None:
             out["profile_w"] = self.profile_w
         return out
+
+    def init_items_from_features(self, item_features: np.ndarray,
+                                 rng: np.random.Generator) -> None:
+        """Item table = seeded projection of the features (row r = item r),
+        scaled to roughly unit row norm."""
+        feats = np.asarray(item_features, dtype=np.float64)
+        if feats.shape[0] != self.cfg.n_items:
+            raise DataError(f"{feats.shape[0]} item feature rows for "
+                            f"{self.cfg.n_items} items")
+        d = self.cfg.embed_dim
+        rms = np.sqrt((feats ** 2).sum(axis=1).mean())
+        proj = rng.normal(0.0, 1.0 / (np.sqrt(d) * max(rms, 1e-12)),
+                          size=(feats.shape[1], d))
+        self.item_emb.data = feats @ proj
 
 
 def encode(params: EncoderParams, state: UserState) -> Tensor:

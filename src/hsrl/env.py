@@ -103,13 +103,7 @@ class ResponseModel:
         self.encoder = EncoderParams(enc_cfg, rng)
         self.bias = Tensor(np.zeros(()), requires_grad=True)
         if item_features is not None:
-            feats = np.asarray(item_features, dtype=np.float64)
-            if feats.shape[0] != n_items:
-                raise DataError("item feature rows do not cover the catalog")
-            rms = np.sqrt((feats ** 2).sum(axis=1).mean())
-            proj = rng.normal(0.0, 1.0 / (np.sqrt(cfg.embed_dim) * max(rms, 1e-12)),
-                              size=(feats.shape[1], cfg.embed_dim))
-            self.encoder.item_emb.data = feats @ proj
+            self.encoder.init_items_from_features(item_features, rng)
 
     def tensors(self) -> dict[str, Tensor]:
         out = {f"enc/{k}": v for k, v in self.encoder.tensors().items()}

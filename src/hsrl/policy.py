@@ -58,11 +58,7 @@ class PolicyParams:
         self.cfg = cfg
         self.encoder = EncoderParams(cfg.encoder_config(), rng)
         if cfg.item_emb_from_features and item_features is not None:
-            feats = np.asarray(item_features, dtype=np.float64)
-            rms = np.sqrt((feats ** 2).sum(axis=1).mean())
-            proj = rng.normal(0.0, 1.0 / (np.sqrt(cfg.embed_dim) * max(rms, 1e-12)),
-                              size=(feats.shape[1], cfg.embed_dim))
-            self.encoder.item_emb.data = feats @ proj
+            self.encoder.init_items_from_features(item_features, rng)
         self.head_w: list[Tensor] = []
         self.tok_emb: list[Tensor] = []
         self.ln_gain: list[Tensor] = []
@@ -156,13 +152,21 @@ def _check_sid(output: PolicyOutput, sid) -> tuple[int, ...]:
     return sid
 
 
-def sid_log_prob(output: PolicyOutput, sid) -> Tensor:
-    """log pi(z|s) = sum_l log p_l[z_l]; differentiable through the recursion."""
-    sid = _check_sid(output, sid)
-    total = ad.pick(output.log_probs[0], sid[0])
-    for lvl in range(1, len(sid)):
-        total = ad.add(total, ad.pick(output.log_probs[lvl], sid[lvl]))
+def per_item_log_probs(output: PolicyOutput, sids) -> Tensor:
+    """(n,) vector of log pi(z|s) = sum_l log p_l[z_l], one entry per SID,
+    all read off one forward pass; differentiable through the recursion."""
+    if len(sids) < 1:
+        raise ContractError("slate must hold at least one SID")
+    z = np.array([_check_sid(output, sid) for sid in sids], dtype=np.int64)
+    total = ad.gather(output.log_probs[0], z[:, 0])
+    for lvl in range(1, z.shape[1]):
+        total = ad.add(total, ad.gather(output.log_probs[lvl], z[:, lvl]))
     return total
+
+
+def sid_log_prob(output: PolicyOutput, sid) -> Tensor:
+    """log pi(z|s) of a single SID, as a scalar."""
+    return ad.vsum(per_item_log_probs(output, [sid]))
 
 
 def sample_sid(output: PolicyOutput, rng: np.random.Generator) -> tuple[int, ...]:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import BinaryReader
 from .errors import DataError, FormatError, ShapeError, VocabTooLargeError
 
 KMEANS_MAX_ITERS = 100
@@ -26,9 +27,10 @@ CODEBOOK_MAGIC = b"HSRLCB1\x00"
 
 @dataclass
 class ItemEmbeddings:
-    """Catalog of item vectors sharing one dimension."""
+    """Catalog of item vectors sharing one dimension, rows sorted by id, so
+    with dense ids row r holds item r whatever order the input came in."""
 
-    ids: np.ndarray       # (N,) int64 item ids
+    ids: np.ndarray       # (N,) int64 item ids, ascending
     vectors: np.ndarray   # (N, d) float64
 
     def __post_init__(self):
@@ -42,6 +44,8 @@ class ItemEmbeddings:
             raise DataError("item ids must be non-negative")
         if len(np.unique(self.ids)) != len(self.ids):
             raise DataError("duplicate item ids in catalog")
+        order = np.argsort(self.ids, kind="stable")
+        self.ids, self.vectors = self.ids[order], self.vectors[order]
 
     @property
     def dim(self) -> int:
@@ -260,19 +264,6 @@ def collision_report(index: SidIndex, vocab_sizes: tuple[int, ...]) -> Collision
 # ---------------------------------------------------------------------------
 
 
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise FormatError(f"codebook file truncated while reading {what}")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-
 def save_codebook(path, book: Codebook, index: SidIndex) -> None:
     """Little-endian binary: header, centroid blocks, then item->SID records."""
     parts = [CODEBOOK_MAGIC,
@@ -291,7 +282,7 @@ def save_codebook(path, book: Codebook, index: SidIndex) -> None:
 
 def load_codebook(path) -> tuple[Codebook, SidIndex]:
     with open(path, "rb") as fh:
-        rd = _Reader(fh.read())
+        rd = BinaryReader(fh.read(), "codebook file")
     if rd.take(len(CODEBOOK_MAGIC), "magic") != CODEBOOK_MAGIC:
         raise FormatError("bad codebook magic; not a codebook file or wrong version")
     levels, dim = struct.unpack("<II", rd.take(8, "header"))

@@ -26,7 +26,7 @@ from .env import Environment, EnvConfig, EpisodeMetrics
 from .errors import ConfigError, ContractError
 from .optim import Optimizer
 from .policy import (PolicyConfig, PolicyParams, PolicyOutput, encode_state,
-                     forward, select_slate)
+                     forward, per_item_log_probs, select_slate)
 from .tokenizer import Codebook, SidIndex
 
 ABLATION_VARIANTS = ("full", "no_entropy", "flat_policy", "no_bc", "single_critic")
@@ -75,12 +75,10 @@ class TrainConfig:
 @dataclass
 class Transition:
     state: UserState
-    probs: list[np.ndarray]          # level distributions at decision time
     slate: tuple[int, ...]
     sids: tuple[tuple[int, ...], ...]
     feedback: np.ndarray
     reward: float
-    next_state: UserState
     done: int
     next_contexts: list[np.ndarray] | None = None
 
@@ -102,21 +100,9 @@ def advantage(q: float, v: float, clip: float = 1.0) -> float:
     return min(max(q - v, -clip), clip)
 
 
-def _per_item_log_probs(output: PolicyOutput, sids) -> Tensor:
-    if len(sids) < 1:
-        raise ContractError("slate must hold at least one SID")
-    z = np.asarray(sids, dtype=np.int64)
-    if z.ndim != 2 or z.shape[1] != len(output.vocab_sizes):
-        raise ContractError("SIDs do not match codebook depth")
-    total = ad.gather(output.log_probs[0], z[:, 0])
-    for lvl in range(1, z.shape[1]):
-        total = ad.add(total, ad.gather(output.log_probs[lvl], z[:, lvl]))
-    return total
-
-
 def slate_log_prob(output: PolicyOutput, sids) -> Tensor:
     """Mean SID log-likelihood over the slate under one shared forward pass."""
-    return ad.vmean(_per_item_log_probs(output, sids))
+    return ad.vmean(per_item_log_probs(output, sids))
 
 
 def entropy_term(output: PolicyOutput) -> Tensor:
@@ -137,7 +123,7 @@ def bc_loss(output: PolicyOutput, sids, feedback: np.ndarray) -> Tensor | None:
     if pos == 0:
         return None
     weights = ad.constant(feedback / pos)
-    return ad.neg(ad.dot(weights, _per_item_log_probs(output, sids)))
+    return ad.neg(ad.dot(weights, per_item_log_probs(output, sids)))
 
 
 def _entropy_value(output: PolicyOutput) -> float:
@@ -214,12 +200,10 @@ def rollout(agent: Agent, env: Environment, mode: str,
         feedback, reward, nxt, done = env.step(session, slate, rng_env)
         transitions.append(Transition(
             state=session.state,
-            probs=[p.data.copy() for p in out.probs],
             slate=tuple(slate),
             sids=tuple(agent.index.sid_of(i) for i in slate),
             feedback=feedback,
             reward=reward,
-            next_state=nxt.state,
             done=int(done),
         ))
         total += reward
@@ -313,8 +297,6 @@ def train_step(agent: Agent, transitions: list[Transition]) -> dict:
             agent.target.soft_update(agent.critic, cfg.target_tau)
         elif agent.updates % cfg.target_period == 0:
             agent.target.hard_sync(agent.critic)
-        else:
-            agent.target.staleness += 1
 
     report["weights"] = agent.weight_columns()
     return report

@@ -202,6 +202,20 @@ def test_sweep_entropy_axis(tmp_path, config_path):
     assert values == [0.0, 0.1, 0.2, 0.3]
 
 
+def test_sweep_levels_axis_refits_codebook_and_reruns_bitwise(tmp_path):
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(BASE_CONFIG.replace("iterations = 40", "iterations = 10"))
+    outs = [tmp_path / "s1", tmp_path / "s2"]
+    for out in outs:
+        assert _run("sweep", "--config", cfg, "--out", out,
+                    "--axis", "levels") == 0
+    rows = _read_csv(outs[0] / "sweep.csv")
+    assert [(r[0], int(r[1])) for r in rows[1:]] == [
+        ("levels", v) for v in SWEEP_GRIDS["levels"]]
+    for name in ("sweep.csv", "sim_train.ckpt", "sim_eval.ckpt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_sweep_unknown_axis_usage_error(tmp_path, config_path):
     with pytest.raises(SystemExit) as exc:
         _run("sweep", "--config", config_path, "--out", tmp_path / "s",
@@ -273,6 +287,27 @@ def test_gen_data_feeds_files_mode(tmp_path, config_path):
         f"records_path = {data_dir}/records.tsv"))
     out = tmp_path / "tok"
     assert _run("tokenize", "--config", files_cfg, "--out", out) == 0
+
+
+@pytest.mark.parametrize("bad_item", [999, -1])
+def test_records_naming_unknown_items_fail_as_data_error(tmp_path, config_path,
+                                                          capsys, bad_item):
+    data_dir = tmp_path / "data"
+    assert _run("gen-data", "--config", config_path, "--out", data_dir) == 0
+    records = (data_dir / "records.tsv").read_text().splitlines()
+    user, hist, slate, labels = records[3].split("\t")
+    records[3] = "\t".join([user, hist, f"{bad_item}," + slate.split(",", 1)[1],
+                            labels])
+    (data_dir / "records.tsv").write_text("\n".join(records) + "\n")
+    files_cfg = tmp_path / "files.ini"
+    files_cfg.write_text(BASE_CONFIG.replace(
+        "source = synthetic",
+        f"source = files\nembeddings_path = {data_dir}/embeddings.tsv\n"
+        f"records_path = {data_dir}/records.tsv"))
+    out = tmp_path / "sim"
+    assert _run("fit-sim", "--config", files_cfg, "--out", out) == 3
+    assert f"item {bad_item}" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
 
 
 def test_unknown_config_key_rejected(tmp_path):

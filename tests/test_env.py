@@ -3,13 +3,15 @@ import pytest
 
 from hsrl.encoder import UserState
 from hsrl.env import (CLICK_SIGNAL, NO_CLICK_SIGNAL, EnvConfig, Environment,
-                      GroundTruthResponse, LogRecord, SessionState,
-                      SimFitConfig, SynthConfig, constant_log_loss,
+                      GroundTruthResponse, LogRecord, ResponseModel,
+                      SessionState, SimFitConfig, SynthConfig, constant_log_loss,
                       fit_response_model, fit_simulators, generate_synthetic,
                       held_out_log_loss, ingest_ml1m_style, load_records,
                       load_response_model, make_user_pool, reset_session,
                       save_records, save_response_model, simulate_step)
 from hsrl.errors import ContractError, DataError
+from hsrl.policy import PolicyConfig, PolicyParams
+from hsrl.tokenizer import load_embeddings, save_embeddings
 
 
 class FixedResponse:
@@ -377,3 +379,28 @@ def test_rewards_always_in_bounds():
             depth += 1
             assert NO_CLICK_SIGNAL - 1e-12 <= r <= CLICK_SIGNAL + 1e-12
         assert 1 <= depth <= EnvConfig().horizon
+
+
+def test_shuffled_embeddings_file_gives_same_item_tables(tmp_path):
+    """Row r of every item table holds item r, whatever the file order."""
+    synth = generate_synthetic(SynthConfig(n_items=24, n_clusters=3, dim=4,
+                                           n_users=4, slates_per_user=1), seed=5)
+    sorted_path = tmp_path / "sorted.tsv"
+    save_embeddings(sorted_path, synth.items)
+    lines = sorted_path.read_text().splitlines(keepends=True)
+    body = lines[1:]
+    perm = np.random.default_rng(6).permutation(len(body))
+    shuffled_path = tmp_path / "shuffled.tsv"
+    shuffled_path.write_text(lines[0] + "".join(body[i] for i in perm))
+
+    tables = []
+    for path in (sorted_path, shuffled_path):
+        items = load_embeddings(path)
+        sim = ResponseModel(24, SimFitConfig(embed_dim=6),
+                            np.random.default_rng(7), items.vectors)
+        policy = PolicyParams(PolicyConfig(n_items=24, vocab_sizes=(3,),
+                                           d_model=6, embed_dim=6),
+                              np.random.default_rng(8), item_features=items.vectors)
+        tables.append((sim.encoder.item_emb.data, policy.encoder.item_emb.data))
+    for a, b in zip(*tables):
+        assert np.array_equal(a, b)

@@ -7,7 +7,7 @@ import pytest
 import hsrl.autodiff as ad
 from hsrl.checkpoint import load_tensors, save_tensors
 from hsrl.encoder import UserState
-from hsrl.errors import ContractError, FormatError, UnknownItemError
+from hsrl.errors import ContractError, DataError, FormatError, UnknownItemError
 from hsrl.policy import (PolicyConfig, PolicyParams, encode_state, forward,
                          sample_sid, score_candidates, select_slate,
                          sid_log_prob)
@@ -359,6 +359,14 @@ def test_item_embeddings_can_start_from_features():
     assert np.array_equal(params2.encoder.item_emb.data[0],
                           params2.encoder.item_emb.data[1])
     assert params.encoder.item_emb.data.shape == (6, 5)
+
+
+def test_item_feature_rows_must_match_catalog():
+    cfg = PolicyConfig(n_items=6, vocab_sizes=(3, 3), d_model=5, embed_dim=5,
+                       item_emb_from_features=True)
+    feats = np.random.default_rng(2).normal(size=(5, 4))
+    with pytest.raises(DataError):
+        PolicyParams(cfg, np.random.default_rng(3), item_features=feats)
 
 
 # ---------------------------------------------------------------------------
