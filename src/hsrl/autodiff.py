@@ -299,6 +299,8 @@ def embed(table: Tensor, ids) -> Tensor:
     if table.ndim != 2:
         raise ShapeError("embed: table must be 2-D")
     idx = np.asarray(ids, dtype=np.intp)
+    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+        raise ContractError("embed: index out of range")
 
     def back(g):
         gt = np.zeros_like(table.data)

@@ -4,7 +4,7 @@ Commands: tokenize, fit-sim, train, eval, sweep, ablate, gen-data. Every
 run resolves its configuration document, writes a manifest before doing
 any work, and emits CSV outputs that are bitwise-reproducible for a fixed
 (config, seeds) pair. Exit codes: 0 success, 2 config error, 3 data or
-format error, 4 numeric abort.
+format error, 4 numeric abort, 5 internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 from statistics import median
 
@@ -28,6 +29,7 @@ from .errors import ConfigError, DataError, FormatError, NumericsError
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+EXIT_INTERNAL = 5
 
 SWEEP_GRIDS = {
     "entropy": [0.0, 0.1, 0.2, 0.3],
@@ -374,6 +376,11 @@ def main(argv=None) -> int:
         manifest.finalize("failed", str(exc))
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        manifest.finalize("failed", error, traceback.format_exc())
+        print(f"internal error: {error}", file=sys.stderr)
+        return EXIT_INTERNAL
     manifest.finalize("complete")
     return code
 

@@ -12,14 +12,14 @@ import configparser
 import json
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .critic import CriticConfig
 from .env import EnvConfig, SimFitConfig, SynthConfig
 from .errors import ConfigError
 from .policy import PolicyConfig
-from .trainer import TRAIN_VARIANTS, TrainConfig
+from .trainer import TrainConfig
 
 _BOOL_VALUES = {"true": True, "yes": True, "1": True, "on": True,
                 "false": False, "no": False, "0": False, "off": False}
@@ -39,19 +39,43 @@ def _parse_int_list(raw: str) -> tuple[int, ...]:
         raise ConfigError(f"expected comma-separated integers, got {raw!r}") from None
 
 
-# section -> key -> (parser, default)
+_PARSERS = {bool: _parse_bool, tuple: _parse_int_list}
+
+# Module sections: the dataclass is the only declaration of the section's
+# keys, parsers and defaults. Fields that another section supplies are not
+# keys of this one.
+_MODULES = {
+    "data": (SynthConfig, ("slate_size",)),
+    "policy": (PolicyConfig, ("n_items", "vocab_sizes", "history_window")),
+    "critic": (CriticConfig, ("d_model", "levels")),
+    "simulator": (SimFitConfig, ("history_window",)),
+    "env": (EnvConfig, ()),
+    "training": (TrainConfig, ()),
+}
+# (section, field) -> INI key, where the two names differ
+_KEY_OF_FIELD = {("data", "dim"): "embed_dim"}
+
+
+def _keyed_fields(section: str):
+    """(INI key, dataclass field) pairs of a module section."""
+    cls, supplied = _MODULES[section]
+    return [(_KEY_OF_FIELD.get((section, f.name), f.name), f)
+            for f in fields(cls) if f.name not in supplied]
+
+
+def _section_schema(section: str) -> dict:
+    """key -> (parser, default) of a module section: the parser follows the
+    type of the field's default."""
+    return {key: (_PARSERS.get(type(f.default), type(f.default)), f.default)
+            for key, f in _keyed_fields(section)}
+
+
+# section -> key -> (parser, default); literal entries are the keys that no
+# module dataclass declares.
 SCHEMA = {
     "data": {
         "source": (str, "synthetic"),
-        "n_items": (int, 300),
-        "n_clusters": (int, 8),
-        "embed_dim": (int, 16),
-        "n_users": (int, 120),
-        "slates_per_user": (int, 16),
-        "p_preferred": (float, 0.9),
-        "p_other": (float, 0.02),
-        "center_scale": (float, 8.0),
-        "noise": (float, 0.5),
+        **_section_schema("data"),
         "embeddings_path": (str, ""),
         "records_path": (str, ""),
         "ratings_path": (str, ""),
@@ -61,47 +85,11 @@ SCHEMA = {
         "vocab_size": (int, 64),
         "vocab_sizes": (_parse_int_list, ()),
     },
-    "policy": {
-        "d_model": (int, 32),
-        "embed_dim": (int, 32),
-        "profile_dim": (int, 0),
-        "token_emb_from_codebook": (_parse_bool, False),
-        "item_emb_from_features": (_parse_bool, True),
-    },
-    "critic": {
-        "hidden": (int, 64),
-        "per_level_heads": (_parse_bool, False),
-    },
-    "simulator": {
-        "embed_dim": (int, 32),
-        "epochs": (int, 6),
-        "batch_size": (int, 32),
-        "learning_rate": (float, 0.01),
-        "freeze_item_emb": (_parse_bool, True),
-    },
-    "env": {
-        "slate_size": (int, 5),
-        "patience": (int, 3),
-        "horizon": (int, 20),
-        "history_window": (int, 10),
-    },
-    "training": {
-        "gamma": (float, 0.9),
-        "lambda_entropy": (float, 0.1),
-        "lambda_bc": (float, 0.5),
-        "advantage_clip": (float, 1.0),
-        "iterations": (int, 20000),
-        "batch_episodes": (int, 1),
-        "learning_rate": (float, 1e-3),
-        "target_mode": (str, "soft"),
-        "target_tau": (float, 0.005),
-        "target_period": (int, 100),
-        "eval_every": (int, 2000),
-        "eval_episodes": (int, 20),
-        "variant": (str, "full"),
-        "detach_critic_encoder": (_parse_bool, False),
-        "num_seeds": (int, 1),
-    },
+    "policy": _section_schema("policy"),
+    "critic": _section_schema("critic"),
+    "simulator": _section_schema("simulator"),
+    "env": _section_schema("env"),
+    "training": {**_section_schema("training"), "num_seeds": (int, 1)},
     "seeds": {
         "tokenizer": (int, 7),
         "simulator": (int, 11),
@@ -132,57 +120,35 @@ class RunConfig:
             return tuple(explicit)
         return (tok["vocab_size"],) * tok["levels"]
 
+    def _module(self, section: str, **supplied):
+        """The section's dataclass, built from its keys plus the fields
+        that other sections supply."""
+        values = self.values[section]
+        return _MODULES[section][0](
+            **{f.name: values[key] for key, f in _keyed_fields(section)},
+            **supplied)
+
     def synth_config(self) -> SynthConfig:
-        d = self.values["data"]
-        return SynthConfig(
-            n_items=d["n_items"], n_clusters=d["n_clusters"], dim=d["embed_dim"],
-            n_users=d["n_users"], slates_per_user=d["slates_per_user"],
-            slate_size=self.values["env"]["slate_size"],
-            p_preferred=d["p_preferred"], p_other=d["p_other"],
-            center_scale=d["center_scale"], noise=d["noise"])
+        return self._module("data", slate_size=self.values["env"]["slate_size"])
 
     def policy_config(self, n_items: int) -> PolicyConfig:
-        p = self.values["policy"]
-        return PolicyConfig(
-            n_items=n_items, vocab_sizes=self.vocab_sizes(),
-            d_model=p["d_model"], embed_dim=p["embed_dim"],
-            history_window=self.values["env"]["history_window"],
-            profile_dim=p["profile_dim"],
-            token_emb_from_codebook=p["token_emb_from_codebook"],
-            item_emb_from_features=p["item_emb_from_features"])
+        return self._module(
+            "policy", n_items=n_items, vocab_sizes=self.vocab_sizes(),
+            history_window=self.values["env"]["history_window"])
 
     def critic_config(self) -> CriticConfig:
-        c = self.values["critic"]
-        return CriticConfig(d_model=self.values["policy"]["d_model"],
-                            levels=len(self.vocab_sizes()),
-                            hidden=c["hidden"],
-                            per_level_heads=c["per_level_heads"])
+        return self._module("critic", d_model=self.values["policy"]["d_model"],
+                            levels=len(self.vocab_sizes()))
 
     def env_config(self) -> EnvConfig:
-        e = self.values["env"]
-        return EnvConfig(slate_size=e["slate_size"], patience=e["patience"],
-                         horizon=e["horizon"],
-                         history_window=e["history_window"])
+        return self._module("env")
 
     def sim_config(self) -> SimFitConfig:
-        s = self.values["simulator"]
-        return SimFitConfig(embed_dim=s["embed_dim"],
-                            history_window=self.values["env"]["history_window"],
-                            epochs=s["epochs"], batch_size=s["batch_size"],
-                            learning_rate=s["learning_rate"],
-                            freeze_item_emb=s["freeze_item_emb"])
+        return self._module(
+            "simulator", history_window=self.values["env"]["history_window"])
 
     def train_config(self) -> TrainConfig:
-        t = self.values["training"]
-        return TrainConfig(
-            gamma=t["gamma"], lambda_entropy=t["lambda_entropy"],
-            lambda_bc=t["lambda_bc"], advantage_clip=t["advantage_clip"],
-            iterations=t["iterations"], batch_episodes=t["batch_episodes"],
-            learning_rate=t["learning_rate"], target_mode=t["target_mode"],
-            target_tau=t["target_tau"], target_period=t["target_period"],
-            eval_every=t["eval_every"], eval_episodes=t["eval_episodes"],
-            variant=t["variant"],
-            detach_critic_encoder=t["detach_critic_encoder"])
+        return self._module("training")
 
     def seeds(self) -> dict[str, int]:
         return dict(self.values["seeds"])
@@ -198,27 +164,22 @@ def default_config() -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
+    """Range checks on module fields live in each dataclass's
+    `__post_init__`; building every module config that needs no data runs
+    them all at load time."""
     d = cfg.values["data"]
     if d["source"] not in ("synthetic", "files"):
         raise ConfigError(f"data.source must be synthetic or files, got {d['source']!r}")
-    t = cfg.values["training"]
-    if t["variant"] not in TRAIN_VARIANTS:
-        raise ConfigError(f"training.variant must be one of {TRAIN_VARIANTS}")
-    if t["num_seeds"] < 1:
+    if cfg.values["training"]["num_seeds"] < 1:
         raise ConfigError("training.num_seeds must be >= 1")
-    if t["iterations"] < 0:
-        raise ConfigError("training.iterations must be >= 0")
-    if t["eval_episodes"] < 1:
-        raise ConfigError("training.eval_episodes must be >= 1")
     for name, value in cfg.values["seeds"].items():
         if value < 0:
             raise ConfigError(f"seeds.{name} must be non-negative")
-    if cfg.values["env"]["patience"] < 1:
-        raise ConfigError("env.patience must be >= 1")
-    if cfg.values["env"]["horizon"] < 1:
-        raise ConfigError("env.horizon must be >= 1")
-    cfg.vocab_sizes()
-    cfg.train_config()  # reuses TrainConfig's own validation
+    cfg.synth_config()
+    cfg.critic_config()
+    cfg.env_config()
+    cfg.sim_config()
+    cfg.train_config()
     return cfg
 
 
@@ -230,6 +191,8 @@ def load_config(path) -> RunConfig:
             parser.read_file(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from None
 
@@ -301,9 +264,12 @@ class Manifest:
     def _write(self) -> None:
         self.path.write_text(json.dumps(self.payload, indent=2, sort_keys=True) + "\n")
 
-    def finalize(self, status: str = "complete", error: str | None = None) -> None:
+    def finalize(self, status: str = "complete", error: str | None = None,
+                 trace: str | None = None) -> None:
         self.payload["status"] = status
         self.payload["wall_clock_s"] = round(time.time() - self._t0, 3)
         if error is not None:
             self.payload["error"] = error
+        if trace is not None:
+            self.payload["traceback"] = trace
         self._write()

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 
 
 @dataclass
@@ -28,6 +28,10 @@ class CriticConfig:
     hidden: int = 64
     per_level_heads: bool = False
 
+    def __post_init__(self):
+        if self.hidden < 1:
+            raise ConfigError("critic hidden width must be >= 1")
+
     @property
     def n_values(self) -> int:
         return self.levels + 1
@@ -35,8 +39,6 @@ class CriticConfig:
 
 class CriticParams:
     def __init__(self, cfg: CriticConfig, rng: np.random.Generator):
-        if cfg.hidden < 1:
-            raise ContractError("critic hidden width must be >= 1")
         self.cfg = cfg
         n_heads = cfg.n_values if cfg.per_level_heads else 1
         self.w1 = [ad.parameter((cfg.hidden, cfg.d_model), rng, 0.1)

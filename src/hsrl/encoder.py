@@ -3,9 +3,7 @@
 History items and their feedback bits are embedded, mixed by one
 self-attention layer with a residual connection, mean-pooled, and
 projected to the output width. A learned start vector stands in for the
-pooled projection when the history is empty, and profile features (when
-configured) enter through their own linear map, so a zero profile adds
-exactly nothing.
+pooled projection when the history is empty.
 """
 
 from __future__ import annotations
@@ -17,15 +15,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DataError, ShapeError, UnknownItemError
+from .errors import DataError, UnknownItemError
 
 
 @dataclass(frozen=True)
 class UserState:
-    """Profile features plus the recent (item, feedback-bit) history."""
+    """The recent (item, feedback-bit) history."""
 
     history: tuple[tuple[int, int], ...] = ()
-    profile: tuple[float, ...] = ()
 
 
 @dataclass
@@ -34,7 +31,6 @@ class EncoderConfig:
     embed_dim: int = 32
     out_dim: int = 32
     history_window: int = 10
-    profile_dim: int = 0
 
 
 class EncoderParams:
@@ -49,11 +45,9 @@ class EncoderParams:
         self.proj_w = ad.parameter((cfg.out_dim, d), rng, 0.1)
         self.proj_b = ad.parameter((cfg.out_dim,), rng, 0.1)
         self.start = ad.parameter((cfg.out_dim,), rng, 0.1)
-        self.profile_w = (ad.parameter((cfg.out_dim, cfg.profile_dim), rng, 0.1)
-                          if cfg.profile_dim > 0 else None)
 
     def tensors(self) -> dict[str, Tensor]:
-        out = {
+        return {
             "item_emb": self.item_emb,
             "fb_emb": self.fb_emb,
             "attn_q": self.attn_q,
@@ -63,9 +57,6 @@ class EncoderParams:
             "proj_b": self.proj_b,
             "start": self.start,
         }
-        if self.profile_w is not None:
-            out["profile_w"] = self.profile_w
-        return out
 
     def init_items_from_features(self, item_features: np.ndarray,
                                  rng: np.random.Generator) -> None:
@@ -86,10 +77,6 @@ def encode(params: EncoderParams, state: UserState) -> Tensor:
     """Deterministic state encoding; empty history maps to the start vector."""
     cfg = params.cfg
     history = state.history[-cfg.history_window:]
-    if len(state.profile) != cfg.profile_dim:
-        raise ShapeError(
-            f"profile has {len(state.profile)} features, expected {cfg.profile_dim}")
-
     if history:
         ids = [item for item, _ in history]
         bits = [bit for _, bit in history]
@@ -104,11 +91,5 @@ def encode(params: EncoderParams, state: UserState) -> Tensor:
                                        1.0 / math.sqrt(cfg.embed_dim)))
         mixed = ad.add(x, ad.matmul(attn, v))
         pooled = ad.mean_rows(mixed)
-        base = ad.add(ad.matvec(params.proj_w, pooled), params.proj_b)
-    else:
-        base = params.start
-
-    if params.profile_w is not None:
-        base = ad.add(base, ad.matvec(params.profile_w,
-                                      ad.constant(np.asarray(state.profile))))
-    return base
+        return ad.add(ad.matvec(params.proj_w, pooled), params.proj_b)
+    return params.start

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .encoder import EncoderConfig, EncoderParams, UserState, encode
-from .errors import ContractError, DataError
+from .errors import ConfigError, ContractError, DataError
 from .optim import Optimizer
 from .tokenizer import ItemEmbeddings
 
@@ -49,6 +49,11 @@ class EnvConfig:
     patience: int = 3
     horizon: int = 20
     history_window: int = 10
+
+    def __post_init__(self):
+        for name in ("patience", "horizon", "history_window"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -78,10 +83,12 @@ class SimFitConfig:
     epochs: int = 6
     batch_size: int = 32
     learning_rate: float = 0.01
-    # Keep the (feature-initialized) item table fixed during fitting; the
-    # free per-item parameters otherwise soak up label noise and the fitted
-    # model stops generalizing across users.
-    freeze_item_emb: bool = True
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        if self.learning_rate <= 0.0:
+            raise ConfigError("learning_rate must be positive")
 
 
 class ResponseModel:
@@ -133,8 +140,10 @@ def fit_response_model(records: list[LogRecord], n_items: int,
         raise DataError("cannot fit a response model on zero records")
     rng = np.random.default_rng(seed)
     model = ResponseModel(n_items, cfg, rng, item_features)
-    if cfg.freeze_item_emb:
-        model.encoder.item_emb.requires_grad = False
+    # Keep the (feature-initialized) item table fixed during fitting; the
+    # free per-item parameters otherwise soak up label noise and the fitted
+    # model stops generalizing across users.
+    model.encoder.item_emb.requires_grad = False
     trainable = [t for t in model.tensors().values() if t.requires_grad]
     opt = Optimizer(trainable, lr=cfg.learning_rate)
     for _ in range(cfg.epochs):
@@ -241,7 +250,7 @@ def simulate_step(model, session: SessionState, slate, cfg: EnvConfig,
     done = patience == 0 or step == cfg.horizon
     nxt = SessionState(
         user_id=session.user_id,
-        state=UserState(history=history, profile=session.state.profile),
+        state=UserState(history=history),
         patience=patience,
         step=step,
         done=done,
@@ -412,6 +421,8 @@ def generate_synthetic(cfg: SynthConfig, seed) -> SyntheticDataset:
     in chronological (round-robin) order so an 80/20 split is time-based."""
     if not cfg.n_items >= cfg.n_clusters >= 1:
         raise DataError("need n_items >= n_clusters >= 1")
+    if cfg.slate_size > cfg.n_items:
+        raise DataError(f"slate size {cfg.slate_size} exceeds {cfg.n_items} items")
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(cfg.n_clusters, cfg.dim))
     centers *= cfg.center_scale / np.linalg.norm(centers, axis=1, keepdims=True)

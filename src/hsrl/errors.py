@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
-DataError/FormatError -> 3, NumericsError -> 4.
+DataError/FormatError -> 3, NumericsError -> 4, and any other exception
+-> 5 (internal error).
 """
 
 

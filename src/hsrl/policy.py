@@ -28,7 +28,6 @@ class PolicyConfig:
     d_model: int = 32
     embed_dim: int = 32
     history_window: int = 10
-    profile_dim: int = 0
     # When set, token embeddings start from codebook centroids projected
     # into the model width instead of random noise.
     token_emb_from_codebook: bool = False
@@ -47,7 +46,6 @@ class PolicyConfig:
             embed_dim=self.embed_dim,
             out_dim=self.d_model,
             history_window=self.history_window,
-            profile_dim=self.profile_dim,
         )
 
 

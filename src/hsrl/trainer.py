@@ -55,7 +55,6 @@ class TrainConfig:
     eval_every: int = 2000
     eval_episodes: int = 20
     variant: str = "full"
-    detach_critic_encoder: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
@@ -68,8 +67,16 @@ class TrainConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.target_mode not in ("soft", "hard"):
             raise ConfigError(f"unknown target mode {self.target_mode!r}")
+        if self.target_mode == "hard" and self.target_period < 1:
+            raise ConfigError("hard target sync needs target_period >= 1")
         if self.batch_episodes < 1:
             raise ConfigError("batch_episodes must be >= 1")
+        if self.learning_rate <= 0.0:
+            raise ConfigError("learning_rate must be positive")
+        if self.iterations < 0:
+            raise ConfigError("iterations must be >= 0")
+        if self.eval_episodes < 1:
+            raise ConfigError("eval_episodes must be >= 1")
 
 
 @dataclass
@@ -243,12 +250,10 @@ def train_step(agent: Agent, transitions: list[Transition]) -> dict:
         report["H_en"] += _entropy_value(out) / batch
 
         if not bc_only:
-            c0_critic = c0.detach() if cfg.detach_critic_encoder else c0
             if single:
-                v_hat = value_of_context(agent.critic, c0_critic, 0)
+                v_hat = value_of_context(agent.critic, c0, 0)
             else:
-                view = forward(agent.policy, c0_critic, flat=flat,
-                               heads_detached=True)
+                view = forward(agent.policy, c0, flat=flat, heads_detached=True)
                 v_hat = aggregate(agent.critic,
                                   per_level_values(agent.critic, view.trajectory))
             if tr.done:

@@ -242,6 +242,13 @@ def test_embed_gather_concat_gradients():
     check_gradients(loss, [table, vec], rtol=1e-4)
 
 
+@pytest.mark.parametrize("ids", [[-1], [0, 6], [6]])
+def test_embed_rejects_out_of_range_ids(ids):
+    table = ad.parameter((6, 3), np.random.default_rng(0), 0.1)
+    with pytest.raises(ContractError):
+        ad.embed(table, ids)
+
+
 def test_stack_softplus_add_scalar_gradients():
     rng = np.random.default_rng(21)
     s1 = ad.Tensor(np.asarray(rng.normal()), requires_grad=True)

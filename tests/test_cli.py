@@ -322,15 +322,66 @@ def test_unknown_config_section_rejected(tmp_path):
     assert _run("train", "--config", cfg, "--out", tmp_path / "o") == 2
 
 
-def test_bad_config_value_rejected(tmp_path):
+@pytest.mark.parametrize("text, code", [
+    pytest.param("[training]\ngamma = 1.5\n", 2, id="gamma"),
+    pytest.param("[training]\nlearning_rate = 0\n", 2, id="learning_rate"),
+    pytest.param("[training]\ntarget_mode = hard\ntarget_period = 0\n", 2,
+                 id="hard_target_period"),
+    pytest.param("[simulator]\nbatch_size = 0\n", 2, id="sim_batch_size"),
+    pytest.param("[simulator]\nlearning_rate = 0\n", 2, id="sim_learning_rate"),
+    pytest.param("[critic]\nhidden = 0\n", 2, id="critic_hidden"),
+    pytest.param("[env]\nhistory_window = 0\n", 2, id="history_window"),
+    pytest.param("[data]\nn_items = 4\nn_clusters = 2\n[env]\nslate_size = 5\n",
+                 3, id="slate_exceeds_catalog"),
+])
+def test_bad_config_value_rejected(tmp_path, capsys, text, code):
     cfg = tmp_path / "bad.ini"
-    cfg.write_text("[training]\ngamma = 1.5\n")
-    assert _run("train", "--config", cfg, "--out", tmp_path / "o") == 2
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert _run("train", "--config", cfg, "--out", out) == code
+    err = capsys.readouterr().err
+    if code == 2:  # rejected at load, before the manifest is written
+        assert err.startswith("config error:")
+        assert not (out / "manifest.json").exists()
+    else:
+        assert err.startswith("data error:")
+        assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+
+def test_internal_error_fails_manifest_with_exit_5(tmp_path, config_path,
+                                                   monkeypatch, capsys):
+    from hsrl import cli
+    from hsrl.errors import ContractError
+
+    def broken(cfg, out, args):
+        raise ContractError("broken invariant")
+
+    monkeypatch.setitem(cli._COMMANDS, "tokenize", (broken, "tokenize"))
+    out = tmp_path / "o"
+    assert _run("tokenize", "--config", config_path, "--out", out) == \
+        cli.EXIT_INTERNAL == 5
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["internal error: ContractError: broken invariant"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == "ContractError: broken invariant"
+    assert "raise ContractError" in manifest["traceback"]
 
 
 def test_missing_config_file(tmp_path):
     assert _run("train", "--config", tmp_path / "none.ini",
                 "--out", tmp_path / "o") == 2
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_unreadable_config_file(tmp_path, capsys, kind):
+    cfg = tmp_path / "run.ini"
+    if kind == "directory":
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(b"\xff\xfe[data]\n")
+    assert _run("train", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err.startswith("config error: cannot read")
 
 
 def test_files_mode_requires_paths(tmp_path):

@@ -160,6 +160,13 @@ def test_fit_empty_records_rejected():
         fit_response_model([], 10, SimFitConfig(), 0)
 
 
+@pytest.mark.parametrize("slate", [(-1, 2), (2, 10)])
+def test_click_probs_reject_slate_items_outside_table(slate):
+    model = ResponseModel(10, SimFitConfig(embed_dim=4), np.random.default_rng(0))
+    with pytest.raises(ContractError):
+        model.click_probs(_session(), slate)
+
+
 def test_fit_all_positive_labels_majority():
     records = _tiny_records(all_positive=True)
     cfg = SimFitConfig(embed_dim=8, epochs=6)

@@ -52,14 +52,6 @@ def test_empty_history_zero_profile_is_start_vector():
     assert np.array_equal(c0.data, params.encoder.start.data)
 
 
-def test_empty_history_with_profile_adds_profile_term():
-    params = _params(profile_dim=2)
-    zero = encode_state(params, UserState(profile=(0.0, 0.0)))
-    assert np.array_equal(zero.data, params.encoder.start.data)
-    nonzero = encode_state(params, UserState(profile=(1.0, -1.0)))
-    assert not np.array_equal(nonzero.data, zero.data)
-
-
 def test_encode_deterministic():
     params = _params()
     s = UserState(history=((1, 1), (2, 0)))
