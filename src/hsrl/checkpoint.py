@@ -3,12 +3,15 @@
 Layout (little-endian): magic "HSRLPN1\\0", u32 version, u32 block count,
 then per block: u16 name length, utf-8 name, u8 ndim, u32 dims, float64
 row-major data. Blocks keep insertion order, so save(load(f)) is
-byte-identical to f.
+byte-identical to f. Checkpoints, codebooks and run manifests go through
+`write_atomic`, so a crash mid-write never leaves a truncated file.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -34,6 +37,21 @@ class BinaryReader:
         return out
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Replace `path` with `data` whole or not at all: write a temp file in
+    the same directory, flush and fsync it, then rename it over `path`."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_tensors(path, named: dict[str, np.ndarray]) -> None:
     parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(named))]
     for name, arr in named.items():
@@ -44,8 +62,7 @@ def save_tensors(path, named: dict[str, np.ndarray]) -> None:
         parts.append(struct.pack("<B", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    write_atomic(path, b"".join(parts))
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:

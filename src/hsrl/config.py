@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .checkpoint import write_atomic
 from .critic import CriticConfig
 from .env import EnvConfig, SimFitConfig, SynthConfig
 from .errors import ConfigError
@@ -176,6 +177,7 @@ def _validate(cfg: RunConfig) -> RunConfig:
         if value < 0:
             raise ConfigError(f"seeds.{name} must be non-negative")
     cfg.synth_config()
+    cfg.policy_config(n_items=1)  # its checks do not read the catalog size
     cfg.critic_config()
     cfg.env_config()
     cfg.sim_config()
@@ -262,7 +264,8 @@ class Manifest:
         self._write()
 
     def _write(self) -> None:
-        self.path.write_text(json.dumps(self.payload, indent=2, sort_keys=True) + "\n")
+        write_atomic(self.path, (json.dumps(self.payload, indent=2, sort_keys=True)
+                                 + "\n").encode("utf-8"))
 
     def finalize(self, status: str = "complete", error: str | None = None,
                  trace: str | None = None) -> None:

@@ -6,7 +6,7 @@ softmax so the fused estimate is always a convex combination. The head is
 shared across levels by default, with independent per-level heads behind
 a config flag. The bootstrap target is the same critic, frozen: a deep
 copy of the parameters that takes no gradient, evaluated by the same
-functions and kept in step by soft or hard synchronization.
+function and kept in step by Polyak averaging.
 """
 
 from __future__ import annotations
@@ -83,6 +83,14 @@ def aggregate(params: CriticParams, values: list[Tensor]) -> Tensor:
     return ad.dot(ad.softmax(params.w_raw), ad.stack(values))
 
 
+def trajectory_value(params: CriticParams, trajectory: list[Tensor]) -> Tensor:
+    """Fused value of a trajectory; a single context bypasses fusion
+    (single-level critic ablation)."""
+    if len(trajectory) == 1:
+        return value_of_context(params, trajectory[0])
+    return aggregate(params, per_level_values(params, trajectory))
+
+
 def weight_snapshot(params: CriticParams) -> np.ndarray:
     with ad.no_grad():
         return ad.softmax(params.w_raw).data
@@ -115,11 +123,6 @@ class TargetCritic:
             own.data = t.data.copy()
 
     def value(self, contexts: list[np.ndarray]) -> float:
-        """Fused value of a trajectory; a single context bypasses fusion
-        (single-level critic ablation)."""
         with ad.no_grad():
-            trajectory = [ad.constant(c) for c in contexts]
-            if len(trajectory) == 1:
-                return float(value_of_context(self.params, trajectory[0]).data)
-            return float(aggregate(self.params,
-                                   per_level_values(self.params, trajectory)).data)
+            return float(trajectory_value(
+                self.params, [ad.constant(c) for c in contexts]).data)

@@ -51,7 +51,7 @@ class EnvConfig:
     history_window: int = 10
 
     def __post_init__(self):
-        for name in ("patience", "horizon", "history_window"):
+        for name in ("slate_size", "patience", "horizon", "history_window"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
 
@@ -85,8 +85,9 @@ class SimFitConfig:
     learning_rate: float = 0.01
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        for name in ("embed_dim", "epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.learning_rate <= 0.0:
             raise ConfigError("learning_rate must be positive")
 
@@ -388,6 +389,10 @@ class SynthConfig:
     p_other: float = 0.02
     center_scale: float = 8.0
     noise: float = 0.5
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ConfigError("embed_dim must be >= 1")
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""First-order parameter updates: adaptive moments by default, plain SGD for tests."""
+"""First-order parameter updates: Adam over a fixed parameter list."""
 
 from __future__ import annotations
 
@@ -9,24 +9,21 @@ from .errors import NumericsError
 
 
 class Optimizer:
-    """Adam-style update over a fixed parameter list.
+    """Adam update over a fixed parameter list.
 
     Parameters whose gradient is absent or exactly zero are skipped
     entirely, so a step with zero gradients is a no-op regardless of
-    accumulated moment state. With `sgd=True` the update degrades to
-    `p -= lr * g` (no moments), which keeps convergence tests exact.
+    accumulated moment state.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 sgd: bool = False):
+                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
         if lr <= 0.0:
             raise ValueError("learning rate must be positive")
         self.params = list(params)
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.sgd = sgd
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -45,9 +42,6 @@ class Optimizer:
         for i, p in enumerate(self.params):
             g = p.grad
             if g is None or not g.any():
-                continue
-            if self.sgd:
-                p.data -= self.lr * g
                 continue
             self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
             self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * g * g

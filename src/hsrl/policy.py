@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .encoder import EncoderConfig, EncoderParams, UserState, encode
-from .errors import ContractError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 from .tokenizer import Codebook, SidIndex
 
 
@@ -35,6 +35,10 @@ class PolicyConfig:
     # starts from a seeded projection of the features so user histories are
     # separable before any training.
     item_emb_from_features: bool = True
+
+    def __post_init__(self):
+        if self.d_model < 2 or self.embed_dim < 1:
+            raise ConfigError("policy needs d_model >= 2 (layer norm) and embed_dim >= 1")
 
     @property
     def levels(self) -> int:

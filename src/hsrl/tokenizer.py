@@ -16,11 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import BinaryReader
+from .checkpoint import BinaryReader, write_atomic
 from .errors import DataError, FormatError, ShapeError, VocabTooLargeError
 
 KMEANS_MAX_ITERS = 100
 KMEANS_REL_TOL = 1e-6
+# Points per distance block: bounds k-means' (rows, T, d) difference array.
+SQ_DIST_BLOCK_ROWS = 256
 
 CODEBOOK_MAGIC = b"HSRLCB1\x00"
 
@@ -109,8 +111,11 @@ class CollisionReport:
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(N, T) squared Euclidean distances, same reduction path for N=1 and N>1."""
-    return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    """(N, T) squared Euclidean distances, in blocks of SQ_DIST_BLOCK_ROWS
+    points; each entry takes the same reduction path for any N or block."""
+    starts = range(SQ_DIST_BLOCK_ROWS, len(points), SQ_DIST_BLOCK_ROWS)
+    return np.concatenate([((block[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+                           for block in np.split(points, starts)])
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -276,8 +281,7 @@ def save_codebook(path, book: Codebook, index: SidIndex) -> None:
     for item in items:
         parts.append(struct.pack("<Q", item))
         parts.append(struct.pack(f"<{book.levels}H", *index.item_to_sid[item]))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    write_atomic(path, b"".join(parts))
 
 
 def load_codebook(path) -> tuple[Codebook, SidIndex]:

@@ -1,12 +1,13 @@
 """Joint actor-critic optimization driven by on-policy rollouts.
 
-Each update consumes freshly collected episodes: the critic regresses its
-fused value onto one-step bootstrap targets from the frozen target
-critic, and the policy follows clipped-advantage gradients plus entropy
-pressure and a behavioral-cloning anchor on clicked items. Advantages and
-bootstrap targets are constants by construction, and the critic reads the
-trajectory through detached policy-head parameters, so neither loss leaks
-gradient across the actor/critic boundary.
+Each update consumes one freshly collected episode: the critic regresses
+its fused value onto one-step bootstrap targets from the frozen target
+critic, which trails the live critic by Polyak averaging, and the policy
+follows clipped-advantage gradients plus entropy pressure and a
+behavioral-cloning anchor on clicked items. Advantages and bootstrap
+targets are constants by construction, and the critic reads the trajectory
+through detached policy-head parameters, so neither loss leaks gradient
+across the actor/critic boundary.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .critic import (CriticConfig, CriticParams, TargetCritic, aggregate,
-                     per_level_values, value_of_context, weight_snapshot)
+from .critic import (CriticConfig, CriticParams, TargetCritic,
+                     trajectory_value, weight_snapshot)
 from .encoder import UserState
 from .env import Environment, EnvConfig, EpisodeMetrics
 from .errors import ConfigError, ContractError
@@ -47,11 +48,8 @@ class TrainConfig:
     lambda_bc: float = 0.5
     advantage_clip: float = 1.0
     iterations: int = 20000          # environment interaction steps
-    batch_episodes: int = 1          # fresh episodes per optimizer step
     learning_rate: float = 1e-3
-    target_mode: str = "soft"
-    target_tau: float = 0.005
-    target_period: int = 100
+    target_tau: float = 0.005        # Polyak rate of the target critic
     eval_every: int = 2000
     eval_episodes: int = 20
     variant: str = "full"
@@ -65,12 +63,8 @@ class TrainConfig:
             raise ConfigError("loss weights must be non-negative")
         if self.variant not in TRAIN_VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.target_mode not in ("soft", "hard"):
-            raise ConfigError(f"unknown target mode {self.target_mode!r}")
-        if self.target_mode == "hard" and self.target_period < 1:
-            raise ConfigError("hard target sync needs target_period >= 1")
-        if self.batch_episodes < 1:
-            raise ConfigError("batch_episodes must be >= 1")
+        if not 0.0 < self.target_tau <= 1.0:
+            raise ConfigError("target_tau must lie in (0, 1]")
         if self.learning_rate <= 0.0:
             raise ConfigError("learning_rate must be positive")
         if self.iterations < 0:
@@ -82,7 +76,6 @@ class TrainConfig:
 @dataclass
 class Transition:
     state: UserState
-    slate: tuple[int, ...]
     sids: tuple[tuple[int, ...], ...]
     feedback: np.ndarray
     reward: float
@@ -133,11 +126,6 @@ def bc_loss(output: PolicyOutput, sids, feedback: np.ndarray) -> Tensor | None:
     return ad.neg(ad.dot(weights, per_item_log_probs(output, sids)))
 
 
-def _entropy_value(output: PolicyOutput) -> float:
-    return float(sum((p.data * lp.data).sum()
-                     for p, lp in zip(output.probs, output.log_probs)))
-
-
 # ---------------------------------------------------------------------------
 # Agent
 # ---------------------------------------------------------------------------
@@ -181,9 +169,7 @@ class Agent:
 
     def weight_columns(self) -> np.ndarray:
         if self.cfg.variant == "single_critic":
-            cols = np.zeros(self.critic.cfg.n_values)
-            cols[0] = 1.0
-            return cols
+            return np.eye(self.critic.cfg.n_values)[0]
         return weight_snapshot(self.critic)
 
 
@@ -207,7 +193,6 @@ def rollout(agent: Agent, env: Environment, mode: str,
         feedback, reward, nxt, done = env.step(session, slate, rng_env)
         transitions.append(Transition(
             state=session.state,
-            slate=tuple(slate),
             sids=tuple(agent.index.sid_of(i) for i in slate),
             feedback=feedback,
             reward=reward,
@@ -234,28 +219,20 @@ def train_step(agent: Agent, transitions: list[Transition]) -> dict:
     flat = cfg.variant == "flat_policy"
     single = cfg.variant == "single_critic"
     bc_only = cfg.variant == "bc_only"
-    use_entropy = (not bc_only and cfg.variant != "no_entropy"
-                   and cfg.lambda_entropy > 0.0)
+    entropy_weight = (0.0 if cfg.variant in ("no_entropy", "bc_only")
+                      else cfg.lambda_entropy)
     use_bc = cfg.lambda_bc > 0.0 and cfg.variant != "no_bc"
 
-    critic_terms: list[Tensor] = []
-    pg_terms: list[Tensor] = []
-    ent_terms: list[Tensor] = []
-    bc_terms: list[Tensor] = []
-    report = {"loss_V": 0.0, "loss_PG": 0.0, "H_en": 0.0, "loss_BC": 0.0}
+    critic_terms, pg_terms, ent_terms, bc_terms = [], [], [], []
 
     for tr in transitions:
         c0 = encode_state(agent.policy, tr.state)
         out = forward(agent.policy, c0, flat=flat)
-        report["H_en"] += _entropy_value(out) / batch
 
         if not bc_only:
-            if single:
-                v_hat = value_of_context(agent.critic, c0, 0)
-            else:
-                view = forward(agent.policy, c0, flat=flat, heads_detached=True)
-                v_hat = aggregate(agent.critic,
-                                  per_level_values(agent.critic, view.trajectory))
+            trajectory = [c0] if single else forward(
+                agent.policy, c0, flat=flat, heads_detached=True).trajectory
+            v_hat = trajectory_value(agent.critic, trajectory)
             if tr.done:
                 q = tr.reward
             else:
@@ -266,30 +243,27 @@ def train_step(agent: Agent, transitions: list[Transition]) -> dict:
             diff = v_hat - q
             critic_terms.append(ad.mul(diff, diff))
             pg_terms.append(ad.scale(slate_log_prob(out, tr.sids), -adv))
-            if use_entropy:
-                ent_terms.append(entropy_term(out))
+        # reported for every variant; weighted into the loss when it is on
+        ent_terms.append(entropy_term(out))
 
         if use_bc or bc_only:
             term = bc_loss(out, tr.sids, tr.feedback)
             if term is not None:
                 bc_terms.append(term)
 
+    report = {"loss_V": 0.0, "loss_PG": 0.0, "H_en": 0.0, "loss_BC": 0.0}
     total: Tensor | None = None
-
-    def accumulate(terms, weight, key):
-        nonlocal total
-        if not terms:
-            return
-        mean = _batch_mean(terms, batch)
+    for key, parts, weight in (("loss_V", critic_terms, 1.0),
+                               ("loss_PG", pg_terms, 1.0),
+                               ("H_en", ent_terms, entropy_weight),
+                               ("loss_BC", bc_terms, cfg.lambda_bc)):
+        if not parts:
+            continue
+        mean = _batch_mean(parts, batch)
         report[key] = float(mean.data)
         if weight != 0.0:
             part = ad.scale(mean, weight) if weight != 1.0 else mean
             total = part if total is None else ad.add(total, part)
-
-    accumulate(critic_terms, 1.0, "loss_V")
-    accumulate(pg_terms, 1.0, "loss_PG")
-    accumulate(ent_terms, cfg.lambda_entropy, "H_en")
-    accumulate(bc_terms, cfg.lambda_bc, "loss_BC")
 
     if total is not None and total.requires_grad:
         agent.opt.zero_grad()
@@ -298,10 +272,7 @@ def train_step(agent: Agent, transitions: list[Transition]) -> dict:
     agent.updates += 1
 
     if not bc_only:
-        if cfg.target_mode == "soft":
-            agent.target.soft_update(agent.critic, cfg.target_tau)
-        elif agent.updates % cfg.target_period == 0:
-            agent.target.hard_sync(agent.critic)
+        agent.target.soft_update(agent.critic, cfg.target_tau)
 
     report["weights"] = agent.weight_columns()
     return report
@@ -382,29 +353,24 @@ def _summary_row(iteration: int, metrics: list[EpisodeMetrics], seed: int):
 def run_training(agent: Agent, ctx: ExperimentContext, seed: int,
                  metrics_writer: MetricsWriter | None = None,
                  eval_writer: MetricsWriter | None = None) -> None:
-    """Drive rollouts and updates until the interaction budget is spent."""
+    """Play one fresh episode per update until the interaction budget is
+    spent."""
     cfg = agent.cfg
     iteration = 0
     episode = 0
     eval_bucket = 0
     while iteration < cfg.iterations:
-        batch: list[Transition] = []
-        rewards, depth = 0.0, 0
-        for _ in range(cfg.batch_episodes):
-            rng_env = np.random.default_rng([seed, _STREAM_ENV, episode])
-            rng_act = np.random.default_rng([seed, _STREAM_ACTION, episode])
-            transitions, metrics = rollout(agent, ctx.train_env, "sample",
-                                           rng_env, rng_act)
-            batch.extend(transitions)
-            rewards += metrics.total_reward
-            depth += metrics.depth
-            episode += 1
-        iteration += len(batch)
-        report = train_step(agent, batch)
+        rng_env = np.random.default_rng([seed, _STREAM_ENV, episode])
+        rng_act = np.random.default_rng([seed, _STREAM_ACTION, episode])
+        transitions, metrics = rollout(agent, ctx.train_env, "sample",
+                                       rng_env, rng_act)
+        episode += 1
+        iteration += metrics.depth
+        report = train_step(agent, transitions)
         if metrics_writer is not None:
             metrics_writer.write(
-                [iteration, rewards / cfg.batch_episodes,
-                 depth / cfg.batch_episodes, report["loss_V"],
+                [iteration, metrics.total_reward,
+                 float(metrics.depth), report["loss_V"],
                  report["loss_PG"], report["H_en"], report["loss_BC"]]
                 + [float(w) for w in report["weights"]] + [seed])
         if (eval_writer is not None and cfg.eval_every > 0

@@ -288,14 +288,6 @@ def test_opt_zero_grad_noop_even_with_moment_history():
     assert np.array_equal(p.data, after_first)
 
 
-def test_opt_plain_sgd_step():
-    p = ad.Tensor(np.asarray(1.0), requires_grad=True)
-    opt = Optimizer([p], lr=0.1, sgd=True)
-    p.grad = np.asarray(1.0)
-    opt.step()
-    assert float(p.data) == pytest.approx(0.9, abs=1e-15)
-
-
 def test_opt_nan_gradient_aborts_step():
     p = ad.Tensor([1.0], requires_grad=True)
     opt = Optimizer([p])
@@ -306,10 +298,9 @@ def test_opt_nan_gradient_aborts_step():
     assert np.array_equal(p.data, before)
 
 
-@pytest.mark.parametrize("sgd,lr", [(True, 0.3), (False, 0.05)])
-def test_opt_converges_to_analytic_optimum(sgd, lr):
+def test_opt_converges_to_analytic_optimum():
     p = ad.Tensor(np.asarray(0.0), requires_grad=True)
-    opt = Optimizer([p], lr=lr, sgd=sgd)
+    opt = Optimizer([p], lr=0.05)
     for _ in range(500):
         opt.zero_grad()
         d = p - 3.0

@@ -325,10 +325,16 @@ def test_unknown_config_section_rejected(tmp_path):
 @pytest.mark.parametrize("text, code", [
     pytest.param("[training]\ngamma = 1.5\n", 2, id="gamma"),
     pytest.param("[training]\nlearning_rate = 0\n", 2, id="learning_rate"),
-    pytest.param("[training]\ntarget_mode = hard\ntarget_period = 0\n", 2,
-                 id="hard_target_period"),
+    pytest.param("[training]\ntarget_tau = 0\n", 2, id="target_tau_zero"),
+    pytest.param("[training]\ntarget_tau = 1.5\n", 2, id="target_tau_above_one"),
     pytest.param("[simulator]\nbatch_size = 0\n", 2, id="sim_batch_size"),
     pytest.param("[simulator]\nlearning_rate = 0\n", 2, id="sim_learning_rate"),
+    pytest.param("[simulator]\nepochs = 0\n", 2, id="sim_epochs"),
+    pytest.param("[simulator]\nembed_dim = 0\n", 2, id="sim_embed_dim"),
+    pytest.param("[policy]\nd_model = 1\n", 2, id="policy_d_model"),
+    pytest.param("[policy]\nembed_dim = 0\n", 2, id="policy_embed_dim"),
+    pytest.param("[data]\nembed_dim = 0\n", 2, id="data_embed_dim"),
+    pytest.param("[env]\nslate_size = 0\n", 2, id="slate_size"),
     pytest.param("[critic]\nhidden = 0\n", 2, id="critic_hidden"),
     pytest.param("[env]\nhistory_window = 0\n", 2, id="history_window"),
     pytest.param("[data]\nn_items = 4\nn_clusters = 2\n[env]\nslate_size = 5\n",

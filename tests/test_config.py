@@ -38,7 +38,7 @@ def test_default_config_builds_dataclass_defaults():
 
 
 # One valid non-default value per field.
-_OTHER_STR = {"target_mode": "hard", "variant": "bc_only"}
+_OTHER_STR = {"variant": "bc_only"}
 
 
 def _other_value(name, default):
@@ -68,7 +68,10 @@ def test_each_module_key_sets_exactly_its_field(tmp_path, section, key, field):
 
 @pytest.mark.parametrize("section, key", [("policy", "profile_dim"),
                                           ("training", "detach_critic_encoder"),
-                                          ("simulator", "freeze_item_emb")])
+                                          ("simulator", "freeze_item_emb"),
+                                          ("training", "batch_episodes"),
+                                          ("training", "target_mode"),
+                                          ("training", "target_period")])
 def test_removed_keys_are_unknown(tmp_path, section, key):
     path = tmp_path / "run.ini"
     path.write_text(f"[{section}]\n{key} = 0\n")

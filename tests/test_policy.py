@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -404,6 +405,21 @@ def test_checkpoint_version_mismatch(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError, match="version"):
         load_tensors(path)
+
+
+def test_failed_replace_keeps_old_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "x.ckpt"
+    save_tensors(path, {"a": np.zeros(3)})
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        save_tensors(path, {"a": np.ones(5)})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["x.ckpt"]
 
 
 def test_checkpoint_scalar_blocks_roundtrip(tmp_path):

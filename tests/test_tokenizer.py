@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from hsrl.errors import DataError, FormatError, VocabTooLargeError
-from hsrl.tokenizer import (Codebook, ItemEmbeddings, SidIndex, assign_sid,
-                            collision_report, decode, fit_codebook,
-                            load_codebook, load_embeddings, residual_norms,
-                            save_codebook, save_embeddings)
+from hsrl.tokenizer import (SQ_DIST_BLOCK_ROWS, Codebook, ItemEmbeddings,
+                            SidIndex, _sq_dists, assign_sid, collision_report,
+                            decode, fit_codebook, load_codebook,
+                            load_embeddings, residual_norms, save_codebook,
+                            save_embeddings)
 
 
 def _random_items(n=60, d=4, seed=5):
@@ -96,6 +97,15 @@ def test_centroids_canonically_sorted():
 # ---------------------------------------------------------------------------
 # assignment
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [5, 32])
+def test_blocked_sq_dists_equal_one_block_formula(dim):
+    rng = np.random.default_rng(dim)
+    points = rng.normal(size=(2 * SQ_DIST_BLOCK_ROWS + 37, dim))
+    centers = rng.normal(size=(9, dim))
+    one_block = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    assert np.array_equal(_sq_dists(points, centers), one_block)
 
 
 def test_assign_exact_centroid_match():
