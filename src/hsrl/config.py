@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import configparser
 import json
+import platform
 import subprocess
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+
+import numpy as np
 
 from .checkpoint import write_atomic
 from .critic import CriticConfig
@@ -241,9 +244,19 @@ def _git_stamp() -> str:
         return "unknown"
 
 
+def _blas_build() -> dict | None:
+    """numpy's BLAS build; bitwise reruns hold only on the same one."""
+    try:
+        deps = np.show_config(mode="dicts").get("Build Dependencies", {})
+    except TypeError:  # numpy < 1.26 cannot report its build as a dict
+        return None
+    return deps.get("blas")
+
+
 class Manifest:
     """Written with status=running before any work; finalized afterwards,
-    so a crash leaves a manifest that marks the run incomplete."""
+    so a crash leaves a manifest that marks the run incomplete. It records
+    the Python, numpy and BLAS builds the run's bytes depend on."""
 
     def __init__(self, out_dir: Path, command: str, cfg: RunConfig,
                  outputs: list[str]):
@@ -255,6 +268,9 @@ class Manifest:
             "command": command,
             "version": __version__,
             "git": _git_stamp(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas": _blas_build(),
             "config": cfg.flat(),
             "seeds": cfg.seeds(),
             "outputs": outputs,

@@ -189,42 +189,49 @@ def _raw_scores(output: PolicyOutput, index: SidIndex, candidates) -> np.ndarray
     return scores
 
 
+def _rank(ids: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Positions by score descending, ties broken by ascending item id."""
+    return np.lexsort((ids, -scores))
+
+
 def score_candidates(output: PolicyOutput, index: SidIndex,
                      candidates) -> list[tuple[int, float]]:
     """Single-pass slate scoring: score(i) = prod_l p_l[z_l(i)], sorted
     descending, ties broken by ascending item id."""
-    candidates = list(candidates)
     scores = _raw_scores(output, index, candidates)
-    order = sorted(range(len(candidates)),
-                   key=lambda i: (-scores[i], candidates[i]))
-    return [(candidates[i], float(scores[i])) for i in order]
+    ids = np.asarray(candidates, dtype=np.int64)
+    order = _rank(ids, scores)
+    return list(zip(ids[order].tolist(), scores[order].tolist()))
 
 
 def select_slate(output: PolicyOutput, index: SidIndex, candidates, k: int,
                  mode: str, rng: np.random.Generator | None = None) -> list[int]:
-    candidates = list(candidates)
+    """Pick k of the candidate item ids in one numpy pass over their scores.
+
+    `greedy` takes the k best by score, ties broken by ascending item id.
+    `sample` draws k without replacement in proportion to score; when fewer
+    than k candidates have mass it takes those (in sampled order) and pads
+    with the first zero-score candidates in candidate order. Every candidate
+    must be in the index (`UnknownItemError` names the first that is not).
+    """
     if k > len(candidates):
         raise ContractError(f"slate size {k} exceeds {len(candidates)} candidates")
-    if mode == "greedy":
-        return [item for item, _ in score_candidates(output, index, candidates)[:k]]
-    if mode != "sample":
+    if mode not in ("greedy", "sample"):
         raise ContractError(f"unknown slate mode {mode!r}")
-    if rng is None:
+    if mode == "sample" and rng is None:
         raise ContractError("sample mode needs an rng")
 
     scores = _raw_scores(output, index, candidates)
+    ids = np.asarray(candidates, dtype=np.int64)
+    if mode == "greedy":
+        return ids[_rank(ids, scores)[:k]].tolist()
     total = scores.sum()
     if total <= 0.0:
-        idx = rng.choice(len(candidates), size=k, replace=False)
-        return [candidates[i] for i in idx]
+        return ids[rng.choice(len(ids), size=k, replace=False)].tolist()
     p = scores / total
     nonzero = int((p > 0.0).sum())
     if nonzero >= k:
-        idx = rng.choice(len(candidates), size=k, replace=False, p=p)
-        return [candidates[i] for i in idx]
-    # Fewer than k candidates have mass: take them all (sampled order),
-    # then pad with the lowest-id zero-score candidates.
-    idx = list(rng.choice(len(candidates), size=nonzero, replace=False, p=p))
-    rest = sorted(i for i in range(len(candidates)) if p[i] == 0.0)
-    idx.extend(rest[:k - nonzero])
-    return [candidates[i] for i in idx]
+        return ids[rng.choice(len(ids), size=k, replace=False, p=p)].tolist()
+    picked = rng.choice(len(ids), size=nonzero, replace=False, p=p)
+    pad = np.flatnonzero(p == 0.0)[:k - nonzero]
+    return ids[np.concatenate([picked, pad])].tolist()

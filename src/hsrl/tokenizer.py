@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import BinaryReader, write_atomic
-from .errors import DataError, FormatError, ShapeError, VocabTooLargeError
+from .errors import (DataError, FormatError, ShapeError, UnknownItemError,
+                     VocabTooLargeError)
 
 KMEANS_MAX_ITERS = 100
 KMEANS_REL_TOL = 1e-6
@@ -71,7 +72,15 @@ class Codebook:
 
 
 class SidIndex:
-    """Deterministic bidirectional item <-> SID lookup."""
+    """Deterministic bidirectional item <-> SID lookup.
+
+    The mapping is fixed once built (`item_to_sid` is not to be edited), so
+    it is also held as arrays: the item ids in ascending order and their
+    (N, L) int64 token matrix in that order. `sid_matrix` looks rows up by
+    binary search; any id the index does not hold (negative, past the
+    largest id, or on an empty index) raises `UnknownItemError` naming it,
+    as `sid_of` does.
+    """
 
     def __init__(self, item_to_sid: dict[int, tuple[int, ...]]):
         self.item_to_sid = dict(item_to_sid)
@@ -79,6 +88,11 @@ class SidIndex:
         for item, sid in self.item_to_sid.items():
             buckets.setdefault(sid, []).append(item)
         self.sid_to_items = {sid: sorted(items) for sid, items in buckets.items()}
+        items = sorted(self.item_to_sid)
+        levels = len(next(iter(self.item_to_sid.values()), ()))
+        self._ids = np.array(items, dtype=np.int64)
+        self._tokens = np.array([self.item_to_sid[i] for i in items],
+                                dtype=np.int64).reshape(len(items), levels)
 
     def __len__(self) -> int:
         return len(self.item_to_sid)
@@ -87,13 +101,22 @@ class SidIndex:
         try:
             return self.item_to_sid[item_id]
         except KeyError:
-            from .errors import UnknownItemError
-
             raise UnknownItemError(f"item {item_id} has no SID") from None
 
     def sid_matrix(self, item_ids) -> np.ndarray:
-        """(n, L) token matrix for a list of items, in the given order."""
-        return np.array([self.sid_of(i) for i in item_ids], dtype=np.int64)
+        """(n, L) int64 tokens of a sequence of items, in the given order."""
+        try:
+            ids = np.asarray(item_ids, dtype=np.int64)
+        except OverflowError:  # held ids fit int64: name the first unknown one
+            for item in item_ids:
+                self.sid_of(item)
+            raise
+        pos = np.searchsorted(self._ids, ids)
+        known = pos < len(self._ids)
+        known[known] = self._ids[pos[known]] == ids[known]
+        if not known.all():
+            raise UnknownItemError(f"item {ids[~known][0]} has no SID")
+        return self._tokens.take(pos, axis=0)
 
 
 @dataclass
@@ -300,6 +323,10 @@ def load_codebook(path) -> tuple[Codebook, SidIndex]:
     for row in range(count):
         (item,) = struct.unpack("<Q", rd.take(8, f"item record {row}"))
         sid = struct.unpack(f"<{levels}H", rd.take(2 * levels, f"item record {row}"))
+        if item > np.iinfo(np.int64).max:
+            raise FormatError(f"item record {row}: id {item} does not fit int64")
+        if item in mapping:
+            raise FormatError(f"item record {row}: duplicate item id {item}")
         mapping[item] = tuple(int(z) for z in sid)
     if rd.pos != len(rd.blob):
         raise FormatError("trailing bytes after codebook payload")

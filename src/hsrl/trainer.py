@@ -144,7 +144,7 @@ class Agent:
         self.target = TargetCritic(self.critic)
         self.cfg = train_cfg
         self.index = index
-        self.catalog = list(catalog)
+        self.catalog = np.array(catalog, dtype=np.int64)
         self.opt = Optimizer(
             list(self.policy.tensors().values()) + list(self.critic.tensors().values()),
             lr=train_cfg.learning_rate)

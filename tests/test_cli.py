@@ -1,6 +1,8 @@
 import csv
 import json
+import platform
 
+import numpy as np
 import pytest
 
 from hsrl.cli import SWEEP_GRIDS, main
@@ -72,6 +74,11 @@ def test_tokenize_smoke(tmp_path, config_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "complete"
     assert manifest["command"] == "tokenize"
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    build = np.show_config(mode="dicts")["Build Dependencies"]
+    assert manifest["blas"] == build["blas"]
+    assert manifest["blas"]["name"]
 
 
 def test_tokenize_vocab_larger_than_catalog(tmp_path, config_path):

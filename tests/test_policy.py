@@ -275,6 +275,8 @@ def test_score_missing_candidate():
     out = _output(_params(seed=26))
     with pytest.raises(UnknownItemError):
         score_candidates(out, _index(), [0, 99])
+    with pytest.raises(UnknownItemError, match=f"item {2 ** 64} has no SID"):
+        select_slate(out, _index(), [0, 2 ** 64], 1, "greedy")
 
 
 def test_select_all_candidates_greedy_orders_by_score():
@@ -320,6 +322,128 @@ def test_select_unknown_mode():
     out = _output(_params(seed=32))
     with pytest.raises(ContractError):
         select_slate(out, _index(), [0, 1], 1, "beam")
+
+
+# Per-candidate loop versions of `score_candidates`/`select_slate`: the
+# reference the array path must reproduce exactly (same floats, same rng
+# calls, same tie rule).
+
+
+def _loop_scores(output, index, candidates):
+    z = np.array([index.sid_of(i) for i in candidates], dtype=np.int64)
+    scores = np.ones(len(candidates))
+    for lvl, p in enumerate(output.probs):
+        scores = scores * p.data[z[:, lvl]]
+    return scores
+
+
+def _loop_score_candidates(output, index, candidates):
+    candidates = list(candidates)
+    scores = _loop_scores(output, index, candidates)
+    order = sorted(range(len(candidates)),
+                   key=lambda i: (-scores[i], candidates[i]))
+    return [(candidates[i], float(scores[i])) for i in order]
+
+
+def _loop_select_slate(output, index, candidates, k, mode, rng=None):
+    candidates = list(candidates)
+    if mode == "greedy":
+        return [item for item, _ in
+                _loop_score_candidates(output, index, candidates)[:k]]
+    scores = _loop_scores(output, index, candidates)
+    total = scores.sum()
+    if total <= 0.0:
+        idx = rng.choice(len(candidates), size=k, replace=False)
+        return [candidates[i] for i in idx]
+    p = scores / total
+    nonzero = int((p > 0.0).sum())
+    if nonzero >= k:
+        idx = rng.choice(len(candidates), size=k, replace=False, p=p)
+        return [candidates[i] for i in idx]
+    idx = list(rng.choice(len(candidates), size=nonzero, replace=False, p=p))
+    rest = sorted(i for i in range(len(candidates)) if p[i] == 0.0)
+    idx.extend(rest[:k - nonzero])
+    return [candidates[i] for i in idx]
+
+
+VOCAB = (4, 3, 5)
+N_CANDIDATES = 30
+
+
+def _slate_case(seed, live_tokens):
+    """Unsorted, non-contiguous item ids with colliding SIDs, and level
+    distributions with tied logits; each level keeps mass only on its first
+    `live_tokens[l]` tokens (the rest underflow to exactly 0)."""
+    rng = np.random.default_rng(seed)
+    ids = [int(i) for i in rng.choice(10_000, size=N_CANDIDATES, replace=False)]
+    index = SidIndex({i: tuple(int(rng.integers(t)) for t in VOCAB) for i in ids})
+    logits = []
+    for t, live in zip(VOCAB, live_tokens):
+        row = rng.integers(0, 2, size=t).astype(float)
+        row[live:] = -1e4
+        logits.append(row)
+    return _manual_output(logits), index, ids
+
+
+# (seed, live tokens per level): full support, partial zero mass, and mass on
+# so few SIDs that fewer than k candidates (or none) can be drawn
+SLATE_CASES = [(s, (4, 3, 5)) for s in range(4)] + [
+    (s, (2, 2, 3)) for s in range(4, 8)] + [
+    (s, (1, 1, 1)) for s in range(8, 12)]
+
+
+@pytest.mark.parametrize("seed, live", SLATE_CASES)
+def test_array_path_matches_loop_reference(seed, live):
+    out, index, ids = _slate_case(seed, live)
+    scored = score_candidates(out, index, ids)
+    assert scored == _loop_score_candidates(out, index, ids)
+    assert all(type(i) is int and type(s) is float for i, s in scored)
+    catalog = np.array(ids, dtype=np.int64)  # as `Agent.catalog` holds it
+    for k in (1, 5, N_CANDIDATES):
+        for mode in ("greedy", "sample"):
+            got = select_slate(out, index, catalog, k, mode,
+                               np.random.default_rng(seed))
+            want = _loop_select_slate(out, index, ids, k, mode,
+                                      np.random.default_rng(seed))
+            assert got == want
+            assert all(type(i) is int for i in got)
+
+
+def test_loop_reference_cases_reach_every_sample_branch():
+    mass = []
+    for seed, live in SLATE_CASES:
+        out, index, ids = _slate_case(seed, live)
+        mass.append(int((_loop_scores(out, index, ids) > 0).sum()))
+    assert min(mass) == 0                       # all-zero scores
+    assert any(0 < m < 5 for m in mass)         # nonzero < k padding
+    assert max(mass) == N_CANDIDATES            # full support
+
+
+def test_sid_matrix_equals_per_item_lookup():
+    rng = np.random.default_rng(7)
+    ids = rng.choice(10 ** 6, size=50, replace=False)
+    index = SidIndex({int(i): tuple(int(z) for z in rng.integers(0, 9, size=3))
+                      for i in ids})
+    query = [int(i) for i in rng.choice(ids, size=80)]  # repeats, any order
+    got = index.sid_matrix(query)
+    want = np.array([index.sid_of(i) for i in query], dtype=np.int64)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("index, query, bad", [
+    (SidIndex({2: (0,), 5: (1,)}), [2, 3, 5], 3),
+    (SidIndex({2: (0,), 5: (1,)}), [5, -1], -1),
+    (SidIndex({2: (0,), 5: (1,)}), [2, 6], 6),
+    (SidIndex({}), [0], 0),
+    (SidIndex({2: (0,), 5: (1,)}), [2, 7, 2 ** 64], 7),
+    (SidIndex({2: (0,), 5: (1,)}), [5, 2 ** 64], 2 ** 64),
+], ids=["between_ids", "negative", "past_largest", "empty_index",
+        "first_of_two_unknown", "past_int64"])
+def test_sid_matrix_unknown_ids_raise(index, query, bad):
+    with pytest.raises(UnknownItemError, match=f"item {bad} has no SID"):
+        index.sid_matrix(query)
 
 
 def test_token_embeddings_can_start_from_codebook():

@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from hsrl.errors import DataError, FormatError, VocabTooLargeError
-from hsrl.tokenizer import (SQ_DIST_BLOCK_ROWS, Codebook, ItemEmbeddings,
+from hsrl.tokenizer import (CODEBOOK_MAGIC, SQ_DIST_BLOCK_ROWS, Codebook,
+                            ItemEmbeddings,
                             SidIndex, _sq_dists, assign_sid, collision_report,
                             decode, fit_codebook, load_codebook,
                             load_embeddings, residual_norms, save_codebook,
@@ -229,6 +232,31 @@ def test_codebook_missing_block_named(tmp_path):
     blocks2 = header + 8 * 3 * 2 * 2
     path.write_bytes(path.read_bytes()[:blocks2])
     with pytest.raises(FormatError, match="level 3 centroid block"):
+        load_codebook(path)
+
+
+def _crafted_codebook(path, item_ids):
+    """One level of two 1-D centroids, then one record (token 0) per id."""
+    blob = [CODEBOOK_MAGIC, struct.pack("<II", 1, 1), struct.pack("<I", 2),
+            np.array([0.0, 1.0], dtype="<f8").tobytes(),
+            struct.pack("<Q", len(item_ids))]
+    blob += [struct.pack("<QH", item, 0) for item in item_ids]
+    path.write_bytes(b"".join(blob))
+
+
+def test_codebook_item_id_beyond_int64_rejected(tmp_path):
+    path = tmp_path / "cb.bin"
+    _crafted_codebook(path, [3, 2 ** 63])
+    with pytest.raises(FormatError, match=f"id {2 ** 63} does not fit int64"):
+        load_codebook(path)
+    _crafted_codebook(path, [3, 2 ** 63 - 1])
+    assert load_codebook(path)[1].sid_of(2 ** 63 - 1) == (0,)
+
+
+def test_codebook_duplicate_item_record_rejected(tmp_path):
+    path = tmp_path / "cb.bin"
+    _crafted_codebook(path, [3, 5, 3])
+    with pytest.raises(FormatError, match="record 2: duplicate item id 3"):
         load_codebook(path)
 
 
