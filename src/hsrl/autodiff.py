@@ -61,11 +61,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ContractError("item() on non-scalar tensor")
-        return float(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -249,12 +244,6 @@ def softplus(a: Tensor) -> Tensor:
     return _node(out, (a,), lambda g: (g * _stable_sigmoid(a.data),))
 
 
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise NumericsError("log of non-positive value")
-    return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
 # ---------------------------------------------------------------------------
 # Linear algebra
 # ---------------------------------------------------------------------------
@@ -276,13 +265,6 @@ def transpose(a: Tensor) -> Tensor:
     if a.ndim != 2:
         raise ShapeError("transpose: expected 2-D")
     return _node(a.data.T, (a,), lambda g: (g.T,))
-
-
-def concat(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 1 or b.ndim != 1:
-        raise ShapeError("concat: expected 1-D operands")
-    na = a.shape[0]
-    return _node(np.concatenate([a.data, b.data]), (a, b), lambda g: (g[:na], g[na:]))
 
 
 def stack(parts: list[Tensor]) -> Tensor:
@@ -324,20 +306,6 @@ def gather(x: Tensor, ids) -> Tensor:
         return (gx,)
 
     return _node(x.data[idx], (x,), back)
-
-
-def pick(x: Tensor, i: int) -> Tensor:
-    if x.ndim != 1:
-        raise ShapeError("pick: expected 1-D tensor")
-    if not 0 <= i < x.shape[0]:
-        raise ContractError(f"pick: index {i} out of range for length {x.shape[0]}")
-
-    def back(g):
-        gx = np.zeros_like(x.data)
-        gx[i] = g
-        return (gx,)
-
-    return _node(x.data[i], (x,), back)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,16 @@ def _synthesize(cfg: RunConfig, out: Path) -> env_mod.SyntheticDataset:
     return synth
 
 
+def _read(load, path, what: str):
+    """`load(path)`; a file it cannot open or decode is a data error."""
+    try:
+        return load(path)
+    except FileNotFoundError:
+        raise DataError(f"{what} not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from None
+
+
 def _check_records(items, records) -> None:
     known = set(items.ids.tolist())
     for n, rec in enumerate(records, start=1):
@@ -71,11 +81,12 @@ def _load_dataset(cfg: RunConfig, out: Path):
 
     if not data["embeddings_path"]:
         raise DataError("data.source=files needs data.embeddings_path")
-    items = tok_mod.load_embeddings(data["embeddings_path"])
+    items = _read(tok_mod.load_embeddings, data["embeddings_path"], "embeddings file")
     if data["records_path"]:
-        records = env_mod.load_records(data["records_path"])
+        records = _read(env_mod.load_records, data["records_path"], "records file")
     elif data["ratings_path"]:
-        records, _ = env_mod.ingest_ml1m_style(data["ratings_path"])
+        records, _ = _read(env_mod.ingest_ml1m_style, data["ratings_path"],
+                           "ratings file")
     else:
         raise DataError("data.source=files needs records_path or ratings_path")
     _check_records(items, records)
@@ -216,9 +227,7 @@ def _check_checkpoint_compat(named: dict, book) -> None:
 def cmd_eval(cfg: RunConfig, out: Path, args) -> int:
     ctx = _build_context(cfg, out)
     ckpt = Path(args.checkpoint) if args.checkpoint else out / "agent.ckpt"
-    if not ckpt.exists():
-        raise DataError(f"checkpoint not found: {ckpt}")
-    named = load_tensors(ckpt)
+    named = _read(load_tensors, ckpt, "checkpoint")
     _check_checkpoint_compat(named, ctx.codebook)
     train_cfg = cfg.train_config()
     seed = cfg["seeds"]["agent"]

@@ -41,6 +41,8 @@ class LogRecord:
             raise DataError("slate and label lists disagree in length")
         if len(self.history) > 10:
             raise DataError("record history longer than 10")
+        if any(y not in (0, 1) for y in self.labels):
+            raise DataError(f"click labels must be 0 or 1, got {self.labels}")
 
 
 @dataclass

@@ -171,37 +171,13 @@ def sid_log_prob(output: PolicyOutput, sid) -> Tensor:
     return ad.vsum(per_item_log_probs(output, [sid]))
 
 
-def sample_sid(output: PolicyOutput, rng: np.random.Generator) -> tuple[int, ...]:
-    """Draw one token per level; levels factorize because contexts are
-    expectation-based. Never touches the trajectory."""
-    sid = []
-    for p in output.probs:
-        w = p.data / p.data.sum()
-        sid.append(int(rng.choice(len(w), p=w)))
-    return tuple(sid)
-
-
 def _raw_scores(output: PolicyOutput, index: SidIndex, candidates) -> np.ndarray:
+    """score(i) = prod_l p_l[z_l(i)] = pi(z(i)|s), in candidate order."""
     z = index.sid_matrix(candidates)
     scores = np.ones(len(candidates))
     for lvl, p in enumerate(output.probs):
         scores = scores * p.data[z[:, lvl]]
     return scores
-
-
-def _rank(ids: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Positions by score descending, ties broken by ascending item id."""
-    return np.lexsort((ids, -scores))
-
-
-def score_candidates(output: PolicyOutput, index: SidIndex,
-                     candidates) -> list[tuple[int, float]]:
-    """Single-pass slate scoring: score(i) = prod_l p_l[z_l(i)], sorted
-    descending, ties broken by ascending item id."""
-    scores = _raw_scores(output, index, candidates)
-    ids = np.asarray(candidates, dtype=np.int64)
-    order = _rank(ids, scores)
-    return list(zip(ids[order].tolist(), scores[order].tolist()))
 
 
 def select_slate(output: PolicyOutput, index: SidIndex, candidates, k: int,
@@ -224,7 +200,8 @@ def select_slate(output: PolicyOutput, index: SidIndex, candidates, k: int,
     scores = _raw_scores(output, index, candidates)
     ids = np.asarray(candidates, dtype=np.int64)
     if mode == "greedy":
-        return ids[_rank(ids, scores)[:k]].tolist()
+        # score descending, ties broken by ascending item id
+        return ids[np.lexsort((ids, -scores))[:k]].tolist()
     total = scores.sum()
     if total <= 0.0:
         return ids[rng.choice(len(ids), size=k, replace=False)].tolist()

@@ -238,35 +238,6 @@ def fit_codebook(items: ItemEmbeddings, vocab_sizes: tuple[int, ...],
     return book, index
 
 
-def assign_sid(book: Codebook, x: np.ndarray) -> tuple[int, ...]:
-    """Tokenize one vector by the residual recursion."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (book.dim,):
-        raise ShapeError(f"assign_sid: expected vector of dim {book.dim}, got {x.shape}")
-    residual = x.copy()[None, :]
-    sid = []
-    for centers in book.centroids:
-        z = int(_assign(residual, centers)[0])
-        sid.append(z)
-        residual = residual - centers[z][None, :]
-    return tuple(sid)
-
-
-def residual_norms(book: Codebook, items: ItemEmbeddings) -> np.ndarray:
-    """Per-level mean squared residual norm after each quantization level."""
-    residuals = items.vectors.copy()
-    out = []
-    for centers in book.centroids:
-        residuals -= centers[_assign(residuals, centers)]
-        out.append(float((residuals ** 2).sum(axis=1).mean()))
-    return np.array(out)
-
-
-def decode(index: SidIndex, sid: tuple[int, ...]) -> list[int]:
-    """All items carrying this SID, ascending by item id; empty when unused."""
-    return list(index.sid_to_items.get(tuple(sid), []))
-
-
 def collision_report(index: SidIndex, vocab_sizes: tuple[int, ...]) -> CollisionReport:
     buckets = index.sid_to_items
     sizes = [len(v) for v in buckets.values()]

@@ -86,7 +86,8 @@ def test_log_softmax_gradient():
     for _ in range(TRIALS):
         x = _param(rng, (9,))
         i = int(rng.integers(9))
-        check_gradients(lambda: ad.pick(ad.log_softmax(x), i), [x], rtol=1e-4)
+        check_gradients(lambda: ad.vsum(ad.gather(ad.log_softmax(x), [i])), [x],
+                        rtol=1e-4)
 
 
 def test_row_softmax_gradient():
@@ -196,8 +197,8 @@ def test_shared_node_gradient_accumulates_once():
 def test_nan_inputs_rejected():
     with pytest.raises(NumericsError):
         ad.Tensor([np.nan, 1.0])
-    with pytest.raises(NumericsError):
-        ad.log(ad.constant([0.0, 1.0]))
+    with pytest.raises(NumericsError), np.errstate(over="ignore"):
+        ad.scale(ad.constant([1e308]), 10.0)  # output overflows to Inf
 
 
 def test_no_grad_suppresses_graph():
@@ -228,7 +229,7 @@ def test_misc_primitive_gradients():
         check_gradients(loss, [a, b, m], rtol=1e-4)
 
 
-def test_embed_gather_concat_gradients():
+def test_embed_gather_gradients():
     rng = np.random.default_rng(20)
     table = _param(rng, (6, 4))
     vec = _param(rng, (3,))
@@ -236,7 +237,7 @@ def test_embed_gather_concat_gradients():
     def loss():
         rows = ad.embed(table, [0, 2, 2, 5])
         pooled = ad.mean_rows(rows)
-        joined = ad.concat(pooled, vec)
+        joined = ad.add(pooled, ad.gather(vec, [2, 0, 0, 1]))
         return ad.vmean(ad.mul(joined, joined))
 
     check_gradients(loss, [table, vec], rtol=1e-4)

@@ -55,6 +55,15 @@ def _run(*argv):
     return main([str(a) for a in argv])
 
 
+def _files_config(tmp_path, **paths):
+    """BASE_CONFIG reading its catalog and logs from the given files."""
+    cfg = tmp_path / "files.ini"
+    lines = "".join(f"{key} = {path}\n" for key, path in paths.items())
+    cfg.write_text(BASE_CONFIG.replace("source = synthetic",
+                                       f"source = files\n{lines}"))
+    return cfg
+
+
 def _read_csv(path):
     with open(path) as fh:
         return list(csv.reader(fh))
@@ -187,6 +196,17 @@ def test_eval_missing_checkpoint(tmp_path, config_path):
                 "--checkpoint", tmp_path / "nope.ckpt") == 3
 
 
+def test_eval_checkpoint_directory_fails_as_data_error(tmp_path, config_path,
+                                                       capsys):
+    ckpt = tmp_path / "agent.ckpt"
+    ckpt.mkdir()
+    out = tmp_path / "e"
+    assert _run("eval", "--config", config_path, "--out", out,
+                "--checkpoint", ckpt) == 3
+    assert capsys.readouterr().err.startswith(f"data error: cannot read checkpoint {ckpt}")
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+
 # ---------------------------------------------------------------------------
 # sweep / ablate
 # ---------------------------------------------------------------------------
@@ -287,33 +307,72 @@ def test_gen_data_writes_files(tmp_path, config_path):
 def test_gen_data_feeds_files_mode(tmp_path, config_path):
     data_dir = tmp_path / "data"
     assert _run("gen-data", "--config", config_path, "--out", data_dir) == 0
-    files_cfg = tmp_path / "files.ini"
-    files_cfg.write_text(BASE_CONFIG.replace(
-        "source = synthetic",
-        f"source = files\nembeddings_path = {data_dir}/embeddings.tsv\n"
-        f"records_path = {data_dir}/records.tsv"))
+    files_cfg = _files_config(tmp_path, embeddings_path=data_dir / "embeddings.tsv",
+                              records_path=data_dir / "records.tsv")
     out = tmp_path / "tok"
     assert _run("tokenize", "--config", files_cfg, "--out", out) == 0
+
+
+def _fit_sim_with_edited_record(tmp_path, config_path, field, value):
+    """gen-data, put `value` first in one field of the fourth record, then
+    fit-sim on the files; returns (exit code, output directory)."""
+    data_dir = tmp_path / "data"
+    assert _run("gen-data", "--config", config_path, "--out", data_dir) == 0
+    records = (data_dir / "records.tsv").read_text().splitlines()
+    fields = records[3].split("\t")
+    fields[field] = f"{value}," + fields[field].split(",", 1)[1]
+    records[3] = "\t".join(fields)
+    (data_dir / "records.tsv").write_text("\n".join(records) + "\n")
+    files_cfg = _files_config(tmp_path, embeddings_path=data_dir / "embeddings.tsv",
+                              records_path=data_dir / "records.tsv")
+    out = tmp_path / "sim"
+    return _run("fit-sim", "--config", files_cfg, "--out", out), out
 
 
 @pytest.mark.parametrize("bad_item", [999, -1])
 def test_records_naming_unknown_items_fail_as_data_error(tmp_path, config_path,
                                                           capsys, bad_item):
+    code, out = _fit_sim_with_edited_record(tmp_path, config_path, 2, bad_item)
+    assert code == 3
+    assert f"item {bad_item}" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+
+@pytest.mark.parametrize("label", [2, -1])
+def test_records_with_non_binary_labels_fail_as_data_error(tmp_path, config_path,
+                                                            capsys, label):
+    code, out = _fit_sim_with_edited_record(tmp_path, config_path, 3, label)
+    assert code == 3
+    assert "click labels must be 0 or 1" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+
+@pytest.mark.parametrize("key, kind", [
+    ("embeddings_path", "missing"), ("records_path", "missing"),
+    ("ratings_path", "missing"), ("embeddings_path", "directory"),
+    ("records_path", "directory"), ("ratings_path", "directory"),
+    ("embeddings_path", "not_utf8"), ("records_path", "not_utf8"),
+    ("ratings_path", "not_utf8"),
+])
+def test_unreadable_data_file_fails_as_data_error(tmp_path, config_path, capsys,
+                                                  key, kind):
     data_dir = tmp_path / "data"
     assert _run("gen-data", "--config", config_path, "--out", data_dir) == 0
-    records = (data_dir / "records.tsv").read_text().splitlines()
-    user, hist, slate, labels = records[3].split("\t")
-    records[3] = "\t".join([user, hist, f"{bad_item}," + slate.split(",", 1)[1],
-                            labels])
-    (data_dir / "records.tsv").write_text("\n".join(records) + "\n")
-    files_cfg = tmp_path / "files.ini"
-    files_cfg.write_text(BASE_CONFIG.replace(
-        "source = synthetic",
-        f"source = files\nembeddings_path = {data_dir}/embeddings.tsv\n"
-        f"records_path = {data_dir}/records.tsv"))
+    bad = tmp_path / "bad.tsv"
+    if kind == "directory":
+        bad.mkdir()
+    elif kind == "not_utf8":
+        bad.write_bytes(b"\xff\xfe0\t1\n")
+    paths = {"embeddings_path": data_dir / "embeddings.tsv",
+             "records_path": data_dir / "records.tsv"}
+    if key == "ratings_path":
+        del paths["records_path"]
+    paths[key] = bad
     out = tmp_path / "sim"
-    assert _run("fit-sim", "--config", files_cfg, "--out", out) == 3
-    assert f"item {bad_item}" in capsys.readouterr().err
+    assert _run("fit-sim", "--config", _files_config(tmp_path, **paths),
+                "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(bad) in err
     assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
 
 

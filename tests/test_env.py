@@ -300,6 +300,14 @@ def test_records_file_roundtrip(tmp_path):
     assert path.read_text().splitlines()[0].startswith("0\t-\t")
 
 
+@pytest.mark.parametrize("label", [2, -1])
+def test_click_labels_outside_zero_one_rejected(label):
+    # the BCE term softplus(l) - y*l has no lower bound for y outside [0, 1]
+    LogRecord(0, (), (1, 2), (0, 1))
+    with pytest.raises(DataError, match="click labels must be 0 or 1"):
+        LogRecord(0, (), (1, 2), (0, label))
+
+
 # ---------------------------------------------------------------------------
 # synthetic generator
 # ---------------------------------------------------------------------------

@@ -9,9 +9,8 @@ import hsrl.autodiff as ad
 from hsrl.checkpoint import load_tensors, save_tensors
 from hsrl.encoder import UserState
 from hsrl.errors import ContractError, DataError, FormatError, UnknownItemError
-from hsrl.policy import (PolicyConfig, PolicyParams, encode_state, forward,
-                         sample_sid, score_candidates, select_slate,
-                         sid_log_prob)
+from hsrl.policy import (PolicyConfig, PolicyParams, _raw_scores, encode_state,
+                         forward, select_slate, sid_log_prob)
 from hsrl.tokenizer import SidIndex
 
 from gradcheck import check_gradients
@@ -192,51 +191,6 @@ def test_sid_log_prob_gradient_through_recursion():
 
 
 # ---------------------------------------------------------------------------
-# sampling
-# ---------------------------------------------------------------------------
-
-
-def test_sample_onehot_is_deterministic():
-    hot = [0.0, 0.0, 1e4, 0.0]
-    out = _manual_output([hot, hot, hot])
-    for seed in range(5):
-        assert sample_sid(out, np.random.default_rng(seed)) == (2, 2, 2)
-
-
-def test_sample_same_seed_same_sid():
-    out = _output(_params(seed=21))
-    a = sample_sid(out, np.random.default_rng(77))
-    b = sample_sid(out, np.random.default_rng(77))
-    assert a == b
-
-
-def test_sample_uniform_frequencies():
-    params = _params(vocab=(4, 4), d_model=8)
-    for w in params.head_w:
-        w.data[:] = 0.0
-    out = _output(params)
-    rng = np.random.default_rng(33)
-    counts = {}
-    n = 40_000
-    for _ in range(n):
-        sid = sample_sid(out, rng)
-        counts[sid] = counts.get(sid, 0) + 1
-    for sid, c in counts.items():
-        assert abs(c / n - 1 / 16) < 0.005, sid
-    assert len(counts) == 16
-
-
-def test_sampling_never_mutates_trajectory():
-    out = _output(_params(seed=22))
-    before = [c.data.copy() for c in out.trajectory]
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        sample_sid(out, rng)
-    for b, c in zip(before, out.trajectory):
-        assert np.array_equal(b, c.data)
-
-
-# ---------------------------------------------------------------------------
 # scoring and slates
 # ---------------------------------------------------------------------------
 
@@ -249,9 +203,9 @@ def _index():
 
 def test_score_collisions_share_score_id_order():
     out = _output(_params(seed=23))
-    scored = score_candidates(out, _index(), [3, 1])
-    assert scored[0][1] == scored[1][1]
-    assert [item for item, _ in scored] == [1, 3]
+    scores = _raw_scores(out, _index(), [3, 1])
+    assert scores[0] == scores[1]
+    assert select_slate(out, _index(), [3, 1], 2, "greedy") == [1, 3]
 
 
 def test_score_argmax_sid_ranks_first():
@@ -259,22 +213,22 @@ def test_score_argmax_sid_ranks_first():
     out = _output(params)
     argmax_sid = tuple(int(p.data.argmax()) for p in out.probs)
     index = SidIndex({0: argmax_sid, 1: (0, 0, 0), 2: (1, 2, 3)})
-    scored = score_candidates(out, index, [2, 1, 0])
-    assert scored[0][0] == 0
+    assert select_slate(out, index, [2, 1, 0], 1, "greedy") == [0]
 
 
 def test_score_equals_exp_log_prob():
     out = _output(_params(seed=25))
     index = _index()
-    for item, score in score_candidates(out, index, [0, 1, 2, 3, 4]):
+    items = [0, 1, 2, 3, 4]
+    for item, score in zip(items, _raw_scores(out, index, items)):
         lp = float(sid_log_prob(out, index.sid_of(item)).data)
         assert abs(score - math.exp(lp)) < 1e-12
 
 
 def test_score_missing_candidate():
     out = _output(_params(seed=26))
-    with pytest.raises(UnknownItemError):
-        score_candidates(out, _index(), [0, 99])
+    with pytest.raises(UnknownItemError, match="item 99 has no SID"):
+        select_slate(out, _index(), [0, 99], 1, "greedy")
     with pytest.raises(UnknownItemError, match=f"item {2 ** 64} has no SID"):
         select_slate(out, _index(), [0, 2 ** 64], 1, "greedy")
 
@@ -283,7 +237,8 @@ def test_select_all_candidates_greedy_orders_by_score():
     out = _output(_params(seed=27))
     index = _index()
     slate = select_slate(out, index, [0, 1, 2, 3, 4], 5, "greedy")
-    assert slate == [item for item, _ in score_candidates(out, index, [0, 1, 2, 3, 4])]
+    assert slate == [item for item, _ in
+                     _loop_score_candidates(out, index, [0, 1, 2, 3, 4])]
 
 
 def test_select_more_than_candidates_rejected():
@@ -324,7 +279,7 @@ def test_select_unknown_mode():
         select_slate(out, _index(), [0, 1], 1, "beam")
 
 
-# Per-candidate loop versions of `score_candidates`/`select_slate`: the
+# Per-candidate loop versions of slate scoring and `select_slate`: the
 # reference the array path must reproduce exactly (same floats, same rng
 # calls, same tie rule).
 
@@ -395,9 +350,8 @@ SLATE_CASES = [(s, (4, 3, 5)) for s in range(4)] + [
 @pytest.mark.parametrize("seed, live", SLATE_CASES)
 def test_array_path_matches_loop_reference(seed, live):
     out, index, ids = _slate_case(seed, live)
-    scored = score_candidates(out, index, ids)
-    assert scored == _loop_score_candidates(out, index, ids)
-    assert all(type(i) is int and type(s) is float for i, s in scored)
+    scores = _raw_scores(out, index, ids)
+    assert scores.tobytes() == _loop_scores(out, index, ids).tobytes()
     catalog = np.array(ids, dtype=np.int64)  # as `Agent.catalog` holds it
     for k in (1, 5, N_CANDIDATES):
         for mode in ("greedy", "sample"):

@@ -1,0 +1,68 @@
+"""Every public module-level function and class in `src/hsrl/` has a reader
+outside the unit tests.
+
+A name counts as used when `src/hsrl/` refers to it outside its own
+definition, or when `tests/test_acceptance.py` or a `benchmarks/*.py` file
+does. A reference is an identifier, an attribute, or a string constant equal
+to the name (`benchmarks/tracer.py` wraps functions by their string names).
+The scan matches names, not bindings, so a public name that is also an
+attribute used elsewhere is hidden from it: an `autodiff.log` would pass
+through `math.log`, and a `tokenizer.decode` through `bytes.decode`.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hsrl"
+OUTSIDE = [ROOT / "tests" / "test_acceptance.py",
+           *sorted((ROOT / "benchmarks").glob("*.py"))]
+
+# Public names with no reader yet, each kept for the reason given.
+KEPT = {
+    "load_codebook": "reader half of the codebook.bin format that `tokenize` writes",
+    "load_response_model": "reader half of the sim_*.ckpt format that `fit-sim` writes",
+    "held_out_log_loss": "simulator fit quality, to be reported on every fit (ROADMAP item 6)",
+    "constant_log_loss": "the baseline that fit-quality report compares against",
+}
+
+
+def _referenced(nodes) -> set[str]:
+    found = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value.isidentifier()):
+                found.add(node.value)
+    return found
+
+
+def _unread_public_names() -> dict[str, str]:
+    """Public name -> defining module, for every name nothing outside the
+    unit tests refers to."""
+    outside = _referenced(ast.parse(p.read_text()) for p in OUTSIDE)
+    modules = {p.name: ast.parse(p.read_text()).body for p in sorted(SRC.glob("*.py"))}
+    unread = {}
+    for module, body in modules.items():
+        elsewhere = outside | _referenced(
+            stmt for other, stmts in modules.items() if other != module
+            for stmt in stmts)
+        for node in body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in elsewhere
+                    and node.name not in _referenced(s for s in body if s is not node)):
+                unread[node.name] = module
+    return unread
+
+
+def test_every_public_name_has_a_reader_outside_unit_tests():
+    unread = _unread_public_names()
+    extra = {name: module for name, module in unread.items() if name not in KEPT}
+    assert not extra, f"public names that only unit tests call: {extra}"
+    # an entry whose name gained a reader, or is gone, leaves the list
+    assert sorted(unread) == sorted(KEPT)

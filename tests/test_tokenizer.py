@@ -4,17 +4,33 @@ import numpy as np
 import pytest
 
 from hsrl.errors import DataError, FormatError, VocabTooLargeError
-from hsrl.tokenizer import (CODEBOOK_MAGIC, SQ_DIST_BLOCK_ROWS, Codebook,
-                            ItemEmbeddings,
-                            SidIndex, _sq_dists, assign_sid, collision_report,
-                            decode, fit_codebook, load_codebook,
-                            load_embeddings, residual_norms, save_codebook,
-                            save_embeddings)
+from hsrl.tokenizer import (CODEBOOK_MAGIC, SQ_DIST_BLOCK_ROWS, ItemEmbeddings,
+                            SidIndex, _assign, _sq_dists, collision_report,
+                            fit_codebook, load_codebook, load_embeddings,
+                            save_codebook, save_embeddings)
 
 
 def _random_items(n=60, d=4, seed=5):
     rng = np.random.default_rng(seed)
     return ItemEmbeddings(np.arange(n), rng.normal(size=(n, d)))
+
+
+def _bruteforce_residuals(book, vectors):
+    """Tokens and per-level residuals by the residual recursion, one point
+    and one centroid at a time (independent of the fit path); nearest-centroid
+    ties go to the lowest token."""
+    tokens, residuals = [], []
+    for vec in vectors:
+        sid, levels = [], []
+        for centers in book.centroids:
+            best = min(range(len(centers)),
+                       key=lambda k: (np.sum((vec - centers[k]) ** 2), k))
+            sid.append(best)
+            vec = vec - centers[best]
+            levels.append(vec)
+        tokens.append(tuple(sid))
+        residuals.append(levels)
+    return tokens, np.array(residuals)  # (N, L, d)
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +55,8 @@ def test_identical_embeddings_single_centroid():
     items = ItemEmbeddings(np.arange(5), np.full((5, 3), 0.5))
     book, index = fit_codebook(items, (1,), seed=1)
     assert book.centroids[0] == pytest.approx(np.full((1, 3), 0.5), abs=1e-15)
-    assert residual_norms(book, items)[0] == pytest.approx(0.0, abs=1e-24)
+    _, residuals = _bruteforce_residuals(book, items.vectors)
+    assert (residuals ** 2).sum() == pytest.approx(0.0, abs=1e-24)
     assert all(index.sid_of(i) == (0,) for i in range(5))
 
 
@@ -48,19 +65,16 @@ def test_quantization_error_nonincreasing_in_depth():
     errors = []
     for levels in range(1, 5):
         book, _ = fit_codebook(items, (4,) * levels, seed=3)
-        # brute-force residual accounting, independent of the fit path
-        residual = items.vectors.copy()
-        for centers in book.centroids:
-            d2 = ((residual[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            residual = residual - centers[d2.argmin(axis=1)]
-        errors.append((residual ** 2).sum())
+        _, residuals = _bruteforce_residuals(book, items.vectors)
+        errors.append((residuals[:, -1] ** 2).sum())
     assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
 
 
 def test_monotone_residuals_within_one_fit():
     items = _random_items()
     book, _ = fit_codebook(items, (4, 4, 4, 4), seed=3)
-    norms = residual_norms(book, items)
+    _, residuals = _bruteforce_residuals(book, items.vectors)
+    norms = (residuals ** 2).sum(axis=2).mean(axis=0)
     assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 
 
@@ -112,55 +126,45 @@ def test_blocked_sq_dists_equal_one_block_formula(dim):
 
 
 def test_assign_exact_centroid_match():
-    book = Codebook(dim=2, vocab_sizes=(2, 2), centroids=[
-        np.array([[0.0, 0.0], [4.0, 4.0]]),
-        np.array([[0.0, 0.0], [1.0, 1.0]]),
-    ])
-    assert assign_sid(book, np.array([4.0, 4.0])) == (1, 0)
+    centers = np.array([[0.0, 0.0], [4.0, 4.0], [1.0, 1.0]])
+    points = np.array([[4.0, 4.0], [0.0, 0.0], [1.0, 1.0]])
+    assert _assign(points, centers).tolist() == [1, 0, 2]
 
 
 def test_assign_tie_breaks_to_lowest_token():
-    book = Codebook(dim=1, vocab_sizes=(2,), centroids=[np.array([[-1.0], [1.0]])])
-    assert assign_sid(book, np.array([0.0])) == (0,)
+    centers = np.array([[1.0], [-1.0], [3.0], [-1.0]])
+    points = np.array([[0.0], [2.0], [-1.0]])
+    assert _assign(points, centers).tolist() == [0, 0, 1]
 
 
 def test_assign_reproduces_fit_sids():
+    # the residual recursion over three levels, checked against a brute force
     items = _random_items(n=80, d=3, seed=12)
     book, index = fit_codebook(items, (5, 5, 5), seed=12)
-    for i, vec in zip(items.ids, items.vectors):
-        assert assign_sid(book, vec) == index.sid_of(int(i))
+    tokens, _ = _bruteforce_residuals(book, items.vectors)
+    assert [index.sid_of(int(i)) for i in items.ids] == tokens
 
 
 def test_single_level_matches_bruteforce_nearest_neighbor():
     items = _random_items(n=50, d=4, seed=21)
     book, index = fit_codebook(items, (7,), seed=21)
-    centers = book.centroids[0]
-    for i, vec in zip(items.ids, items.vectors):
-        best = min(range(len(centers)),
-                   key=lambda k: (np.sum((vec - centers[k]) ** 2), k))
-        assert index.sid_of(int(i)) == (best,)
-
-
-def test_assign_dimension_mismatch():
-    book = Codebook(dim=2, vocab_sizes=(1,), centroids=[np.zeros((1, 2))])
-    with pytest.raises(Exception):
-        assign_sid(book, np.array([1.0, 2.0, 3.0]))
+    tokens, _ = _bruteforce_residuals(book, items.vectors)
+    assert [index.sid_of(int(i)) for i in items.ids] == tokens
 
 
 # ---------------------------------------------------------------------------
-# index / decode / collisions
+# index (SID -> items) / collisions
 # ---------------------------------------------------------------------------
 
 
 def test_decode_singleton_and_empty():
     index = SidIndex({7: (0, 1), 9: (2, 2)})
-    assert decode(index, (0, 1)) == [7]
-    assert decode(index, (1, 1)) == []
+    assert index.sid_to_items == {(0, 1): [7], (2, 2): [9]}  # no unused SIDs
 
 
 def test_decode_collision_ascending_ids():
     index = SidIndex({9: (0, 0), 3: (0, 0), 5: (1, 1)})
-    assert decode(index, (0, 0)) == [3, 9]
+    assert index.sid_to_items[(0, 0)] == [3, 9]
 
 
 def test_partition_property():

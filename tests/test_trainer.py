@@ -13,8 +13,8 @@ from hsrl.errors import ConfigError, ContractError
 from hsrl.policy import PolicyConfig, encode_state, forward
 from hsrl.tokenizer import SidIndex
 from hsrl.trainer import (Agent, TrainConfig, advantage, bc_loss, entropy_term,
-                          rollout, run_ablation, slate_log_prob, td_target,
-                          train_step)
+                          evaluate, rollout, run_ablation, slate_log_prob,
+                          td_target, train_step)
 
 from gradcheck import check_gradients
 
@@ -587,3 +587,36 @@ def test_train_step_polyak_averages_target():
     train_step(agent, _fake_transitions(agent, _env(), n=2, seed=32))
     for k, v in agent.critic.tensors().items():
         assert np.array_equal(frozen[k].data, 0.25 * v.data + 0.75 * t0[k])
+
+
+# ---------------------------------------------------------------------------
+# tape cost
+# ---------------------------------------------------------------------------
+
+
+def _nodes_created() -> int:
+    """Ids the tape's node counter has handed out (reading does not advance it)."""
+    return int(repr(ad._NODE_IDS)[len("count("):-1])
+
+
+# Tape nodes created by a tiny seeded run, (train, eval) per variant: three
+# sampled episodes each followed by its update, then two greedy eval
+# episodes. Node counts do not depend on the machine, so a change in tape
+# cost shows here exactly; a change that moves a count updates the pin and
+# logs the old and new count.
+TAPE_NODES = {"full": (5818, 1160), "bc_only": (2860, 1160)}
+
+
+@pytest.mark.parametrize("variant", sorted(TAPE_NODES))
+def test_tape_node_counts_pinned(variant):
+    agent = _agent(seed=5, variant=variant)
+    env = _env()
+    start = _nodes_created()
+    for episode in range(3):
+        transitions, _ = rollout(agent, env, "sample",
+                                 np.random.default_rng([5, 0, episode]),
+                                 np.random.default_rng([5, 1, episode]))
+        train_step(agent, transitions)
+    trained = _nodes_created()
+    evaluate(agent, env, 2, seed=5, tag=0)
+    assert (trained - start, _nodes_created() - trained) == TAPE_NODES[variant]
