@@ -85,7 +85,7 @@ class Tensor:
         return shift(self, -float(other))
 
     def __rsub__(self, other):
-        return shift(neg(self), float(other))
+        return shift(scale(self, -1.0), float(other))
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
@@ -95,7 +95,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __neg__(self):
-        return neg(self)
+        return scale(self, -1.0)
 
 
 def parameter(data, rng: np.random.Generator | None = None, scale_: float | None = None) -> Tensor:
@@ -185,10 +185,6 @@ def add_scalar(a: Tensor, s: Tensor) -> Tensor:
     if s.ndim != 0:
         raise ShapeError("add_scalar: second operand must be scalar")
     return _node(a.data + s.data, (a, s), lambda g: (g, np.asarray(g).sum()))
-
-
-def neg(a: Tensor) -> Tensor:
-    return _node(-a.data, (a,), lambda g: (-g,))
 
 
 def scale(a: Tensor, c: float) -> Tensor:

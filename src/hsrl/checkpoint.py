@@ -2,13 +2,15 @@
 
 Layout (little-endian): magic "HSRLPN1\\0", u32 version, u32 block count,
 then per block: u16 name length, utf-8 name, u8 ndim, u32 dims, float64
-row-major data. Blocks keep insertion order, so save(load(f)) is
-byte-identical to f. Checkpoints, codebooks and run manifests go through
-`write_atomic`, so a crash mid-write never leaves a truncated file.
+row-major data. Block names are unique, and blocks keep insertion order, so
+save(load(f)) is byte-identical to f. Checkpoints, codebooks and run
+manifests go through `write_atomic`, so a crash mid-write never leaves a
+truncated file.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -76,12 +78,19 @@ def load_tensors(path) -> dict[str, np.ndarray]:
     named: dict[str, np.ndarray] = {}
     for i in range(count):
         (name_len,) = struct.unpack("<H", rd.take(2, f"block {i} name length"))
-        name = rd.take(name_len, f"block {i} name").decode("utf-8")
+        try:
+            name = rd.take(name_len, f"block {i} name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"block {i} name is not valid UTF-8") from None
+        if name in named:
+            raise FormatError(f"block {i}: duplicate block name {name!r}")
         (ndim,) = struct.unpack("<B", rd.take(1, f"block {name} ndim"))
         shape = struct.unpack(f"<{ndim}I", rd.take(4 * ndim, f"block {name} shape"))
-        size = int(np.prod(shape)) if ndim else 1
-        raw = rd.take(8 * size, f"block {name} data")
-        named[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        raw = rd.take(8 * math.prod(shape), f"block {name} data")
+        try:
+            named[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        except ValueError:  # more dimensions than numpy supports
+            raise FormatError(f"block {name} has {ndim} dimensions") from None
     if rd.pos != len(rd.blob):
         raise FormatError("trailing bytes after checkpoint payload")
     return named

@@ -24,7 +24,8 @@ from . import trainer as tr_mod
 from .checkpoint import load_tensors, save_tensors
 from .config import (Manifest, RunConfig, apply_seed_overrides, default_config,
                      load_config)
-from .errors import ConfigError, DataError, FormatError, NumericsError
+from .errors import (ConfigError, ContractError, DataError, FormatError,
+                     NumericsError)
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -137,10 +138,6 @@ def _build_context(cfg: RunConfig, out: Path) -> tr_mod.ExperimentContext:
                                env_mod.make_user_pool(records))
 
 
-def _save_agent(path, agent: tr_mod.Agent) -> None:
-    save_tensors(path, agent.tensors())
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -190,14 +187,14 @@ def cmd_train(cfg: RunConfig, out: Path, args) -> int:
         tr_mod.run_training(agent, ctx, seed, metrics, evals)
     except NumericsError as exc:
         # Parameters are still last-good: the optimizer aborts before applying.
-        _save_agent(out / "agent.ckpt", agent)
+        save_tensors(out / "agent.ckpt", agent.tensors())
         (out / "abort.json").write_text(json.dumps(
             {"error": str(exc), "updates": agent.updates}, indent=2) + "\n")
         raise
     finally:
         metrics.close()
         evals.close()
-    _save_agent(out / "agent.ckpt", agent)
+    save_tensors(out / "agent.ckpt", agent.tensors())
     final = tr_mod.evaluate(agent, ctx.eval_env, train_cfg.eval_episodes,
                             seed, tr_mod._FINAL_EVAL_TAG)
     rewards = [m.total_reward for m in final]
@@ -210,47 +207,30 @@ def cmd_train(cfg: RunConfig, out: Path, args) -> int:
     return 0
 
 
-def _check_checkpoint_compat(named: dict, book) -> None:
-    for lvl, t_l in enumerate(book.vocab_sizes):
-        key = f"hpn/level{lvl}/head_w"
-        if key not in named:
-            raise DataError(f"checkpoint misses level {lvl + 1}; codebook has "
-                            f"L={book.levels}")
-        if named[key].shape[0] != t_l:
-            raise DataError(
-                f"checkpoint/codebook mismatch at level {lvl + 1}: "
-                f"head rows {named[key].shape[0]} vs vocab {t_l}")
-    if f"hpn/level{book.levels}/head_w" in named:
-        raise DataError(f"checkpoint has more levels than codebook L={book.levels}")
-
-
 def cmd_eval(cfg: RunConfig, out: Path, args) -> int:
     ctx = _build_context(cfg, out)
     ckpt = Path(args.checkpoint) if args.checkpoint else out / "agent.ckpt"
     named = _read(load_tensors, ckpt, "checkpoint")
-    _check_checkpoint_compat(named, ctx.codebook)
     train_cfg = cfg.train_config()
     seed = cfg["seeds"]["agent"]
     agent = tr_mod.Agent(ctx.policy_cfg, ctx.critic_cfg, train_cfg, ctx.index,
                          ctx.catalog, seed, ctx.codebook, ctx.item_features)
     try:
         agent.load_arrays(named)
-    except Exception as exc:
+    except ContractError as exc:
         raise DataError(f"checkpoint does not fit this config: {exc}") from exc
     episodes = tr_mod.evaluate(agent, ctx.eval_env, train_cfg.eval_episodes,
                                seed, tr_mod._FINAL_EVAL_TAG)
+    row = tr_mod._summary_row(0, episodes, seed)
     writer = tr_mod.MetricsWriter(out / "eval_summary.csv", tr_mod.EVAL_COLUMNS)
     try:
-        writer.write(tr_mod._summary_row(0, episodes, seed))
+        writer.write(row)
     finally:
         writer.close()
-    rewards = [m.total_reward for m in episodes]
-    depths = [float(m.depth) for m in episodes]
-    print(f"episodes={len(episodes)}")
-    print(f"total_reward mean={np.mean(rewards):.4f} median={median(rewards):.4f} "
-          f"std={np.std(rewards):.4f}")
-    print(f"depth mean={np.mean(depths):.2f} median={median(depths):.2f} "
-          f"std={np.std(depths):.2f}")
+    _, n, r_mean, r_median, r_std, d_mean, d_median, d_std, _ = row
+    print(f"episodes={n}")
+    print(f"total_reward mean={r_mean:.4f} median={r_median:.4f} std={r_std:.4f}")
+    print(f"depth mean={d_mean:.2f} median={d_median:.2f} std={d_std:.2f}")
     return 0
 
 

@@ -20,8 +20,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .checkpoint import load_tensors, save_tensors
 from .encoder import EncoderConfig, EncoderParams, UserState, encode
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, ContractError, DataError, FormatError
 from .optim import Optimizer
 from .tokenizer import ItemEmbeddings
 
@@ -130,7 +131,15 @@ class ResponseModel:
             return ad.sigmoid(self._logits(session.state, slate)).data.copy()
 
 
-def _bce_terms(logits: Tensor, labels: np.ndarray) -> Tensor:
+def _positive_state(items) -> UserState:
+    """Encoder state of a positive-only history, the form records log."""
+    return UserState(history=tuple((i, 1) for i in items))
+
+
+def _record_terms(model: ResponseModel, rec: LogRecord) -> Tensor:
+    """Per-item binary cross-entropy of one record's click labels."""
+    logits = model._logits(_positive_state(rec.history), rec.slate)
+    labels = np.asarray(rec.labels, dtype=np.float64)
     # -[y log s + (1-y) log(1-s)] == softplus(logit) - y * logit
     return ad.sub(ad.softplus(logits), ad.mul(ad.constant(labels), logits))
 
@@ -155,10 +164,7 @@ def fit_response_model(records: list[LogRecord], n_items: int,
             batch = [records[i] for i in order[lo:lo + cfg.batch_size]]
             total = None
             for rec in batch:
-                state = UserState(history=tuple((i, 1) for i in rec.history))
-                terms = _bce_terms(model._logits(state, rec.slate),
-                                   np.asarray(rec.labels, dtype=np.float64))
-                loss = ad.vmean(terms)
+                loss = ad.vmean(_record_terms(model, rec))
                 total = loss if total is None else ad.add(total, loss)
             opt.zero_grad()
             ad.backward(ad.scale(total, 1.0 / len(batch)))
@@ -181,15 +187,10 @@ def fit_simulators(records: list[LogRecord], n_items: int, cfg: SimFitConfig,
 
 
 def save_response_model(path, model: ResponseModel) -> None:
-    from .checkpoint import save_tensors
-
     save_tensors(path, {f"sim/{k}": v.data for k, v in model.tensors().items()})
 
 
 def load_response_model(path, n_items: int, cfg: SimFitConfig) -> ResponseModel:
-    from .checkpoint import load_tensors
-    from .errors import FormatError
-
     named = load_tensors(path)
     model = ResponseModel(n_items, cfg, np.random.default_rng(0))
     own = model.tensors()
@@ -205,13 +206,10 @@ def load_response_model(path, n_items: int, cfg: SimFitConfig) -> ResponseModel:
 
 def held_out_log_loss(model: ResponseModel, records: list[LogRecord]) -> float:
     total, count = 0.0, 0
-    for rec in records:
-        state = UserState(history=tuple((i, 1) for i in rec.history))
-        with ad.no_grad():
-            terms = _bce_terms(model._logits(state, rec.slate),
-                               np.asarray(rec.labels, dtype=np.float64))
-        total += float(terms.data.sum())
-        count += len(rec.labels)
+    with ad.no_grad():
+        for rec in records:
+            total += float(_record_terms(model, rec).data.sum())
+            count += len(rec.labels)
     return total / count
 
 
@@ -230,55 +228,12 @@ def constant_log_loss(rate: float, records: list[LogRecord]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def simulate_step(model, session: SessionState, slate, cfg: EnvConfig,
-                  rng: np.random.Generator):
-    """One environment step: sample feedback, average the item signals,
-    advance history/patience, and flag termination."""
-    if session.done:
-        raise ContractError("stepping a finished session")
-    if len(slate) != cfg.slate_size:
-        raise ContractError(f"slate has {len(slate)} items, expected {cfg.slate_size}")
-    probs = model.click_probs(session, slate)
-    feedback = (rng.random(len(slate)) < probs).astype(np.int64)
-    signals = np.where(feedback == 1, CLICK_SIGNAL, NO_CLICK_SIGNAL)
-    reward = float(signals.mean())
-
-    # Histories track positive behavior only, mirroring the record format
-    # the response models are fitted on; zero-click slates leave the state's
-    # history untouched.
-    clicked = tuple((int(i), 1) for i, b in zip(slate, feedback) if b == 1)
-    history = (session.state.history + clicked)[-cfg.history_window:]
-    patience = cfg.patience if feedback.any() else session.patience - 1
-    step = session.step + 1
-    done = patience == 0 or step == cfg.horizon
-    nxt = SessionState(
-        user_id=session.user_id,
-        state=UserState(history=history),
-        patience=patience,
-        step=step,
-        done=done,
-    )
-    return feedback, reward, nxt, done
-
-
 def make_user_pool(records: list[LogRecord]) -> list[tuple[int, tuple[int, ...]]]:
     """One entry per user: their latest logged history prefix."""
     latest: dict[int, tuple[int, ...]] = {}
     for rec in records:
         latest[rec.user_id] = rec.history
     return [(uid, latest[uid]) for uid in sorted(latest)]
-
-
-def reset_session(pool, cfg: EnvConfig, rng: np.random.Generator) -> SessionState:
-    if not pool:
-        raise DataError("user pool is empty")
-    uid, history = pool[rng.integers(len(pool))]
-    return SessionState(
-        user_id=uid,
-        state=UserState(history=tuple((i, 1) for i in history)),
-        patience=cfg.patience,
-        step=0,
-    )
 
 
 class Environment:
@@ -290,10 +245,41 @@ class Environment:
         self.cfg = cfg
 
     def reset(self, rng: np.random.Generator) -> SessionState:
-        return reset_session(self.pool, self.cfg, rng)
+        if not self.pool:
+            raise DataError("user pool is empty")
+        uid, history = self.pool[rng.integers(len(self.pool))]
+        return SessionState(user_id=uid, state=_positive_state(history),
+                            patience=self.cfg.patience, step=0)
 
-    def step(self, session, slate, rng: np.random.Generator):
-        return simulate_step(self.model, session, slate, self.cfg, rng)
+    def step(self, session: SessionState, slate, rng: np.random.Generator):
+        """One environment step: sample feedback, average the item signals,
+        advance history/patience, and flag termination."""
+        cfg = self.cfg
+        if session.done:
+            raise ContractError("stepping a finished session")
+        if len(slate) != cfg.slate_size:
+            raise ContractError(f"slate has {len(slate)} items, expected {cfg.slate_size}")
+        probs = self.model.click_probs(session, slate)
+        feedback = (rng.random(len(slate)) < probs).astype(np.int64)
+        signals = np.where(feedback == 1, CLICK_SIGNAL, NO_CLICK_SIGNAL)
+        reward = float(signals.mean())
+
+        # Histories track positive behavior only, mirroring the record format
+        # the response models are fitted on; zero-click slates leave the
+        # state's history untouched.
+        clicked = tuple((int(i), 1) for i, b in zip(slate, feedback) if b == 1)
+        history = (session.state.history + clicked)[-cfg.history_window:]
+        patience = cfg.patience if feedback.any() else session.patience - 1
+        step = session.step + 1
+        done = patience == 0 or step == cfg.horizon
+        nxt = SessionState(
+            user_id=session.user_id,
+            state=UserState(history=history),
+            patience=patience,
+            step=step,
+            done=done,
+        )
+        return feedback, reward, nxt, done
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +354,10 @@ def load_records(path) -> list[LogRecord]:
                 labels = tuple(int(y) for y in parts[3].split(","))
             except ValueError:
                 raise DataError(f"records line {lineno}: non-integer field") from None
-            records.append(LogRecord(user, history, slate, labels))
+            try:
+                records.append(LogRecord(user, history, slate, labels))
+            except DataError as exc:
+                raise DataError(f"records line {lineno}: {exc}") from None
     if not records:
         raise DataError(f"no records in {path}")
     return records

@@ -213,9 +213,10 @@ def fit_codebook(items: ItemEmbeddings, vocab_sizes: tuple[int, ...],
             int(np.argmax(vocab_sizes)) + 1, len(items), max(vocab_sizes))
 
     rng = np.random.default_rng(seed)
-    # Learn on a canonically ordered copy so catalog order cannot leak in.
-    learn = items.vectors[np.lexsort(items.vectors.T[::-1])].copy()
-    residuals = items.vectors.copy()
+    # Learn on a canonically ordered copy so catalog order cannot leak in;
+    # row r of `learn` is catalog row order[r].
+    order = np.lexsort(items.vectors.T[::-1])
+    learn = items.vectors[order]
     tokens = np.empty((len(items), len(vocab_sizes)), dtype=np.int64)
 
     book = Codebook(dim=items.dim, vocab_sizes=tuple(int(t) for t in vocab_sizes))
@@ -228,10 +229,9 @@ def fit_codebook(items: ItemEmbeddings, vocab_sizes: tuple[int, ...],
             raise DataError(f"level {lvl + 1}: k-means produced duplicate centroids")
         book.centroids.append(centers)
 
-        learn -= centers[_assign(learn, centers)]
-        labels = _assign(residuals, centers)
-        tokens[:, lvl] = labels
-        residuals -= centers[labels]
+        labels = _assign(learn, centers)
+        tokens[order, lvl] = labels
+        learn -= centers[labels]
 
     index = SidIndex({int(i): tuple(int(z) for z in tokens[row])
                       for row, i in enumerate(items.ids)})
@@ -241,12 +241,9 @@ def fit_codebook(items: ItemEmbeddings, vocab_sizes: tuple[int, ...],
 def collision_report(index: SidIndex, vocab_sizes: tuple[int, ...]) -> CollisionReport:
     buckets = index.sid_to_items
     sizes = [len(v) for v in buckets.values()]
-    levels = len(vocab_sizes)
     entropy = []
-    for lvl in range(levels):
-        counts = np.zeros(vocab_sizes[lvl])
-        for sid in index.item_to_sid.values():
-            counts[sid[lvl]] += 1
+    for lvl, t_l in enumerate(vocab_sizes):
+        counts = np.bincount(index._tokens[:, lvl], minlength=t_l)
         p = counts[counts > 0] / counts.sum()
         entropy.append(float(-(p * np.log(p)).sum()))
     return CollisionReport(

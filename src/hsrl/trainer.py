@@ -123,7 +123,7 @@ def bc_loss(output: PolicyOutput, sids, feedback: np.ndarray) -> Tensor | None:
     if pos == 0:
         return None
     weights = ad.constant(feedback / pos)
-    return ad.neg(ad.dot(weights, per_item_log_probs(output, sids)))
+    return ad.scale(ad.dot(weights, per_item_log_probs(output, sids)), -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +150,16 @@ class Agent:
             lr=train_cfg.learning_rate)
         self.updates = 0
 
+    def _blocks(self) -> dict[str, Tensor]:
+        """Checkpoint block name -> parameter: policy `hpn/`, then critic `mlc/`."""
+        return {**{f"hpn/{k}": v for k, v in self.policy.tensors().items()},
+                **{f"mlc/{k}": v for k, v in self.critic.tensors().items()}}
+
     def tensors(self) -> dict[str, np.ndarray]:
-        out = {f"hpn/{k}": v.data for k, v in self.policy.tensors().items()}
-        out.update({f"mlc/{k}": v.data for k, v in self.critic.tensors().items()})
-        return out
+        return {name: t.data for name, t in self._blocks().items()}
 
     def load_arrays(self, named: dict[str, np.ndarray]) -> None:
-        own = {**{f"hpn/{k}": v for k, v in self.policy.tensors().items()},
-               **{f"mlc/{k}": v for k, v in self.critic.tensors().items()}}
+        own = self._blocks()
         if set(named) != set(own):
             missing = sorted(set(own) ^ set(named))
             raise ContractError(f"checkpoint blocks do not match agent: {missing}")

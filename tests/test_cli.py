@@ -1,10 +1,13 @@
 import csv
 import json
 import platform
+import re
+import struct
 
 import numpy as np
 import pytest
 
+from hsrl.checkpoint import CHECKPOINT_MAGIC
 from hsrl.cli import SWEEP_GRIDS, main
 
 
@@ -189,6 +192,45 @@ def test_eval_checkpoint_codebook_mismatch(tmp_path, config_path):
     other.write_text(BASE_CONFIG.replace("vocab_size = 4", "vocab_size = 6"))
     assert _run("eval", "--config", other, "--out", tmp_path / "e",
                 "--checkpoint", out / "agent.ckpt") == 3
+
+
+@pytest.fixture(scope="module")
+def untrained_checkpoint(tmp_path_factory):
+    """agent.ckpt of a zero-budget BASE_CONFIG run (levels = 2, vocab 4)."""
+    out = tmp_path_factory.mktemp("untrained")
+    cfg = out / "zero.ini"
+    cfg.write_text(BASE_CONFIG.replace("iterations = 40", "iterations = 0"))
+    assert _run("train", "--config", cfg, "--out", out) == 0
+    return out / "agent.ckpt"
+
+
+@pytest.mark.parametrize("old, new", [
+    ("levels = 2", "levels = 1"), ("levels = 2", "levels = 3"),
+    ("vocab_size = 4", "vocab_size = 6"), ("hidden = 6", "hidden = 5"),
+])
+def test_eval_checkpoint_that_does_not_fit_config_names_block(
+        tmp_path, capsys, untrained_checkpoint, old, new):
+    cfg = tmp_path / "other.ini"
+    cfg.write_text(BASE_CONFIG.replace(old, new))
+    out = tmp_path / "e"
+    assert _run("eval", "--config", cfg, "--out", out,
+                "--checkpoint", untrained_checkpoint) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: checkpoint does not fit this config")
+    assert re.search(r"\b(hpn|mlc)/", err)
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+
+def test_eval_checkpoint_with_overflowing_block_shape_fails_as_data_error(
+        tmp_path, config_path, capsys):
+    ckpt = tmp_path / "agent.ckpt"
+    ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IIH", 1, 1, 1) + b"a"
+                     + struct.pack("<B2I", 2, 2 ** 32 - 1, 2 ** 32 - 1))
+    out = tmp_path / "e"
+    assert _run("eval", "--config", config_path, "--out", out,
+                "--checkpoint", ckpt) == 3
+    assert "checkpoint truncated while reading block a data" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
 
 
 def test_eval_missing_checkpoint(tmp_path, config_path):

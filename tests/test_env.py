@@ -7,8 +7,8 @@ from hsrl.env import (CLICK_SIGNAL, NO_CLICK_SIGNAL, EnvConfig, Environment,
                       SessionState, SimFitConfig, SynthConfig, constant_log_loss,
                       fit_response_model, fit_simulators, generate_synthetic,
                       held_out_log_loss, ingest_ml1m_style, load_records,
-                      load_response_model, make_user_pool, reset_session,
-                      save_records, save_response_model, simulate_step)
+                      load_response_model, make_user_pool, save_records,
+                      save_response_model)
 from hsrl.errors import ContractError, DataError
 from hsrl.policy import PolicyConfig, PolicyParams
 from hsrl.tokenizer import load_embeddings, save_embeddings
@@ -33,22 +33,26 @@ def _session(history=((1, 1),), patience=3, step=0, uid=0):
 # ---------------------------------------------------------------------------
 
 
+def _step(model, session, slate, cfg, rng):
+    return Environment(model, [], cfg).step(session, slate, rng)
+
+
 def test_step_reward_three_of_nine():
     cfg = EnvConfig(slate_size=9)
     model = FixedResponse([1.0] * 3 + [0.0] * 6)
-    _, reward, _, _ = simulate_step(model, _session(), list(range(9)), cfg,
-                                    np.random.default_rng(0))
+    _, reward, _, _ = _step(model, _session(), list(range(9)), cfg,
+                            np.random.default_rng(0))
     assert reward == pytest.approx(0.2, abs=1e-12)
 
 
 def test_step_reward_boundaries():
     cfg = EnvConfig(slate_size=4)
     rng = np.random.default_rng(0)
-    _, r_all, _, _ = simulate_step(FixedResponse([1.0] * 4), _session(),
-                                   [0, 1, 2, 3], cfg, rng)
+    _, r_all, _, _ = _step(FixedResponse([1.0] * 4), _session(), [0, 1, 2, 3],
+                           cfg, rng)
     assert r_all == pytest.approx(CLICK_SIGNAL, abs=1e-15)
-    _, r_none, _, _ = simulate_step(FixedResponse([0.0] * 4), _session(),
-                                    [0, 1, 2, 3], cfg, rng)
+    _, r_none, _, _ = _step(FixedResponse([0.0] * 4), _session(), [0, 1, 2, 3],
+                            cfg, rng)
     assert r_none == pytest.approx(NO_CLICK_SIGNAL, abs=1e-15)
 
 
@@ -60,7 +64,7 @@ def test_patience_three_zero_click_steps_terminate():
     depth = 0
     done = False
     while not done:
-        _, _, session, done = simulate_step(model, session, [0, 1], cfg, rng)
+        _, _, session, done = _step(model, session, [0, 1], cfg, rng)
         depth += 1
     assert depth == 3
     assert session.patience == 0
@@ -69,8 +73,8 @@ def test_patience_three_zero_click_steps_terminate():
 def test_click_refreshes_patience():
     cfg = EnvConfig(slate_size=1, patience=3)
     session = _session(patience=1)
-    _, _, nxt, done = simulate_step(FixedResponse([1.0]), session, [5], cfg,
-                                    np.random.default_rng(0))
+    _, _, nxt, done = _step(FixedResponse([1.0]), session, [5], cfg,
+                            np.random.default_rng(0))
     assert not done
     assert nxt.patience == 3
 
@@ -83,7 +87,7 @@ def test_horizon_caps_depth():
     depth = 0
     done = False
     while not done:
-        _, _, session, done = simulate_step(model, session, [0], cfg, rng)
+        _, _, session, done = _step(model, session, [0], cfg, rng)
         depth += 1
     assert depth == 20
 
@@ -93,15 +97,14 @@ def test_step_on_finished_session_rejected():
     session = _session()
     session.done = True
     with pytest.raises(ContractError):
-        simulate_step(FixedResponse([1.0]), session, [0], cfg,
-                      np.random.default_rng(0))
+        _step(FixedResponse([1.0]), session, [0], cfg, np.random.default_rng(0))
 
 
 def test_history_keeps_only_clicked_items():
     cfg = EnvConfig(slate_size=3, history_window=10)
     model = FixedResponse([1.0, 0.0, 1.0])
-    _, _, nxt, _ = simulate_step(model, _session(history=()), [7, 8, 9], cfg,
-                                 np.random.default_rng(0))
+    _, _, nxt, _ = _step(model, _session(history=()), [7, 8, 9], cfg,
+                         np.random.default_rng(0))
     assert nxt.state.history == ((7, 1), (9, 1))
 
 
@@ -109,8 +112,8 @@ def test_history_window_truncation():
     cfg = EnvConfig(slate_size=4, history_window=5)
     model = FixedResponse([1.0] * 4)
     session = _session(history=tuple((i, 1) for i in range(4)))
-    _, _, nxt, _ = simulate_step(model, session, [10, 11, 12, 13], cfg,
-                                 np.random.default_rng(0))
+    _, _, nxt, _ = _step(model, session, [10, 11, 12, 13], cfg,
+                         np.random.default_rng(0))
     assert len(nxt.state.history) == 5
     assert nxt.state.history[-1] == (13, 1)
 
@@ -118,24 +121,26 @@ def test_history_window_truncation():
 def test_reset_deterministic_and_never_done():
     records = [LogRecord(0, (1, 2), (3, 4), (1, 0)),
                LogRecord(1, (), (5, 6), (0, 1))]
-    pool = make_user_pool(records)
     cfg = EnvConfig(slate_size=2)
-    a = reset_session(pool, cfg, np.random.default_rng(42))
-    b = reset_session(pool, cfg, np.random.default_rng(42))
+    env = Environment(FixedResponse([0.5, 0.5]), make_user_pool(records), cfg)
+    a = env.reset(np.random.default_rng(42))
+    b = env.reset(np.random.default_rng(42))
     assert (a.user_id, a.state.history) == (b.user_id, b.state.history)
     assert a.patience == cfg.patience and a.step == 0 and not a.done
 
 
 def test_reset_cold_start_user():
     pool = make_user_pool([LogRecord(3, (), (1, 2), (0, 0))])
-    session = reset_session(pool, EnvConfig(), np.random.default_rng(0))
+    env = Environment(FixedResponse([0.5, 0.5]), pool, EnvConfig())
+    session = env.reset(np.random.default_rng(0))
     assert session.state.history == ()
     assert session.patience == EnvConfig().patience
 
 
 def test_reset_empty_pool():
     with pytest.raises(DataError):
-        reset_session([], EnvConfig(), np.random.default_rng(0))
+        Environment(FixedResponse([0.5]), [], EnvConfig()).reset(
+            np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +303,19 @@ def test_records_file_roundtrip(tmp_path):
     save_records(path, records)
     assert load_records(path) == records
     assert path.read_text().splitlines()[0].startswith("0\t-\t")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("1\t-\t3,4\t2,1", "click labels must be 0 or 1, got (2, 1)"),
+    ("1\t-\t3,4\t1", "slate and label lists disagree in length"),
+    ("1\t" + ",".join(["5"] * 11) + "\t3\t0", "record history longer than 10"),
+], ids=["labels", "lengths", "history"])
+def test_record_errors_name_their_line(tmp_path, line, message):
+    path = tmp_path / "records.tsv"
+    path.write_text(f"0\t-\t1,2\t0,1\n{line}\n")
+    with pytest.raises(DataError) as exc:
+        load_records(path)
+    assert str(exc.value) == f"records line 2: {message}"
 
 
 @pytest.mark.parametrize("label", [2, -1])

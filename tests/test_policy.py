@@ -1,12 +1,13 @@
 import itertools
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
 
 import hsrl.autodiff as ad
-from hsrl.checkpoint import load_tensors, save_tensors
+from hsrl.checkpoint import CHECKPOINT_MAGIC, load_tensors, save_tensors
 from hsrl.encoder import UserState
 from hsrl.errors import ContractError, DataError, FormatError, UnknownItemError
 from hsrl.policy import (PolicyConfig, PolicyParams, _raw_scores, encode_state,
@@ -506,3 +507,45 @@ def test_checkpoint_scalar_blocks_roundtrip(tmp_path):
     named = load_tensors(path)
     assert named["s"].shape == ()
     assert float(named["s"]) == 2.5
+
+
+def _crafted_checkpoint(path, blocks):
+    """Version-1 checkpoint of (raw name, shape, raw data) blocks, unchecked."""
+    parts = [CHECKPOINT_MAGIC, struct.pack("<II", 1, len(blocks))]
+    for raw, shape, data in blocks:
+        parts += [struct.pack("<H", len(raw)), raw, struct.pack("<B", len(shape)),
+                  struct.pack(f"<{len(shape)}I", *shape), data]
+    path.write_bytes(b"".join(parts))
+
+
+def test_checkpoint_block_size_overflow_is_a_format_error(tmp_path):
+    # (2^32-1)^2 overflows a fixed-width product to a negative size
+    path = tmp_path / "x.ckpt"
+    _crafted_checkpoint(path, [(b"a", (2 ** 32 - 1, 2 ** 32 - 1), b"")])
+    with pytest.raises(FormatError, match="truncated while reading block a data"):
+        load_tensors(path)
+
+
+def test_checkpoint_duplicate_block_name_rejected(tmp_path):
+    path = tmp_path / "x.ckpt"
+    one = np.zeros(1, dtype="<f8").tobytes()
+    _crafted_checkpoint(path, [(b"a", (1,), one), (b"b", (1,), one),
+                               (b"a", (1,), one)])
+    with pytest.raises(FormatError, match="block 2: duplicate block name 'a'"):
+        load_tensors(path)
+
+
+def test_checkpoint_non_utf8_block_name_rejected(tmp_path):
+    path = tmp_path / "x.ckpt"
+    _crafted_checkpoint(path, [(b"a", (), np.zeros(1).tobytes()),
+                               (b"\xff\xfe", (), np.zeros(1).tobytes())])
+    with pytest.raises(FormatError, match="block 1 name is not valid UTF-8"):
+        load_tensors(path)
+
+
+def test_checkpoint_block_with_too_many_dimensions_rejected(tmp_path):
+    # a zero extent makes the data empty, so only the rank is wrong
+    path = tmp_path / "x.ckpt"
+    _crafted_checkpoint(path, [(b"a", (0,) * 70, b"")])
+    with pytest.raises(FormatError, match="block a has 70 dimensions"):
+        load_tensors(path)

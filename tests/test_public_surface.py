@@ -1,5 +1,6 @@
 """Every public module-level function and class in `src/hsrl/` has a reader
-outside the unit tests.
+outside the unit tests, and every private module-level function has a
+caller inside `src/hsrl/`.
 
 A name counts as used when `src/hsrl/` refers to it outside its own
 definition, or when `tests/test_acceptance.py` or a `benchmarks/*.py` file
@@ -41,11 +42,15 @@ def _referenced(nodes) -> set[str]:
     return found
 
 
+def _modules() -> dict[str, list[ast.stmt]]:
+    return {p.name: ast.parse(p.read_text()).body for p in sorted(SRC.glob("*.py"))}
+
+
 def _unread_public_names() -> dict[str, str]:
     """Public name -> defining module, for every name nothing outside the
     unit tests refers to."""
     outside = _referenced(ast.parse(p.read_text()) for p in OUTSIDE)
-    modules = {p.name: ast.parse(p.read_text()).body for p in sorted(SRC.glob("*.py"))}
+    modules = _modules()
     unread = {}
     for module, body in modules.items():
         elsewhere = outside | _referenced(
@@ -66,3 +71,19 @@ def test_every_public_name_has_a_reader_outside_unit_tests():
     assert not extra, f"public names that only unit tests call: {extra}"
     # an entry whose name gained a reader, or is gone, leaves the list
     assert sorted(unread) == sorted(KEPT)
+
+
+def _orphaned_private_functions() -> dict[str, str]:
+    """Private module-level function -> defining module, for every one that
+    no other statement in `src/hsrl/` refers to."""
+    stmts = [(module, stmt) for module, body in _modules().items() for stmt in body]
+    refs = [_referenced([stmt]) for _, stmt in stmts]
+    return {stmt.name: module for (module, stmt) in stmts
+            if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_")
+            and not any(stmt.name in found for (_, other), found in zip(stmts, refs)
+                        if other is not stmt)}
+
+
+def test_every_private_function_has_a_caller_in_src():
+    # a helper whose last caller was deleted goes with it
+    assert _orphaned_private_functions() == {}

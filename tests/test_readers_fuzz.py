@@ -1,0 +1,118 @@
+"""Property tests of the file readers.
+
+A file the writer produced reads back to the same values, and a damaged
+file (truncated, with flipped bytes, or with bytes appended) either reads
+or fails with `FormatError` or `DataError`, never with another exception.
+Examples are derived from the test source, not drawn at random, and no
+example database is written.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from hsrl.checkpoint import load_tensors, save_tensors
+from hsrl.env import load_records
+from hsrl.errors import DataError, FormatError
+from hsrl.tokenizer import Codebook, SidIndex, load_codebook, save_codebook
+
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=60,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+shapes = st.lists(st.integers(0, 3), max_size=3).map(tuple)
+named_tensors = st.dictionaries(
+    st.text(max_size=8),
+    shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=finite)),
+    max_size=4)
+
+
+@st.composite
+def codebooks(draw):
+    levels = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 3))
+    vocab = tuple(draw(st.lists(st.integers(1, 4), min_size=levels, max_size=levels)))
+    centroids = [draw(arrays(np.float64, (t, dim), elements=finite)) for t in vocab]
+    ids = draw(st.sets(st.integers(0, 2 ** 63 - 1), max_size=6))
+    sid = st.tuples(*(st.integers(0, t - 1) for t in vocab))
+    mapping = {item: draw(sid) for item in sorted(ids)}
+    return Codebook(dim=dim, vocab_sizes=vocab, centroids=centroids), SidIndex(mapping)
+
+
+@st.composite
+def damaged(draw, blob):
+    """`blob` truncated, with up to four bytes flipped, or with bytes appended."""
+    kind = draw(st.sampled_from(["truncate", "flip", "extend"]))
+    if kind == "truncate":
+        return blob[:draw(st.integers(0, len(blob) - 1))]
+    if kind == "extend":
+        return blob + draw(st.binary(min_size=1, max_size=16))
+    out = bytearray(blob)
+    for _ in range(draw(st.integers(1, 4))):
+        out[draw(st.integers(0, len(blob) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(out)
+
+
+def _read_or_reject(load, path):
+    try:
+        load(path)
+    except (FormatError, DataError):
+        pass
+
+
+@FUZZ
+@given(named=named_tensors)
+def test_checkpoint_roundtrip(tmp_path, named):
+    path = tmp_path / "x.ckpt"
+    save_tensors(path, named)
+    loaded = load_tensors(path)
+    assert list(loaded) == list(named)
+    for name, arr in named.items():
+        assert loaded[name].shape == arr.shape
+        assert loaded[name].tobytes() == arr.tobytes()
+
+
+@FUZZ
+@given(data=st.data(), named=named_tensors)
+def test_damaged_checkpoint_reads_or_fails_as_format_error(tmp_path, data, named):
+    path = tmp_path / "x.ckpt"
+    save_tensors(path, named)
+    path.write_bytes(data.draw(damaged(path.read_bytes())))
+    _read_or_reject(load_tensors, path)
+
+
+@FUZZ
+@given(built=codebooks())
+def test_codebook_roundtrip(tmp_path, built):
+    book, index = built
+    path = tmp_path / "cb.bin"
+    save_codebook(path, book, index)
+    loaded_book, loaded_index = load_codebook(path)
+    assert (loaded_book.dim, loaded_book.vocab_sizes) == (book.dim, book.vocab_sizes)
+    for a, b in zip(loaded_book.centroids, book.centroids, strict=True):
+        assert a.tobytes() == b.tobytes()
+    assert loaded_index.item_to_sid == index.item_to_sid
+
+
+@FUZZ
+@given(data=st.data(), built=codebooks())
+def test_damaged_codebook_reads_or_fails_as_format_error(tmp_path, data, built):
+    path = tmp_path / "cb.bin"
+    save_codebook(path, *built)
+    path.write_bytes(data.draw(damaged(path.read_bytes())))
+    _read_or_reject(load_codebook, path)
+
+
+int_lists = st.lists(st.integers(-2, 12), max_size=12).map(
+    lambda xs: ",".join(map(str, xs)))
+fields = st.one_of(st.just("-"), int_lists, st.text("0123456789,-\t x", max_size=6))
+lines = st.lists(fields, min_size=1, max_size=5).map("\t".join)
+
+
+@FUZZ
+@given(text=st.lists(lines, max_size=4).map("\n".join))
+def test_records_reader_accepts_or_rejects_as_data_error(tmp_path, text):
+    path = tmp_path / "records.tsv"
+    path.write_text(text, encoding="ascii")
+    _read_or_reject(load_records, path)

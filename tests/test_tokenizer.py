@@ -138,11 +138,16 @@ def test_assign_tie_breaks_to_lowest_token():
 
 
 def test_assign_reproduces_fit_sids():
-    # the residual recursion over three levels, checked against a brute force
+    # the residual recursion over three levels, checked against a brute force,
+    # also on duplicated vectors under shuffled, non-contiguous ids
     items = _random_items(n=80, d=3, seed=12)
-    book, index = fit_codebook(items, (5, 5, 5), seed=12)
-    tokens, _ = _bruteforce_residuals(book, items.vectors)
-    assert [index.sid_of(int(i)) for i in items.ids] == tokens
+    rng = np.random.default_rng(13)
+    duplicated = ItemEmbeddings(rng.permutation(np.arange(80) * 7 + 3),
+                                items.vectors[rng.integers(30, size=80)])
+    for case in (items, duplicated):
+        book, index = fit_codebook(case, (5, 5, 5), seed=12)
+        tokens, _ = _bruteforce_residuals(book, case.vectors)
+        assert [index.sid_of(int(i)) for i in case.ids] == tokens
 
 
 def test_single_level_matches_bruteforce_nearest_neighbor():
