@@ -166,8 +166,14 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "add")
-    return _node(a.data + b.data, (a, b), lambda g: (g, g))
+    """Elementwise sum. `b` may also be a row: a 1-D tensor matching the last
+    axis of `a`, added to every row, its gradient summed over the rows."""
+    if a.shape == b.shape:
+        return _node(a.data + b.data, (a, b), lambda g: (g, g))
+    if b.ndim != 1 or a.ndim < 2 or a.shape[-1] != b.shape[0]:
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
+    return _node(a.data + b.data, (a, b),
+                 lambda g: (g, g.reshape(-1, b.shape[0]).sum(axis=0)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -251,16 +257,41 @@ def matvec(w: Tensor, x: Tensor) -> Tensor:
     return _node(w.data @ x.data, (w, x), lambda g: (np.outer(g, x.data), w.data.T @ g))
 
 
+def _swap(x: np.ndarray) -> np.ndarray:
+    return x.swapaxes(-1, -2)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Matrix product over the last two axes. Axes of `a` before those are
+    batch axes; `b` either has the same ones or is one 2-D matrix shared by
+    the whole batch, whose gradient then sums over it."""
+    if (a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]
+            or (b.ndim > 2 and b.shape[:-2] != a.shape[:-2])):
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
-    return _node(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+
+    def back(g):
+        if b.ndim > 2:
+            return g @ _swap(b.data), _swap(a.data) @ g
+        if a.ndim > 2:
+            return (g @ b.data.T,
+                    a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        return g @ b.data.T, a.data.T @ g
+
+    return _node(a.data @ b.data, (a, b), back)
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError("transpose: expected 2-D")
-    return _node(a.data.T, (a,), lambda g: (g.T,))
+    """Swap the last two axes."""
+    if a.ndim < 2:
+        raise ShapeError("transpose: expected at least 2-D")
+    return _node(_swap(a.data), (a,), lambda g: (_swap(g),))
+
+
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """Same entries, in the same order, under a new shape."""
+    if math.prod(shape) != a.data.size or min(shape, default=0) < 0:
+        raise ShapeError(f"reshape: {a.shape} to {shape}")
+    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
 def stack(parts: list[Tensor]) -> Tensor:
@@ -329,12 +360,13 @@ def log_softmax(x: Tensor) -> Tensor:
 
 
 def row_softmax(x: Tensor) -> Tensor:
-    """Softmax applied independently to each row of a 2-D input."""
-    if x.ndim != 2:
-        raise ShapeError("row_softmax: expected 2-D input")
-    e = np.exp(x.data - x.data.max(axis=1, keepdims=True))
-    p = e / e.sum(axis=1, keepdims=True)
-    return _node(p, (x,), lambda g: (p * (g - (p * g).sum(axis=1, keepdims=True)),))
+    """Softmax over the last axis, independently for every row of an input
+    with at least two axes."""
+    if x.ndim < 2:
+        raise ShapeError("row_softmax: expected at least 2-D input")
+    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    return _node(p, (x,), lambda g: (p * (g - (p * g).sum(axis=-1, keepdims=True)),))
 
 
 LAYER_NORM_EPS = 1e-5

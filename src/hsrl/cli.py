@@ -105,12 +105,22 @@ def _build_codebook(cfg: RunConfig, items, out: Path):
     return book, index
 
 
-def _build_simulators(cfg: RunConfig, items, records, out: Path):
+def _build_simulators(cfg: RunConfig, items, records, out: Path,
+                      manifest: Manifest):
+    """Fit, save and score the two simulators. The manifest gets the train
+    simulator's log loss on the records it was not fitted on, next to that of
+    a constant predictor at the train split's click rate."""
     train_sim, eval_sim = env_mod.fit_simulators(
         records, _n_items(items), cfg.sim_config(), cfg["seeds"]["simulator"],
         item_features=items.vectors)
     env_mod.save_response_model(out / "sim_train.ckpt", train_sim)
     env_mod.save_response_model(out / "sim_eval.ckpt", eval_sim)
+    split = env_mod.train_split(records)
+    rate = float(np.mean([y for rec in records[:split] for y in rec.labels]))
+    manifest.record("simulator_fit", {
+        "held_out_log_loss": env_mod.held_out_log_loss(train_sim, records[split:]),
+        "constant_log_loss": env_mod.constant_log_loss(rate, records[split:]),
+    })
     return train_sim, eval_sim
 
 
@@ -130,10 +140,11 @@ def _experiment_context(cfg: RunConfig, items, book, index, train_sim,
     )
 
 
-def _build_context(cfg: RunConfig, out: Path) -> tr_mod.ExperimentContext:
+def _build_context(cfg: RunConfig, out: Path,
+                   manifest: Manifest) -> tr_mod.ExperimentContext:
     items, records = _load_dataset(cfg, out)
     book, index = _build_codebook(cfg, items, out)
-    train_sim, eval_sim = _build_simulators(cfg, items, records, out)
+    train_sim, eval_sim = _build_simulators(cfg, items, records, out, manifest)
     return _experiment_context(cfg, items, book, index, train_sim, eval_sim,
                                env_mod.make_user_pool(records))
 
@@ -169,13 +180,13 @@ def cmd_tokenize(cfg: RunConfig, out: Path, args) -> int:
 
 def cmd_fit_sim(cfg: RunConfig, out: Path, args) -> int:
     items, records = _load_dataset(cfg, out)
-    _build_simulators(cfg, items, records, out)
+    _build_simulators(cfg, items, records, out, args.manifest)
     print(f"fitted train/eval simulators on {len(records)} records -> {out}")
     return 0
 
 
 def cmd_train(cfg: RunConfig, out: Path, args) -> int:
-    ctx = _build_context(cfg, out)
+    ctx = _build_context(cfg, out, args.manifest)
     train_cfg = cfg.train_config()
     seed = cfg["seeds"]["agent"]
     agent = tr_mod.Agent(ctx.policy_cfg, ctx.critic_cfg, train_cfg, ctx.index,
@@ -208,7 +219,7 @@ def cmd_train(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_eval(cfg: RunConfig, out: Path, args) -> int:
-    ctx = _build_context(cfg, out)
+    ctx = _build_context(cfg, out, args.manifest)
     ckpt = Path(args.checkpoint) if args.checkpoint else out / "agent.ckpt"
     named = _read(load_tensors, ckpt, "checkpoint")
     train_cfg = cfg.train_config()
@@ -235,7 +246,7 @@ def cmd_eval(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_ablate(cfg: RunConfig, out: Path, args) -> int:
-    ctx = _build_context(cfg, out)
+    ctx = _build_context(cfg, out, args.manifest)
     base_cfg = cfg.train_config()
     seeds = cfg.agent_seeds()
     results = {v: tr_mod.run_ablation(v, ctx, base_cfg, seeds)
@@ -269,7 +280,7 @@ def cmd_sweep(cfg: RunConfig, out: Path, args) -> int:
     grid = SWEEP_GRIDS[axis]
     seeds = cfg.agent_seeds()
     items, records = _load_dataset(cfg, out)
-    train_sim, eval_sim = _build_simulators(cfg, items, records, out)
+    train_sim, eval_sim = _build_simulators(cfg, items, records, out, args.manifest)
     pool = env_mod.make_user_pool(records)
 
     writer = tr_mod.MetricsWriter(out / "sweep.csv", [
@@ -351,6 +362,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(out, args.command, cfg, outputs=[str(out)])
+    args.manifest = manifest  # commands add what they measure to it
     try:
         code = _COMMANDS[args.command][0](cfg, out, args)
     except ConfigError as exc:

@@ -283,6 +283,11 @@ class Manifest:
         write_atomic(self.path, (json.dumps(self.payload, indent=2, sort_keys=True)
                                  + "\n").encode("utf-8"))
 
+    def record(self, key: str, value) -> None:
+        """Add a measurement of the run and rewrite the manifest at once."""
+        self.payload[key] = value
+        self._write()
+
     def finalize(self, status: str = "complete", error: str | None = None,
                  trace: str | None = None) -> None:
         self.payload["status"] = status

@@ -4,6 +4,9 @@ History items and their feedback bits are embedded, mixed by one
 self-attention layer with a residual connection, mean-pooled, and
 projected to the output width. A learned start vector stands in for the
 pooled projection when the history is empty.
+
+`encode` maps one state to a vector; `encode_batch` maps a batch of states
+to one matrix, padding the histories to the longest and masking the padding.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError, UnknownItemError
+
+# Attention score of a padded key: its softmax weight underflows to exactly 0.
+_MASKED_SCORE = -1e30
 
 
 @dataclass(frozen=True)
@@ -93,3 +99,44 @@ def encode(params: EncoderParams, state: UserState) -> Tensor:
         pooled = ad.mean_rows(mixed)
         return ad.add(ad.matvec(params.proj_w, pooled), params.proj_b)
     return params.start
+
+
+def encode_batch(params: EncoderParams, states) -> Tensor:
+    """One (B, out_dim) tensor whose row r is `encode(params, states[r])` up
+    to rounding; an empty history gives `params.start` exactly.
+
+    Histories are cut to the window and padded to the longest one. Padded
+    keys get weight 0 in attention and padded rows weight 0 in the mean
+    pooling, so padding adds nothing to any value or gradient.
+    """
+    cfg = params.cfg
+    histories = [state.history[-cfg.history_window:] for state in states]
+    lengths = np.array([len(h) for h in histories], dtype=np.intp)
+    n, width = len(histories), int(lengths.max(initial=0))
+    ids = np.zeros((n, width), dtype=np.intp)
+    bits = np.zeros((n, width), dtype=np.intp)
+    for r, history in enumerate(histories):
+        for c, (item, bit) in enumerate(history):
+            if not 0 <= item < cfg.n_items:
+                raise UnknownItemError(f"item {item} outside embedding table")
+            ids[r, c], bits[r, c] = item, bit
+    starts = ad.add(ad.constant(np.zeros((n, cfg.out_dim))), params.start)
+    if width == 0:
+        return starts
+
+    real = np.arange(width) < lengths[:, None]                      # (n, width)
+    x = ad.add(ad.embed(params.item_emb, ids), ad.embed(params.fb_emb, bits))
+    q = ad.matmul(x, params.attn_q)
+    k = ad.matmul(x, params.attn_k)
+    v = ad.matmul(x, params.attn_v)
+    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(cfg.embed_dim))
+    key_mask = np.repeat(np.where(real, 0.0, _MASKED_SCORE)[:, None, :], width, axis=1)
+    attn = ad.row_softmax(ad.add(scores, ad.constant(key_mask)))
+    mixed = ad.add(x, ad.matmul(attn, v))
+    pool = real / np.maximum(lengths, 1)[:, None]
+    pooled = ad.reshape(ad.matmul(ad.constant(pool[:, None, :]), mixed),
+                        (n, cfg.embed_dim))
+    projected = ad.add(ad.matmul(pooled, ad.transpose(params.proj_w)), params.proj_b)
+    empty = np.repeat((lengths == 0)[:, None], cfg.out_dim, axis=1).astype(np.float64)
+    return ad.add(ad.mul(projected, ad.constant(1.0 - empty)),
+                  ad.mul(starts, ad.constant(empty)))

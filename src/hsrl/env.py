@@ -21,7 +21,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import load_tensors, save_tensors
-from .encoder import EncoderConfig, EncoderParams, UserState, encode
+from .encoder import (EncoderConfig, EncoderParams, UserState, encode,
+                      encode_batch)
 from .errors import ConfigError, ContractError, DataError, FormatError
 from .optim import Optimizer
 from .tokenizer import ItemEmbeddings
@@ -40,6 +41,8 @@ class LogRecord:
     def __post_init__(self):
         if len(self.slate) != len(self.labels):
             raise DataError("slate and label lists disagree in length")
+        if not self.slate:
+            raise DataError("record slate is empty")
         if len(self.history) > 10:
             raise DataError("record history longer than 10")
         if any(y not in (0, 1) for y in self.labels):
@@ -136,12 +139,32 @@ def _positive_state(items) -> UserState:
     return UserState(history=tuple((i, 1) for i in items))
 
 
-def _record_terms(model: ResponseModel, rec: LogRecord) -> Tensor:
-    """Per-item binary cross-entropy of one record's click labels."""
-    logits = model._logits(_positive_state(rec.history), rec.slate)
-    labels = np.asarray(rec.labels, dtype=np.float64)
+def _slate_bce(model: ResponseModel, records: list[LogRecord]):
+    """Per-item binary cross-entropy of a batch of records as one (B, k)
+    block, k the longest slate, and the (B, k) mask of real slate items."""
+    lengths = np.array([len(rec.slate) for rec in records])
+    n, k = len(records), int(lengths.max())
+    slates = np.zeros((n, k), dtype=np.intp)
+    labels = np.zeros((n, k))
+    for r, rec in enumerate(records):
+        slates[r, :lengths[r]] = rec.slate
+        labels[r, :lengths[r]] = rec.labels
+    real = np.arange(k) < lengths[:, None]
+    u = encode_batch(model.encoder, [_positive_state(rec.history) for rec in records])
+    rows = ad.embed(model.encoder.item_emb, slates)                    # (n, k, d)
+    scores = ad.matmul(rows, ad.reshape(u, (n, model.cfg.embed_dim, 1)))
+    logits = ad.add_scalar(ad.reshape(scores, (n, k)), model.bias)
     # -[y log s + (1-y) log(1-s)] == softplus(logit) - y * logit
-    return ad.sub(ad.softplus(logits), ad.mul(ad.constant(labels), logits))
+    terms = ad.sub(ad.softplus(logits), ad.mul(ad.constant(labels), logits))
+    return terms, real
+
+
+def _batch_loss(model: ResponseModel, records: list[LogRecord]) -> Tensor:
+    """Mean over records of each record's mean per-item cross-entropy, so
+    slates of any length weigh the same; one graph for the whole batch."""
+    terms, real = _slate_bce(model, records)
+    weights = real / real.sum(axis=1, keepdims=True) / len(records)
+    return ad.vsum(ad.mul(terms, ad.constant(weights)))
 
 
 def fit_response_model(records: list[LogRecord], n_items: int,
@@ -162,14 +185,18 @@ def fit_response_model(records: list[LogRecord], n_items: int,
         order = rng.permutation(len(records))
         for lo in range(0, len(order), cfg.batch_size):
             batch = [records[i] for i in order[lo:lo + cfg.batch_size]]
-            total = None
-            for rec in batch:
-                loss = ad.vmean(_record_terms(model, rec))
-                total = loss if total is None else ad.add(total, loss)
             opt.zero_grad()
-            ad.backward(ad.scale(total, 1.0 / len(batch)))
+            ad.backward(_batch_loss(model, batch))
             opt.step()
     return model
+
+
+def train_split(records: list[LogRecord]) -> int:
+    """The train simulator fits records[:split]; the rest are held out from it."""
+    split = int(0.8 * len(records))
+    if split < 1:
+        raise DataError("too few records to split for simulator training")
+    return split
 
 
 def fit_simulators(records: list[LogRecord], n_items: int, cfg: SimFitConfig,
@@ -177,9 +204,7 @@ def fit_simulators(records: list[LogRecord], n_items: int, cfg: SimFitConfig,
                    ) -> tuple[ResponseModel, ResponseModel]:
     """Factory presets: a train-split simulator for policy optimization and
     a full-data simulator used only for evaluation."""
-    split = int(0.8 * len(records))
-    if split < 1:
-        raise DataError("too few records to split for simulator training")
+    split = train_split(records)
     train_sim = fit_response_model(records[:split], n_items, cfg, [seed, 0],
                                    item_features)
     eval_sim = fit_response_model(records, n_items, cfg, [seed, 1], item_features)
@@ -205,11 +230,13 @@ def load_response_model(path, n_items: int, cfg: SimFitConfig) -> ResponseModel:
 
 
 def held_out_log_loss(model: ResponseModel, records: list[LogRecord]) -> float:
+    """Mean per-item cross-entropy of `model` on `records`."""
     total, count = 0.0, 0
     with ad.no_grad():
-        for rec in records:
-            total += float(_record_terms(model, rec).data.sum())
-            count += len(rec.labels)
+        for lo in range(0, len(records), model.cfg.batch_size):
+            terms, real = _slate_bce(model, records[lo:lo + model.cfg.batch_size])
+            total += float(terms.data[real].sum())
+            count += int(real.sum())
     return total / count
 
 

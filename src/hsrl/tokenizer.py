@@ -329,12 +329,16 @@ def load_embeddings(path) -> ItemEmbeddings:
                 continue
             try:
                 item, csv = line.split("\t")
+                item_id = int(item)
                 vec = [float(v) for v in csv.split(",")]
             except ValueError:
                 raise FormatError(f"embeddings line {lineno} is malformed") from None
+            if not -2 ** 63 <= item_id < 2 ** 63:
+                raise FormatError(f"embeddings line {lineno}: id {item_id} "
+                                  f"does not fit int64")
             if len(vec) != dim:
                 raise FormatError(f"embeddings line {lineno}: expected {dim} values")
-            ids.append(int(item))
+            ids.append(item_id)
             rows.append(vec)
     if not ids:
         raise DataError("embeddings file holds no items")

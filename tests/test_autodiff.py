@@ -264,6 +264,83 @@ def test_stack_softplus_add_scalar_gradients():
 
 
 # ---------------------------------------------------------------------------
+# leading batch axes
+# ---------------------------------------------------------------------------
+
+
+def _values_and_grads(build, tensors):
+    for t in tensors:
+        t.zero_grad()
+    out = build()
+    ad.backward(ad.vsum(out))
+    return out.data.copy(), [t.grad.copy() for t in tensors]
+
+
+def test_two_d_matmul_transpose_row_softmax_unchanged_bit_for_bit():
+    """2-D results and gradients are those of the 2-D-only formulas."""
+    rng = np.random.default_rng(22)
+    a, b, probe = _param(rng, (5, 4)), _param(rng, (6, 4)), rng.normal(size=(5, 6))
+
+    def build():
+        bt = ad.transpose(b)                   # a non-contiguous operand
+        return ad.mul(ad.row_softmax(ad.matmul(a, bt)), ad.constant(probe))
+
+    values, (ga, gb) = _values_and_grads(build, [a, b])
+    logits = a.data @ b.data.T
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+    g = p * (probe - (p * probe).sum(axis=1, keepdims=True))
+    assert values.tobytes() == (p * probe).tobytes()
+    assert ga.tobytes() == (g @ b.data.T.T).tobytes()
+    assert gb.tobytes() == (a.data.T @ g).T.tobytes()
+
+
+def test_batched_matmul_matches_each_slice():
+    rng = np.random.default_rng(23)
+    x, w, y = _param(rng, (3, 4, 5)), _param(rng, (5, 2)), _param(rng, (3, 5, 6))
+    with ad.no_grad():
+        shared = ad.matmul(x, w).data
+        paired = ad.matmul(x, y).data
+    assert shared.shape == (3, 4, 2) and paired.shape == (3, 4, 6)
+    for i in range(3):
+        assert np.abs(shared[i] - x.data[i] @ w.data).max() <= 1e-12
+        assert np.abs(paired[i] - x.data[i] @ y.data[i]).max() <= 1e-12
+
+
+def test_batched_primitive_gradients():
+    rng = np.random.default_rng(24)
+    for _ in range(10):
+        x = _param(rng, (3, 4, 5))
+        w = _param(rng, (5, 5))
+        bias = _param(rng, (5,))
+        probe = ad.constant(rng.normal(size=(12, 5)))
+
+        def loss():
+            q = ad.matmul(x, w)                               # one shared matrix
+            scores = ad.matmul(q, ad.transpose(x))            # paired batches
+            mixed = ad.matmul(ad.row_softmax(scores), q)      # (3, 4, 5)
+            rows = ad.add(ad.reshape(mixed, (12, 5)), bias)   # bias row on each row
+            return ad.vsum(ad.mul(rows, probe))
+
+        check_gradients(loss, [x, w, bias], rtol=1e-4)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ad.matmul(ad.constant(np.ones((2, 3, 4))), ad.constant(np.ones((3, 4, 2)))),
+    lambda: ad.matmul(ad.constant(np.ones((3, 4))), ad.constant(np.ones((2, 4, 2)))),
+    lambda: ad.matmul(ad.constant(np.ones(4)), ad.constant(np.ones((4, 2)))),
+    lambda: ad.transpose(ad.constant(np.ones(3))),
+    lambda: ad.row_softmax(ad.constant(np.ones(3))),
+    lambda: ad.reshape(ad.constant(np.ones((2, 3))), (4, 2)),
+    lambda: ad.reshape(ad.constant(np.ones((2, 3))), (-1, 2)),
+    lambda: ad.add(ad.constant(np.ones((2, 3))), ad.constant(np.ones(2))),
+])
+def test_batched_shape_errors(build):
+    with pytest.raises(ShapeError):
+        build()
+
+
+# ---------------------------------------------------------------------------
 # optimizer
 # ---------------------------------------------------------------------------
 

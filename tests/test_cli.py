@@ -9,6 +9,8 @@ import pytest
 
 from hsrl.checkpoint import CHECKPOINT_MAGIC
 from hsrl.cli import SWEEP_GRIDS, main
+from hsrl.env import (SimFitConfig, constant_log_loss, held_out_log_loss,
+                      load_records, load_response_model)
 
 
 BASE_CONFIG = """
@@ -221,6 +223,31 @@ def test_eval_checkpoint_that_does_not_fit_config_names_block(
     assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("fit-sim", []), ("train", []), ("eval", ["--checkpoint"]), ("ablate", []),
+    ("sweep", ["--axis", "entropy"]),
+])
+def test_manifest_records_simulator_fit_quality(tmp_path, untrained_checkpoint,
+                                                command, extra):
+    cfg = tmp_path / "zero.ini"
+    cfg.write_text(BASE_CONFIG.replace("iterations = 40", "iterations = 0"))
+    if command == "eval":
+        extra = extra + [untrained_checkpoint]
+    out = tmp_path / "o"
+    assert _run(command, "--config", cfg, "--out", out, *extra) == 0
+    fit = json.loads((out / "manifest.json").read_text())["simulator_fit"]
+    # the train simulator, scored on the 20% of records it was not fitted on
+    records = load_records(out / "records.tsv")
+    split = int(0.8 * len(records))
+    train_sim = load_response_model(out / "sim_train.ckpt", 60,
+                                    SimFitConfig(embed_dim=8, epochs=1))
+    rate = float(np.mean([y for rec in records[:split] for y in rec.labels]))
+    assert fit == {
+        "held_out_log_loss": held_out_log_loss(train_sim, records[split:]),
+        "constant_log_loss": constant_log_loss(rate, records[split:]),
+    }
+
+
 def test_eval_checkpoint_with_overflowing_block_shape_fails_as_data_error(
         tmp_path, config_path, capsys):
     ckpt = tmp_path / "agent.ckpt"
@@ -415,6 +442,22 @@ def test_unreadable_data_file_fails_as_data_error(tmp_path, config_path, capsys,
                 "--out", out) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and str(bad) in err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+
+def test_embeddings_with_non_integer_item_id_fail_as_format_error(
+        tmp_path, config_path, capsys):
+    data_dir = tmp_path / "data"
+    assert _run("gen-data", "--config", config_path, "--out", data_dir) == 0
+    embeddings = (data_dir / "embeddings.tsv").read_text().splitlines()
+    embeddings[1] = "x" + embeddings[1][embeddings[1].index("\t"):]
+    (data_dir / "embeddings.tsv").write_text("\n".join(embeddings) + "\n")
+    out = tmp_path / "tok"
+    assert _run("tokenize", "--config",
+                _files_config(tmp_path, embeddings_path=data_dir / "embeddings.tsv",
+                              records_path=data_dir / "records.tsv"),
+                "--out", out) == 3
+    assert capsys.readouterr().err == "data error: embeddings line 2 is malformed\n"
     assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
 
 

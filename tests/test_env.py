@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from hsrl.encoder import UserState
+import hsrl.autodiff as ad
+from hsrl.encoder import (EncoderConfig, EncoderParams, UserState, encode,
+                          encode_batch)
 from hsrl.env import (CLICK_SIGNAL, NO_CLICK_SIGNAL, EnvConfig, Environment,
                       GroundTruthResponse, LogRecord, ResponseModel,
-                      SessionState, SimFitConfig, SynthConfig, constant_log_loss,
+                      SessionState, SimFitConfig, SynthConfig, _batch_loss,
+                      constant_log_loss,
                       fit_response_model, fit_simulators, generate_synthetic,
                       held_out_log_loss, ingest_ml1m_style, load_records,
                       load_response_model, make_user_pool, save_records,
                       save_response_model)
-from hsrl.errors import ContractError, DataError
+from hsrl.errors import ContractError, DataError, UnknownItemError
 from hsrl.policy import PolicyConfig, PolicyParams
 from hsrl.tokenizer import load_embeddings, save_embeddings
 
@@ -228,6 +231,128 @@ def test_response_model_checkpoint_roundtrip(tmp_path):
     sess = _session(history=((1, 1), (2, 1)))
     assert np.array_equal(model.click_probs(sess, [1, 2, 3]),
                           loaded.click_probs(sess, [1, 2, 3]))
+
+
+# ---------------------------------------------------------------------------
+# batched simulator loss against the per-record reference
+# ---------------------------------------------------------------------------
+
+
+def _record_bce(model, rec):
+    """Per-item cross-entropy of one record on its own graph, as the
+    simulator was fitted before losses were batched."""
+    logits = model._logits(UserState(history=tuple((i, 1) for i in rec.history)),
+                           rec.slate)
+    labels = ad.constant(np.asarray(rec.labels, dtype=np.float64))
+    return ad.sub(ad.softplus(logits), ad.mul(labels, logits))
+
+
+def _per_record_loss(model, records):
+    total = None
+    for rec in records:
+        loss = ad.vmean(_record_bce(model, rec))
+        total = loss if total is None else ad.add(total, loss)
+    return ad.scale(total, 1.0 / len(records))
+
+
+def _mixed_records(n=40, seed=0):
+    """Histories of every length 0-10 and slates of lengths 3 and 5."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for r in range(n):
+        history = tuple(int(i) for i in rng.integers(0, 30, size=r % 11))
+        k = 3 if r % 2 else 5
+        slate = tuple(int(i) for i in rng.choice(30, size=k, replace=False))
+        labels = tuple(int(y) for y in rng.random(k) < 0.4)
+        records.append(LogRecord(r % 7, history, slate, labels))
+    return records
+
+
+def _mixed_model(seed=1):
+    """Window 6, shorter than the longest histories; every table trainable."""
+    model = ResponseModel(30, SimFitConfig(embed_dim=8, history_window=6),
+                          np.random.default_rng(seed))
+    model.bias.data = np.asarray(0.3)
+    return model
+
+
+def _loss_and_grads(model, loss_fn):
+    for t in model.tensors().values():
+        t.zero_grad()
+    loss = loss_fn()
+    ad.backward(loss)
+    return float(loss.data), {k: t.grad.copy() for k, t in model.tensors().items()}
+
+
+def test_batch_loss_and_gradients_match_per_record_sum():
+    model, records = _mixed_model(), _mixed_records()
+    assert {len(rec.history) for rec in records} == set(range(11))
+    assert {len(rec.slate) for rec in records} == {3, 5}
+    batched, batched_grads = _loss_and_grads(model, lambda: _batch_loss(model, records))
+    reference, reference_grads = _loss_and_grads(
+        model, lambda: _per_record_loss(model, records))
+    assert abs(batched - reference) <= 1e-12
+    assert batched_grads.keys() == reference_grads.keys()
+    for key, grad in reference_grads.items():
+        assert np.any(grad != 0.0), key
+        assert np.abs(batched_grads[key] - grad).max() <= 1e-12, key
+
+
+def test_encode_batch_rows_match_encode():
+    enc = EncoderParams(EncoderConfig(n_items=30, embed_dim=8, out_dim=6,
+                                      history_window=6), np.random.default_rng(2))
+    rng = np.random.default_rng(3)
+    states = [UserState(history=tuple((int(i), int(b)) for i, b in zip(
+        rng.integers(0, 30, size=n), rng.integers(0, 2, size=n))))
+        for n in [4, 0, 10, 1, 6, 0, 7, 3]]
+    with ad.no_grad():
+        rows = encode_batch(enc, states).data
+        assert rows.shape == (len(states), 6)
+        for row, state in zip(rows, states):
+            single = encode(enc, state).data
+            if state.history:
+                assert np.abs(row - single).max() <= 1e-12
+            else:
+                assert np.array_equal(row, enc.start.data)
+        empty = encode_batch(enc, [UserState(), UserState()]).data
+    assert np.array_equal(empty, np.stack([enc.start.data] * 2))
+    with pytest.raises(UnknownItemError):
+        encode_batch(enc, [UserState(history=((3, 1),)), UserState(history=((30, 1),))])
+
+
+def test_held_out_log_loss_matches_per_record_value():
+    model, records = _mixed_model(seed=4), _mixed_records(n=75, seed=5)
+    assert len(records) > 2 * model.cfg.batch_size
+    with ad.no_grad():
+        total = sum(float(_record_bce(model, rec).data.sum()) for rec in records)
+    count = sum(len(rec.labels) for rec in records)
+    assert abs(held_out_log_loss(model, records) - total / count) <= 1e-12
+
+
+def test_record_with_empty_slate_rejected():
+    with pytest.raises(DataError, match="slate is empty"):
+        LogRecord(0, (1,), (), ())
+
+
+def _nodes_created() -> int:
+    return int(repr(ad._NODE_IDS)[len("count("):-1])
+
+
+# Tape nodes `fit_simulators` creates on a small seeded synthetic catalog:
+# 384 records, 2 epochs of 32-record minibatches, 44 minibatches over both
+# simulators (30306 while every record had its own graph). Node counts do not
+# depend on the machine, so a change in set-up cost shows here exactly; a
+# change that moves the count updates the pin and logs the old and new count.
+FIT_SIMULATOR_NODES = 1734
+
+
+def test_fit_simulators_tape_nodes_pinned():
+    synth = generate_synthetic(SynthConfig(n_items=60, n_users=24,
+                                           slates_per_user=16), seed=11)
+    start = _nodes_created()
+    fit_simulators(synth.records, 60, SimFitConfig(embed_dim=8, epochs=2), seed=12,
+                   item_features=synth.items.vectors)
+    assert _nodes_created() - start == FIT_SIMULATOR_NODES
 
 
 # ---------------------------------------------------------------------------

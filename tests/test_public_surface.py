@@ -23,8 +23,6 @@ OUTSIDE = [ROOT / "tests" / "test_acceptance.py",
 KEPT = {
     "load_codebook": "reader half of the codebook.bin format that `tokenize` writes",
     "load_response_model": "reader half of the sim_*.ckpt format that `fit-sim` writes",
-    "held_out_log_loss": "simulator fit quality, to be reported on every fit (ROADMAP item 6)",
-    "constant_log_loss": "the baseline that fit-quality report compares against",
 }
 
 

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hsrl.checkpoint import load_tensors, save_tensors
-from hsrl.env import load_records
+from hsrl.env import ingest_ml1m_style, load_records
 from hsrl.errors import DataError, FormatError
-from hsrl.tokenizer import Codebook, SidIndex, load_codebook, save_codebook
+from hsrl.tokenizer import (Codebook, ItemEmbeddings, SidIndex, load_codebook,
+                            load_embeddings, save_codebook, save_embeddings)
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=60,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -116,3 +117,65 @@ def test_records_reader_accepts_or_rejects_as_data_error(tmp_path, text):
     path = tmp_path / "records.tsv"
     path.write_text(text, encoding="ascii")
     _read_or_reject(load_records, path)
+
+
+@st.composite
+def catalogs(draw):
+    dim = draw(st.integers(1, 3))
+    ids = sorted(draw(st.sets(st.integers(0, 2 ** 63 - 1), min_size=1, max_size=6)))
+    vectors = draw(arrays(np.float64, (len(ids), dim), elements=finite))
+    return ItemEmbeddings(np.array(ids, dtype=np.int64), vectors)
+
+
+@FUZZ
+@given(items=catalogs())
+def test_embeddings_roundtrip(tmp_path, items):
+    path = tmp_path / "embeddings.tsv"
+    save_embeddings(path, items)
+    loaded = load_embeddings(path)
+    assert loaded.ids.tolist() == items.ids.tolist()
+    assert loaded.vectors.tobytes() == items.vectors.tobytes()
+
+
+item_ids = st.one_of(st.integers(-3, 12).map(str),
+                     st.sampled_from([-2 ** 63 - 1, 2 ** 63 - 1, 2 ** 63]).map(str),
+                     st.text("0123456789-x ", max_size=4))
+values = st.one_of(finite.map(repr), st.sampled_from(["nan", "-inf", "1e400", ""]),
+                   st.text("0123456789.-e ", max_size=4))
+embedding_lines = st.tuples(item_ids, st.lists(values, min_size=1, max_size=2).map(
+    ",".join)).map("\t".join)
+headers = st.sampled_from(["d=1", "d=1", "d=1", "d=2", "d=x", "d=-1", "1"])
+
+
+@FUZZ
+@given(header=headers, body=st.lists(embedding_lines, max_size=4).map("\n".join))
+def test_embeddings_reader_accepts_or_rejects_as_format_error(tmp_path, header,
+                                                              body):
+    path = tmp_path / "embeddings.tsv"
+    path.write_text(header + "\n" + body, encoding="ascii")
+    _read_or_reject(load_embeddings, path)
+
+
+ratings = st.tuples(st.integers(0, 1), st.integers(0, 5), st.integers(1, 5),
+                    st.integers(0, 9)).map(lambda row: "\t".join(map(str, row)))
+rating_fields = st.one_of(st.integers(0, 5).map(str),
+                          st.sampled_from(["-1", str(2 ** 63), str(2 ** 64), "x", ""]))
+
+
+@st.composite
+def ratings_files(draw):
+    """Ratings lines enough for a record or two, with up to two lines replaced
+    by arbitrary fields."""
+    lines = draw(st.lists(ratings, min_size=5, max_size=30))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] = "\t".join(draw(st.lists(rating_fields, max_size=5)))
+    return "\n".join(lines)
+
+
+@FUZZ
+@given(text=ratings_files())
+def test_ratings_reader_accepts_or_rejects_as_data_error(tmp_path, text):
+    path = tmp_path / "ratings.tsv"
+    path.write_text(text, encoding="ascii")
+    _read_or_reject(ingest_ml1m_style, path)
