@@ -272,10 +272,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def back(g):
         if b.ndim > 2:
             return g @ _swap(b.data), _swap(a.data) @ g
-        if a.ndim > 2:
-            return (g @ b.data.T,
-                    a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T,
+                a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
 
     return _node(a.data @ b.data, (a, b), back)
 
@@ -303,29 +301,14 @@ def stack(parts: list[Tensor]) -> Tensor:
     return _node(data, tuple(parts), lambda g: tuple(np.asarray(gi) for gi in g))
 
 
-def embed(table: Tensor, ids) -> Tensor:
-    """Gather rows `ids` of a 2-D table; gradient scatter-adds back."""
-    if table.ndim != 2:
-        raise ShapeError("embed: table must be 2-D")
-    idx = np.asarray(ids, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise ContractError("embed: index out of range")
-
-    def back(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
-        return (gt,)
-
-    return _node(table.data[idx], (table,), back)
-
-
-def gather(x: Tensor, ids) -> Tensor:
-    """Pick entries of a 1-D tensor; duplicate indices accumulate in backward."""
-    if x.ndim != 1:
-        raise ShapeError("gather: expected 1-D tensor")
+def embed(x: Tensor, ids) -> Tensor:
+    """Take rows `ids` along axis 0 of `x` (entries, when `x` is 1-D);
+    the gradient scatter-adds back, so duplicate ids accumulate."""
+    if x.ndim < 1:
+        raise ShapeError("embed: expected at least one axis")
     idx = np.asarray(ids, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise ContractError("gather: index out of range")
+        raise ContractError("embed: index out of range")
 
     def back(g):
         gx = np.zeros_like(x.data)

@@ -5,7 +5,7 @@ then per block: u16 name length, utf-8 name, u8 ndim, u32 dims, float64
 row-major data. Block names are unique, and blocks keep insertion order, so
 save(load(f)) is byte-identical to f. Checkpoints, codebooks and run
 manifests go through `write_atomic`, so a crash mid-write never leaves a
-truncated file.
+truncated file. The tab-separated text inputs are read through `read_lines`.
 """
 
 from __future__ import annotations
@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 import os
 import struct
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, HsrlError
 
 CHECKPOINT_MAGIC = b"HSRLPN1\x00"
 CHECKPOINT_VERSION = 1
@@ -37,6 +38,16 @@ class BinaryReader:
         out = self.blob[self.pos:self.pos + n]
         self.pos += n
         return out
+
+
+def read_lines(path, error: type[HsrlError]) -> Iterator[str]:
+    """Yield the lines of a UTF-8 text file, CRLF and CR line ends read as
+    LF; bytes that are not UTF-8 raise `error` naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def write_atomic(path, data: bytes) -> None:
@@ -94,3 +105,19 @@ def load_tensors(path) -> dict[str, np.ndarray]:
     if rd.pos != len(rd.blob):
         raise FormatError("trailing bytes after checkpoint payload")
     return named
+
+
+def load_into(params: dict, named: dict[str, np.ndarray], label: str) -> None:
+    """Copy each array of `named` into the parameter tensor of the same name.
+    Every name and shape is checked before any tensor is written, so an
+    error leaves all of them as they were."""
+    if set(named) != set(params):
+        raise FormatError(f"{label} does not fit this config: blocks differ "
+                          f"on {sorted(set(params) ^ set(named))}")
+    for name, tensor in params.items():
+        if named[name].shape != tensor.data.shape:
+            raise FormatError(f"{label} does not fit this config: block {name} "
+                              f"has shape {named[name].shape}, expected "
+                              f"{tensor.data.shape}")
+    for name, tensor in params.items():
+        tensor.data = named[name].copy()

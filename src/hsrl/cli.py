@@ -24,8 +24,7 @@ from . import trainer as tr_mod
 from .checkpoint import load_tensors, save_tensors
 from .config import (Manifest, RunConfig, apply_seed_overrides, default_config,
                      load_config)
-from .errors import (ConfigError, ContractError, DataError, FormatError,
-                     NumericsError)
+from .errors import ConfigError, DataError, FormatError, NumericsError
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -55,12 +54,12 @@ def _synthesize(cfg: RunConfig, out: Path) -> env_mod.SyntheticDataset:
 
 
 def _read(load, path, what: str):
-    """`load(path)`; a file it cannot open or decode is a data error."""
+    """`load(path)`; a file it cannot open is a data error."""
     try:
         return load(path)
     except FileNotFoundError:
         raise DataError(f"{what} not found: {path}") from None
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from None
 
 
@@ -219,17 +218,14 @@ def cmd_train(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_eval(cfg: RunConfig, out: Path, args) -> int:
-    ctx = _build_context(cfg, out, args.manifest)
     ckpt = Path(args.checkpoint) if args.checkpoint else out / "agent.ckpt"
     named = _read(load_tensors, ckpt, "checkpoint")
+    ctx = _build_context(cfg, out, args.manifest)
     train_cfg = cfg.train_config()
     seed = cfg["seeds"]["agent"]
     agent = tr_mod.Agent(ctx.policy_cfg, ctx.critic_cfg, train_cfg, ctx.index,
                          ctx.catalog, seed, ctx.codebook, ctx.item_features)
-    try:
-        agent.load_arrays(named)
-    except ContractError as exc:
-        raise DataError(f"checkpoint does not fit this config: {exc}") from exc
+    agent.load_arrays(named)
     episodes = tr_mod.evaluate(agent, ctx.eval_env, train_cfg.eval_episodes,
                                seed, tr_mod._FINAL_EVAL_TAG)
     row = tr_mod._summary_row(0, episodes, seed)

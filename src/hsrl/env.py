@@ -20,10 +20,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .checkpoint import load_tensors, save_tensors
+from .checkpoint import load_into, load_tensors, read_lines, save_tensors
 from .encoder import (EncoderConfig, EncoderParams, UserState, encode,
                       encode_batch)
-from .errors import ConfigError, ContractError, DataError, FormatError
+from .errors import ConfigError, ContractError, DataError
 from .optim import Optimizer
 from .tokenizer import ItemEmbeddings
 
@@ -216,16 +216,9 @@ def save_response_model(path, model: ResponseModel) -> None:
 
 
 def load_response_model(path, n_items: int, cfg: SimFitConfig) -> ResponseModel:
-    named = load_tensors(path)
     model = ResponseModel(n_items, cfg, np.random.default_rng(0))
-    own = model.tensors()
-    if set(named) != {f"sim/{k}" for k in own}:
-        raise FormatError("simulator checkpoint blocks do not match the config")
-    for key, tensor in own.items():
-        arr = named[f"sim/{key}"]
-        if arr.shape != tensor.data.shape:
-            raise FormatError(f"simulator block sim/{key} has wrong shape")
-        tensor.data = arr.copy()
+    load_into({f"sim/{k}": v for k, v in model.tensors().items()},
+              load_tensors(path), "simulator checkpoint")
     return model
 
 
@@ -319,21 +312,20 @@ def ingest_ml1m_style(path) -> tuple[list[LogRecord], list[int]]:
     consecutive length-10 slates with prior positives as history. Trailing
     segments shorter than 10 are dropped."""
     per_user: dict[int, list[tuple[int, int, int, int]]] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataError(f"ratings line {lineno}: expected 4 tab-separated "
-                                f"fields, got {len(parts)}")
-            try:
-                user, item, rating, ts = (int(parts[0]), int(parts[1]),
-                                          int(parts[2]), int(parts[3]))
-            except ValueError:
-                raise DataError(f"ratings line {lineno}: non-integer field") from None
-            per_user.setdefault(user, []).append((ts, lineno, item, rating))
+    for lineno, line in enumerate(read_lines(path, DataError), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise DataError(f"ratings line {lineno}: expected 4 tab-separated "
+                            f"fields, got {len(parts)}")
+        try:
+            user, item, rating, ts = (int(parts[0]), int(parts[1]),
+                                      int(parts[2]), int(parts[3]))
+        except ValueError:
+            raise DataError(f"ratings line {lineno}: non-integer field") from None
+        per_user.setdefault(user, []).append((ts, lineno, item, rating))
 
     staged = []  # (start_ts, user, seq, record)
     catalog: set[int] = set()
@@ -365,26 +357,25 @@ def save_records(path, records: list[LogRecord]) -> None:
 
 def load_records(path) -> list[LogRecord]:
     records = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataError(f"records line {lineno}: expected 4 fields")
-            try:
-                user = int(parts[0])
-                history = () if parts[1] == "-" else tuple(
-                    int(i) for i in parts[1].split(","))
-                slate = tuple(int(i) for i in parts[2].split(","))
-                labels = tuple(int(y) for y in parts[3].split(","))
-            except ValueError:
-                raise DataError(f"records line {lineno}: non-integer field") from None
-            try:
-                records.append(LogRecord(user, history, slate, labels))
-            except DataError as exc:
-                raise DataError(f"records line {lineno}: {exc}") from None
+    for lineno, line in enumerate(read_lines(path, DataError), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise DataError(f"records line {lineno}: expected 4 fields")
+        try:
+            user = int(parts[0])
+            history = () if parts[1] == "-" else tuple(
+                int(i) for i in parts[1].split(","))
+            slate = tuple(int(i) for i in parts[2].split(","))
+            labels = tuple(int(y) for y in parts[3].split(","))
+        except ValueError:
+            raise DataError(f"records line {lineno}: non-integer field") from None
+        try:
+            records.append(LogRecord(user, history, slate, labels))
+        except DataError as exc:
+            raise DataError(f"records line {lineno}: {exc}") from None
     if not records:
         raise DataError(f"no records in {path}")
     return records

@@ -7,6 +7,9 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import NumericsError
 
+BETA1, BETA2 = 0.9, 0.999  # decay rates of the first and second moments
+EPS = 1e-8
+
 
 class Optimizer:
     """Adam update over a fixed parameter list.
@@ -16,14 +19,11 @@ class Optimizer:
     accumulated moment state.
     """
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float = 1e-3):
         if lr <= 0.0:
             raise ValueError("learning rate must be positive")
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -43,8 +43,8 @@ class Optimizer:
             g = p.grad
             if g is None or not g.any():
                 continue
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * g * g
-            mhat = self._m[i] / (1.0 - self.beta1 ** t)
-            vhat = self._v[i] / (1.0 - self.beta2 ** t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            self._m[i] = BETA1 * self._m[i] + (1.0 - BETA1) * g
+            self._v[i] = BETA2 * self._v[i] + (1.0 - BETA2) * g * g
+            mhat = self._m[i] / (1.0 - BETA1 ** t)
+            vhat = self._v[i] / (1.0 - BETA2 ** t)
+            p.data -= self.lr * mhat / (np.sqrt(vhat) + EPS)

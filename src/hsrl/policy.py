@@ -160,9 +160,9 @@ def per_item_log_probs(output: PolicyOutput, sids) -> Tensor:
     if len(sids) < 1:
         raise ContractError("slate must hold at least one SID")
     z = np.array([_check_sid(output, sid) for sid in sids], dtype=np.int64)
-    total = ad.gather(output.log_probs[0], z[:, 0])
+    total = ad.embed(output.log_probs[0], z[:, 0])
     for lvl in range(1, z.shape[1]):
-        total = ad.add(total, ad.gather(output.log_probs[lvl], z[:, lvl]))
+        total = ad.add(total, ad.embed(output.log_probs[lvl], z[:, lvl]))
     return total
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import BinaryReader, write_atomic
+from .checkpoint import BinaryReader, read_lines, write_atomic
 from .errors import (DataError, FormatError, ShapeError, UnknownItemError,
                      VocabTooLargeError)
 
@@ -314,32 +314,32 @@ def save_embeddings(path, items: ItemEmbeddings) -> None:
 
 
 def load_embeddings(path) -> ItemEmbeddings:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("d="):
-            raise FormatError("embeddings file must start with a d=<int> header")
+    lines = read_lines(path, FormatError)
+    header = next(lines, "").strip()
+    if not header.startswith("d="):
+        raise FormatError("embeddings file must start with a d=<int> header")
+    try:
+        dim = int(header[2:])
+    except ValueError:
+        raise FormatError(f"bad embeddings header: {header!r}") from None
+    ids, rows = [], []
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
         try:
-            dim = int(header[2:])
+            item, csv = line.split("\t")
+            item_id = int(item)
+            vec = [float(v) for v in csv.split(",")]
         except ValueError:
-            raise FormatError(f"bad embeddings header: {header!r}") from None
-        ids, rows = [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                item, csv = line.split("\t")
-                item_id = int(item)
-                vec = [float(v) for v in csv.split(",")]
-            except ValueError:
-                raise FormatError(f"embeddings line {lineno} is malformed") from None
-            if not -2 ** 63 <= item_id < 2 ** 63:
-                raise FormatError(f"embeddings line {lineno}: id {item_id} "
-                                  f"does not fit int64")
-            if len(vec) != dim:
-                raise FormatError(f"embeddings line {lineno}: expected {dim} values")
-            ids.append(item_id)
-            rows.append(vec)
+            raise FormatError(f"embeddings line {lineno} is malformed") from None
+        if not -2 ** 63 <= item_id < 2 ** 63:
+            raise FormatError(f"embeddings line {lineno}: id {item_id} "
+                              f"does not fit int64")
+        if len(vec) != dim:
+            raise FormatError(f"embeddings line {lineno}: expected {dim} values")
+        ids.append(item_id)
+        rows.append(vec)
     if not ids:
         raise DataError("embeddings file holds no items")
     return ItemEmbeddings(np.array(ids), np.array(rows))

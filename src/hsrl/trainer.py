@@ -20,6 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .checkpoint import load_into
 from .critic import (CriticConfig, CriticParams, TargetCritic,
                      trajectory_value, weight_snapshot)
 from .encoder import UserState
@@ -159,14 +160,7 @@ class Agent:
         return {name: t.data for name, t in self._blocks().items()}
 
     def load_arrays(self, named: dict[str, np.ndarray]) -> None:
-        own = self._blocks()
-        if set(named) != set(own):
-            missing = sorted(set(own) ^ set(named))
-            raise ContractError(f"checkpoint blocks do not match agent: {missing}")
-        for name, arr in named.items():
-            if own[name].data.shape != arr.shape:
-                raise ContractError(f"shape mismatch on block {name}")
-            own[name].data = arr.copy()
+        load_into(self._blocks(), named, "checkpoint")
         self.target.hard_sync(self.critic)
 
     def weight_columns(self) -> np.ndarray:

@@ -86,7 +86,7 @@ def test_log_softmax_gradient():
     for _ in range(TRIALS):
         x = _param(rng, (9,))
         i = int(rng.integers(9))
-        check_gradients(lambda: ad.vsum(ad.gather(ad.log_softmax(x), [i])), [x],
+        check_gradients(lambda: ad.vsum(ad.embed(ad.log_softmax(x), [i])), [x],
                         rtol=1e-4)
 
 
@@ -237,7 +237,7 @@ def test_embed_gather_gradients():
     def loss():
         rows = ad.embed(table, [0, 2, 2, 5])
         pooled = ad.mean_rows(rows)
-        joined = ad.add(pooled, ad.gather(vec, [2, 0, 0, 1]))
+        joined = ad.add(pooled, ad.embed(vec, [2, 0, 0, 1]))  # 1-D: entries
         return ad.vmean(ad.mul(joined, joined))
 
     check_gradients(loss, [table, vec], rtol=1e-4)
@@ -248,6 +248,11 @@ def test_embed_rejects_out_of_range_ids(ids):
     table = ad.parameter((6, 3), np.random.default_rng(0), 0.1)
     with pytest.raises(ContractError):
         ad.embed(table, ids)
+
+
+def test_embed_rejects_a_scalar():
+    with pytest.raises(ShapeError):
+        ad.embed(ad.constant(1.0), [0])
 
 
 def test_stack_softplus_add_scalar_gradients():

@@ -248,6 +248,12 @@ def test_manifest_records_simulator_fit_quality(tmp_path, untrained_checkpoint,
     }
 
 
+def _assert_no_context_built(out):
+    """An eval that fails on its checkpoint fits and writes nothing."""
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    assert "simulator_fit" not in json.loads((out / "manifest.json").read_text())
+
+
 def test_eval_checkpoint_with_overflowing_block_shape_fails_as_data_error(
         tmp_path, config_path, capsys):
     ckpt = tmp_path / "agent.ckpt"
@@ -258,11 +264,14 @@ def test_eval_checkpoint_with_overflowing_block_shape_fails_as_data_error(
                 "--checkpoint", ckpt) == 3
     assert "checkpoint truncated while reading block a data" in capsys.readouterr().err
     assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+    _assert_no_context_built(out)
 
 
 def test_eval_missing_checkpoint(tmp_path, config_path):
-    assert _run("eval", "--config", config_path, "--out", tmp_path / "e",
+    out = tmp_path / "e"
+    assert _run("eval", "--config", config_path, "--out", out,
                 "--checkpoint", tmp_path / "nope.ckpt") == 3
+    _assert_no_context_built(out)
 
 
 def test_eval_checkpoint_directory_fails_as_data_error(tmp_path, config_path,
@@ -274,6 +283,7 @@ def test_eval_checkpoint_directory_fails_as_data_error(tmp_path, config_path,
                 "--checkpoint", ckpt) == 3
     assert capsys.readouterr().err.startswith(f"data error: cannot read checkpoint {ckpt}")
     assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+    _assert_no_context_built(out)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hsrl.env import (CLICK_SIGNAL, NO_CLICK_SIGNAL, EnvConfig, Environment,
                       held_out_log_loss, ingest_ml1m_style, load_records,
                       load_response_model, make_user_pool, save_records,
                       save_response_model)
-from hsrl.errors import ContractError, DataError, UnknownItemError
+from hsrl.errors import ContractError, DataError, FormatError, UnknownItemError
 from hsrl.policy import PolicyConfig, PolicyParams
 from hsrl.tokenizer import load_embeddings, save_embeddings
 
@@ -231,6 +231,17 @@ def test_response_model_checkpoint_roundtrip(tmp_path):
     sess = _session(history=((1, 1), (2, 1)))
     assert np.array_equal(model.click_probs(sess, [1, 2, 3]),
                           loaded.click_probs(sess, [1, 2, 3]))
+
+
+@pytest.mark.parametrize("n_items, embed_dim", [(21, 8), (20, 6)])
+def test_simulator_checkpoint_that_does_not_fit_names_block(tmp_path, n_items,
+                                                             embed_dim):
+    path = tmp_path / "sim.ckpt"
+    save_response_model(path, fit_response_model(
+        _tiny_records(), 20, SimFitConfig(embed_dim=8, epochs=1), 5))
+    with pytest.raises(FormatError, match="^simulator checkpoint does not fit "
+                                          "this config: block sim/enc/item_emb "):
+        load_response_model(path, n_items, SimFitConfig(embed_dim=embed_dim))
 
 
 # ---------------------------------------------------------------------------

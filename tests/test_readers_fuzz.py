@@ -3,11 +3,13 @@
 A file the writer produced reads back to the same values, and a damaged
 file (truncated, with flipped bytes, or with bytes appended) either reads
 or fails with `FormatError` or `DataError`, never with another exception.
+The text readers get arbitrary bytes too, most of them not UTF-8.
 Examples are derived from the test source, not drawn at random, and no
 example database is written.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -179,3 +181,40 @@ def test_ratings_reader_accepts_or_rejects_as_data_error(tmp_path, text):
     path = tmp_path / "ratings.tsv"
     path.write_text(text, encoding="ascii")
     _read_or_reject(ingest_ml1m_style, path)
+
+
+TEXT_READERS = [load_embeddings, load_records, ingest_ml1m_style]
+
+
+@pytest.mark.parametrize("load", TEXT_READERS)
+@FUZZ
+@given(blob=st.binary(max_size=64))
+def test_text_readers_accept_or_reject_any_bytes(tmp_path, load, blob):
+    path = tmp_path / "input.tsv"
+    path.write_bytes(blob)
+    _read_or_reject(load, path)
+
+
+@pytest.mark.parametrize("load, error", zip(TEXT_READERS,
+                                            [FormatError, DataError, DataError]))
+def test_text_readers_reject_non_utf8_naming_the_path(tmp_path, load, error):
+    path = tmp_path / "input.tsv"
+    path.write_bytes(b"\xb0\t0\t1\t0\n")
+    with pytest.raises(error, match="is not UTF-8 text") as info:
+        load(path)
+    assert str(path) in str(info.value)
+
+
+RATINGS = "".join(f"7\t{i}\t{1 + i % 5}\t{100 + i}\n" for i in range(10))
+
+
+@pytest.mark.parametrize("load, text", [
+    (load_embeddings, "d=2\n0\t1.5,2.0\n3\t-1.0,4.25\n"),
+    (load_records, "1\t-\t3,4\t1,0\n2\t3\t5,6\t0,1\n"),
+    (ingest_ml1m_style, RATINGS),
+])
+def test_text_readers_read_crlf_as_lf(tmp_path, load, text):
+    unix, dos = tmp_path / "unix.tsv", tmp_path / "dos.tsv"
+    unix.write_bytes(text.encode())
+    dos.write_bytes(text.replace("\n", "\r\n").encode())
+    assert repr(load(dos)) == repr(load(unix))

@@ -9,7 +9,7 @@ import hsrl.autodiff as ad
 from hsrl.critic import CriticConfig, aggregate, per_level_values
 from hsrl.encoder import UserState
 from hsrl.env import EnvConfig, Environment, LogRecord, make_user_pool
-from hsrl.errors import ConfigError, ContractError
+from hsrl.errors import ConfigError, ContractError, FormatError
 from hsrl.policy import PolicyConfig, encode_state, forward
 from hsrl.tokenizer import SidIndex
 from hsrl.trainer import (Agent, TrainConfig, advantage, bc_loss, entropy_term,
@@ -587,6 +587,41 @@ def test_train_step_polyak_averages_target():
     train_step(agent, _fake_transitions(agent, _env(), n=2, seed=32))
     for k, v in agent.critic.tensors().items():
         assert np.array_equal(frozen[k].data, 0.25 * v.data + 0.75 * t0[k])
+
+
+def _agent_state(agent):
+    return ({k: v.copy() for k, v in agent.tensors().items()},
+            {k: t.data.copy() for k, t in agent.target.params.tensors().items()})
+
+
+def test_load_arrays_copies_every_block_and_syncs_target():
+    agent, other = _agent(seed=0), _agent(seed=1)
+    named = {k: v + 1.0 for k, v in other.tensors().items()}
+    agent.load_arrays(named)
+    live, target = _agent_state(agent)
+    for k, v in named.items():
+        assert np.array_equal(live[k], v)
+    for k, v in target.items():
+        assert np.array_equal(v, live[f"mlc/{k}"])
+
+
+@pytest.mark.parametrize("damage", ["shape", "missing", "extra"])
+def test_checkpoint_that_does_not_fit_changes_no_tensor(damage):
+    agent = _agent(seed=0)
+    named = {k: v + 1.0 for k, v in _agent(seed=1).tensors().items()}
+    last = list(named)[-1]  # blocks before it are valid
+    if damage == "shape":
+        named[last] = np.zeros(named[last].shape + (1,))
+    elif damage == "missing":
+        del named[last]
+    else:
+        named["mlc/extra"] = np.zeros(2)
+    before = _agent_state(agent)
+    with pytest.raises(FormatError, match="^checkpoint does not fit this config"):
+        agent.load_arrays(named)
+    for old, now in zip(before, _agent_state(agent)):
+        assert old.keys() == now.keys()
+        assert all(np.array_equal(old[k], now[k]) for k in old)
 
 
 # ---------------------------------------------------------------------------
