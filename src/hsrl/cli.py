@@ -82,6 +82,10 @@ def _load_dataset(cfg: RunConfig, out: Path):
     if not data["embeddings_path"]:
         raise DataError("data.source=files needs data.embeddings_path")
     items = _read(tok_mod.load_embeddings, data["embeddings_path"], "embeddings file")
+    slate_size = cfg["env"]["slate_size"]
+    if slate_size > len(items):
+        raise DataError(f"slate size {slate_size} exceeds the {len(items)} "
+                        f"items of the embeddings catalog")
     if data["records_path"]:
         records = _read(env_mod.load_records, data["records_path"], "records file")
     elif data["ratings_path"]:

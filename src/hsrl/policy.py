@@ -182,16 +182,19 @@ def _raw_scores(output: PolicyOutput, index: SidIndex, candidates) -> np.ndarray
 
 def select_slate(output: PolicyOutput, index: SidIndex, candidates, k: int,
                  mode: str, rng: np.random.Generator | None = None) -> list[int]:
-    """Pick k of the candidate item ids in one numpy pass over their scores.
+    """Pick k (1 <= k <= len(candidates)) of the candidate item ids.
 
-    `greedy` takes the k best by score, ties broken by ascending item id.
-    `sample` draws k without replacement in proportion to score; when fewer
-    than k candidates have mass it takes those (in sampled order) and pads
-    with the first zero-score candidates in candidate order. Every candidate
-    must be in the index (`UnknownItemError` names the first that is not).
+    `greedy` takes the k best by score, ties broken by ascending item id: a
+    linear-time partial selection finds the k-th best score, and only the
+    candidates scoring at least that much are sorted. `sample` draws k
+    without replacement in proportion to score; when fewer than k candidates
+    have mass it takes those (in sampled order) and pads with the first
+    zero-score candidates in candidate order. Every candidate must be in the
+    index (`UnknownItemError` names the first that is not).
     """
-    if k > len(candidates):
-        raise ContractError(f"slate size {k} exceeds {len(candidates)} candidates")
+    if not 1 <= k <= len(candidates):
+        raise ContractError(f"slate size {k} is not in 1..{len(candidates)} "
+                            f"(the number of candidates)")
     if mode not in ("greedy", "sample"):
         raise ContractError(f"unknown slate mode {mode!r}")
     if mode == "sample" and rng is None:
@@ -200,8 +203,10 @@ def select_slate(output: PolicyOutput, index: SidIndex, candidates, k: int,
     scores = _raw_scores(output, index, candidates)
     ids = np.asarray(candidates, dtype=np.int64)
     if mode == "greedy":
-        # score descending, ties broken by ascending item id
-        return ids[np.lexsort((ids, -scores))[:k]].tolist()
+        # Nothing scoring below the k-th best score can make the slate; the
+        # rest are ranked by score descending, ties by ascending item id.
+        top = np.flatnonzero(scores >= np.partition(scores, -k)[-k])
+        return ids[top[np.lexsort((ids[top], -scores[top]))[:k]]].tolist()
     total = scores.sum()
     if total <= 0.0:
         return ids[rng.choice(len(ids), size=k, replace=False)].tolist()

@@ -408,6 +408,23 @@ def _fit_sim_with_edited_record(tmp_path, config_path, field, value):
     return _run("fit-sim", "--config", files_cfg, "--out", out), out
 
 
+def test_slate_larger_than_files_catalog_fails_before_fitting(tmp_path, capsys):
+    (tmp_path / "embeddings.tsv").write_text(
+        "d=2\n0\t1.0,0.0\n1\t0.0,1.0\n2\t1.0,1.0\n")
+    (tmp_path / "records.tsv").write_text(
+        "".join(f"{u}\t-\t0,1,2\t1,0,1\n{u}\t0,1\t2,0,1\t0,1,0\n"
+                for u in range(4)))
+    cfg = _files_config(tmp_path, embeddings_path=tmp_path / "embeddings.tsv",
+                        records_path=tmp_path / "records.tsv")
+    cfg.write_text(cfg.read_text().replace("slate_size = 3", "slate_size = 4"))
+    out = tmp_path / "run"
+    assert _run("train", "--config", cfg, "--out", out) == 3
+    assert capsys.readouterr().err == (
+        "data error: slate size 4 exceeds the 3 items of the embeddings catalog\n")
+    assert not (out / "codebook.bin").exists()
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+
 @pytest.mark.parametrize("bad_item", [999, -1])
 def test_records_naming_unknown_items_fail_as_data_error(tmp_path, config_path,
                                                           capsys, bad_item):

@@ -244,8 +244,11 @@ def test_select_all_candidates_greedy_orders_by_score():
 
 def test_select_more_than_candidates_rejected():
     out = _output(_params(seed=28))
-    with pytest.raises(ContractError):
-        select_slate(out, _index(), [0, 1], 3, "greedy")
+    for k in (3, 0, -1):
+        for mode in ("greedy", "sample"):
+            with pytest.raises(ContractError, match=f"slate size {k} is not"):
+                select_slate(out, _index(), [0, 1], k, mode,
+                             np.random.default_rng(0))
 
 
 def test_select_greedy_repeatable():
@@ -342,10 +345,12 @@ def _slate_case(seed, live_tokens):
 
 
 # (seed, live tokens per level): full support, partial zero mass, and mass on
-# so few SIDs that fewer than k candidates (or none) can be drawn
+# so few SIDs that fewer than k candidates (or none) can be drawn; the last
+# case ties 17 candidates at the 5th-best score, some on a shared SID
 SLATE_CASES = [(s, (4, 3, 5)) for s in range(4)] + [
     (s, (2, 2, 3)) for s in range(4, 8)] + [
-    (s, (1, 1, 1)) for s in range(8, 12)]
+    (s, (1, 1, 1)) for s in range(8, 12)] + [
+    (13, (4, 3, 5))]
 
 
 @pytest.mark.parametrize("seed, live", SLATE_CASES)
@@ -354,7 +359,7 @@ def test_array_path_matches_loop_reference(seed, live):
     scores = _raw_scores(out, index, ids)
     assert scores.tobytes() == _loop_scores(out, index, ids).tobytes()
     catalog = np.array(ids, dtype=np.int64)  # as `Agent.catalog` holds it
-    for k in (1, 5, N_CANDIDATES):
+    for k in range(1, N_CANDIDATES + 1):
         for mode in ("greedy", "sample"):
             got = select_slate(out, index, catalog, k, mode,
                                np.random.default_rng(seed))
@@ -362,6 +367,20 @@ def test_array_path_matches_loop_reference(seed, live):
                                       np.random.default_rng(seed))
             assert got == want
             assert all(type(i) is int for i in got)
+
+
+def test_tie_case_straddles_the_greedy_cut():
+    """Greedy must keep the lowest ids among the candidates tied at the k-th
+    best score; in the last case that tie crosses the cut at k = 5, and a
+    candidate left out shares its SID with one kept."""
+    out, index, ids = _slate_case(*SLATE_CASES[-1])
+    ranked = _loop_score_candidates(out, index, ids)
+    kth = ranked[4][1]
+    kept = [i for i, s in ranked[:5] if s == kth]
+    dropped = [i for i, s in ranked[5:] if s == kth]
+    assert kth > 0.0 and kept and dropped
+    assert {index.sid_of(i) for i in kept} & {index.sid_of(i) for i in dropped}
+    assert ids != sorted(ids) and max(ids) - min(ids) >= N_CANDIDATES
 
 
 def test_loop_reference_cases_reach_every_sample_branch():
