@@ -4,15 +4,21 @@ Every primitive records its output as a node holding parent links and a
 closure computing parent gradients; the graph is rebuilt on every forward
 pass, so episode structure can vary freely between steps. Node ids are
 assigned from a monotone counter, which makes creation order a valid
-topological order: `backward` visits reachable nodes once, in decreasing
-id order, and accumulates gradients into parameter leaves.
+topological order: every consumer has a larger id than what it consumes.
+`backward` keeps the nodes holding a pending gradient on a heap and pops
+the largest id, so it visits each node that receives a gradient once,
+after all of that node's consumers, and accumulates into parameter leaves.
 
 All data is float64. Any primitive producing a NaN or Inf raises
-NumericsError immediately rather than letting poison propagate.
+NumericsError immediately rather than letting poison propagate. The check
+sums the entries first: NaN and +-Inf always carry through a sum, so a
+finite sum proves every entry finite. Only a sum that is not finite (which
+finite entries reach by overflowing) falls back to testing each entry.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from contextlib import contextmanager
@@ -44,7 +50,8 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(arr).all():
+        if (not math.isfinite(arr if arr.ndim == 0 else np.add.reduce(arr, None))
+                and not np.isfinite(arr).all()):
             raise NumericsError("tensor holds NaN/Inf values")
         self.data = arr
         self.requires_grad = requires_grad
@@ -110,8 +117,10 @@ def constant(data) -> Tensor:
 
 
 def _node(data, parents, backward_fn) -> Tensor:
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, _parents=parents, _backward=backward_fn)
+    if _GRAD_ENABLED:
+        for p in parents:
+            if p.requires_grad:
+                return Tensor(data, True, parents, backward_fn)
     return Tensor(data)
 
 
@@ -126,21 +135,11 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         raise ContractError("loss is not connected to any parameter")
 
-    seen = {loss._nid: loss}
-    stack = [loss]
-    while stack:
-        node = stack.pop()
-        for p in node._parents:
-            if p.requires_grad and p._nid not in seen:
-                seen[p._nid] = p
-                stack.append(p)
-    order = sorted(seen.values(), key=lambda n: n._nid, reverse=True)
-
-    pending: dict[int, np.ndarray] = {loss._nid: np.asarray(1.0)}
-    for node in order:
-        g = pending.pop(node._nid, None)
-        if g is None:
-            continue
+    # node id -> (node, gradient summed so far); the heap holds negated ids
+    pending: dict[int, tuple[Tensor, np.ndarray]] = {loss._nid: (loss, np.asarray(1.0))}
+    heap = [-loss._nid]
+    while heap:
+        node, g = pending.pop(-heapq.heappop(heap))
         if node._backward is None:
             if not np.isfinite(g).all():
                 raise NumericsError("non-finite gradient reached a parameter")
@@ -149,10 +148,12 @@ def backward(loss: Tensor) -> None:
         for p, pg in zip(node._parents, node._backward(g)):
             if pg is None or not p.requires_grad:
                 continue
-            if p._nid in pending:
-                pending[p._nid] = pending[p._nid] + pg
+            nid = p._nid
+            if nid in pending:
+                pending[nid] = (p, pending[nid][1] + pg)
             else:
-                pending[p._nid] = pg
+                pending[nid] = (p, pg)
+                heapq.heappush(heap, -nid)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +210,7 @@ def vmean(a: Tensor) -> Tensor:
     n = a.data.size
     if n == 0:
         raise ShapeError("mean of empty tensor")
-    return _node(a.data.mean(), (a,), lambda g: (np.full_like(a.data, float(g) / n),))
+    return _node(a.data.sum() / n, (a,), lambda g: (np.full_like(a.data, float(g) / n),))
 
 
 def mean_rows(a: Tensor) -> Tensor:
@@ -217,7 +218,7 @@ def mean_rows(a: Tensor) -> Tensor:
     if a.ndim != 2:
         raise ShapeError(f"mean_rows: expected 2-D, got {a.shape}")
     n = a.shape[0]
-    return _node(a.data.mean(axis=0), (a,), lambda g: (np.tile(g / n, (n, 1)),))
+    return _node(a.data.sum(axis=0) / n, (a,), lambda g: (np.tile(g / n, (n, 1)),))
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
@@ -361,14 +362,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError("layer_norm: expected 1-D input with length >= 2")
     _same_shape(x, gain, "layer_norm")
     _same_shape(x, bias, "layer_norm")
-    mu = x.data.mean()
-    var = ((x.data - mu) ** 2).mean()
+    n = x.shape[0]
+    mu = x.data.sum() / n
+    var = ((x.data - mu) ** 2).sum() / n
     inv = 1.0 / math.sqrt(var + LAYER_NORM_EPS)
     xhat = (x.data - mu) * inv
 
     def back(g):
         h = g * gain.data
-        gx = (h - h.mean() - xhat * (h * xhat).mean()) * inv
+        gx = (h - h.sum() / n - xhat * ((h * xhat).sum() / n)) * inv
         return gx, g * xhat, g
 
     return _node(gain.data * xhat + bias.data, (x, gain, bias), back)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import hsrl.autodiff as ad
 from hsrl.errors import ContractError, NumericsError, ShapeError
@@ -192,6 +195,68 @@ def test_shared_node_gradient_accumulates_once():
     y = ad.mul(x, x)
     ad.backward(ad.vsum(y))
     assert np.allclose(x.grad, [6.0])
+
+
+def test_gradients_sum_in_decreasing_consumer_id_order():
+    # `s` has three consumers created between the nodes of an unrelated
+    # branch, and `w` is reached through `s` and directly through `d`.
+    rng = np.random.default_rng(21)
+    w = _param(rng, (64,))
+    v = _param(rng, (64,))
+    k = rng.normal(size=64)
+    s = ad.tanh(w)
+    c1 = ad.scale(s, 3.0)
+    u1 = ad.tanh(v)
+    c2 = ad.mul(s, ad.constant(k))
+    u2 = ad.scale(u1, 2.0)
+    c3 = ad.sigmoid(s)
+    d = ad.scale(w, -0.7)
+    ad.backward(ad.vsum(ad.add(ad.add(ad.add(ad.add(c1, c2), c3), d), u2)))
+
+    sig = c3.data
+    g_s = (sig * (1.0 - sig) + k) + 3.0  # from c3, then c2, then c1
+    g_w = np.full(64, -0.7) + g_s * (1.0 - s.data * s.data)  # d, then s
+    assert np.array_equal(w.grad, g_w)
+    assert np.array_equal(v.grad, 2.0 * (1.0 - u1.data * u1.data))
+
+
+def test_backward_of_a_parameter_leaf_loss():
+    p = ad.parameter(np.asarray(1.5))
+    ad.backward(p)
+    ad.backward(p)
+    assert p.grad.shape == () and p.grad == 2.0
+
+
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+finite_arrays = st.sampled_from([(), (1,), (5,), (3, 4), (1, 6)]).flatmap(
+    lambda shape: arrays(np.float64, shape,
+                         elements=st.floats(allow_nan=False, allow_infinity=False)))
+
+
+@FUZZ
+@given(base=finite_arrays, where=st.integers(0, 23),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_finite_check_finds_one_bad_entry_anywhere(base, where, bad):
+    poisoned = base.copy()
+    poisoned.flat[where % base.size] = bad
+    with np.errstate(over="ignore", invalid="ignore"):
+        for make in (ad.constant, ad.parameter):
+            with pytest.raises(NumericsError):
+                make(poisoned)
+        x = ad.parameter(base)
+        x.data[...] = poisoned  # bypass the check to poison a primitive's input
+        with pytest.raises(NumericsError):
+            ad.scale(x, 1.0)
+
+
+@pytest.mark.parametrize("data", [[1e308, 1e308], [-1e308, -1e308],
+                                  [[1e308], [1e308]]])
+def test_finite_check_accepts_a_sum_that_overflows(data):
+    with np.errstate(over="ignore"):
+        for make in (ad.constant, ad.parameter):
+            assert np.array_equal(make(data).data, data)
+        assert np.array_equal(ad.scale(ad.parameter(data), 1.0).data, data)
 
 
 def test_nan_inputs_rejected():
