@@ -13,6 +13,7 @@ across the actor/critic boundary.
 from __future__ import annotations
 
 import csv
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from statistics import median
 
@@ -218,6 +219,8 @@ def train_step(agent: Agent, transitions: list[Transition]) -> dict:
     entropy_weight = (0.0 if cfg.variant in ("no_entropy", "bc_only")
                       else cfg.lambda_entropy)
     use_bc = cfg.lambda_bc > 0.0 and cfg.variant != "no_bc"
+    # an unweighted term is only reported, so it stays off the tape
+    ent_tape = nullcontext if entropy_weight else ad.no_grad
 
     critic_terms, pg_terms, ent_terms, bc_terms = [], [], [], []
 
@@ -240,7 +243,8 @@ def train_step(agent: Agent, transitions: list[Transition]) -> dict:
             critic_terms.append(ad.mul(diff, diff))
             pg_terms.append(ad.scale(slate_log_prob(out, tr.sids), -adv))
         # reported for every variant; weighted into the loss when it is on
-        ent_terms.append(entropy_term(out))
+        with ent_tape():
+            ent_terms.append(entropy_term(out))
 
         if use_bc or bc_only:
             term = bc_loss(out, tr.sids, tr.feedback)
@@ -255,7 +259,8 @@ def train_step(agent: Agent, transitions: list[Transition]) -> dict:
                                ("loss_BC", bc_terms, cfg.lambda_bc)):
         if not parts:
             continue
-        mean = _batch_mean(parts, batch)
+        with nullcontext() if weight else ad.no_grad():
+            mean = _batch_mean(parts, batch)
         report[key] = float(mean.data)
         if weight != 0.0:
             part = ad.scale(mean, weight) if weight != 1.0 else mean
