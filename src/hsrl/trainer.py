@@ -219,8 +219,6 @@ def train_step(agent: Agent, transitions: list[Transition]) -> dict:
     entropy_weight = (0.0 if cfg.variant in ("no_entropy", "bc_only")
                       else cfg.lambda_entropy)
     use_bc = cfg.lambda_bc > 0.0 and cfg.variant != "no_bc"
-    # an unweighted term is only reported, so it stays off the tape
-    ent_tape = nullcontext if entropy_weight else ad.no_grad
 
     critic_terms, pg_terms, ent_terms, bc_terms = [], [], [], []
 
@@ -242,8 +240,9 @@ def train_step(agent: Agent, transitions: list[Transition]) -> dict:
             diff = v_hat - q
             critic_terms.append(ad.mul(diff, diff))
             pg_terms.append(ad.scale(slate_log_prob(out, tr.sids), -adv))
-        # reported for every variant; weighted into the loss when it is on
-        with ent_tape():
+        # reported for every variant; weighted into the loss when it is on,
+        # and kept off the tape when it is not
+        with nullcontext() if entropy_weight else ad.no_grad():
             ent_terms.append(entropy_term(out))
 
         if use_bc or bc_only:
