@@ -8,6 +8,14 @@ behavioral-cloning anchor on clicked items. Advantages and bootstrap
 targets are constants by construction, and the critic reads the trajectory
 through detached policy-head parameters, so neither loss leaks gradient
 across the actor/critic boundary.
+
+A sampled rollout records each state's encoding and policy forward on the
+tape, and the update differentiates that recording rather than building it
+again, then releases it. Each recording is keyed by the agent that made it
+and that agent's parameter version. A transition without a recording (its
+batch was trained on already), or whose key no longer matches (the agent
+stepped or loaded a checkpoint since, or is a copy), is encoded and
+forwarded afresh by the same calls.
 """
 
 from __future__ import annotations
@@ -83,6 +91,10 @@ class Transition:
     reward: float
     done: int
     next_contexts: list[np.ndarray] | None = None
+    # the rollout's recorded (c0, policy output) and the key it is valid
+    # under, (agent, parameter version); train_step releases both
+    graph: tuple[Tensor, PolicyOutput] | None = None
+    graph_key: tuple[Agent, int] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +163,13 @@ class Agent:
             list(self.policy.tensors().values()) + list(self.critic.tensors().values()),
             lr=train_cfg.learning_rate)
         self.updates = 0
+        self._loads = 0
+
+    @property
+    def version(self) -> int:
+        """Counts the events that move parameters: optimizer steps and
+        checkpoint loads, so it changes whenever either happens."""
+        return self.opt.step_count + self._loads
 
     def _blocks(self) -> dict[str, Tensor]:
         """Checkpoint block name -> parameter: policy `hpn/`, then critic `mlc/`."""
@@ -162,6 +181,7 @@ class Agent:
 
     def load_arrays(self, named: dict[str, np.ndarray]) -> None:
         load_into(self._blocks(), named, "checkpoint")
+        self._loads += 1
         self.target.hard_sync(self.critic)
 
     def weight_columns(self) -> np.ndarray:
@@ -173,17 +193,27 @@ class Agent:
 def rollout(agent: Agent, env: Environment, mode: str,
             rng_env: np.random.Generator,
             rng_act: np.random.Generator | None) -> tuple[list[Transition], EpisodeMetrics]:
-    """Play one episode; sample mode trains, greedy mode evaluates."""
+    """Play one episode; sample mode trains, greedy mode evaluates.
+
+    Sample mode records each step's encode and forward with gradient
+    tracking and keeps them on its transition for `train_step`; greedy mode
+    records nothing.
+    """
     flat = agent.cfg.variant == "flat_policy"
+    record = mode == "sample"
+    key = (agent, agent.version) if record else None
     session = env.reset(rng_env)
     transitions: list[Transition] = []
     total = 0.0
     done = False
     while not done:
-        with ad.no_grad():
-            out = forward(agent.policy, encode_state(agent.policy, session.state),
-                          flat=flat)
+        with nullcontext() if record else ad.no_grad():
+            c0 = encode_state(agent.policy, session.state)
+            out = forward(agent.policy, c0, flat=flat)
         if transitions:
+            # a copy: with an empty history trajectory[0] is the start
+            # parameter itself, which the optimizer updates in place, so a
+            # batch trained on again would otherwise read a moved target
             transitions[-1].next_contexts = [c.data.copy() for c in out.trajectory]
         slate = select_slate(out, agent.index, agent.catalog,
                              env.cfg.slate_size, mode, rng_act)
@@ -194,6 +224,8 @@ def rollout(agent: Agent, env: Environment, mode: str,
             feedback=feedback,
             reward=reward,
             done=int(done),
+            graph=(c0, out) if record else None,
+            graph_key=key,
         ))
         total += reward
         session = nxt
@@ -223,8 +255,12 @@ def train_step(agent: Agent, transitions: list[Transition]) -> dict:
     critic_terms, pg_terms, ent_terms, bc_terms = [], [], [], []
 
     for tr in transitions:
-        c0 = encode_state(agent.policy, tr.state)
-        out = forward(agent.policy, c0, flat=flat)
+        if tr.graph_key == (agent, agent.version):
+            c0, out = tr.graph
+        else:
+            c0 = encode_state(agent.policy, tr.state)
+            out = forward(agent.policy, c0, flat=flat)
+        tr.graph = tr.graph_key = None
 
         if not bc_only:
             trajectory = [c0] if single else forward(
