@@ -98,7 +98,13 @@ def _load_dataset(cfg: RunConfig, out: Path):
 
 
 def _n_items(items) -> int:
-    return int(items.ids.max()) + 1  # item ids index table rows directly
+    """Table rows for the catalog. Item ids index rows directly, so the
+    sorted ids must be exactly 0..N-1."""
+    gaps = np.flatnonzero(items.ids != np.arange(len(items)))
+    if gaps.size:
+        raise DataError(f"item ids must be 0..N-1 with none missing; "
+                        f"id {int(gaps[0])} is missing from the catalog")
+    return len(items)
 
 
 def _build_codebook(cfg: RunConfig, items, out: Path):

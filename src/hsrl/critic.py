@@ -65,7 +65,7 @@ class CriticParams:
 
 def value_of_context(params: CriticParams, context: Tensor, level: int = 0) -> Tensor:
     h = params._head(level)
-    hidden = ad.tanh(ad.add(ad.matvec(params.w1[h], context), params.b1[h]))
+    hidden = ad.tanh(ad.add(ad.matmul(params.w1[h], context), params.b1[h]))
     return ad.add(ad.dot(params.w2[h], hidden), params.b2[h])
 
 

@@ -96,8 +96,8 @@ def encode(params: EncoderParams, state: UserState) -> Tensor:
         attn = ad.row_softmax(ad.scale(ad.matmul(q, ad.transpose(k)),
                                        1.0 / math.sqrt(cfg.embed_dim)))
         mixed = ad.add(x, ad.matmul(attn, v))
-        pooled = ad.mean_rows(mixed)
-        return ad.add(ad.matvec(params.proj_w, pooled), params.proj_b)
+        pooled = ad.vmean(mixed, axis=0)
+        return ad.add(ad.matmul(params.proj_w, pooled), params.proj_b)
     return params.start
 
 

@@ -127,7 +127,7 @@ class ResponseModel:
     def _logits(self, state: UserState, slate) -> Tensor:
         u = encode(self.encoder, state)
         rows = ad.embed(self.encoder.item_emb, list(slate))
-        return ad.add_scalar(ad.matvec(rows, u), self.bias)
+        return ad.add(ad.matmul(rows, u), self.bias)
 
     def click_probs(self, session: "SessionState", slate) -> np.ndarray:
         with ad.no_grad():
@@ -153,7 +153,7 @@ def _slate_bce(model: ResponseModel, records: list[LogRecord]):
     u = encode_batch(model.encoder, [_positive_state(rec.history) for rec in records])
     rows = ad.embed(model.encoder.item_emb, slates)                    # (n, k, d)
     scores = ad.matmul(rows, ad.reshape(u, (n, model.cfg.embed_dim, 1)))
-    logits = ad.add_scalar(ad.reshape(scores, (n, k)), model.bias)
+    logits = ad.add(ad.reshape(scores, (n, k)), model.bias)
     # -[y log s + (1-y) log(1-s)] == softplus(logit) - y * logit
     terms = ad.sub(ad.softplus(logits), ad.mul(ad.constant(labels), logits))
     return terms, real
@@ -400,8 +400,15 @@ class SynthConfig:
     noise: float = 0.5
 
     def __post_init__(self):
+        for name in ("n_items", "n_clusters", "n_users", "slates_per_user"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.dim < 1:
             raise ConfigError("embed_dim must be >= 1")
+        if not (0.0 <= self.p_preferred <= 1.0 and 0.0 <= self.p_other <= 1.0):
+            raise ConfigError("p_preferred and p_other must lie in [0, 1]")
+        if self.noise < 0.0:
+            raise ConfigError("noise must be >= 0")
 
 
 @dataclass
@@ -433,8 +440,8 @@ def generate_synthetic(cfg: SynthConfig, seed) -> SyntheticDataset:
     """Items scattered around well-separated cluster centers; every user
     clicks their preferred cluster with high probability. Records come out
     in chronological (round-robin) order so an 80/20 split is time-based."""
-    if not cfg.n_items >= cfg.n_clusters >= 1:
-        raise DataError("need n_items >= n_clusters >= 1")
+    if cfg.n_items < cfg.n_clusters:
+        raise DataError("need n_items >= n_clusters")
     if cfg.slate_size > cfg.n_items:
         raise DataError(f"slate size {cfg.slate_size} exceeds {cfg.n_items} items")
     rng = np.random.default_rng(seed)

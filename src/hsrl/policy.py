@@ -124,7 +124,7 @@ def forward(params: PolicyParams, c0: Tensor, flat: bool = False,
     trajectory = [c0]
     c = c0
     for lvl, t_l in enumerate(cfg.vocab_sizes):
-        logits = ad.matvec(maybe_detach(params.head_w[lvl]), c0 if flat else c)
+        logits = ad.matmul(maybe_detach(params.head_w[lvl]), c0 if flat else c)
         p = ad.softmax(logits)
         lp = ad.log_softmax(logits)
         if force_onehot and lvl in force_onehot:
@@ -136,7 +136,7 @@ def forward(params: PolicyParams, c0: Tensor, flat: bool = False,
         if flat:
             c = c0
         else:
-            e = ad.matvec(ad.transpose(maybe_detach(params.tok_emb[lvl])), p)
+            e = ad.matmul(ad.transpose(maybe_detach(params.tok_emb[lvl])), p)
             c = ad.layer_norm(ad.sub(c, e), maybe_detach(params.ln_gain[lvl]),
                               maybe_detach(params.ln_bias[lvl]))
         trajectory.append(c)

@@ -79,6 +79,8 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive")
         if self.iterations < 0:
             raise ConfigError("iterations must be >= 0")
+        if self.eval_every < 0:
+            raise ConfigError("eval_every must be >= 0 (0 turns periodic eval off)")
         if self.eval_episodes < 1:
             raise ConfigError("eval_episodes must be >= 1")
 

@@ -18,24 +18,24 @@ def _param(rng, shape, scale=1.0):
 
 
 # ---------------------------------------------------------------------------
-# matvec
+# matrix-vector products: matmul with a 1-D right operand
 # ---------------------------------------------------------------------------
 
 
 def test_matvec_identity():
     w = ad.constant([[1.0, 0.0], [0.0, 1.0]])
     x = ad.constant([3.0, 4.0])
-    assert np.array_equal(ad.matvec(w, x).data, [3.0, 4.0])
+    assert np.array_equal(ad.matmul(w, x).data, [3.0, 4.0])
 
 
 def test_matvec_direct():
-    out = ad.matvec(ad.constant([[1.0, 2.0]]), ad.constant([3.0, 4.0]))
+    out = ad.matmul(ad.constant([[1.0, 2.0]]), ad.constant([3.0, 4.0]))
     assert np.array_equal(out.data, [11.0])
 
 
 def test_matvec_shape_mismatch():
     with pytest.raises(ShapeError):
-        ad.matvec(ad.constant([[1.0, 2.0]]), ad.constant([1.0, 2.0, 3.0]))
+        ad.matmul(ad.constant([[1.0, 2.0]]), ad.constant([1.0, 2.0, 3.0]))
 
 
 def test_matvec_gradient_matches_finite_differences():
@@ -43,7 +43,25 @@ def test_matvec_gradient_matches_finite_differences():
     for _ in range(TRIALS):
         w = _param(rng, (8, 8))
         x = _param(rng, (8,))
-        check_gradients(lambda: ad.vsum(ad.matvec(w, x)), [w, x], rtol=1e-4)
+        check_gradients(lambda: ad.vsum(ad.matmul(w, x)), [w, x], rtol=1e-4)
+
+
+def test_folded_forms_bitwise_equal_the_direct_formulas():
+    """A 1-D `b` in `matmul`, a 0-d `b` in `add` and `vmean` over axis 0 give
+    the bits of the plain numpy formulas: `W @ x`, `outer(g, x)`, `W.T @ g`,
+    `g.sum()`, `m.sum(axis=0) / n` and `tile(g / n, (n, 1))`."""
+    rng = np.random.default_rng(25)
+    m, w, s = _param(rng, (3, 5)), _param(rng, (7, 5)), _param(rng, ())
+    probe = rng.normal(size=7)
+    x = ad.vmean(m, axis=0)
+    out = ad.add(ad.matmul(w, x), s)
+    ad.backward(ad.dot(out, ad.constant(probe)))
+    assert x.data.tobytes() == (m.data.sum(axis=0) / 3).tobytes()
+    assert out.data.tobytes() == (w.data @ x.data + s.data).tobytes()
+    assert w.grad.tobytes() == np.outer(probe, x.data).tobytes()
+    assert s.grad.shape == () and s.grad.tobytes() == probe.sum().tobytes()
+    gx = w.data.T @ probe
+    assert m.grad.tobytes() == np.tile(gx / 3, (3, 1)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +198,7 @@ def test_backward_twice_doubles_exactly():
     w = _param(rng, (4, 6))
 
     def loss():
-        return ad.vsum(ad.tanh(ad.matvec(w, x)))
+        return ad.vsum(ad.tanh(ad.matmul(w, x)))
 
     ad.backward(loss())
     gx, gw = x.grad.copy(), w.grad.copy()
@@ -288,7 +306,7 @@ def test_misc_primitive_gradients():
 
         def loss():
             mixed = ad.add(ad.mul(a, b), ad.scale(ad.sub(a, b), 0.5))
-            pooled = ad.matvec(m, ad.tanh(mixed))
+            pooled = ad.matmul(m, ad.tanh(mixed))
             return ad.dot(ad.sigmoid(pooled), probe)
 
         check_gradients(loss, [a, b, m], rtol=1e-4)
@@ -301,7 +319,7 @@ def test_embed_gather_gradients():
 
     def loss():
         rows = ad.embed(table, [0, 2, 2, 5])
-        pooled = ad.mean_rows(rows)
+        pooled = ad.vmean(rows, axis=0)
         joined = ad.add(pooled, ad.embed(vec, [2, 0, 0, 1]))  # 1-D: entries
         return ad.vmean(ad.mul(joined, joined))
 
@@ -328,7 +346,7 @@ def test_stack_softplus_add_scalar_gradients():
 
     def loss():
         stacked = ad.stack([s1, s2, ad.dot(v, v)])
-        return ad.vsum(ad.softplus(ad.add_scalar(stacked, s1)))
+        return ad.vsum(ad.softplus(ad.add(stacked, s1)))
 
     check_gradients(loss, [s1, s2, v], rtol=1e-4)
 
@@ -404,6 +422,10 @@ def test_batched_primitive_gradients():
     lambda: ad.reshape(ad.constant(np.ones((2, 3))), (4, 2)),
     lambda: ad.reshape(ad.constant(np.ones((2, 3))), (-1, 2)),
     lambda: ad.add(ad.constant(np.ones((2, 3))), ad.constant(np.ones(2))),
+    lambda: ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones(2))),
+    lambda: ad.matmul(ad.constant(np.ones((2, 2, 3))), ad.constant(np.ones(3))),
+    lambda: ad.add(ad.constant(np.ones(3)), ad.constant(np.ones((2, 3)))),
+    lambda: ad.add(ad.constant(np.ones((2, 3, 4))), ad.constant(np.ones((2, 4)))),
 ])
 def test_batched_shape_errors(build):
     with pytest.raises(ShapeError):

@@ -425,6 +425,25 @@ def test_slate_larger_than_files_catalog_fails_before_fitting(tmp_path, capsys):
     assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
 
 
+@pytest.mark.parametrize("command", ["fit-sim", "train"])
+def test_catalog_with_missing_ids_fails_before_any_table(tmp_path, capsys, command):
+    (tmp_path / "embeddings.tsv").write_text(
+        "d=2\n0\t1.0,0.0\n1\t0.0,1.0\n1000000\t1.0,1.0\n")
+    (tmp_path / "records.tsv").write_text(
+        "".join(f"{u}\t-\t0,1,1000000\t1,0,1\n{u}\t0,1\t1000000,0,1\t0,1,0\n"
+                for u in range(4)))
+    cfg = _files_config(tmp_path, embeddings_path=tmp_path / "embeddings.tsv",
+                        records_path=tmp_path / "records.tsv")
+    cfg.write_text(cfg.read_text().replace("vocab_size = 4", "vocab_size = 2"))
+    out = tmp_path / "run"
+    assert _run(command, "--config", cfg, "--out", out) == 3
+    assert capsys.readouterr().err == (
+        "data error: item ids must be 0..N-1 with none missing; "
+        "id 2 is missing from the catalog\n")
+    assert not list(out.glob("sim_*.ckpt"))
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+
 @pytest.mark.parametrize("bad_item", [999, -1])
 def test_records_naming_unknown_items_fail_as_data_error(tmp_path, config_path,
                                                           capsys, bad_item):
@@ -515,6 +534,14 @@ def test_unknown_config_section_rejected(tmp_path):
     pytest.param("[env]\nslate_size = 0\n", 2, id="slate_size"),
     pytest.param("[critic]\nhidden = 0\n", 2, id="critic_hidden"),
     pytest.param("[env]\nhistory_window = 0\n", 2, id="history_window"),
+    pytest.param("[training]\neval_every = -20\n", 2, id="eval_every"),
+    pytest.param("[data]\nn_items = 0\n", 2, id="data_n_items"),
+    pytest.param("[data]\nn_clusters = 0\n", 2, id="data_n_clusters"),
+    pytest.param("[data]\nn_users = 0\n", 2, id="data_n_users"),
+    pytest.param("[data]\nslates_per_user = 0\n", 2, id="data_slates_per_user"),
+    pytest.param("[data]\np_preferred = 1.5\n", 2, id="data_p_preferred"),
+    pytest.param("[data]\np_other = -0.1\n", 2, id="data_p_other"),
+    pytest.param("[data]\nnoise = -1.0\n", 2, id="data_noise"),
     pytest.param("[data]\nn_items = 4\nn_clusters = 2\n[env]\nslate_size = 5\n",
                  3, id="slate_exceeds_catalog"),
 ])

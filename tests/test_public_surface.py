@@ -1,6 +1,7 @@
 """Every public module-level function and class in `src/hsrl/` has a reader
 outside the unit tests, and every private module-level function has a
-caller inside `src/hsrl/`.
+caller inside `src/hsrl/`. The same holds for the methods of those classes,
+dunders aside, counting only readers outside the method's own definition.
 
 A name counts as used when `src/hsrl/` refers to it outside its own
 definition, or when `tests/test_acceptance.py` or a `benchmarks/*.py` file
@@ -12,6 +13,7 @@ through `math.log`, and a `tokenizer.decode` through `bytes.decode`.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,17 +28,18 @@ KEPT = {
 }
 
 
-def _referenced(nodes) -> set[str]:
-    found = set()
+def _referenced(nodes) -> Counter[str]:
+    """Name -> number of references to it under `nodes`."""
+    found = Counter()
     for top in nodes:
         for node in ast.walk(top):
             if isinstance(node, ast.Name):
-                found.add(node.id)
+                found[node.id] += 1
             elif isinstance(node, ast.Attribute):
-                found.add(node.attr)
+                found[node.attr] += 1
             elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and node.value.isidentifier()):
-                found.add(node.value)
+                found[node.value] += 1
     return found
 
 
@@ -85,3 +88,30 @@ def _orphaned_private_functions() -> dict[str, str]:
 def test_every_private_function_has_a_caller_in_src():
     # a helper whose last caller was deleted goes with it
     assert _orphaned_private_functions() == {}
+
+
+def _unread_methods() -> dict[str, str]:
+    """`Class.method` -> defining module, for every non-dunder method that
+    nothing outside its own definition refers to: for a public method, no
+    statement of `src/hsrl/` and no file outside the unit tests; for a
+    private one, no statement of `src/hsrl/`."""
+    modules = _modules()
+    in_src = _referenced(stmt for body in modules.values() for stmt in body)
+    outside = _referenced(ast.parse(p.read_text()) for p in OUTSIDE)
+    unread = {}
+    for module, body in modules.items():
+        for cls in (node for node in body if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if (not isinstance(node, ast.FunctionDef)
+                        or node.name.startswith("__") and node.name.endswith("__")):
+                    continue
+                if in_src[node.name] > _referenced([node])[node.name]:
+                    continue
+                if node.name.startswith("_") or node.name not in outside:
+                    unread[f"{cls.name}.{node.name}"] = module
+    return unread
+
+
+def test_every_method_has_a_reader_outside_its_definition():
+    # a method whose last reader was deleted goes with it
+    assert _unread_methods() == {}
