@@ -78,12 +78,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def __sub__(self, other):
-        """`sub` for a tensor; any other operand is folded in as a constant."""
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return shift(self, -float(other))
-
 
 def parameter(data, rng: np.random.Generator | None = None, scale_: float | None = None) -> Tensor:
     """Create a trainable leaf, optionally filled from `rng.normal(0, scale_)`."""

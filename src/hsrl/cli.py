@@ -3,8 +3,9 @@
 Commands: tokenize, fit-sim, train, eval, sweep, ablate, gen-data. Every
 run resolves its configuration document, writes a manifest before doing
 any work, and emits CSV outputs that are bitwise-reproducible for a fixed
-(config, seeds) pair. Exit codes: 0 success, 2 config error, 3 data or
-format error, 4 numeric abort, 5 internal error (any other exception).
+(config, seeds) pair. `eval` reads `codebook.bin` and `sim_eval.ckpt` from
+the checkpoint's directory. Exit codes: 0 success, 2 config error, 3 data
+or format error, 4 numeric abort, 5 internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -53,10 +54,10 @@ def _synthesize(cfg: RunConfig, out: Path) -> env_mod.SyntheticDataset:
     return synth
 
 
-def _read(load, path, what: str):
-    """`load(path)`; a file it cannot open is a data error."""
+def _read(load, path, what: str, *args):
+    """`load(path, *args)`; a file it cannot open is a data error."""
     try:
-        return load(path)
+        return load(path, *args)
     except FileNotFoundError:
         raise DataError(f"{what} not found: {path}") from None
     except OSError as exc:
@@ -114,13 +115,13 @@ def _build_codebook(cfg: RunConfig, items, out: Path):
     return book, index
 
 
-def _build_simulators(cfg: RunConfig, items, records, out: Path,
+def _build_simulators(cfg: RunConfig, items, n_items: int, records, out: Path,
                       manifest: Manifest):
     """Fit, save and score the two simulators. The manifest gets the train
     simulator's log loss on the records it was not fitted on, next to that of
     a constant predictor at the train split's click rate."""
     train_sim, eval_sim = env_mod.fit_simulators(
-        records, _n_items(items), cfg.sim_config(), cfg["seeds"]["simulator"],
+        records, n_items, cfg.sim_config(), cfg["seeds"]["simulator"],
         item_features=items.vectors)
     env_mod.save_response_model(out / "sim_train.ckpt", train_sim)
     env_mod.save_response_model(out / "sim_eval.ckpt", eval_sim)
@@ -133,11 +134,11 @@ def _build_simulators(cfg: RunConfig, items, records, out: Path,
     return train_sim, eval_sim
 
 
-def _experiment_context(cfg: RunConfig, items, book, index, train_sim,
-                        eval_sim, pool) -> tr_mod.ExperimentContext:
+def _experiment_context(cfg: RunConfig, items, n_items: int, book, index,
+                        train_sim, eval_sim, pool) -> tr_mod.ExperimentContext:
     env_cfg = cfg.env_config()
     return tr_mod.ExperimentContext(
-        policy_cfg=cfg.policy_config(_n_items(items)),
+        policy_cfg=cfg.policy_config(n_items),
         critic_cfg=cfg.critic_config(),
         env_cfg=env_cfg,
         codebook=book,
@@ -152,10 +153,12 @@ def _experiment_context(cfg: RunConfig, items, book, index, train_sim,
 def _build_context(cfg: RunConfig, out: Path,
                    manifest: Manifest) -> tr_mod.ExperimentContext:
     items, records = _load_dataset(cfg, out)
+    n_items = _n_items(items)
     book, index = _build_codebook(cfg, items, out)
-    train_sim, eval_sim = _build_simulators(cfg, items, records, out, manifest)
-    return _experiment_context(cfg, items, book, index, train_sim, eval_sim,
-                               env_mod.make_user_pool(records))
+    train_sim, eval_sim = _build_simulators(cfg, items, n_items, records, out,
+                                            manifest)
+    return _experiment_context(cfg, items, n_items, book, index, train_sim,
+                               eval_sim, env_mod.make_user_pool(records))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +192,7 @@ def cmd_tokenize(cfg: RunConfig, out: Path, args) -> int:
 
 def cmd_fit_sim(cfg: RunConfig, out: Path, args) -> int:
     items, records = _load_dataset(cfg, out)
-    _build_simulators(cfg, items, records, out, args.manifest)
+    _build_simulators(cfg, items, _n_items(items), records, out, args.manifest)
     print(f"fitted train/eval simulators on {len(records)} records -> {out}")
     return 0
 
@@ -230,14 +233,23 @@ def cmd_train(cfg: RunConfig, out: Path, args) -> int:
 def cmd_eval(cfg: RunConfig, out: Path, args) -> int:
     ckpt = Path(args.checkpoint) if args.checkpoint else out / "agent.ckpt"
     named = _read(load_tensors, ckpt, "checkpoint")
-    ctx = _build_context(cfg, out, args.manifest)
+    book_path = ckpt.parent / "codebook.bin"
+    book, index = _read(tok_mod.load_codebook, book_path, "codebook")
+    eval_sim = _read(env_mod.load_response_model, ckpt.parent / "sim_eval.ckpt",
+                     "simulator checkpoint", len(index), cfg.sim_config())
+    items, records = _load_dataset(cfg, out)
     train_cfg = cfg.train_config()
     seed = cfg["seeds"]["agent"]
-    agent = tr_mod.Agent(ctx.policy_cfg, ctx.critic_cfg, train_cfg, ctx.index,
-                         ctx.catalog, seed, ctx.codebook, ctx.item_features)
+    agent = tr_mod.Agent(cfg.policy_config(_n_items(items)), cfg.critic_config(),
+                         train_cfg, index, items.ids, seed, book, items.vectors)
     agent.load_arrays(named)
-    episodes = tr_mod.evaluate(agent, ctx.eval_env, train_cfg.eval_episodes,
-                               seed, tr_mod._FINAL_EVAL_TAG)
+    if (book.vocab_sizes != cfg.vocab_sizes()
+            or sorted(index.item_to_sid) != items.ids.tolist()):
+        raise DataError(f"codebook {book_path} does not fit this config and catalog")
+    env = env_mod.Environment(eval_sim, env_mod.make_user_pool(records),
+                              cfg.env_config())
+    episodes = tr_mod.evaluate(agent, env, train_cfg.eval_episodes, seed,
+                               tr_mod._FINAL_EVAL_TAG)
     row = tr_mod._summary_row(0, episodes, seed)
     writer = tr_mod.MetricsWriter(out / "eval_summary.csv", tr_mod.EVAL_COLUMNS)
     try:
@@ -286,7 +298,9 @@ def cmd_sweep(cfg: RunConfig, out: Path, args) -> int:
     grid = SWEEP_GRIDS[axis]
     seeds = cfg.agent_seeds()
     items, records = _load_dataset(cfg, out)
-    train_sim, eval_sim = _build_simulators(cfg, items, records, out, args.manifest)
+    n_items = _n_items(items)
+    train_sim, eval_sim = _build_simulators(cfg, items, n_items, records, out,
+                                            args.manifest)
     pool = env_mod.make_user_pool(records)
 
     writer = tr_mod.MetricsWriter(out / "sweep.csv", [
@@ -305,8 +319,8 @@ def cmd_sweep(cfg: RunConfig, out: Path, args) -> int:
                 point.values["tokenizer"]["vocab_sizes"] = ()
             book, index = tok_mod.fit_codebook(items, point.vocab_sizes(),
                                                point["seeds"]["tokenizer"])
-            ctx = _experiment_context(point, items, book, index, train_sim,
-                                      eval_sim, pool)
+            ctx = _experiment_context(point, items, n_items, book, index,
+                                      train_sim, eval_sim, pool)
             base = point.train_config()
             rewards, depths = [], []
             for seed in seeds:

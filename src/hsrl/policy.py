@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .encoder import EncoderConfig, EncoderParams, UserState, encode
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, DataError, ShapeError
 from .tokenizer import Codebook, SidIndex
 
 
@@ -70,6 +70,8 @@ class PolicyParams:
             if cfg.token_emb_from_codebook:
                 if codebook is None:
                     raise ContractError("token_emb_from_codebook needs a codebook")
+                if codebook.vocab_sizes != cfg.vocab_sizes:
+                    raise DataError("codebook vocab sizes differ from the config's")
                 proj = rng.normal(0.0, 1.0 / np.sqrt(codebook.dim),
                                   size=(codebook.dim, cfg.d_model))
                 self.tok_emb.append(Tensor(codebook.centroids[lvl] @ proj,

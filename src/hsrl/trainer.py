@@ -275,7 +275,7 @@ def train_step(agent: Agent, transitions: list[Transition]) -> dict:
                 q = td_target(tr.reward, 0, agent.target.value(contexts), cfg.gamma)
             adv = advantage(q, float(v_hat.data), cfg.advantage_clip)
 
-            diff = v_hat - q
+            diff = ad.shift(v_hat, -q)
             critic_terms.append(ad.mul(diff, diff))
             pg_terms.append(ad.scale(slate_log_prob(out, tr.sids), -adv))
         # reported for every variant; weighted into the loss when it is on,

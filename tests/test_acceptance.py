@@ -116,7 +116,7 @@ def test_criterion_1_gradient_suite():
                 view = forward(params, c0, heads_detached=True)
                 v_hat = aggregate(critic,
                                   per_level_values(critic, view.trajectory))
-                diff = v_hat - q
+                diff = ad.shift(v_hat, -q)
                 term = ad.mul(diff, diff)                       # critic MSE
                 term = ad.add(term, ad.scale(slate_log_prob(out, sids), -adv))
                 term = ad.add(term, ad.scale(entropy_term(out), 0.1))

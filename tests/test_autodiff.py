@@ -473,7 +473,7 @@ def test_opt_converges_to_analytic_optimum():
     opt = Optimizer([p], lr=0.05)
     for _ in range(500):
         opt.zero_grad()
-        d = p - 3.0
+        d = ad.shift(p, -3.0)
         ad.backward(ad.mul(d, d))
         opt.step()
     assert abs(float(p.data) - 3.0) < 1e-2

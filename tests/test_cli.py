@@ -2,15 +2,19 @@ import csv
 import json
 import platform
 import re
+import shutil
 import struct
 
 import numpy as np
 import pytest
 
+from hsrl import env as env_mod
+from hsrl import tokenizer as tok_mod
 from hsrl.checkpoint import CHECKPOINT_MAGIC
 from hsrl.cli import SWEEP_GRIDS, main
 from hsrl.env import (SimFitConfig, constant_log_loss, held_out_log_loss,
                       load_records, load_response_model)
+from hsrl.tokenizer import SidIndex, load_codebook, save_codebook
 
 
 BASE_CONFIG = """
@@ -224,15 +228,11 @@ def test_eval_checkpoint_that_does_not_fit_config_names_block(
 
 
 @pytest.mark.parametrize("command, extra", [
-    ("fit-sim", []), ("train", []), ("eval", ["--checkpoint"]), ("ablate", []),
-    ("sweep", ["--axis", "entropy"]),
+    ("fit-sim", []), ("train", []), ("ablate", []), ("sweep", ["--axis", "entropy"]),
 ])
-def test_manifest_records_simulator_fit_quality(tmp_path, untrained_checkpoint,
-                                                command, extra):
+def test_manifest_records_simulator_fit_quality(tmp_path, command, extra):
     cfg = tmp_path / "zero.ini"
     cfg.write_text(BASE_CONFIG.replace("iterations = 40", "iterations = 0"))
-    if command == "eval":
-        extra = extra + [untrained_checkpoint]
     out = tmp_path / "o"
     assert _run(command, "--config", cfg, "--out", out, *extra) == 0
     fit = json.loads((out / "manifest.json").read_text())["simulator_fit"]
@@ -249,9 +249,60 @@ def test_manifest_records_simulator_fit_quality(tmp_path, untrained_checkpoint,
 
 
 def _assert_no_context_built(out):
-    """An eval that fails on its checkpoint fits and writes nothing."""
+    """An eval that fails on a file of its run writes nothing else."""
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
     assert "simulator_fit" not in json.loads((out / "manifest.json").read_text())
+
+
+def test_eval_reads_its_run_and_fits_nothing(tmp_path, config_path,
+                                             untrained_checkpoint, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("eval fitted a table")
+
+    monkeypatch.setattr(tok_mod, "fit_codebook", no_fit)
+    monkeypatch.setattr(env_mod, "fit_response_model", no_fit)
+    out = tmp_path / "e"
+    assert _run("eval", "--config", config_path, "--out", out,
+                "--checkpoint", untrained_checkpoint) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "embeddings.tsv", "eval_summary.csv", "manifest.json", "records.tsv"]
+    assert "simulator_fit" not in json.loads((out / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("missing", ["codebook.bin", "sim_eval.ckpt"])
+def test_eval_without_a_file_of_its_run_fails_as_data_error(
+        tmp_path, config_path, capsys, untrained_checkpoint, missing):
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ["agent.ckpt", "codebook.bin", "sim_eval.ckpt"]:
+        if name != missing:
+            shutil.copy(untrained_checkpoint.parent / name, run)
+    out = tmp_path / "e"
+    assert _run("eval", "--config", config_path, "--out", out,
+                "--checkpoint", run / "agent.ckpt") == 3
+    assert str(run / missing) in capsys.readouterr().err
+    _assert_no_context_built(out)
+
+
+@pytest.mark.parametrize("edit", ["item ids", "vocab sizes"])
+def test_eval_codebook_that_does_not_fit_catalog_or_config(
+        tmp_path, config_path, capsys, untrained_checkpoint, edit):
+    run = tmp_path / "run"
+    shutil.copytree(untrained_checkpoint.parent, run)
+    book, index = load_codebook(run / "codebook.bin")
+    mapping = dict(index.item_to_sid)
+    if edit == "item ids":  # the catalog holds items 0..59
+        mapping[60] = mapping.pop(59)
+    else:  # the config asks for vocab 4 at each level
+        book.vocab_sizes = (5, 4)
+        book.centroids[0] = np.vstack([book.centroids[0], book.centroids[0][:1]])
+    save_codebook(run / "codebook.bin", book, SidIndex(mapping))
+    out = tmp_path / "e"
+    assert _run("eval", "--config", config_path, "--out", out,
+                "--checkpoint", run / "agent.ckpt") == 3
+    assert capsys.readouterr().err == (
+        f"data error: codebook {run / 'codebook.bin'} does not fit this config "
+        f"and catalog\n")
 
 
 def test_eval_checkpoint_with_overflowing_block_shape_fails_as_data_error(
@@ -425,7 +476,7 @@ def test_slate_larger_than_files_catalog_fails_before_fitting(tmp_path, capsys):
     assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
 
 
-@pytest.mark.parametrize("command", ["fit-sim", "train"])
+@pytest.mark.parametrize("command", ["fit-sim", "train", "ablate"])
 def test_catalog_with_missing_ids_fails_before_any_table(tmp_path, capsys, command):
     (tmp_path / "embeddings.tsv").write_text(
         "d=2\n0\t1.0,0.0\n1\t0.0,1.0\n1000000\t1.0,1.0\n")
@@ -440,6 +491,7 @@ def test_catalog_with_missing_ids_fails_before_any_table(tmp_path, capsys, comma
     assert capsys.readouterr().err == (
         "data error: item ids must be 0..N-1 with none missing; "
         "id 2 is missing from the catalog\n")
+    assert not (out / "codebook.bin").exists()
     assert not list(out.glob("sim_*.ckpt"))
     assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
 

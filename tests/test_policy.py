@@ -436,6 +436,11 @@ def test_token_embeddings_can_start_from_codebook():
         assert np.array_equal(a.data, b.data)
     with pytest.raises(ContractError):
         PolicyParams(cfg, np.random.default_rng(1))  # codebook required
+    # a codebook whose levels differ from the config's is a data error
+    deeper = PolicyConfig(n_items=6, vocab_sizes=(3, 3, 3), d_model=5, embed_dim=5,
+                          token_emb_from_codebook=True)
+    with pytest.raises(DataError, match="codebook vocab sizes"):
+        PolicyParams(deeper, np.random.default_rng(1), codebook=book)
 
 
 def test_item_embeddings_can_start_from_features():

@@ -21,12 +21,6 @@ SRC = ROOT / "src" / "hsrl"
 OUTSIDE = [ROOT / "tests" / "test_acceptance.py",
            *sorted((ROOT / "benchmarks").glob("*.py"))]
 
-# Public names with no reader yet, each kept for the reason given.
-KEPT = {
-    "load_codebook": "reader half of the codebook.bin format that `tokenize` writes",
-    "load_response_model": "reader half of the sim_*.ckpt format that `fit-sim` writes",
-}
-
 
 def _referenced(nodes) -> Counter[str]:
     """Name -> number of references to it under `nodes`."""
@@ -68,10 +62,7 @@ def _unread_public_names() -> dict[str, str]:
 
 def test_every_public_name_has_a_reader_outside_unit_tests():
     unread = _unread_public_names()
-    extra = {name: module for name, module in unread.items() if name not in KEPT}
-    assert not extra, f"public names that only unit tests call: {extra}"
-    # an entry whose name gained a reader, or is gone, leaves the list
-    assert sorted(unread) == sorted(KEPT)
+    assert not unread, f"public names that only unit tests call: {unread}"
 
 
 def _orphaned_private_functions() -> dict[str, str]:

@@ -254,7 +254,7 @@ def test_gradient_isolation_between_actor_and_critic():
         t.zero_grad()
     for t in agent.policy.tensors().values():
         t.zero_grad()
-    diff = v_hat - 0.5
+    diff = ad.shift(v_hat, -0.5)
     ad.backward(ad.mul(diff, diff))
     for lvl in range(len(VOCAB)):
         assert agent.policy.head_w[lvl].grad is None
@@ -312,7 +312,7 @@ def test_composite_loss_gradient_matches_finite_differences():
             view = forward(agent.policy, c0, heads_detached=True)
             v_hat = aggregate(agent.critic,
                               per_level_values(agent.critic, view.trajectory))
-            diff = v_hat - q
+            diff = ad.shift(v_hat, -q)
             term = ad.mul(diff, diff)
             term = ad.add(term, ad.scale(slate_log_prob(out, tr.sids), -adv))
             term = ad.add(term, ad.scale(entropy_term(out), cfg.lambda_entropy))
