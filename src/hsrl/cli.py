@@ -55,13 +55,16 @@ def _synthesize(cfg: RunConfig, out: Path) -> env_mod.SyntheticDataset:
 
 
 def _read(load, path, what: str, *args):
-    """`load(path, *args)`; a file it cannot open is a data error."""
+    """`load(path, *args)`; a file it cannot open is a data error, and a
+    malformed one names its path."""
     try:
         return load(path, *args)
     except FileNotFoundError:
         raise DataError(f"{what} not found: {path}") from None
     except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from None
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _check_records(items, records) -> None:
@@ -90,8 +93,8 @@ def _load_dataset(cfg: RunConfig, out: Path):
     if data["records_path"]:
         records = _read(env_mod.load_records, data["records_path"], "records file")
     elif data["ratings_path"]:
-        records, _ = _read(env_mod.ingest_ml1m_style, data["ratings_path"],
-                           "ratings file")
+        records = _read(env_mod.ingest_ml1m_style, data["ratings_path"],
+                        "ratings file")
     else:
         raise DataError("data.source=files needs records_path or ratings_path")
     _check_records(items, records)

@@ -1,12 +1,11 @@
 """Multi-level critic: per-context values fused by learnable softmax weights.
 
-A small value head (2-layer perceptron, tanh hidden layer) scores every
-context of the policy trajectory; raw level weights pass through a
-softmax so the fused estimate is always a convex combination. The head is
-shared across levels by default, with independent per-level heads behind
-a config flag. The bootstrap target is the same critic, frozen: a deep
-copy of the parameters that takes no gradient, evaluated by the same
-function and kept in step by Polyak averaging.
+One small value head (2-layer perceptron, tanh hidden layer) scores
+every context of the policy trajectory, whatever its level; raw level
+weights pass through a softmax so the fused estimate is always a convex
+combination. The bootstrap target is the same critic, frozen: a deep copy
+of the parameters that takes no gradient, evaluated by the same function
+and kept in step by Polyak averaging.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ class CriticConfig:
     d_model: int
     levels: int               # trajectory has levels + 1 contexts
     hidden: int = 64
-    per_level_heads: bool = False
 
     def __post_init__(self):
         if self.hidden < 1:
@@ -40,40 +38,28 @@ class CriticConfig:
 class CriticParams:
     def __init__(self, cfg: CriticConfig, rng: np.random.Generator):
         self.cfg = cfg
-        n_heads = cfg.n_values if cfg.per_level_heads else 1
-        self.w1 = [ad.parameter((cfg.hidden, cfg.d_model), rng, 0.1)
-                   for _ in range(n_heads)]
-        self.b1 = [Tensor(np.zeros(cfg.hidden), requires_grad=True)
-                   for _ in range(n_heads)]
-        self.w2 = [ad.parameter((cfg.hidden,), rng, 0.1) for _ in range(n_heads)]
-        self.b2 = [Tensor(np.zeros(()), requires_grad=True) for _ in range(n_heads)]
+        self.w1 = ad.parameter((cfg.hidden, cfg.d_model), rng, 0.1)
+        self.b1 = Tensor(np.zeros(cfg.hidden), requires_grad=True)
+        self.w2 = ad.parameter((cfg.hidden,), rng, 0.1)
+        self.b2 = Tensor(np.zeros(()), requires_grad=True)
         self.w_raw = Tensor(np.zeros(cfg.n_values), requires_grad=True)
 
     def tensors(self) -> dict[str, Tensor]:
-        out = {}
-        for h in range(len(self.w1)):
-            out[f"head{h}/w1"] = self.w1[h]
-            out[f"head{h}/b1"] = self.b1[h]
-            out[f"head{h}/w2"] = self.w2[h]
-            out[f"head{h}/b2"] = self.b2[h]
-        out["weights"] = self.w_raw
-        return out
-
-    def _head(self, level: int) -> int:
-        return level if self.cfg.per_level_heads else 0
+        # These names and their order are the saved checkpoint format.
+        return {"head0/w1": self.w1, "head0/b1": self.b1, "head0/w2": self.w2,
+                "head0/b2": self.b2, "weights": self.w_raw}
 
 
-def value_of_context(params: CriticParams, context: Tensor, level: int = 0) -> Tensor:
-    h = params._head(level)
-    hidden = ad.tanh(ad.add(ad.matmul(params.w1[h], context), params.b1[h]))
-    return ad.add(ad.dot(params.w2[h], hidden), params.b2[h])
+def value_of_context(params: CriticParams, context: Tensor) -> Tensor:
+    hidden = ad.tanh(ad.add(ad.matmul(params.w1, context), params.b1))
+    return ad.add(ad.dot(params.w2, hidden), params.b2)
 
 
 def per_level_values(params: CriticParams, trajectory: list[Tensor]) -> list[Tensor]:
     if len(trajectory) != params.cfg.n_values:
         raise ContractError(f"trajectory has {len(trajectory)} contexts, expected "
                             f"{params.cfg.n_values}")
-    return [value_of_context(params, c, lvl) for lvl, c in enumerate(trajectory)]
+    return [value_of_context(params, c) for c in trajectory]
 
 
 def aggregate(params: CriticParams, values: list[Tensor]) -> Tensor:

@@ -307,7 +307,7 @@ class Environment:
 # ---------------------------------------------------------------------------
 
 
-def ingest_ml1m_style(path) -> tuple[list[LogRecord], list[int]]:
+def ingest_ml1m_style(path) -> list[LogRecord]:
     """Binarize ratings at >3, order each user chronologically, cut into
     consecutive length-10 slates with prior positives as history. Trailing
     segments shorter than 10 are dropped."""
@@ -328,7 +328,6 @@ def ingest_ml1m_style(path) -> tuple[list[LogRecord], list[int]]:
         per_user.setdefault(user, []).append((ts, lineno, item, rating))
 
     staged = []  # (start_ts, user, seq, record)
-    catalog: set[int] = set()
     for user in sorted(per_user):
         events = sorted(per_user[user])  # timestamp, then input order
         positives: list[int] = []
@@ -340,9 +339,8 @@ def ingest_ml1m_style(path) -> tuple[list[LogRecord], list[int]]:
                                slate=slate, labels=labels)
             staged.append((chunk[0][0], user, seq, record))
             positives.extend(i for (_, _, i, r) in chunk if r > 3)
-        catalog.update(item for _, _, item, _ in events)
     staged.sort(key=lambda s: s[:3])
-    return [rec for _, _, _, rec in staged], sorted(catalog)
+    return [rec for _, _, _, rec in staged]
 
 
 def save_records(path, records: list[LogRecord]) -> None:

@@ -31,10 +31,6 @@ class PolicyConfig:
     # When set, token embeddings start from codebook centroids projected
     # into the model width instead of random noise.
     token_emb_from_codebook: bool = False
-    # When set (and catalog features are supplied), the encoder item table
-    # starts from a seeded projection of the features so user histories are
-    # separable before any training.
-    item_emb_from_features: bool = True
 
     def __post_init__(self):
         if self.d_model < 2 or self.embed_dim < 1:
@@ -59,7 +55,9 @@ class PolicyParams:
                  item_features: np.ndarray | None = None):
         self.cfg = cfg
         self.encoder = EncoderParams(cfg.encoder_config(), rng)
-        if cfg.item_emb_from_features and item_features is not None:
+        if item_features is not None:
+            # A seeded projection of the catalog features, so user
+            # histories are separable before any training.
             self.encoder.init_items_from_features(item_features, rng)
         self.head_w: list[Tensor] = []
         self.tok_emb: list[Tensor] = []

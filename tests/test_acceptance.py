@@ -48,7 +48,7 @@ def verdict(number: int, name: str):
 
 def _tiny_policy(seed, vocab=(3, 3), d_model=6, n_items=8):
     cfg = PolicyConfig(n_items=n_items, vocab_sizes=vocab, d_model=d_model,
-                       embed_dim=d_model, item_emb_from_features=False)
+                       embed_dim=d_model)
     return PolicyParams(cfg, np.random.default_rng(seed))
 
 
@@ -288,7 +288,7 @@ def _toy_agent(seed, **kw):
     defaults.update(kw)
     cfg = TrainConfig(**defaults)
     policy_cfg = PolicyConfig(n_items=12, vocab_sizes=(3, 3), d_model=6,
-                              embed_dim=6, item_emb_from_features=False)
+                              embed_dim=6)
     critic_cfg = CriticConfig(d_model=6, levels=2, hidden=4)
     index = SidIndex({i: (i % 3, (i // 3) % 3) for i in range(12)})
     return Agent(policy_cfg, critic_cfg, cfg, index, list(range(12)), seed)

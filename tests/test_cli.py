@@ -284,6 +284,21 @@ def test_eval_without_a_file_of_its_run_fails_as_data_error(
     _assert_no_context_built(out)
 
 
+@pytest.mark.parametrize("name, keep", [
+    ("agent.ckpt", 100), ("codebook.bin", 50), ("sim_eval.ckpt", 100),
+])
+def test_eval_truncated_file_of_its_run_names_it(
+        tmp_path, config_path, capsys, untrained_checkpoint, name, keep):
+    run = tmp_path / "run"
+    shutil.copytree(untrained_checkpoint.parent, run)
+    (run / name).write_bytes((run / name).read_bytes()[:keep])
+    out = tmp_path / "e"
+    assert _run("eval", "--config", config_path, "--out", out,
+                "--checkpoint", run / "agent.ckpt") == 3
+    assert capsys.readouterr().err.startswith(f"data error: {run / name}: ")
+    _assert_no_context_built(out)
+
+
 @pytest.mark.parametrize("edit", ["item ids", "vocab sizes"])
 def test_eval_codebook_that_does_not_fit_catalog_or_config(
         tmp_path, config_path, capsys, untrained_checkpoint, edit):
@@ -555,7 +570,8 @@ def test_embeddings_with_non_integer_item_id_fail_as_format_error(
                 _files_config(tmp_path, embeddings_path=data_dir / "embeddings.tsv",
                               records_path=data_dir / "records.tsv"),
                 "--out", out) == 3
-    assert capsys.readouterr().err == "data error: embeddings line 2 is malformed\n"
+    assert capsys.readouterr().err == (f"data error: {data_dir / 'embeddings.tsv'}: "
+                                       "embeddings line 2 is malformed\n")
     assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
 
 

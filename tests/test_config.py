@@ -71,7 +71,9 @@ def test_each_module_key_sets_exactly_its_field(tmp_path, section, key, field):
                                           ("simulator", "freeze_item_emb"),
                                           ("training", "batch_episodes"),
                                           ("training", "target_mode"),
-                                          ("training", "target_period")])
+                                          ("training", "target_period"),
+                                          ("critic", "per_level_heads"),
+                                          ("policy", "item_emb_from_features")])
 def test_removed_keys_are_unknown(tmp_path, section, key):
     path = tmp_path / "run.ini"
     path.write_text(f"[{section}]\n{key} = 0\n")

@@ -27,9 +27,9 @@ def _contexts(levels=3, d_model=6, seed=1):
 
 def test_zero_weight_critic_returns_output_bias():
     critic = _critic()
-    for t in critic.w1 + critic.w2:
+    for t in (critic.w1, critic.w2):
         t.data[:] = 0.0
-    critic.b2[0].data = np.asarray(1.5)
+    critic.b2.data = np.asarray(1.5)
     values = per_level_values(critic, _contexts())
     assert all(float(v.data) == pytest.approx(1.5, abs=1e-15) for v in values)
 
@@ -51,21 +51,9 @@ def test_trajectory_length_mismatch():
 def test_per_level_value_gradient():
     critic = _critic()
     contexts = _contexts(seed=5)
-    params = [critic.w1[0], critic.b1[0], critic.w2[0], critic.b2[0]]
+    params = [critic.w1, critic.b1, critic.w2, critic.b2]
     check_gradients(lambda: per_level_values(critic, contexts)[2], params,
                     rtol=1e-3, atol=1e-7)
-
-
-def test_per_level_heads_flag_gives_independent_heads():
-    critic = _critic(per_level_heads=True)
-    assert len(critic.w1) == 4
-    contexts = _contexts(seed=6)
-    values = per_level_values(critic, contexts)
-    critic.w2[1].data[:] = 0.0
-    critic.b2[1].data = np.asarray(9.0)
-    values2 = per_level_values(critic, contexts)
-    assert float(values2[1].data) == pytest.approx(9.0)
-    assert float(values2[0].data) == float(values[0].data)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +115,7 @@ def test_full_critic_gradient_end_to_end():
     rng = np.random.default_rng(12)
     contexts = [ad.Tensor(rng.normal(size=5), requires_grad=True)
                 for _ in range(3)]
-    params = [critic.w1[0], critic.b1[0], critic.w2[0], critic.b2[0],
+    params = [critic.w1, critic.b1, critic.w2, critic.b2,
               critic.w_raw] + contexts
     check_gradients(
         lambda: aggregate(critic, per_level_values(critic, contexts)),
@@ -203,5 +191,5 @@ def test_single_context_value_bypasses_fusion():
     live = _critic(seed=21)
     target = TargetCritic(live)
     c = np.random.default_rng(22).normal(size=6)
-    direct = float(value_of_context(live, ad.constant(c), 0).data)
+    direct = float(value_of_context(live, ad.constant(c)).data)
     assert target.value([c]) == direct

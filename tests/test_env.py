@@ -378,26 +378,25 @@ def _write_ratings(path, rows):
 def test_ingest_single_full_slate(tmp_path):
     path = tmp_path / "ratings.tsv"
     _write_ratings(path, [(1, i, 4, 100 + i) for i in range(10)])
-    records, catalog = ingest_ml1m_style(path)
+    records = ingest_ml1m_style(path)
     assert len(records) == 1
     assert records[0].history == ()
     assert records[0].slate == tuple(range(10))
     assert records[0].labels == (1,) * 10
-    assert catalog == list(range(10))
 
 
 def test_ingest_binarization_threshold(tmp_path):
     path = tmp_path / "ratings.tsv"
     rows = [(1, i, 3 if i % 2 == 0 else 4, 100 + i) for i in range(10)]
     _write_ratings(path, rows)
-    records, _ = ingest_ml1m_style(path)
+    records = ingest_ml1m_style(path)
     assert records[0].labels == tuple(0 if i % 2 == 0 else 1 for i in range(10))
 
 
 def test_ingest_25_interactions_two_records_trailing_dropped(tmp_path):
     path = tmp_path / "ratings.tsv"
     _write_ratings(path, [(1, i, 5, 100 + i) for i in range(25)])
-    records, _ = ingest_ml1m_style(path)
+    records = ingest_ml1m_style(path)
     assert len(records) == 2
     assert records[0].slate == tuple(range(10))
     assert records[1].slate == tuple(range(10, 20))
@@ -410,7 +409,7 @@ def test_ingest_history_is_prior_positives_only(tmp_path):
     rows = [(1, i, 4 if i < 5 else 2, 100 + i) for i in range(10)]
     rows += [(1, 10 + i, 4, 200 + i) for i in range(10)]
     _write_ratings(path, rows)
-    records, _ = ingest_ml1m_style(path)
+    records = ingest_ml1m_style(path)
     assert records[1].history == tuple(range(5))
 
 
@@ -427,8 +426,8 @@ def test_ingest_determinism(tmp_path):
     rows = [(int(rng.integers(3)), int(rng.integers(40)), int(rng.integers(1, 6)),
              int(rng.integers(1000))) for _ in range(120)]
     _write_ratings(path, rows)
-    first, _ = ingest_ml1m_style(path)
-    second, _ = ingest_ml1m_style(path)
+    first = ingest_ml1m_style(path)
+    second = ingest_ml1m_style(path)
     assert first == second
 
 

@@ -445,8 +445,7 @@ def test_token_embeddings_can_start_from_codebook():
 
 def test_item_embeddings_can_start_from_features():
     feats = np.random.default_rng(2).normal(size=(6, 4))
-    cfg = PolicyConfig(n_items=6, vocab_sizes=(3, 3), d_model=5, embed_dim=5,
-                       item_emb_from_features=True)
+    cfg = PolicyConfig(n_items=6, vocab_sizes=(3, 3), d_model=5, embed_dim=5)
     params = PolicyParams(cfg, np.random.default_rng(3), item_features=feats)
     # feature rows that coincide produce identical embedding rows
     feats2 = feats.copy()
@@ -458,8 +457,7 @@ def test_item_embeddings_can_start_from_features():
 
 
 def test_item_feature_rows_must_match_catalog():
-    cfg = PolicyConfig(n_items=6, vocab_sizes=(3, 3), d_model=5, embed_dim=5,
-                       item_emb_from_features=True)
+    cfg = PolicyConfig(n_items=6, vocab_sizes=(3, 3), d_model=5, embed_dim=5)
     feats = np.random.default_rng(2).normal(size=(5, 4))
     with pytest.raises(DataError):
         PolicyParams(cfg, np.random.default_rng(3), item_features=feats)

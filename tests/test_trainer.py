@@ -42,7 +42,7 @@ def _agent(seed=0, variant="full", **kw):
     defaults.update(kw)
     cfg = TrainConfig(**defaults)
     policy_cfg = PolicyConfig(n_items=N_ITEMS, vocab_sizes=VOCAB, d_model=6,
-                              embed_dim=6, item_emb_from_features=False)
+                              embed_dim=6)
     critic_cfg = CriticConfig(d_model=6, levels=len(VOCAB), hidden=4)
     return Agent(policy_cfg, critic_cfg, cfg, _index(), list(range(N_ITEMS)),
                  seed)
@@ -766,6 +766,17 @@ def test_train_step_polyak_averages_target():
 def _agent_state(agent):
     return ({k: v.copy() for k, v in agent.tensors().items()},
             {k: t.data.copy() for k, t in agent.target.params.tensors().items()})
+
+
+def test_checkpoint_block_names_and_order():
+    # the saved checkpoint format; the golden digests pin it on one build only
+    assert list(_agent().tensors()) == [
+        "hpn/enc/item_emb", "hpn/enc/fb_emb", "hpn/enc/attn_q", "hpn/enc/attn_k",
+        "hpn/enc/attn_v", "hpn/enc/proj_w", "hpn/enc/proj_b", "hpn/enc/start",
+        "hpn/level0/head_w", "hpn/level0/tok_emb", "hpn/level0/ln_gain",
+        "hpn/level0/ln_bias", "hpn/level1/head_w", "hpn/level1/tok_emb",
+        "hpn/level1/ln_gain", "hpn/level1/ln_bias", "mlc/head0/w1", "mlc/head0/b1",
+        "mlc/head0/w2", "mlc/head0/b2", "mlc/weights"]
 
 
 def test_load_arrays_copies_every_block_and_syncs_target():
