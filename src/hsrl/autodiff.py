@@ -257,10 +257,10 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def stack(parts: list[Tensor]) -> Tensor:
-    """Stack scalar tensors into a 1-D vector."""
-    for p in parts:
-        if p.ndim != 0:
-            raise ShapeError("stack: expected scalar tensors")
+    """Stack tensors of one shape along a new first axis (scalars into a
+    1-D vector)."""
+    if not parts or any(p.shape != parts[0].shape for p in parts):
+        raise ShapeError("stack: expected tensors of one shape")
     data = np.array([p.data for p in parts])
     return _node(data, tuple(parts), lambda g: tuple(np.asarray(gi) for gi in g))
 
@@ -320,6 +320,16 @@ def row_softmax(x: Tensor) -> Tensor:
     return _node(p, (x,), lambda g: (p * (g - (p * g).sum(axis=-1, keepdims=True)),))
 
 
+def row_log_softmax(x: Tensor) -> Tensor:
+    """`log_softmax` of every row (last axis) of an input with at least two axes."""
+    if x.ndim < 2 or x.shape[-1] < 1:
+        raise ShapeError("row_log_softmax: expected at least 2-D input, rows non-empty")
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    p = np.exp(out)
+    return _node(out, (x,), lambda g: (g - p * g.sum(axis=-1, keepdims=True),))
+
+
 LAYER_NORM_EPS = 1e-5
 
 
@@ -339,5 +349,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         h = g * gain.data
         gx = (h - h.sum() / n - xhat * ((h * xhat).sum() / n)) * inv
         return gx, g * xhat, g
+
+    return _node(gain.data * xhat + bias.data, (x, gain, bias), back)
+
+
+def row_layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """`layer_norm` of every row (last axis) of an input with at least two
+    axes; the rows share `gain` and `bias`, whose gradients sum over them."""
+    n = x.shape[-1] if x.ndim >= 2 else 0
+    if n < 2 or gain.shape != (n,) or bias.shape != (n,):
+        raise ShapeError(f"row_layer_norm: rows {x.shape}, gain {gain.shape}, bias {bias.shape}")
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt((centered ** 2).sum(axis=-1, keepdims=True) / n + LAYER_NORM_EPS)
+    xhat = centered * inv
+
+    def back(g):
+        h = g * gain.data
+        gx = (h - h.sum(axis=-1, keepdims=True) / n
+              - xhat * ((h * xhat).sum(axis=-1, keepdims=True) / n)) * inv
+        return gx, (g * xhat).reshape(-1, n).sum(axis=0), g.reshape(-1, n).sum(axis=0)
 
     return _node(gain.data * xhat + bias.data, (x, gain, bias), back)

@@ -56,15 +56,16 @@ def _synthesize(cfg: RunConfig, out: Path) -> env_mod.SyntheticDataset:
 
 def _read(load, path, what: str, *args):
     """`load(path, *args)`; a file it cannot open is a data error, and a
-    malformed one names its path."""
+    malformed or unusable one names its path."""
     try:
         return load(path, *args)
     except FileNotFoundError:
         raise DataError(f"{what} not found: {path}") from None
     except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from None
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    except (DataError, FormatError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _check_records(items, records) -> None:

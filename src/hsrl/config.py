@@ -9,7 +9,9 @@ every value is type-checked against the schema below.
 from __future__ import annotations
 
 import configparser
+import ctypes
 import json
+import math
 import platform
 import subprocess
 import time
@@ -43,7 +45,13 @@ def _parse_int_list(raw: str) -> tuple[int, ...]:
         raise ConfigError(f"expected comma-separated integers, got {raw!r}") from None
 
 
-_PARSERS = {bool: _parse_bool, tuple: _parse_int_list}
+def _parse_float(raw: str) -> float:
+    if not math.isfinite(value := float(raw)):  # nan passes every range check
+        raise ValueError(raw)
+    return value
+
+
+_PARSERS = {bool: _parse_bool, tuple: _parse_int_list, float: _parse_float}
 
 # Module sections: the dataclass is the only declaration of the section's
 # keys, parsers and defaults. Fields that another section supplies are not
@@ -253,10 +261,22 @@ def _blas_build() -> dict | None:
     return deps.get("blas")
 
 
+def _blas_core() -> str:
+    """The kernel set OpenBLAS picked for this CPU at run time, which bits
+    depend on too; "unknown" when numpy's BLAS does not report it."""
+    query = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__),
+                    "scipy_openblas_get_corename64_", None)
+    if query is None:
+        return "unknown"
+    query.restype = ctypes.c_char_p
+    return query().decode()
+
+
 class Manifest:
     """Written with status=running before any work; finalized afterwards,
     so a crash leaves a manifest that marks the run incomplete. It records
-    the Python, numpy and BLAS builds the run's bytes depend on."""
+    the Python, numpy and BLAS builds and the BLAS core the run's bytes
+    depend on."""
 
     def __init__(self, out_dir: Path, command: str, cfg: RunConfig,
                  outputs: list[str]):
@@ -271,6 +291,7 @@ class Manifest:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "blas": _blas_build(),
+            "blas_core": _blas_core(),
             "config": cfg.flat(),
             "seeds": cfg.seeds(),
             "outputs": outputs,

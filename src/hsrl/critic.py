@@ -69,12 +69,19 @@ def aggregate(params: CriticParams, values: list[Tensor]) -> Tensor:
     return ad.dot(ad.softmax(params.w_raw), ad.stack(values))
 
 
-def trajectory_value(params: CriticParams, trajectory: list[Tensor]) -> Tensor:
-    """Fused value of a trajectory; a single context bypasses fusion
-    (single-level critic ablation)."""
-    if len(trajectory) == 1:
-        return value_of_context(params, trajectory[0])
-    return aggregate(params, per_level_values(params, trajectory))
+def fused_values(params: CriticParams, contexts: Tensor) -> Tensor:
+    """`aggregate` of each of T trajectories stacked level by level into a
+    (levels + 1, T, d) block, up to rounding; one level bypasses fusion."""
+    if contexts.ndim != 3 or contexts.shape[0] not in (1, params.cfg.n_values):
+        raise ContractError(f"context block {contexts.shape} is not (levels + 1 or 1, T, d)")
+    n, t, d = contexts.shape
+    hidden = ad.tanh(ad.add(ad.matmul(ad.reshape(contexts, (n * t, d)),
+                                      ad.transpose(params.w1)), params.b1))
+    values = ad.add(ad.matmul(hidden, params.w2), params.b2)
+    if n == 1:
+        return values
+    return ad.matmul(ad.transpose(ad.reshape(values, (n, t))),
+                     ad.softmax(params.w_raw))
 
 
 def weight_snapshot(params: CriticParams) -> np.ndarray:
@@ -108,7 +115,7 @@ class TargetCritic:
         for own, t in self._pairs(live):
             own.data = t.data.copy()
 
-    def value(self, contexts: list[np.ndarray]) -> float:
+    def value(self, contexts: np.ndarray) -> np.ndarray:
+        """`fused_values` of a (levels + 1 or 1, T, d) array, as an array."""
         with ad.no_grad():
-            return float(trajectory_value(
-                self.params, [ad.constant(c) for c in contexts]).data)
+            return fused_values(self.params, ad.constant(contexts)).data

@@ -94,7 +94,7 @@ class SimFitConfig:
         for name in ("embed_dim", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.learning_rate <= 0.0:
+        if not self.learning_rate > 0.0:
             raise ConfigError("learning_rate must be positive")
 
 
@@ -375,7 +375,7 @@ def load_records(path) -> list[LogRecord]:
         except DataError as exc:
             raise DataError(f"records line {lineno}: {exc}") from None
     if not records:
-        raise DataError(f"no records in {path}")
+        raise DataError("records file holds no records")
     return records
 
 
@@ -405,7 +405,7 @@ class SynthConfig:
             raise ConfigError("embed_dim must be >= 1")
         if not (0.0 <= self.p_preferred <= 1.0 and 0.0 <= self.p_other <= 1.0):
             raise ConfigError("p_preferred and p_other must lie in [0, 1]")
-        if self.noise < 0.0:
+        if not self.noise >= 0.0:
             raise ConfigError("noise must be >= 0")
 
 

@@ -10,7 +10,7 @@ c_0..c_L form the trajectory the critic consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -143,6 +143,22 @@ def forward(params: PolicyParams, c0: Tensor, flat: bool = False,
     return PolicyOutput(probs, log_probs, trajectory, cfg.vocab_sizes)
 
 
+def forward_batch(params: PolicyParams, c0: Tensor, flat: bool = False,
+                  heads_detached: bool = False) -> PolicyOutput:
+    """`forward` of each row of a (B, d_model) block of contexts, up to
+    rounding; every probs, log-probs and trajectory entry has a row per state."""
+    probs, log_probs, trajectory, c = [], [], [c0], c0
+    for heads in zip(params.head_w, params.tok_emb, params.ln_gain, params.ln_bias):
+        w, emb, gain, bias = [t.detach() for t in heads] if heads_detached else heads
+        logits = ad.matmul(c, ad.transpose(w))
+        probs.append(ad.row_softmax(logits))
+        log_probs.append(ad.row_log_softmax(logits))
+        if not flat:
+            c = ad.row_layer_norm(ad.sub(c, ad.matmul(probs[-1], emb)), gain, bias)
+        trajectory.append(c)
+    return PolicyOutput(probs, log_probs, trajectory, params.cfg.vocab_sizes)
+
+
 def _check_sid(output: PolicyOutput, sid) -> tuple[int, ...]:
     sid = tuple(int(z) for z in sid)
     if len(sid) != len(output.vocab_sizes):
@@ -154,12 +170,17 @@ def _check_sid(output: PolicyOutput, sid) -> tuple[int, ...]:
     return sid
 
 
-def per_item_log_probs(output: PolicyOutput, sids) -> Tensor:
+def per_item_log_probs(output: PolicyOutput, sids, rows=None) -> Tensor:
     """(n,) vector of log pi(z|s) = sum_l log p_l[z_l], one entry per SID,
-    all read off one forward pass; differentiable through the recursion."""
+    all read off one forward pass; differentiable through the recursion.
+    For a `forward_batch` output, `rows[i]` names the row SID i is read off."""
     if len(sids) < 1:
         raise ContractError("slate must hold at least one SID")
     z = np.array([_check_sid(output, sid) for sid in sids], dtype=np.int64)
+    if rows is not None:  # token z of row r is entry r * T_l + z of the flat block
+        z = z + np.outer(rows, output.vocab_sizes)
+        output = replace(output, log_probs=[ad.reshape(lp, (lp.data.size,))
+                                            for lp in output.log_probs])
     total = ad.embed(output.log_probs[0], z[:, 0])
     for lvl in range(1, z.shape[1]):
         total = ad.add(total, ad.embed(output.log_probs[lvl], z[:, lvl]))

@@ -9,20 +9,17 @@ targets are constants by construction, and the critic reads the trajectory
 through detached policy-head parameters, so neither loss leaks gradient
 across the actor/critic boundary.
 
-A sampled rollout records each state's encoding and policy forward on the
-tape, and the update differentiates that recording rather than building it
-again, then releases it. Each recording is keyed by the agent that made it
-and that agent's parameter version. A transition without a recording (its
-batch was trained on already), or whose key no longer matches (the agent
-stepped or loaded a checkpoint since, or is a copy), is encoded and
-forwarded afresh by the same calls.
+Rollouts run the policy without gradient tracking. The update builds one
+graph for its whole batch, with a row per transition: one `encode_batch`,
+one `forward_batch`, one vector of every slate item's log-probability and
+one critic pass over the heads-detached trajectories.
 """
 
 from __future__ import annotations
 
 import csv
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import reduce
 from statistics import median
 
 import numpy as np
@@ -30,14 +27,13 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import load_into
-from .critic import (CriticConfig, CriticParams, TargetCritic,
-                     trajectory_value, weight_snapshot)
-from .encoder import UserState
+from .critic import CriticConfig, CriticParams, TargetCritic, fused_values, weight_snapshot
+from .encoder import UserState, encode_batch
 from .env import Environment, EnvConfig, EpisodeMetrics
 from .errors import ConfigError, ContractError
 from .optim import Optimizer
 from .policy import (PolicyConfig, PolicyParams, PolicyOutput, encode_state,
-                     forward, per_item_log_probs, select_slate)
+                     forward, forward_batch, per_item_log_probs, select_slate)
 from .tokenizer import Codebook, SidIndex
 
 ABLATION_VARIANTS = ("full", "no_entropy", "flat_policy", "no_bc", "single_critic")
@@ -67,15 +63,15 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError("gamma must lie in (0, 1)")
-        if self.advantage_clip <= 0.0:
+        if not self.advantage_clip > 0.0:  # `not x > 0`: NaN fails too
             raise ConfigError("advantage clip bound must be positive")
-        if self.lambda_entropy < 0.0 or self.lambda_bc < 0.0:
+        if not (self.lambda_entropy >= 0.0 and self.lambda_bc >= 0.0):
             raise ConfigError("loss weights must be non-negative")
         if self.variant not in TRAIN_VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if not 0.0 < self.target_tau <= 1.0:
             raise ConfigError("target_tau must lie in (0, 1]")
-        if self.learning_rate <= 0.0:
+        if not self.learning_rate > 0.0:
             raise ConfigError("learning_rate must be positive")
         if self.iterations < 0:
             raise ConfigError("iterations must be >= 0")
@@ -93,10 +89,6 @@ class Transition:
     reward: float
     done: int
     next_contexts: list[np.ndarray] | None = None
-    # the rollout's recorded (c0, policy output) and the key it is valid
-    # under, (agent, parameter version); train_step releases both
-    graph: tuple[Tensor, PolicyOutput] | None = None
-    graph_key: tuple[Agent, int] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -104,16 +96,16 @@ class Transition:
 # ---------------------------------------------------------------------------
 
 
-def td_target(reward: float, done: int, v_next: float, gamma: float) -> float:
-    """Q = r + gamma * (1 - d) * V'(s')."""
-    if done not in (0, 1):
+def td_target(reward, done, v_next, gamma: float):
+    """Q = r + gamma * (1 - d) * V'(s'), elementwise over arrays."""
+    if not np.isin(done, (0, 1)).all():
         raise ContractError("done flag must be 0 or 1")
     return reward + gamma * (1 - done) * v_next
 
 
-def advantage(q: float, v: float, clip: float = 1.0) -> float:
-    """Clipped advantage feeding the policy gradient."""
-    return min(max(q - v, -clip), clip)
+def advantage(q, v, clip: float = 1.0):
+    """Clipped advantage feeding the policy gradient, elementwise over arrays."""
+    return np.clip(q - v, -clip, clip)
 
 
 def slate_log_prob(output: PolicyOutput, sids) -> Tensor:
@@ -122,11 +114,10 @@ def slate_log_prob(output: PolicyOutput, sids) -> Tensor:
 
 
 def entropy_term(output: PolicyOutput) -> Tensor:
-    """sum_l sum_z p log p (negative entropy, <= 0); maximized via the loss."""
-    total = ad.dot(output.probs[0], output.log_probs[0])
-    for lvl in range(1, len(output.probs)):
-        total = ad.add(total, ad.dot(output.probs[lvl], output.log_probs[lvl]))
-    return total
+    """sum_l sum_z p log p (negative entropy, <= 0), summed over the rows of
+    a `forward_batch` output; maximized via the loss."""
+    return reduce(ad.add, [ad.vsum(ad.mul(p, lp))
+                           for p, lp in zip(output.probs, output.log_probs)])
 
 
 def bc_loss(output: PolicyOutput, sids, feedback: np.ndarray) -> Tensor | None:
@@ -165,13 +156,6 @@ class Agent:
             list(self.policy.tensors().values()) + list(self.critic.tensors().values()),
             lr=train_cfg.learning_rate)
         self.updates = 0
-        self._loads = 0
-
-    @property
-    def version(self) -> int:
-        """Counts the events that move parameters: optimizer steps and
-        checkpoint loads, so it changes whenever either happens."""
-        return self.opt.step_count + self._loads
 
     def _blocks(self) -> dict[str, Tensor]:
         """Checkpoint block name -> parameter: policy `hpn/`, then critic `mlc/`."""
@@ -183,7 +167,6 @@ class Agent:
 
     def load_arrays(self, named: dict[str, np.ndarray]) -> None:
         load_into(self._blocks(), named, "checkpoint")
-        self._loads += 1
         self.target.hard_sync(self.critic)
 
     def weight_columns(self) -> np.ndarray:
@@ -197,21 +180,17 @@ def rollout(agent: Agent, env: Environment, mode: str,
             rng_act: np.random.Generator | None) -> tuple[list[Transition], EpisodeMetrics]:
     """Play one episode; sample mode trains, greedy mode evaluates.
 
-    Sample mode records each step's encode and forward with gradient
-    tracking and keeps them on its transition for `train_step`; greedy mode
-    records nothing.
+    Both modes run the policy without gradient tracking. Each transition but
+    the last keeps the next state's context trajectory for the target critic.
     """
     flat = agent.cfg.variant == "flat_policy"
-    record = mode == "sample"
-    key = (agent, agent.version) if record else None
     session = env.reset(rng_env)
     transitions: list[Transition] = []
-    total = 0.0
     done = False
     while not done:
-        with nullcontext() if record else ad.no_grad():
-            c0 = encode_state(agent.policy, session.state)
-            out = forward(agent.policy, c0, flat=flat)
+        with ad.no_grad():
+            out = forward(agent.policy, encode_state(agent.policy, session.state),
+                          flat=flat)
         if transitions:
             # a copy: with an empty history trajectory[0] is the start
             # parameter itself, which the optimizer updates in place, so a
@@ -220,96 +199,68 @@ def rollout(agent: Agent, env: Environment, mode: str,
         slate = select_slate(out, agent.index, agent.catalog,
                              env.cfg.slate_size, mode, rng_act)
         feedback, reward, nxt, done = env.step(session, slate, rng_env)
-        transitions.append(Transition(
-            state=session.state,
-            sids=tuple(agent.index.sid_of(i) for i in slate),
-            feedback=feedback,
-            reward=reward,
-            done=int(done),
-            graph=(c0, out) if record else None,
-            graph_key=key,
-        ))
-        total += reward
+        transitions.append(Transition(session.state, tuple(map(agent.index.sid_of, slate)),
+                                      feedback, reward, int(done)))
         session = nxt
-    return transitions, EpisodeMetrics(total_reward=total, depth=len(transitions))
-
-
-def _batch_mean(terms: list[Tensor], batch: int) -> Tensor:
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return ad.scale(total, 1.0 / batch)
+    return transitions, EpisodeMetrics(total_reward=sum(tr.reward for tr in transitions),
+                                       depth=len(transitions))
 
 
 def train_step(agent: Agent, transitions: list[Transition]) -> dict:
-    """One joint update on a batch of transitions; returns the loss report."""
-    cfg = agent.cfg
-    batch = len(transitions)
+    """One joint update on a batch of transitions, through one graph; returns
+    the loss report. Each loss is the batch mean of its per-transition term."""
+    cfg, variant, batch = agent.cfg, agent.cfg.variant, len(transitions)
     if batch < 1:
         raise ContractError("empty batch")
-    flat = cfg.variant == "flat_policy"
-    single = cfg.variant == "single_critic"
-    bc_only = cfg.variant == "bc_only"
-    entropy_weight = (0.0 if cfg.variant in ("no_entropy", "bc_only")
-                      else cfg.lambda_entropy)
-    use_bc = cfg.lambda_bc > 0.0 and cfg.variant != "no_bc"
+    flat = variant == "flat_policy"
+    weights = {"loss_V": 1.0, "loss_PG": 1.0, "loss_BC": cfg.lambda_bc,
+               "H_en": 0.0 if variant in ("no_entropy", "bc_only") else cfg.lambda_entropy}
 
-    critic_terms, pg_terms, ent_terms, bc_terms = [], [], [], []
+    c0 = encode_batch(agent.policy.encoder, [tr.state for tr in transitions])
+    out = forward_batch(agent.policy, c0, flat=flat)
+    sizes = np.array([len(tr.sids) for tr in transitions])
+    rows = np.repeat(np.arange(batch), sizes)       # transition of each slate item
+    log_probs = per_item_log_probs(out, [z for tr in transitions for z in tr.sids],
+                                   rows)
+    terms: dict[str, Tensor] = {}
+    if variant != "bc_only":
+        trajectory = [c0] if variant == "single_critic" else forward_batch(
+            agent.policy, c0, flat=flat, heads_detached=True).trajectory
+        v_hat = fused_values(agent.critic, ad.stack(trajectory))
+        done = np.array([tr.done for tr in transitions])
+        v_next = np.zeros(batch)
+        if (boot := np.flatnonzero(done == 0)).size:
+            v_next[boot] = agent.target.value(np.stack(
+                [transitions[i].next_contexts[:len(trajectory)] for i in boot], axis=1))
+        q = td_target(np.array([tr.reward for tr in transitions]), done, v_next, cfg.gamma)
+        adv = advantage(q, v_hat.data, cfg.advantage_clip)
+        diff = ad.sub(v_hat, ad.constant(q))
+        terms["loss_V"] = ad.vmean(ad.mul(diff, diff))
+        terms["loss_PG"] = ad.dot(ad.constant(-adv[rows] / sizes[rows] / batch),
+                                  log_probs)
+    if weights["H_en"]:
+        terms["H_en"] = ad.scale(entropy_term(out), 1.0 / batch)
+    if (cfg.lambda_bc > 0.0 and variant != "no_bc") or variant == "bc_only":
+        clicks = np.concatenate([tr.feedback for tr in transitions]).astype(np.float64)
+        pos = np.bincount(rows, weights=clicks, minlength=batch)
+        if pos.any():  # a slate with no click adds exactly zero loss and gradient
+            per_item = -clicks / np.where(pos > 0, pos, 1.0)[rows] / batch
+            terms["loss_BC"] = ad.dot(ad.constant(per_item), log_probs)
 
-    for tr in transitions:
-        if tr.graph_key == (agent, agent.version):
-            c0, out = tr.graph
-        else:
-            c0 = encode_state(agent.policy, tr.state)
-            out = forward(agent.policy, c0, flat=flat)
-        tr.graph = tr.graph_key = None
-
-        if not bc_only:
-            trajectory = [c0] if single else forward(
-                agent.policy, c0, flat=flat, heads_detached=True).trajectory
-            v_hat = trajectory_value(agent.critic, trajectory)
-            if tr.done:
-                q = tr.reward
-            else:
-                contexts = tr.next_contexts[:1] if single else tr.next_contexts
-                q = td_target(tr.reward, 0, agent.target.value(contexts), cfg.gamma)
-            adv = advantage(q, float(v_hat.data), cfg.advantage_clip)
-
-            diff = ad.shift(v_hat, -q)
-            critic_terms.append(ad.mul(diff, diff))
-            pg_terms.append(ad.scale(slate_log_prob(out, tr.sids), -adv))
-        # reported for every variant; weighted into the loss when it is on,
-        # and kept off the tape when it is not
-        with nullcontext() if entropy_weight else ad.no_grad():
-            ent_terms.append(entropy_term(out))
-
-        if use_bc or bc_only:
-            term = bc_loss(out, tr.sids, tr.feedback)
-            if term is not None:
-                bc_terms.append(term)
-
-    report = {"loss_V": 0.0, "loss_PG": 0.0, "H_en": 0.0, "loss_BC": 0.0}
-    total: Tensor | None = None
-    for key, parts, weight in (("loss_V", critic_terms, 1.0),
-                               ("loss_PG", pg_terms, 1.0),
-                               ("H_en", ent_terms, entropy_weight),
-                               ("loss_BC", bc_terms, cfg.lambda_bc)):
-        if not parts:
-            continue
-        with nullcontext() if weight else ad.no_grad():
-            mean = _batch_mean(parts, batch)
-        report[key] = float(mean.data)
-        if weight != 0.0:
-            part = ad.scale(mean, weight) if weight != 1.0 else mean
-            total = part if total is None else ad.add(total, part)
-
+    report = {key: float(terms[key].data) if key in terms else 0.0 for key in weights}
+    if not weights["H_en"]:  # reported only: entropy_term's sums on plain arrays
+        report["H_en"] = float(sum((p.data * lp.data).sum() for p, lp in
+                                   zip(out.probs, out.log_probs)) * (1.0 / batch))
+    parts = [term if weights[key] == 1.0 else ad.scale(term, weights[key])
+             for key, term in terms.items() if weights[key] != 0.0]
+    total = reduce(ad.add, parts) if parts else None
     if total is not None and total.requires_grad:
         agent.opt.zero_grad()
         ad.backward(total)
         agent.opt.step()
     agent.updates += 1
 
-    if not bc_only:
+    if variant != "bc_only":
         agent.target.soft_update(agent.critic, cfg.target_tau)
 
     report["weights"] = agent.weight_columns()

@@ -120,6 +120,62 @@ def test_row_softmax_gradient():
             lambda: ad.vsum(ad.mul(ad.row_softmax(x), probe)), [x], rtol=1e-4)
 
 
+ROW_FORMS = settings(derandomize=True, database=None, deadline=None, max_examples=25)
+# 2-D and 3-D inputs whose rows (last axis) have at least two entries
+row_shapes = st.lists(st.integers(1, 3), min_size=1, max_size=2).flatmap(
+    lambda lead: st.integers(2, 6).map(lambda n: tuple(lead) + (n,)))
+
+
+def _row_form_cases(rng, shape):
+    """(row form, the 1-D form it applies to every row, its parameters)."""
+    n = shape[-1]
+    gain, bias = _param(rng, (n,)), _param(rng, (n,))
+    return [(ad.row_softmax, ad.softmax, []),
+            (ad.row_log_softmax, ad.log_softmax, []),
+            (lambda x: ad.row_layer_norm(x, gain, bias),
+             lambda x: ad.layer_norm(x, gain, bias), [gain, bias])]
+
+
+@ROW_FORMS
+@given(shape=row_shapes, seed=st.integers(0, 2**32 - 1))
+def test_row_forms_match_finite_differences_and_their_1d_forms(shape, seed):
+    rng = np.random.default_rng(seed)
+    n = shape[-1]
+    for row_op, op, extra in _row_form_cases(rng, shape):
+        x = _param(rng, shape, scale=2.0)
+        probe = rng.normal(size=shape)
+        check_gradients(lambda: ad.vsum(ad.mul(row_op(x), ad.constant(probe))),
+                        [x] + extra, rtol=1e-4, atol=1e-7)
+        with ad.no_grad():
+            values = row_op(x).data.reshape(-1, n)
+        grads = [t.grad.copy() for t in [x] + extra]
+        for t in extra:
+            t.zero_grad()
+        # the 1-D form, row by row: same values and x gradients, and the
+        # shared rows' gradients are the sum of every row's share
+        for r, pr, v, g in zip(x.data.reshape(-1, n), probe.reshape(-1, n),
+                               values, grads[0].reshape(-1, n)):
+            one = ad.Tensor(r.copy(), requires_grad=True)
+            out = op(one)
+            ad.backward(ad.dot(out, ad.constant(pr)))
+            assert np.abs(out.data - v).max() <= 1e-12
+            assert np.abs(one.grad - g).max() <= 1e-12
+        for t, g in zip(extra, grads[1:]):
+            assert np.abs(t.grad - g).max() <= 1e-12
+
+
+@ROW_FORMS
+@given(shape=st.lists(st.integers(1, 3), min_size=1, max_size=2).map(tuple),
+       parts=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_stack_joins_equal_shapes_along_a_new_first_axis(shape, parts, seed):
+    rng = np.random.default_rng(seed)
+    xs = [_param(rng, shape) for _ in range(parts)]
+    probe = ad.constant(rng.normal(size=(parts,) + shape))
+    stacked = ad.stack(xs)
+    assert np.array_equal(stacked.data, np.array([x.data for x in xs]))
+    check_gradients(lambda: ad.vsum(ad.mul(ad.stack(xs), probe)), xs, rtol=1e-4)
+
+
 # ---------------------------------------------------------------------------
 # layer_norm
 # ---------------------------------------------------------------------------
@@ -426,6 +482,15 @@ def test_batched_primitive_gradients():
     lambda: ad.matmul(ad.constant(np.ones((2, 2, 3))), ad.constant(np.ones(3))),
     lambda: ad.add(ad.constant(np.ones(3)), ad.constant(np.ones((2, 3)))),
     lambda: ad.add(ad.constant(np.ones((2, 3, 4))), ad.constant(np.ones((2, 4)))),
+    lambda: ad.row_log_softmax(ad.constant(np.ones(3))),
+    lambda: ad.row_layer_norm(ad.constant(np.ones(3)), ad.constant(np.ones(3)),
+                              ad.constant(np.zeros(3))),
+    lambda: ad.row_layer_norm(ad.constant(np.ones((2, 1))), ad.constant(np.ones(1)),
+                              ad.constant(np.zeros(1))),
+    lambda: ad.row_layer_norm(ad.constant(np.ones((2, 3))), ad.constant(np.ones(2)),
+                              ad.constant(np.zeros(3))),
+    lambda: ad.stack([ad.constant(np.ones(2)), ad.constant(np.ones(3))]),
+    lambda: ad.stack([]),
 ])
 def test_batched_shape_errors(build):
     with pytest.raises(ShapeError):

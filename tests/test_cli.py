@@ -12,6 +12,7 @@ from hsrl import env as env_mod
 from hsrl import tokenizer as tok_mod
 from hsrl.checkpoint import CHECKPOINT_MAGIC
 from hsrl.cli import SWEEP_GRIDS, main
+from hsrl.config import _blas_core
 from hsrl.env import (SimFitConfig, constant_log_loss, held_out_log_loss,
                       load_records, load_response_model)
 from hsrl.tokenizer import SidIndex, load_codebook, save_codebook
@@ -97,6 +98,7 @@ def test_tokenize_smoke(tmp_path, config_path, capsys):
     build = np.show_config(mode="dicts")["Build Dependencies"]
     assert manifest["blas"] == build["blas"]
     assert manifest["blas"]["name"]
+    assert manifest["blas_core"] == _blas_core() != ""
 
 
 def test_tokenize_vocab_larger_than_catalog(tmp_path, config_path):
@@ -575,6 +577,27 @@ def test_embeddings_with_non_integer_item_id_fail_as_format_error(
     assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
 
 
+@pytest.mark.parametrize("key, name, text, message", [
+    ("ratings_path", "ratings.tsv", "0\t1\t1\n",
+     "ratings line 1: expected 4 tab-separated fields, got 3"),
+    ("records_path", "records.tsv", "0\t\t1,2\t1\n", "records line 1: "),
+    ("embeddings_path", "embeddings.tsv", "d=8\n", "embeddings file holds no items"),
+])
+def test_unusable_data_file_names_its_path(tmp_path, config_path, capsys, key,
+                                           name, text, message):
+    data_dir = tmp_path / "data"
+    assert _run("gen-data", "--config", config_path, "--out", data_dir) == 0
+    bad = tmp_path / name
+    bad.write_text(text)
+    paths = {"embeddings_path": data_dir / "embeddings.tsv",
+             "records_path": data_dir / "records.tsv", key: bad}
+    if key == "ratings_path":
+        del paths["records_path"]
+    assert _run("tokenize", "--config", _files_config(tmp_path, **paths),
+                "--out", tmp_path / "tok") == 3
+    assert capsys.readouterr().err.startswith(f"data error: {bad}: {message}")
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[training]\nlearning_rte = 0.1\n")
@@ -610,6 +633,10 @@ def test_unknown_config_section_rejected(tmp_path):
     pytest.param("[data]\np_preferred = 1.5\n", 2, id="data_p_preferred"),
     pytest.param("[data]\np_other = -0.1\n", 2, id="data_p_other"),
     pytest.param("[data]\nnoise = -1.0\n", 2, id="data_noise"),
+    pytest.param("[training]\nadvantage_clip = nan\n", 2, id="advantage_clip_nan"),
+    pytest.param("[training]\nlambda_bc = nan\n", 2, id="lambda_bc_nan"),
+    pytest.param("[data]\nnoise = inf\n", 2, id="data_noise_inf"),
+    pytest.param("[training]\nlearning_rate = -inf\n", 2, id="learning_rate_minus_inf"),
     pytest.param("[data]\nn_items = 4\nn_clusters = 2\n[env]\nslate_size = 5\n",
                  3, id="slate_exceeds_catalog"),
 ])

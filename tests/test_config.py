@@ -24,6 +24,13 @@ def _built(cfg, section):
     }[section]()
 
 
+@pytest.mark.parametrize("field", ["advantage_clip", "lambda_bc",
+                                   "lambda_entropy", "learning_rate"])
+def test_train_config_rejects_nan(field):
+    with pytest.raises(ConfigError):
+        TrainConfig(**{field: float("nan")})
+
+
 def test_default_config_builds_dataclass_defaults():
     cfg = default_config()
     vocab = cfg.vocab_sizes()

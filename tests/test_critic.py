@@ -3,7 +3,8 @@ import pytest
 
 import hsrl.autodiff as ad
 from hsrl.critic import (CriticConfig, CriticParams, TargetCritic, aggregate,
-                         per_level_values, value_of_context, weight_snapshot)
+                         fused_values, per_level_values, value_of_context,
+                         weight_snapshot)
 from hsrl.errors import ContractError
 
 from gradcheck import check_gradients
@@ -161,22 +162,30 @@ def test_target_hard_sync_bitwise():
         assert np.array_equal(frozen[name].data, t.data)
 
 
+def _block(trajectories):
+    """(levels + 1, T, d) array of T trajectories given as lists of tensors."""
+    return np.stack([[c.data for c in traj] for traj in trajectories], axis=1)
+
+
 def test_target_value_matches_live_after_sync():
     live = _critic(seed=16)
     target = TargetCritic(live)
-    contexts = _contexts(seed=17)
-    live_value = float(aggregate(live, per_level_values(live, contexts)).data)
-    assert target.value([c.data for c in contexts]) == live_value
+    trajectories = [_contexts(seed=s) for s in (17, 18, 19)]
+    got = target.value(_block(trajectories))
+    assert got.shape == (3,)
+    for value, contexts in zip(got, trajectories):
+        live_value = float(aggregate(live, per_level_values(live, contexts)).data)
+        assert abs(value - live_value) <= 1e-12
 
 
 def test_target_constant_between_syncs():
     live = _critic(seed=18)
     target = TargetCritic(live)
-    contexts = [c.data for c in _contexts(seed=19)]
-    v1 = target.value(contexts)
+    block = _block([_contexts(seed=19), _contexts(seed=20)])
+    v1 = target.value(block)
     for t in live.tensors().values():
         t.data += 3.0
-    assert target.value(contexts) == v1
+    assert np.array_equal(target.value(block), v1)
 
 
 def test_target_structure_mismatch():
@@ -190,6 +199,47 @@ def test_target_structure_mismatch():
 def test_single_context_value_bypasses_fusion():
     live = _critic(seed=21)
     target = TargetCritic(live)
-    c = np.random.default_rng(22).normal(size=6)
-    direct = float(value_of_context(live, ad.constant(c)).data)
-    assert target.value([c]) == direct
+    rows = np.random.default_rng(22).normal(size=(2, 6))
+    got = target.value(rows[None])
+    for value, c in zip(got, rows):
+        assert abs(value - float(value_of_context(live, ad.constant(c)).data)) <= 1e-12
+
+
+@pytest.mark.parametrize("levels", [1, 3])
+def test_fused_values_match_the_per_trajectory_functions(levels):
+    critic = _critic(levels=levels, seed=23)
+    critic.w_raw.data = np.random.default_rng(24).normal(size=levels + 1)
+    rng = np.random.default_rng(25)
+    trajectories = [[ad.Tensor(rng.normal(size=6), requires_grad=True)
+                     for _ in range(levels + 1)] for _ in range(4)]
+    params = [critic.w1, critic.b1, critic.w2, critic.b2, critic.w_raw]
+    probe = rng.normal(size=4)
+
+    def batched():
+        block = ad.stack([ad.stack(list(level)) for level in zip(*trajectories)])
+        return ad.dot(fused_values(critic, block), ad.constant(probe))
+
+    def one_by_one():
+        total = None
+        for weight, traj in zip(probe, trajectories):
+            term = ad.scale(aggregate(critic, per_level_values(critic, traj)), weight)
+            total = term if total is None else ad.add(total, term)
+        return total
+
+    grads = []
+    for build in (batched, one_by_one):
+        for t in params + sum(trajectories, []):
+            t.zero_grad()
+        loss = build()
+        ad.backward(loss)
+        grads.append([float(loss.data)] + [t.grad for t in params + sum(trajectories, [])])
+    for a, b in zip(*grads):
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
+    check_gradients(batched, params + trajectories[0], rtol=1e-3, atol=1e-7)
+
+
+def test_fused_values_reject_a_block_of_the_wrong_depth():
+    critic = _critic(levels=3)
+    for shape in [(2, 5, 6), (4, 6)]:
+        with pytest.raises(ContractError):
+            fused_values(critic, ad.constant(np.zeros(shape)))

@@ -2,11 +2,12 @@
 `fit-sim`, `train`, `eval` and `ablate` on the tiny test configs must hash
 to the sha256 recorded in `golden_digests.json`.
 
-Bitwise results hold only for one Python, numpy and BLAS build on one set
-of CPU SIMD extensions (numpy and OpenBLAS pick their kernels from it at
-run time), so the digests are keyed by all four. On a key with no entry
-the test skips and prints the key. `manifest.json` is left out: it holds
-wall-clock times and the git stamp.
+Bitwise results hold only for one Python, numpy and BLAS build, one
+OpenBLAS core (the kernel set it picks for the CPU at run time, "unknown"
+when the BLAS does not say) and one set of CPU SIMD extensions (which
+numpy picks its kernels from), so the digests are keyed by all five. On a
+key with no entry the test skips and prints the key. `manifest.json` is
+left out: it holds wall-clock times and the git stamp.
 
 A change that moves floats on purpose regenerates the entry for this build
 with `PYTHONPATH=src python tests/test_golden.py` and logs the old and new
@@ -25,7 +26,7 @@ import numpy as np
 import pytest
 
 from hsrl.cli import main
-from hsrl.config import _blas_build
+from hsrl.config import _blas_build, _blas_core
 
 from test_cli import BASE_CONFIG
 
@@ -52,7 +53,8 @@ def build_key() -> str:
     blas = _blas_build() or {}
     simd = ",".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f))
     return (f"python {platform.python_version()} | numpy {np.__version__} | "
-            f"blas {blas.get('name')} {blas.get('version')} | simd {simd}")
+            f"blas {blas.get('name')} {blas.get('version')} | core {_blas_core()} | "
+            f"simd {simd}")
 
 
 def output_digests() -> dict[str, str]:

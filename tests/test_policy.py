@@ -8,10 +8,12 @@ import pytest
 
 import hsrl.autodiff as ad
 from hsrl.checkpoint import CHECKPOINT_MAGIC, load_tensors, save_tensors
-from hsrl.encoder import UserState
-from hsrl.errors import ContractError, DataError, FormatError, UnknownItemError
+from hsrl.encoder import UserState, encode_batch
+from hsrl.errors import (ContractError, DataError, FormatError, ShapeError,
+                         UnknownItemError)
 from hsrl.policy import (PolicyConfig, PolicyParams, _raw_scores, encode_state,
-                         forward, select_slate, sid_log_prob)
+                         forward, forward_batch, per_item_log_probs,
+                         select_slate, sid_log_prob)
 from hsrl.tokenizer import SidIndex
 
 from gradcheck import check_gradients
@@ -143,6 +145,52 @@ def test_flat_mode_reads_context_zero_everywhere():
 # ---------------------------------------------------------------------------
 # sid_log_prob
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_forward_batch_rows_match_forward(flat):
+    params = _params(seed=4)
+    states = [UserState(), UserState(((3, 1), (5, 0), (7, 1))), UserState(((9, 0),))]
+    c0 = encode_batch(params.encoder, states)
+    out = forward_batch(params, c0, flat=flat)
+    slates = [[(0, 1, 2), (3, 3, 3)], [(1, 0, 2)], [(2, 2, 0), (0, 0, 0), (1, 3, 2)]]
+    rows = np.repeat(np.arange(3), [len(s) for s in slates])
+    batched = per_item_log_probs(out, sum(slates, []), rows).data
+    for r, state in enumerate(states):
+        one = _output(params, state.history, flat=flat)
+        for got, want in [(out.probs, one.probs), (out.log_probs, one.log_probs),
+                          (out.trajectory, one.trajectory)]:
+            for g, w in zip(got, want):
+                assert np.abs(g.data[r] - w.data).max() <= 1e-12
+        lp = per_item_log_probs(one, slates[r]).data
+        assert np.abs(batched[rows == r] - lp).max() <= 1e-12
+
+
+def test_forward_batch_gradients_match_finite_differences():
+    params = _params(vocab=(3, 4), d_model=5, seed=6)
+    c0 = ad.Tensor(np.random.default_rng(7).normal(size=(3, 5)), requires_grad=True)
+    probe = ad.constant(np.random.default_rng(8).normal(size=(3, 5)))
+    rows, sids = np.array([0, 1, 1, 2]), [(0, 1), (2, 3), (1, 1), (2, 0)]
+
+    def loss():
+        out = forward_batch(params, c0)
+        return ad.add(ad.vsum(per_item_log_probs(out, sids, rows)),
+                      ad.vsum(ad.mul(out.trajectory[-1], probe)))
+
+    heads = params.head_w + params.tok_emb + params.ln_gain + params.ln_bias
+    check_gradients(loss, [c0] + heads, rtol=1e-4, atol=1e-7)
+    # with the heads detached, only the contexts take a gradient
+    for t in heads + [c0]:
+        t.zero_grad()
+    ad.backward(ad.vsum(ad.mul(forward_batch(params, c0, heads_detached=True)
+                               .trajectory[-1], probe)))
+    assert c0.grad is not None and all(t.grad is None for t in heads)
+
+
+def test_forward_batch_rejects_a_single_context():
+    params = _params()
+    with pytest.raises(ShapeError):
+        forward_batch(params, ad.constant(np.zeros(8)))
 
 
 def test_sid_log_prob_uniform_product():

@@ -1,4 +1,5 @@
 import copy
+import functools
 import math
 from dataclasses import replace
 
@@ -7,7 +8,8 @@ import pytest
 
 import hsrl.autodiff as ad
 import hsrl.trainer as trainer
-from hsrl.critic import CriticConfig, aggregate, per_level_values
+from hsrl.critic import (CriticConfig, aggregate, per_level_values,
+                         value_of_context)
 from hsrl.encoder import UserState
 from hsrl.env import EnvConfig, Environment, LogRecord, make_user_pool
 from hsrl.errors import ConfigError, ContractError, FormatError, NumericsError
@@ -286,7 +288,8 @@ def test_composite_loss_gradient_matches_finite_differences():
     for tr in transitions:
         with ad.no_grad():
             q = (tr.reward if tr.done else
-                 td_target(tr.reward, 0, agent.target.value(tr.next_contexts),
+                 td_target(tr.reward, 0,
+                           agent.target.value(np.stack(tr.next_contexts)[:, None])[0],
                            cfg.gamma))
         frozen.append(q)
 
@@ -515,118 +518,109 @@ def test_next_contexts_keep_their_values_after_an_update():
 
 
 # ---------------------------------------------------------------------------
-# the rollout's recorded graph
+# the batched update against a per-transition reference
 # ---------------------------------------------------------------------------
 
 
+def _reference_value(params, trajectory):
+    """Fused value of one trajectory by the 1-D critic functions."""
+    if len(trajectory) == 1:
+        return value_of_context(params, trajectory[0])
+    return aggregate(params, per_level_values(params, trajectory))
+
+
+def _reference_step(agent, transitions):
+    """The update as one graph per transition: each state encoded and
+    forwarded alone by the 1-D functions, its critic and target values read
+    one trajectory at a time, and the terms summed in transition order."""
+    cfg = agent.cfg
+    flat = cfg.variant == "flat_policy"
+    single = cfg.variant == "single_critic"
+    bc_only = cfg.variant == "bc_only"
+    entropy_weight = (0.0 if cfg.variant in ("no_entropy", "bc_only")
+                      else cfg.lambda_entropy)
+    use_bc = cfg.lambda_bc > 0.0 and cfg.variant != "no_bc"
+    parts = {"loss_V": [], "loss_PG": [], "H_en": [], "loss_BC": []}
+    for tr in transitions:
+        c0 = encode_state(agent.policy, tr.state)
+        out = forward(agent.policy, c0, flat=flat)
+        if not bc_only:
+            trajectory = [c0] if single else forward(
+                agent.policy, c0, flat=flat, heads_detached=True).trajectory
+            v_hat = _reference_value(agent.critic, trajectory)
+            q = tr.reward
+            if not tr.done:
+                with ad.no_grad():
+                    v_next = _reference_value(agent.target.params, [
+                        ad.constant(c) for c in tr.next_contexts[:len(trajectory)]])
+                q = td_target(tr.reward, 0, float(v_next.data), cfg.gamma)
+            adv = advantage(q, float(v_hat.data), cfg.advantage_clip)
+            diff = ad.shift(v_hat, -q)
+            parts["loss_V"].append(ad.mul(diff, diff))
+            parts["loss_PG"].append(ad.scale(slate_log_prob(out, tr.sids), -adv))
+        parts["H_en"].append(entropy_term(out))
+        bc = bc_loss(out, tr.sids, tr.feedback) if use_bc or bc_only else None
+        if bc is not None:
+            parts["loss_BC"].append(bc)
+
+    report, total = {"loss_V": 0.0, "loss_PG": 0.0, "H_en": 0.0, "loss_BC": 0.0}, None
+    for key, weight in (("loss_V", 1.0), ("loss_PG", 1.0),
+                        ("H_en", entropy_weight), ("loss_BC", cfg.lambda_bc)):
+        if parts[key]:
+            mean = ad.scale(functools.reduce(ad.add, parts[key]), 1.0 / len(transitions))
+            report[key] = float(mean.data)
+            if weight:
+                part = ad.scale(mean, weight)
+                total = part if total is None else ad.add(total, part)
+    if total is not None and total.requires_grad:
+        agent.opt.zero_grad()
+        ad.backward(total)
+        agent.opt.step()
+    if not bc_only:
+        agent.target.soft_update(agent.critic, cfg.target_tau)
+    return report
+
+
 def _update_state(agent, report):
-    return ({k: v.copy() for k, v in agent.tensors().items()},
-            [m.copy() for m in agent.opt._m], [v.copy() for v in agent.opt._v],
-            {k: t.data.copy() for k, t in agent.target.params.tensors().items()},
-            {k: np.asarray(v).copy() for k, v in report.items()})
+    """Every array an update writes, then the losses it reports."""
+    return (list(agent.tensors().values()) + agent.opt._m + agent.opt._v
+            + [t.data for t in agent.target.params.tensors().values()]
+            + [report[k] for k in ("loss_V", "loss_PG", "H_en", "loss_BC")])
 
 
-def _recorded_and_reencoded(variant, env, seed):
-    """Three rollout + update rounds on one agent, which trains on its
-    recorded graphs, and on a twin fed the same transitions without them.
-    Returns both final states, the tape nodes each spent updating and the
-    number of transitions from an empty history."""
-    agent = _agent(seed=seed, variant=variant)
+def _batches(agent, seed):
+    """Five batches, each rolled out by `agent` just before its update: an
+    episode with empty-history states, three episodes joined (so terminal
+    transitions sit mid-batch), and an episode in which nothing is clicked."""
+    kinds = [(_empty_history_env(), 1), (_env(), 3), (_env(ScriptedResponse(0)), 1),
+             (_empty_history_env(ScriptedResponse(0)), 2), (_env(), 2)]
+    for n, (env, episodes) in enumerate(kinds):
+        batch = []
+        for episode in range(episodes):
+            more, _ = rollout(agent, env, "sample",
+                              np.random.default_rng([seed, 0, n, episode]),
+                              np.random.default_rng([seed, 1, n, episode]))
+            batch.extend(more)
+        yield batch
+
+
+@pytest.mark.parametrize("variant", TRAIN_VARIANTS)
+def test_batched_update_matches_the_per_transition_update(variant):
+    agent = _agent(seed=43, variant=variant)
     twin = copy.deepcopy(agent)
-    states, nodes, empty = [None, None], [0, 0], 0
-    for episode in range(3):
-        transitions, _ = rollout(agent, env, "sample",
-                                 np.random.default_rng([seed, 0, episode]),
-                                 np.random.default_rng([seed, 1, episode]))
-        assert all(tr.graph is not None for tr in transitions)
-        empty += sum(not tr.state.history for tr in transitions)
-        bare = [replace(tr, graph=None, graph_key=None) for tr in transitions]
-        for i, (who, batch) in enumerate(((agent, transitions), (twin, bare))):
-            start = _nodes_created()
-            report = train_step(who, batch)
-            nodes[i] += _nodes_created() - start
-            states[i] = _update_state(who, report)
-        assert all(tr.graph is None for tr in transitions)
-    return states, nodes, empty
-
-
-def _flatten(state):
-    return [np.asarray(a) for part in state
-            for a in (part.values() if isinstance(part, dict) else part)]
-
-
-@pytest.mark.parametrize("variant", TRAIN_VARIANTS)
-def test_recorded_graph_update_equals_reencode_bitwise(variant):
-    (recorded, fresh), nodes, _ = _recorded_and_reencoded(variant, _env(), 43)
-    assert nodes[0] < nodes[1]
-    for a, b in zip(_flatten(recorded), _flatten(fresh)):
-        assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("variant", TRAIN_VARIANTS)
-def test_recorded_graph_update_matches_reencode_with_an_empty_history(variant):
-    # An empty history encodes to the start parameter itself, so gradients
-    # reach it straight from each such transition's forward and, except in
-    # bc_only, from its critic input. The recorded forwards now all take
-    # their ids before any critic input does, so the start gradient is
-    # summed in another order: on this seed every variant but bc_only
-    # differs from the re-encode update in the last bits (<= 3e-17 seen).
-    # bc_only has no critic input, keeps its order and stays bitwise equal.
-    (recorded, fresh), nodes, empty = _recorded_and_reencoded(
-        variant, _empty_history_env(), 47)
-    assert empty >= 2 and nodes[0] < nodes[1]
-    pairs = list(zip(_flatten(recorded), _flatten(fresh)))
-    for a, b in pairs:
-        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
-    if variant == "bc_only":
-        assert all(np.array_equal(a, b) for a, b in pairs)
-
-
-def _count_encodes(monkeypatch) -> list[int]:
-    calls = [0]
-    real = trainer.encode_state
-
-    def counted(params, state):
-        calls[0] += 1
-        return real(params, state)
-
-    monkeypatch.setattr(trainer, "encode_state", counted)
-    return calls
-
-
-def test_train_step_reuses_the_graph_its_agent_just_recorded(monkeypatch):
-    agent = _agent(seed=45)
-    transitions = _fake_transitions(agent, _env(), n=4, seed=46)
-    calls = _count_encodes(monkeypatch)
-    train_step(agent, transitions)
-    assert calls[0] == 0
-    assert all(tr.graph is None and tr.graph_key is None for tr in transitions)
-    train_step(agent, transitions)  # released: encoded anew
-    assert calls[0] == len(transitions)
-
-
-def test_train_step_reencodes_after_an_optimizer_step(monkeypatch):
-    agent = _agent(seed=47)
-    env = _env()
-    first = _fake_transitions(agent, env, n=2, seed=48)
-    second = _fake_transitions(agent, env, n=3, seed=49)
-    calls = _count_encodes(monkeypatch)
-    version = agent.version
-    train_step(agent, first)
-    assert agent.version != version
-    train_step(agent, second)
-    assert calls[0] == len(second)
-
-
-def test_train_step_reencodes_after_load_arrays(monkeypatch):
-    agent = _agent(seed=50)
-    transitions = _fake_transitions(agent, _env(), n=3, seed=51)
-    version = agent.version
-    agent.load_arrays(_agent(seed=52).tensors())
-    assert agent.version != version
-    calls = _count_encodes(monkeypatch)
-    train_step(agent, transitions)
-    assert calls[0] == len(transitions)
+    start = {k: v.copy() for k, v in agent.tensors().items()}
+    seen = {"empty": 0, "mid_terminal": 0, "no_click": 0}
+    for batch in _batches(agent, 43):
+        seen["empty"] += sum(not tr.state.history for tr in batch)
+        seen["mid_terminal"] += sum(tr.done for tr in batch[:-1])
+        seen["no_click"] += not any(tr.feedback.any() for tr in batch)
+        got = _update_state(agent, train_step(agent, batch))
+        want = _update_state(twin, _reference_step(twin, batch))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
+    assert min(seen.values()) >= 1, seen
+    assert any(not np.array_equal(start[k], v) for k, v in agent.tensors().items())
 
 
 def test_deepcopy_twin_update_leaves_the_original_untouched():
@@ -705,13 +699,12 @@ def test_run_ablation_rejects_bc_only():
 
 
 def test_nan_forward_aborts_step_with_params_intact():
-    # the batch's recorded graph is stale after another update, so
-    # train_step encodes it anew and reads the poisoned bias
+    # the update encodes its whole batch afresh, so it reads the poisoned bias
     agent = _agent(seed=34)
     env = _env()
     transitions = _fake_transitions(agent, env, n=2, seed=35)
     train_step(agent, _fake_transitions(agent, env, n=2, seed=36))
-    assert transitions[0].graph is not None
+    assert any(tr.state.history for tr in transitions)
     agent.policy.encoder.proj_b.data[:] = np.inf  # poison mid-graph
     before = {k: v.copy() for k, v in agent.tensors().items()}
 
@@ -824,7 +817,7 @@ def _nodes_created() -> int:
 # episodes. Node counts do not depend on the machine, so a change in tape
 # cost shows here exactly; a change that moves a count updates the pin and
 # logs the old and new count.
-TAPE_NODES = {"full": (4571, 1160), "bc_only": (1613, 1160)}
+TAPE_NODES = {"full": (1579, 1160), "bc_only": (1394, 1160)}
 
 
 @pytest.mark.parametrize("variant", sorted(TAPE_NODES))
