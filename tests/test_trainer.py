@@ -623,6 +623,34 @@ def test_batched_update_matches_the_per_transition_update(variant):
     assert any(not np.array_equal(start[k], v) for k, v in agent.tensors().items())
 
 
+@pytest.mark.parametrize("variant", TRAIN_VARIANTS)
+def test_recorded_graph_update_matches_reencode_with_an_empty_history(variant):
+    # An empty history encodes to the start parameter itself, so gradients
+    # reach it straight from each such transition's row of the batched
+    # forward and, except in bc_only, from its critic rows. Three rollout +
+    # update rounds: the agent builds one graph per recorded episode, its
+    # twin re-encodes every transition alone (the per-transition reference);
+    # both end within 1e-12, and the batched graph takes fewer tape nodes.
+    seed, env = 47, _empty_history_env()
+    agent = _agent(seed=seed, variant=variant)
+    twin = copy.deepcopy(agent)
+    nodes, empty = [0, 0], 0
+    for episode in range(3):
+        transitions, _ = rollout(agent, env, "sample",
+                                 np.random.default_rng([seed, 0, episode]),
+                                 np.random.default_rng([seed, 1, episode]))
+        empty += sum(not tr.state.history for tr in transitions)
+        states = []
+        for i, (who, step) in enumerate(((agent, train_step), (twin, _reference_step))):
+            start = _nodes_created()
+            report = step(who, transitions)
+            nodes[i] += _nodes_created() - start
+            states.append(_update_state(who, report))
+        for a, b in zip(*states):
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
+    assert empty >= 2 and nodes[0] < nodes[1]
+
+
 def test_deepcopy_twin_update_leaves_the_original_untouched():
     agent = _agent(seed=53)
     env = _env()
