@@ -224,17 +224,19 @@ def _swap(x: np.ndarray) -> np.ndarray:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes. Axes of `a` before those are
     batch axes; `b` either has the same ones or is one 2-D matrix shared by
-    the whole batch, whose gradient then sums over it. A 2-D `a` also takes
-    a 1-D `b`, as numpy's `@` does: a matrix-vector product."""
-    if (a.ndim < 2 or b.ndim < 1 or (b.ndim == 1 and a.ndim > 2)
-            or a.shape[-1] != b.shape[-min(b.ndim, 2)]
-            or (b.ndim > 2 and b.shape[:-2] != a.shape[:-2])):
+    the whole batch, whose gradient then sums over it. As numpy's `@` does,
+    a 2-D `a` also takes a 1-D `b` (a matrix-vector product) and a 1-D `a`
+    a 2-D `b` (a vector-matrix product)."""
+    an, bn = a.data.ndim, b.data.ndim
+    if (an < 1 or bn < 1 or (an == 1 and bn != 2) or (bn == 1 and an != 2)
+            or a.shape[-1] != b.shape[-min(bn, 2)]
+            or (bn > 2 and b.shape[:-2] != a.shape[:-2])):
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
 
     def back(g):
-        if b.ndim == 1:
+        if bn == 1:
             return np.outer(g, b.data), a.data.T @ g
-        if b.ndim > 2:
+        if bn > 2:
             return g @ _swap(b.data), _swap(a.data) @ g
         return (g @ b.data.T,
                 a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
@@ -250,9 +252,12 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    """Same entries, in the same order, under a new shape."""
+    """Same entries, in the same order, under a new shape; `a` itself when
+    the shape is its own."""
     if math.prod(shape) != a.data.size or min(shape, default=0) < 0:
         raise ShapeError(f"reshape: {a.shape} to {shape}")
+    if tuple(shape) == a.shape:
+        return a
     return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
@@ -287,43 +292,26 @@ def embed(x: Tensor, ids) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _rows(x: Tensor, op: str) -> int:
+    """Length of the last axis, along which the normalization ops work on
+    each row of `x` independently."""
+    shape = x.data.shape
+    if not shape or not shape[-1]:
+        raise ShapeError(f"{op}: expected at least one axis, the last non-empty, got {shape}")
+    return shape[-1]
+
+
 def softmax(x: Tensor) -> Tensor:
-    """Probability vector over a 1-D input; max-subtracted for stability."""
-    if x.ndim != 1 or x.shape[0] < 1:
-        raise ShapeError("softmax: expected non-empty 1-D input")
-    e = np.exp(x.data - x.data.max())
-    p = e / e.sum()
-    return _node(p, (x,), lambda g: (p * (g - float(p @ g)),))
-
-
-def log_softmax(x: Tensor) -> Tensor:
-    if x.ndim != 1 or x.shape[0] < 1:
-        raise ShapeError("log_softmax: expected non-empty 1-D input")
-    shifted = x.data - x.data.max()
-    lse = math.log(np.exp(shifted).sum())
-    out = shifted - lse
-    p = np.exp(out)
-    return _node(out, (x,), lambda g: (g - p * g.sum(),))
-
-
-def row_softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis, independently for every row of an input
-    with at least two axes."""
-    # Kept beside `softmax`: this backward sums `p * g` pairwise per row,
-    # the 1-D one takes `p @ g` by BLAS ddot, and the two differ in the last
-    # bit on 40-70% of softmax vectors of length 5-64. Either formula for
-    # both moves the golden digests (4 files with this one, 14 with ddot).
-    if x.ndim < 2:
-        raise ShapeError("row_softmax: expected at least 2-D input")
+    """Probabilities over the last axis; max-subtracted for stability."""
+    _rows(x, "softmax")
     e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
     return _node(p, (x,), lambda g: (p * (g - (p * g).sum(axis=-1, keepdims=True)),))
 
 
-def row_log_softmax(x: Tensor) -> Tensor:
-    """`log_softmax` of every row (last axis) of an input with at least two axes."""
-    if x.ndim < 2 or x.shape[-1] < 1:
-        raise ShapeError("row_log_softmax: expected at least 2-D input, rows non-empty")
+def log_softmax(x: Tensor) -> Tensor:
+    """Log-probabilities over the last axis."""
+    _rows(x, "log_softmax")
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     p = np.exp(out)
@@ -334,31 +322,11 @@ LAYER_NORM_EPS = 1e-5
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """gain * (x - mean) / sqrt(pop_var + 1e-5) + bias over a 1-D input."""
-    if x.ndim != 1 or x.shape[0] < 2:
-        raise ShapeError("layer_norm: expected 1-D input with length >= 2")
-    _same_shape(x, gain, "layer_norm")
-    _same_shape(x, bias, "layer_norm")
-    n = x.shape[0]
-    mu = x.data.sum() / n
-    var = ((x.data - mu) ** 2).sum() / n
-    inv = 1.0 / math.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x.data - mu) * inv
-
-    def back(g):
-        h = g * gain.data
-        gx = (h - h.sum() / n - xhat * ((h * xhat).sum() / n)) * inv
-        return gx, g * xhat, g
-
-    return _node(gain.data * xhat + bias.data, (x, gain, bias), back)
-
-
-def row_layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """`layer_norm` of every row (last axis) of an input with at least two
-    axes; the rows share `gain` and `bias`, whose gradients sum over them."""
-    n = x.shape[-1] if x.ndim >= 2 else 0
+    """gain * (x - mean) / sqrt(pop_var + 1e-5) + bias over the last axis;
+    every row shares `gain` and `bias`, whose gradients sum over the rows."""
+    n = _rows(x, "layer_norm")
     if n < 2 or gain.shape != (n,) or bias.shape != (n,):
-        raise ShapeError(f"row_layer_norm: rows {x.shape}, gain {gain.shape}, bias {bias.shape}")
+        raise ShapeError(f"layer_norm: rows {x.shape}, gain {gain.shape}, bias {bias.shape}")
     centered = x.data - x.data.sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt((centered ** 2).sum(axis=-1, keepdims=True) / n + LAYER_NORM_EPS)
     xhat = centered * inv

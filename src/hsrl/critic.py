@@ -4,20 +4,22 @@ One small value head (2-layer perceptron, tanh hidden layer) scores
 every context of the policy trajectory, whatever its level; raw level
 weights pass through a softmax so the fused estimate is always a convex
 combination. The bootstrap target is the same critic, frozen: a deep copy
-of the parameters that takes no gradient, evaluated by the same function
-and kept in step by Polyak averaging.
+of the parameters that takes no gradient, evaluated by the same functions
+and kept in step by Polyak averaging. Both functions take one context (or
+value) or a whole block, so an update scores its batch in one pass.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, ShapeError
 
 
 @dataclass
@@ -50,38 +52,29 @@ class CriticParams:
                 "head0/b2": self.b2, "weights": self.w_raw}
 
 
-def value_of_context(params: CriticParams, context: Tensor) -> Tensor:
-    hidden = ad.tanh(ad.add(ad.matmul(params.w1, context), params.b1))
-    return ad.add(ad.dot(params.w2, hidden), params.b2)
+def value_of_context(params: CriticParams, contexts: Tensor) -> Tensor:
+    """Value of each context of a (..., d) block, as a (...) block (a scalar
+    for one context); every context goes through one 2-D product."""
+    d, lead = params.cfg.d_model, contexts.shape[:-1]
+    if contexts.ndim < 1 or contexts.shape[-1] != d:
+        raise ShapeError(f"contexts {contexts.shape} are not (..., {d})")
+    rows = ad.reshape(contexts, (math.prod(lead), d))
+    hidden = ad.tanh(ad.add(ad.matmul(rows, ad.transpose(params.w1)), params.b1))
+    return ad.reshape(ad.add(ad.matmul(hidden, params.w2), params.b2), lead)
 
 
-def per_level_values(params: CriticParams, trajectory: list[Tensor]) -> list[Tensor]:
-    if len(trajectory) != params.cfg.n_values:
-        raise ContractError(f"trajectory has {len(trajectory)} contexts, expected "
-                            f"{params.cfg.n_values}")
-    return [value_of_context(params, c) for c in trajectory]
-
-
-def aggregate(params: CriticParams, values: list[Tensor]) -> Tensor:
-    """Softmax-normalize the raw weights and fuse per-level values."""
-    if len(values) != params.cfg.n_values:
-        raise ContractError(f"{len(values)} values, expected {params.cfg.n_values}")
-    return ad.dot(ad.softmax(params.w_raw), ad.stack(values))
-
-
-def fused_values(params: CriticParams, contexts: Tensor) -> Tensor:
-    """`aggregate` of each of T trajectories stacked level by level into a
-    (levels + 1, T, d) block, up to rounding; one level bypasses fusion."""
-    if contexts.ndim != 3 or contexts.shape[0] not in (1, params.cfg.n_values):
-        raise ContractError(f"context block {contexts.shape} is not (levels + 1 or 1, T, d)")
-    n, t, d = contexts.shape
-    hidden = ad.tanh(ad.add(ad.matmul(ad.reshape(contexts, (n * t, d)),
-                                      ad.transpose(params.w1)), params.b1))
-    values = ad.add(ad.matmul(hidden, params.w2), params.b2)
+def aggregate(params: CriticParams, values: Tensor) -> Tensor:
+    """Fuse a (levels + 1, ...) block of per-level values into a (...) block
+    by the softmax-normalized raw weights; a (1, ...) block (one level)
+    passes through unweighted."""
+    n = values.shape[0] if values.ndim else 0
+    if n not in (1, params.cfg.n_values):
+        raise ContractError(f"value block {values.shape} is not (levels + 1 or 1, ...)")
+    rest = values.shape[1:]
     if n == 1:
-        return values
-    return ad.matmul(ad.transpose(ad.reshape(values, (n, t))),
-                     ad.softmax(params.w_raw))
+        return ad.reshape(values, rest)
+    columns = ad.transpose(ad.reshape(values, (n, math.prod(rest))))
+    return ad.reshape(ad.matmul(columns, ad.softmax(params.w_raw)), rest)
 
 
 def weight_snapshot(params: CriticParams) -> np.ndarray:
@@ -116,6 +109,8 @@ class TargetCritic:
             own.data = t.data.copy()
 
     def value(self, contexts: np.ndarray) -> np.ndarray:
-        """`fused_values` of a (levels + 1 or 1, T, d) array, as an array."""
+        """Fused value of each trajectory of a (levels + 1 or 1, T, d) array
+        of contexts stacked level by level, as a (T,) array."""
         with ad.no_grad():
-            return fused_values(self.params, ad.constant(contexts)).data
+            return aggregate(self.params,
+                             value_of_context(self.params, ad.constant(contexts))).data

@@ -93,8 +93,8 @@ def encode(params: EncoderParams, state: UserState) -> Tensor:
         q = ad.matmul(x, params.attn_q)
         k = ad.matmul(x, params.attn_k)
         v = ad.matmul(x, params.attn_v)
-        attn = ad.row_softmax(ad.scale(ad.matmul(q, ad.transpose(k)),
-                                       1.0 / math.sqrt(cfg.embed_dim)))
+        attn = ad.softmax(ad.scale(ad.matmul(q, ad.transpose(k)),
+                                   1.0 / math.sqrt(cfg.embed_dim)))
         mixed = ad.add(x, ad.matmul(attn, v))
         pooled = ad.vmean(mixed, axis=0)
         return ad.add(ad.matmul(params.proj_w, pooled), params.proj_b)
@@ -131,7 +131,7 @@ def encode_batch(params: EncoderParams, states) -> Tensor:
     v = ad.matmul(x, params.attn_v)
     scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(cfg.embed_dim))
     key_mask = np.repeat(np.where(real, 0.0, _MASKED_SCORE)[:, None, :], width, axis=1)
-    attn = ad.row_softmax(ad.add(scores, ad.constant(key_mask)))
+    attn = ad.softmax(ad.add(scores, ad.constant(key_mask)))
     mixed = ad.add(x, ad.matmul(attn, v))
     pool = real / np.maximum(lengths, 1)[:, None]
     pooled = ad.reshape(ad.matmul(ad.constant(pool[:, None, :]), mixed),

@@ -106,7 +106,9 @@ def encode_state(params: PolicyParams, state: UserState) -> Tensor:
 def forward(params: PolicyParams, c0: Tensor, flat: bool = False,
             heads_detached: bool = False,
             force_onehot: dict[int, int] | None = None) -> PolicyOutput:
-    """Produce all level distributions and the context trajectory in one pass.
+    """Produce all level distributions and the context trajectory in one pass,
+    for one (d_model,) context or each row of a (B, d_model) block of them;
+    every probs, log-probs and trajectory entry then has a row per state.
 
     `flat` reads every head off c_0 with no residual refinement (ablation).
     `heads_detached` treats head/embedding/norm parameters as constants so
@@ -114,47 +116,23 @@ def forward(params: PolicyParams, c0: Tensor, flat: bool = False,
     `force_onehot` substitutes a one-hot distribution at given levels
     (test hook for the residual-alignment property).
     """
-    cfg = params.cfg
-    if c0.shape != (cfg.d_model,):
-        raise ShapeError(f"context has shape {c0.shape}, expected ({cfg.d_model},)")
-    maybe_detach = (lambda t: t.detach()) if heads_detached else (lambda t: t)
-
-    probs: list[Tensor] = []
-    log_probs: list[Tensor] = []
-    trajectory = [c0]
-    c = c0
-    for lvl, t_l in enumerate(cfg.vocab_sizes):
-        logits = ad.matmul(maybe_detach(params.head_w[lvl]), c0 if flat else c)
-        p = ad.softmax(logits)
-        lp = ad.log_softmax(logits)
-        if force_onehot and lvl in force_onehot:
-            onehot = np.zeros(t_l)
-            onehot[force_onehot[lvl]] = 1.0
-            p = ad.constant(onehot)
-        probs.append(p)
-        log_probs.append(lp)
-        if flat:
-            c = c0
-        else:
-            e = ad.matmul(ad.transpose(maybe_detach(params.tok_emb[lvl])), p)
-            c = ad.layer_norm(ad.sub(c, e), maybe_detach(params.ln_gain[lvl]),
-                              maybe_detach(params.ln_bias[lvl]))
-        trajectory.append(c)
-    return PolicyOutput(probs, log_probs, trajectory, cfg.vocab_sizes)
-
-
-def forward_batch(params: PolicyParams, c0: Tensor, flat: bool = False,
-                  heads_detached: bool = False) -> PolicyOutput:
-    """`forward` of each row of a (B, d_model) block of contexts, up to
-    rounding; every probs, log-probs and trajectory entry has a row per state."""
+    d = params.cfg.d_model
+    if c0.ndim not in (1, 2) or c0.shape[-1] != d:
+        raise ShapeError(f"context has shape {c0.shape}, expected ({d},) or (B, {d})")
     probs, log_probs, trajectory, c = [], [], [c0], c0
-    for heads in zip(params.head_w, params.tok_emb, params.ln_gain, params.ln_bias):
+    for lvl, heads in enumerate(zip(params.head_w, params.tok_emb,
+                                    params.ln_gain, params.ln_bias)):
         w, emb, gain, bias = [t.detach() for t in heads] if heads_detached else heads
         logits = ad.matmul(c, ad.transpose(w))
-        probs.append(ad.row_softmax(logits))
-        log_probs.append(ad.row_log_softmax(logits))
+        p = ad.softmax(logits)
+        log_probs.append(ad.log_softmax(logits))
+        if force_onehot and lvl in force_onehot:
+            onehot = np.zeros(p.shape)
+            onehot[..., force_onehot[lvl]] = 1.0
+            p = ad.constant(onehot)
+        probs.append(p)
         if not flat:
-            c = ad.row_layer_norm(ad.sub(c, ad.matmul(probs[-1], emb)), gain, bias)
+            c = ad.layer_norm(ad.sub(c, ad.matmul(p, emb)), gain, bias)
         trajectory.append(c)
     return PolicyOutput(probs, log_probs, trajectory, params.cfg.vocab_sizes)
 
@@ -173,7 +151,8 @@ def _check_sid(output: PolicyOutput, sid) -> tuple[int, ...]:
 def per_item_log_probs(output: PolicyOutput, sids, rows=None) -> Tensor:
     """(n,) vector of log pi(z|s) = sum_l log p_l[z_l], one entry per SID,
     all read off one forward pass; differentiable through the recursion.
-    For a `forward_batch` output, `rows[i]` names the row SID i is read off."""
+    For the output of a block of contexts, `rows[i]` names the row SID i is
+    read off."""
     if len(sids) < 1:
         raise ContractError("slate must hold at least one SID")
     z = np.array([_check_sid(output, sid) for sid in sids], dtype=np.int64)

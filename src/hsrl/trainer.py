@@ -11,8 +11,9 @@ across the actor/critic boundary.
 
 Rollouts run the policy without gradient tracking. The update builds one
 graph for its whole batch, with a row per transition: one `encode_batch`,
-one `forward_batch`, one vector of every slate item's log-probability and
-one critic pass over the heads-detached trajectories.
+one policy `forward` of the block of contexts, one vector of every slate
+item's log-probability and one critic pass over the heads-detached
+trajectories.
 """
 
 from __future__ import annotations
@@ -27,17 +28,21 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import load_into
-from .critic import CriticConfig, CriticParams, TargetCritic, fused_values, weight_snapshot
+from .critic import (CriticConfig, CriticParams, TargetCritic, aggregate,
+                     value_of_context, weight_snapshot)
 from .encoder import UserState, encode_batch
 from .env import Environment, EnvConfig, EpisodeMetrics
 from .errors import ConfigError, ContractError
 from .optim import Optimizer
 from .policy import (PolicyConfig, PolicyParams, PolicyOutput, encode_state,
-                     forward, forward_batch, per_item_log_probs, select_slate)
+                     forward, per_item_log_probs, select_slate)
 from .tokenizer import Codebook, SidIndex
 
 ABLATION_VARIANTS = ("full", "no_entropy", "flat_policy", "no_bc", "single_critic")
 TRAIN_VARIANTS = ABLATION_VARIANTS + ("bc_only",)
+# Variants whose critic scores c_0 alone: every context of a flat policy's
+# trajectory is c_0, so fusing them by any weights would give v(c_0) too.
+_CONTEXT_ZERO_CRITIC = ("single_critic", "flat_policy")
 
 # Seed-stream tags: every generator in a run derives from one agent seed.
 _STREAM_INIT = 0
@@ -115,7 +120,7 @@ def slate_log_prob(output: PolicyOutput, sids) -> Tensor:
 
 def entropy_term(output: PolicyOutput) -> Tensor:
     """sum_l sum_z p log p (negative entropy, <= 0), summed over the rows of
-    a `forward_batch` output; maximized via the loss."""
+    the output of a block of contexts; maximized via the loss."""
     return reduce(ad.add, [ad.vsum(ad.mul(p, lp))
                            for p, lp in zip(output.probs, output.log_probs)])
 
@@ -170,7 +175,7 @@ class Agent:
         self.target.hard_sync(self.critic)
 
     def weight_columns(self) -> np.ndarray:
-        if self.cfg.variant == "single_critic":
+        if self.cfg.variant in _CONTEXT_ZERO_CRITIC:
             return np.eye(self.critic.cfg.n_values)[0]
         return weight_snapshot(self.critic)
 
@@ -217,16 +222,16 @@ def train_step(agent: Agent, transitions: list[Transition]) -> dict:
                "H_en": 0.0 if variant in ("no_entropy", "bc_only") else cfg.lambda_entropy}
 
     c0 = encode_batch(agent.policy.encoder, [tr.state for tr in transitions])
-    out = forward_batch(agent.policy, c0, flat=flat)
+    out = forward(agent.policy, c0, flat=flat)
     sizes = np.array([len(tr.sids) for tr in transitions])
     rows = np.repeat(np.arange(batch), sizes)       # transition of each slate item
     log_probs = per_item_log_probs(out, [z for tr in transitions for z in tr.sids],
                                    rows)
     terms: dict[str, Tensor] = {}
     if variant != "bc_only":
-        trajectory = [c0] if variant == "single_critic" else forward_batch(
-            agent.policy, c0, flat=flat, heads_detached=True).trajectory
-        v_hat = fused_values(agent.critic, ad.stack(trajectory))
+        trajectory = [c0] if variant in _CONTEXT_ZERO_CRITIC else forward(
+            agent.policy, c0, heads_detached=True).trajectory
+        v_hat = aggregate(agent.critic, value_of_context(agent.critic, ad.stack(trajectory)))
         done = np.array([tr.done for tr in transitions])
         v_next = np.zeros(batch)
         if (boot := np.flatnonzero(done == 0)).size:

@@ -16,7 +16,7 @@ import numpy as np
 import hsrl.autodiff as ad
 from hsrl.cli import SWEEP_GRIDS, main as cli_main
 from hsrl.critic import (CriticConfig, CriticParams, aggregate,
-                         per_level_values)
+                         value_of_context)
 from hsrl.encoder import UserState
 from hsrl.env import (EnvConfig, Environment, GroundTruthResponse, SimFitConfig,
                       SynthConfig, fit_simulators, generate_synthetic,
@@ -93,7 +93,7 @@ def test_criterion_1_gradient_suite():
                         for _ in range(3)]
             params = list(critic.tensors().values()) + contexts
             check_gradients(
-                lambda: aggregate(critic, per_level_values(critic, contexts)),
+                lambda: aggregate(critic, value_of_context(critic, ad.stack(contexts))),
                 params, rtol=1e-3, atol=1e-7)
             cases += 1
 
@@ -115,7 +115,7 @@ def test_criterion_1_gradient_suite():
                 out = forward(params, c0)
                 view = forward(params, c0, heads_detached=True)
                 v_hat = aggregate(critic,
-                                  per_level_values(critic, view.trajectory))
+                                  value_of_context(critic, ad.stack(view.trajectory)))
                 diff = ad.shift(v_hat, -q)
                 term = ad.mul(diff, diff)                       # critic MSE
                 term = ad.add(term, ad.scale(slate_log_prob(out, sids), -adv))

@@ -18,7 +18,7 @@ def _param(rng, shape, scale=1.0):
 
 
 # ---------------------------------------------------------------------------
-# matrix-vector products: matmul with a 1-D right operand
+# matrix-vector and vector-matrix products: matmul with a 1-D operand
 # ---------------------------------------------------------------------------
 
 
@@ -44,6 +44,19 @@ def test_matvec_gradient_matches_finite_differences():
         w = _param(rng, (8, 8))
         x = _param(rng, (8,))
         check_gradients(lambda: ad.vsum(ad.matmul(w, x)), [w, x], rtol=1e-4)
+
+
+def test_vector_matrix_product_matches_numpy_and_finite_differences():
+    rng = np.random.default_rng(26)
+    for _ in range(20):
+        x, w = _param(rng, (5,)), _param(rng, (5, 3))
+        probe = rng.normal(size=3)
+        with ad.no_grad():
+            out = ad.matmul(x, w).data
+        assert out.shape == (3,)
+        assert np.abs(out - np.einsum("i,ij->j", x.data, w.data)).max() <= 1e-12
+        check_gradients(lambda: ad.dot(ad.matmul(x, w), ad.constant(probe)),
+                        [x, w], rtol=1e-4)
 
 
 def test_folded_forms_bitwise_equal_the_direct_formulas():
@@ -111,50 +124,60 @@ def test_log_softmax_gradient():
                         rtol=1e-4)
 
 
-def test_row_softmax_gradient():
+def test_softmax_block_gradient():
     rng = np.random.default_rng(15)
     for _ in range(20):
         x = _param(rng, (4, 5))
         probe = ad.constant(rng.normal(size=(4, 5)))
         check_gradients(
-            lambda: ad.vsum(ad.mul(ad.row_softmax(x), probe)), [x], rtol=1e-4)
+            lambda: ad.vsum(ad.mul(ad.softmax(x), probe)), [x], rtol=1e-4)
 
 
 ROW_FORMS = settings(derandomize=True, database=None, deadline=None, max_examples=25)
-# 2-D and 3-D inputs whose rows (last axis) have at least two entries
-row_shapes = st.lists(st.integers(1, 3), min_size=1, max_size=2).flatmap(
+# 1-D, 2-D and 3-D inputs whose rows (last axis) have at least two entries
+row_shapes = st.lists(st.integers(1, 3), min_size=0, max_size=2).flatmap(
     lambda lead: st.integers(2, 6).map(lambda n: tuple(lead) + (n,)))
 
 
 def _row_form_cases(rng, shape):
-    """(row form, the 1-D form it applies to every row, its parameters)."""
+    """(normalization op, a plain numpy expression of it, its parameters)."""
     n = shape[-1]
     gain, bias = _param(rng, (n,)), _param(rng, (n,))
-    return [(ad.row_softmax, ad.softmax, []),
-            (ad.row_log_softmax, ad.log_softmax, []),
-            (lambda x: ad.row_layer_norm(x, gain, bias),
-             lambda x: ad.layer_norm(x, gain, bias), [gain, bias])]
+
+    def layer_norm(x):
+        centered = x - x.mean(axis=-1, keepdims=True)
+        return (gain.data * centered / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+                + bias.data)
+
+    return [(ad.softmax, lambda x: np.exp(x) / np.exp(x).sum(axis=-1, keepdims=True), []),
+            (ad.log_softmax, lambda x: x - np.log(np.exp(x).sum(axis=-1, keepdims=True)),
+             []),
+            (lambda x: ad.layer_norm(x, gain, bias), layer_norm, [gain, bias])]
 
 
 @ROW_FORMS
 @given(shape=row_shapes, seed=st.integers(0, 2**32 - 1))
 def test_row_forms_match_finite_differences_and_their_1d_forms(shape, seed):
+    # each op on a block: against finite differences and a plain numpy
+    # expression, and against the same op applied to each row alone
     rng = np.random.default_rng(seed)
     n = shape[-1]
-    for row_op, op, extra in _row_form_cases(rng, shape):
+    for op, reference, extra in _row_form_cases(rng, shape):
         x = _param(rng, shape, scale=2.0)
         probe = rng.normal(size=shape)
-        check_gradients(lambda: ad.vsum(ad.mul(row_op(x), ad.constant(probe))),
+        check_gradients(lambda: ad.vsum(ad.mul(op(x), ad.constant(probe))),
                         [x] + extra, rtol=1e-4, atol=1e-7)
         with ad.no_grad():
-            values = row_op(x).data.reshape(-1, n)
+            values = op(x).data
+        assert values.shape == shape
+        assert np.abs(values - reference(x.data)).max() <= 1e-12
         grads = [t.grad.copy() for t in [x] + extra]
         for t in extra:
             t.zero_grad()
-        # the 1-D form, row by row: same values and x gradients, and the
-        # shared rows' gradients are the sum of every row's share
+        # row by row: same values and x gradients, and the shared
+        # parameters' gradients are the sum of every row's share
         for r, pr, v, g in zip(x.data.reshape(-1, n), probe.reshape(-1, n),
-                               values, grads[0].reshape(-1, n)):
+                               values.reshape(-1, n), grads[0].reshape(-1, n)):
             one = ad.Tensor(r.copy(), requires_grad=True)
             out = op(one)
             ad.backward(ad.dot(out, ad.constant(pr)))
@@ -420,14 +443,14 @@ def _values_and_grads(build, tensors):
     return out.data.copy(), [t.grad.copy() for t in tensors]
 
 
-def test_two_d_matmul_transpose_row_softmax_unchanged_bit_for_bit():
+def test_two_d_matmul_transpose_softmax_unchanged_bit_for_bit():
     """2-D results and gradients are those of the 2-D-only formulas."""
     rng = np.random.default_rng(22)
     a, b, probe = _param(rng, (5, 4)), _param(rng, (6, 4)), rng.normal(size=(5, 6))
 
     def build():
         bt = ad.transpose(b)                   # a non-contiguous operand
-        return ad.mul(ad.row_softmax(ad.matmul(a, bt)), ad.constant(probe))
+        return ad.mul(ad.softmax(ad.matmul(a, bt)), ad.constant(probe))
 
     values, (ga, gb) = _values_and_grads(build, [a, b])
     logits = a.data @ b.data.T
@@ -451,6 +474,12 @@ def test_batched_matmul_matches_each_slice():
         assert np.abs(paired[i] - x.data[i] @ y.data[i]).max() <= 1e-12
 
 
+def test_reshape_to_its_own_shape_is_the_tensor_itself():
+    x = _param(np.random.default_rng(27), (2, 3))
+    assert ad.reshape(x, (2, 3)) is x
+    assert ad.reshape(x, (3, 2)) is not x
+
+
 def test_batched_primitive_gradients():
     rng = np.random.default_rng(24)
     for _ in range(10):
@@ -462,7 +491,7 @@ def test_batched_primitive_gradients():
         def loss():
             q = ad.matmul(x, w)                               # one shared matrix
             scores = ad.matmul(q, ad.transpose(x))            # paired batches
-            mixed = ad.matmul(ad.row_softmax(scores), q)      # (3, 4, 5)
+            mixed = ad.matmul(ad.softmax(scores), q)          # (3, 4, 5)
             rows = ad.add(ad.reshape(mixed, (12, 5)), bias)   # bias row on each row
             return ad.vsum(ad.mul(rows, probe))
 
@@ -472,9 +501,9 @@ def test_batched_primitive_gradients():
 @pytest.mark.parametrize("build", [
     lambda: ad.matmul(ad.constant(np.ones((2, 3, 4))), ad.constant(np.ones((3, 4, 2)))),
     lambda: ad.matmul(ad.constant(np.ones((3, 4))), ad.constant(np.ones((2, 4, 2)))),
-    lambda: ad.matmul(ad.constant(np.ones(4)), ad.constant(np.ones((4, 2)))),
+    lambda: ad.matmul(ad.constant(np.ones(4)), ad.constant(np.ones(4))),
     lambda: ad.transpose(ad.constant(np.ones(3))),
-    lambda: ad.row_softmax(ad.constant(np.ones(3))),
+    lambda: ad.softmax(ad.constant(1.0)),
     lambda: ad.reshape(ad.constant(np.ones((2, 3))), (4, 2)),
     lambda: ad.reshape(ad.constant(np.ones((2, 3))), (-1, 2)),
     lambda: ad.add(ad.constant(np.ones((2, 3))), ad.constant(np.ones(2))),
@@ -482,15 +511,21 @@ def test_batched_primitive_gradients():
     lambda: ad.matmul(ad.constant(np.ones((2, 2, 3))), ad.constant(np.ones(3))),
     lambda: ad.add(ad.constant(np.ones(3)), ad.constant(np.ones((2, 3)))),
     lambda: ad.add(ad.constant(np.ones((2, 3, 4))), ad.constant(np.ones((2, 4)))),
-    lambda: ad.row_log_softmax(ad.constant(np.ones(3))),
-    lambda: ad.row_layer_norm(ad.constant(np.ones(3)), ad.constant(np.ones(3)),
-                              ad.constant(np.zeros(3))),
-    lambda: ad.row_layer_norm(ad.constant(np.ones((2, 1))), ad.constant(np.ones(1)),
-                              ad.constant(np.zeros(1))),
-    lambda: ad.row_layer_norm(ad.constant(np.ones((2, 3))), ad.constant(np.ones(2)),
-                              ad.constant(np.zeros(3))),
+    lambda: ad.log_softmax(ad.constant(np.ones((2, 0)))),
+    lambda: ad.layer_norm(ad.constant(1.0), ad.constant(np.ones(1)),
+                          ad.constant(np.zeros(1))),
+    lambda: ad.layer_norm(ad.constant(np.ones((2, 1))), ad.constant(np.ones(1)),
+                          ad.constant(np.zeros(1))),
+    lambda: ad.layer_norm(ad.constant(np.ones((2, 3))), ad.constant(np.ones(2)),
+                          ad.constant(np.zeros(3))),
     lambda: ad.stack([ad.constant(np.ones(2)), ad.constant(np.ones(3))]),
     lambda: ad.stack([]),
+    lambda: ad.matmul(ad.constant(np.ones(4)), ad.constant(np.ones((2, 4, 3)))),
+    lambda: ad.matmul(ad.constant(np.ones(3)), ad.constant(np.ones((4, 2)))),
+    lambda: ad.softmax(ad.constant(np.ones((3, 0)))),
+    lambda: ad.log_softmax(ad.constant(1.0)),
+    lambda: ad.layer_norm(ad.constant(np.ones((2, 3))), ad.constant(np.ones(3)),
+                          ad.constant(np.zeros(4))),
 ])
 def test_batched_shape_errors(build):
     with pytest.raises(ShapeError):

@@ -3,9 +3,8 @@ import pytest
 
 import hsrl.autodiff as ad
 from hsrl.critic import (CriticConfig, CriticParams, TargetCritic, aggregate,
-                         fused_values, per_level_values, value_of_context,
-                         weight_snapshot)
-from hsrl.errors import ContractError
+                         value_of_context, weight_snapshot)
+from hsrl.errors import ContractError, ShapeError
 
 from gradcheck import check_gradients
 
@@ -21,6 +20,17 @@ def _contexts(levels=3, d_model=6, seed=1):
     return [ad.constant(rng.normal(size=d_model)) for _ in range(levels + 1)]
 
 
+def _numpy_value(critic, c):
+    """The value head on one context, in plain numpy."""
+    return critic.w2.data @ np.tanh(critic.w1.data @ c + critic.b1.data) + critic.b2.data
+
+
+def _numpy_fused(critic, trajectory):
+    """Softmax-weighted fusion of one trajectory's values, in plain numpy."""
+    w = np.exp(critic.w_raw.data) / np.exp(critic.w_raw.data).sum()
+    return w @ np.array([_numpy_value(critic, c) for c in trajectory])
+
+
 # ---------------------------------------------------------------------------
 # per-level values
 # ---------------------------------------------------------------------------
@@ -31,30 +41,41 @@ def test_zero_weight_critic_returns_output_bias():
     for t in (critic.w1, critic.w2):
         t.data[:] = 0.0
     critic.b2.data = np.asarray(1.5)
-    values = per_level_values(critic, _contexts())
-    assert all(float(v.data) == pytest.approx(1.5, abs=1e-15) for v in values)
+    values = value_of_context(critic, ad.stack(_contexts()))
+    assert values.shape == (4,)
+    assert all(v == pytest.approx(1.5, abs=1e-15) for v in values.data)
 
 
 def test_identical_contexts_identical_values():
     critic = _critic()
     c = ad.constant(np.random.default_rng(3).normal(size=6))
-    values = per_level_values(critic, [c, c, c, c])
-    first = float(values[0].data)
-    assert all(float(v.data) == first for v in values)
+    values = value_of_context(critic, ad.stack([c, c, c, c])).data
+    assert all(v == values[0] for v in values)
 
 
 def test_trajectory_length_mismatch():
     critic = _critic(levels=3)
+    values = value_of_context(critic, ad.stack(_contexts(levels=2)))
     with pytest.raises(ContractError):
-        per_level_values(critic, _contexts(levels=2))
+        aggregate(critic, values)
 
 
 def test_per_level_value_gradient():
+    # a (2, 4, d) block of contexts: against plain numpy, each context
+    # alone, and finite differences
     critic = _critic()
-    contexts = _contexts(seed=5)
-    params = [critic.w1, critic.b1, critic.w2, critic.b2]
-    check_gradients(lambda: per_level_values(critic, contexts)[2], params,
-                    rtol=1e-3, atol=1e-7)
+    rng = np.random.default_rng(5)
+    block = ad.Tensor(rng.normal(size=(2, 4, 6)), requires_grad=True)
+    probe = ad.constant(rng.normal(size=(2, 4)))
+    values = value_of_context(critic, block).data
+    assert values.shape == (2, 4)
+    for i, j in np.ndindex(2, 4):
+        c = block.data[i, j]
+        assert abs(values[i, j] - _numpy_value(critic, c)) <= 1e-12
+        assert abs(values[i, j] - float(value_of_context(critic, ad.constant(c)).data)) <= 1e-12
+    params = [critic.w1, critic.b1, critic.w2, critic.b2, block]
+    check_gradients(lambda: ad.vsum(ad.mul(value_of_context(critic, block), probe)),
+                    params, rtol=1e-3, atol=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +85,7 @@ def test_per_level_value_gradient():
 
 def test_aggregate_uniform_weights():
     critic = _critic(levels=3)
-    values = [ad.constant(np.asarray(v)) for v in (1.0, 2.0, 3.0, 4.0)]
+    values = ad.constant([1.0, 2.0, 3.0, 4.0])
     assert float(aggregate(critic, values).data) == pytest.approx(2.5, abs=1e-12)
     assert weight_snapshot(critic) == pytest.approx([0.25] * 4, abs=1e-15)
 
@@ -72,7 +93,7 @@ def test_aggregate_uniform_weights():
 def test_aggregate_dominant_weight():
     critic = _critic(levels=3)
     critic.w_raw.data = np.array([10.0, -10.0, -10.0, -10.0])
-    values = [ad.constant(np.asarray(v)) for v in (1.0, 2.0, 3.0, 4.0)]
+    values = ad.constant([1.0, 2.0, 3.0, 4.0])
     assert float(aggregate(critic, values).data) == pytest.approx(1.0, abs=1e-4)
 
 
@@ -80,7 +101,7 @@ def test_aggregate_shift_invariance():
     critic = _critic(levels=3)
     rng = np.random.default_rng(9)
     critic.w_raw.data = rng.normal(size=4)
-    values = [ad.constant(np.asarray(v)) for v in rng.normal(size=4)]
+    values = ad.constant(rng.normal(size=4))
     before = float(aggregate(critic, values).data)
     critic.w_raw.data = critic.w_raw.data + 7.3
     after = float(aggregate(critic, values).data)
@@ -90,7 +111,7 @@ def test_aggregate_shift_invariance():
 def test_aggregate_wrong_arity():
     critic = _critic(levels=3)
     with pytest.raises(ContractError):
-        aggregate(critic, [ad.constant(np.asarray(1.0))] * 3)
+        aggregate(critic, ad.constant(np.ones(3)))
 
 
 def test_snapshot_sums_to_one():
@@ -119,7 +140,7 @@ def test_full_critic_gradient_end_to_end():
     params = [critic.w1, critic.b1, critic.w2, critic.b2,
               critic.w_raw] + contexts
     check_gradients(
-        lambda: aggregate(critic, per_level_values(critic, contexts)),
+        lambda: aggregate(critic, value_of_context(critic, ad.stack(contexts))),
         params, rtol=1e-3, atol=1e-7)
 
 
@@ -174,8 +195,10 @@ def test_target_value_matches_live_after_sync():
     got = target.value(_block(trajectories))
     assert got.shape == (3,)
     for value, contexts in zip(got, trajectories):
-        live_value = float(aggregate(live, per_level_values(live, contexts)).data)
-        assert abs(value - live_value) <= 1e-12
+        live_value = aggregate(live, value_of_context(live, ad.stack(contexts)))
+        assert live_value.shape == ()
+        assert abs(value - float(live_value.data)) <= 1e-12
+        assert abs(value - _numpy_fused(live, [c.data for c in contexts])) <= 1e-12
 
 
 def test_target_constant_between_syncs():
@@ -206,7 +229,9 @@ def test_single_context_value_bypasses_fusion():
 
 
 @pytest.mark.parametrize("levels", [1, 3])
-def test_fused_values_match_the_per_trajectory_functions(levels):
+def test_value_block_matches_each_trajectory_alone(levels):
+    # T trajectories stacked level by level into one block: against each
+    # trajectory scored alone, plain numpy, and finite differences
     critic = _critic(levels=levels, seed=23)
     critic.w_raw.data = np.random.default_rng(24).normal(size=levels + 1)
     rng = np.random.default_rng(25)
@@ -217,12 +242,14 @@ def test_fused_values_match_the_per_trajectory_functions(levels):
 
     def batched():
         block = ad.stack([ad.stack(list(level)) for level in zip(*trajectories)])
-        return ad.dot(fused_values(critic, block), ad.constant(probe))
+        return ad.dot(aggregate(critic, value_of_context(critic, block)),
+                      ad.constant(probe))
 
     def one_by_one():
         total = None
         for weight, traj in zip(probe, trajectories):
-            term = ad.scale(aggregate(critic, per_level_values(critic, traj)), weight)
+            value = aggregate(critic, value_of_context(critic, ad.stack(traj)))
+            term = ad.scale(value, weight)
             total = term if total is None else ad.add(total, term)
         return total
 
@@ -235,11 +262,17 @@ def test_fused_values_match_the_per_trajectory_functions(levels):
         grads.append([float(loss.data)] + [t.grad for t in params + sum(trajectories, [])])
     for a, b in zip(*grads):
         np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
+    plain = sum(w * _numpy_fused(critic, [c.data for c in traj])
+                for w, traj in zip(probe, trajectories))
+    assert abs(grads[0][0] - plain) <= 1e-12
     check_gradients(batched, params + trajectories[0], rtol=1e-3, atol=1e-7)
 
 
-def test_fused_values_reject_a_block_of_the_wrong_depth():
+def test_aggregate_rejects_a_block_of_the_wrong_depth():
     critic = _critic(levels=3)
-    for shape in [(2, 5, 6), (4, 6)]:
+    for shape in [(2, 5), (3,), (5, 2), ()]:
         with pytest.raises(ContractError):
-            fused_values(critic, ad.constant(np.zeros(shape)))
+            aggregate(critic, ad.constant(np.zeros(shape)))
+    for shape in [(4, 5), (), (0,)]:
+        with pytest.raises(ShapeError):
+            value_of_context(critic, ad.constant(np.zeros(shape)))

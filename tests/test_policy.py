@@ -12,8 +12,7 @@ from hsrl.encoder import UserState, encode_batch
 from hsrl.errors import (ContractError, DataError, FormatError, ShapeError,
                          UnknownItemError)
 from hsrl.policy import (PolicyConfig, PolicyParams, _raw_scores, encode_state,
-                         forward, forward_batch, per_item_log_probs,
-                         select_slate, sid_log_prob)
+                         forward, per_item_log_probs, select_slate, sid_log_prob)
 from hsrl.tokenizer import SidIndex
 
 from gradcheck import check_gradients
@@ -147,33 +146,66 @@ def test_flat_mode_reads_context_zero_everywhere():
 # ---------------------------------------------------------------------------
 
 
+def _numpy_forward(params, c0, flat):
+    """The policy recursion for one context, in plain numpy: (probs,
+    log-probs, trajectory)."""
+    probs, log_probs, trajectory, c = [], [], [c0], c0
+    for w, emb, gain, bias in zip(params.head_w, params.tok_emb,
+                                  params.ln_gain, params.ln_bias):
+        logits = w.data @ c
+        log_probs.append(logits - np.log(np.exp(logits).sum()))
+        probs.append(np.exp(log_probs[-1]))
+        if not flat:
+            x = c - emb.data.T @ probs[-1]
+            c = gain.data * (x - x.mean()) / np.sqrt(x.var() + 1e-5) + bias.data
+        trajectory.append(c)
+    return probs, log_probs, trajectory
+
+
 @pytest.mark.parametrize("flat", [False, True])
-def test_forward_batch_rows_match_forward(flat):
+def test_forward_block_rows_match_forward(flat):
+    # a block of contexts: each row against the same forward of that context
+    # alone and against the recursion in plain numpy
     params = _params(seed=4)
     states = [UserState(), UserState(((3, 1), (5, 0), (7, 1))), UserState(((9, 0),))]
     c0 = encode_batch(params.encoder, states)
-    out = forward_batch(params, c0, flat=flat)
+    out = forward(params, c0, flat=flat)
     slates = [[(0, 1, 2), (3, 3, 3)], [(1, 0, 2)], [(2, 2, 0), (0, 0, 0), (1, 3, 2)]]
     rows = np.repeat(np.arange(3), [len(s) for s in slates])
     batched = per_item_log_probs(out, sum(slates, []), rows).data
     for r, state in enumerate(states):
         one = _output(params, state.history, flat=flat)
-        for got, want in [(out.probs, one.probs), (out.log_probs, one.log_probs),
-                          (out.trajectory, one.trajectory)]:
-            for g, w in zip(got, want):
+        plain = _numpy_forward(params, c0.data[r], flat)
+        for got, want, ref in [(out.probs, one.probs, plain[0]),
+                               (out.log_probs, one.log_probs, plain[1]),
+                               (out.trajectory, one.trajectory, plain[2])]:
+            for g, w, x in zip(got, want, ref):
                 assert np.abs(g.data[r] - w.data).max() <= 1e-12
+                assert np.abs(g.data[r] - x).max() <= 1e-12
         lp = per_item_log_probs(one, slates[r]).data
         assert np.abs(batched[rows == r] - lp).max() <= 1e-12
+        assert np.abs(lp - [sum(plain[1][lvl][z] for lvl, z in enumerate(sid))
+                             for sid in slates[r]]).max() <= 1e-12
 
 
-def test_forward_batch_gradients_match_finite_differences():
+def test_force_onehot_applies_to_every_row_of_a_block():
+    params = _params(seed=5)
+    c0 = ad.constant(np.random.default_rng(6).normal(size=(3, 8)))
+    out = forward(params, c0, force_onehot={1: 2})
+    assert np.array_equal(out.probs[1].data, np.tile(np.eye(4)[2], (3, 1)))
+    for r in range(3):
+        one = forward(params, ad.constant(c0.data[r]), force_onehot={1: 2})
+        assert np.abs(out.trajectory[-1].data[r] - one.trajectory[-1].data).max() <= 1e-12
+
+
+def test_forward_block_gradients_match_finite_differences():
     params = _params(vocab=(3, 4), d_model=5, seed=6)
     c0 = ad.Tensor(np.random.default_rng(7).normal(size=(3, 5)), requires_grad=True)
     probe = ad.constant(np.random.default_rng(8).normal(size=(3, 5)))
     rows, sids = np.array([0, 1, 1, 2]), [(0, 1), (2, 3), (1, 1), (2, 0)]
 
     def loss():
-        out = forward_batch(params, c0)
+        out = forward(params, c0)
         return ad.add(ad.vsum(per_item_log_probs(out, sids, rows)),
                       ad.vsum(ad.mul(out.trajectory[-1], probe)))
 
@@ -182,15 +214,15 @@ def test_forward_batch_gradients_match_finite_differences():
     # with the heads detached, only the contexts take a gradient
     for t in heads + [c0]:
         t.zero_grad()
-    ad.backward(ad.vsum(ad.mul(forward_batch(params, c0, heads_detached=True)
+    ad.backward(ad.vsum(ad.mul(forward(params, c0, heads_detached=True)
                                .trajectory[-1], probe)))
     assert c0.grad is not None and all(t.grad is None for t in heads)
 
 
-def test_forward_batch_rejects_a_single_context():
-    params = _params()
+@pytest.mark.parametrize("shape", [(2, 3, 8), (7,), (3, 7), ()])
+def test_forward_rejects_a_3d_block_or_the_wrong_width(shape):
     with pytest.raises(ShapeError):
-        forward_batch(params, ad.constant(np.zeros(8)))
+        forward(_params(), ad.constant(np.zeros(shape)))
 
 
 def test_sid_log_prob_uniform_product():

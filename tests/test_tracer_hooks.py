@@ -5,9 +5,15 @@ only when a benchmark runs with `--trace 1`."""
 import importlib
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import hsrl.trainer as trainer
+
+from test_trainer import _agent, _env
 
 _SPEC = importlib.util.spec_from_file_location(
     "benchmark_tracer",
@@ -50,3 +56,25 @@ def test_work_extractor_reads_the_parameter_it_means(module, attr, positions):
     names = list(inspect.signature(
         getattr(importlib.import_module(module), attr)).parameters)
     assert {i: names[i] for i in positions} == positions
+
+
+@pytest.mark.parametrize("variant", ["full", "bc_only"])
+def test_traced_train_step_sees_the_batched_critic(variant):
+    # the live critic runs once per update inside `train_step`, and the
+    # target critic once inside `TargetCritic.value` when a transition
+    # bootstraps; bc_only has no critic
+    agent = _agent(seed=3, variant=variant)
+    transitions, _ = trainer.rollout(agent, _env(), "sample",
+                                     np.random.default_rng([3, 0]),
+                                     np.random.default_rng([3, 1]))
+    assert any(not tr.done for tr in transitions)
+    with tracer.Tracer() as traced:
+        trainer.train_step(agent, transitions)
+    spans = traced.spans
+    seen = Counter((s[tracer.NAME], spans[s[tracer.PARENT]][tracer.NAME])
+                   for s in spans if s[tracer.NAME] in ("critic.value", "critic.aggregate"))
+    expected = {} if variant == "bc_only" else {
+        (name, parent): 1 for name in ("critic.value", "critic.aggregate")
+        for parent in ("trainer.train_step", "critic.target_value")}
+    assert seen == expected
+    assert tracer.Summary(spans).errors == 0

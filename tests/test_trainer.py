@@ -8,8 +8,7 @@ import pytest
 
 import hsrl.autodiff as ad
 import hsrl.trainer as trainer
-from hsrl.critic import (CriticConfig, aggregate, per_level_values,
-                         value_of_context)
+from hsrl.critic import CriticConfig, aggregate, value_of_context
 from hsrl.encoder import UserState
 from hsrl.env import EnvConfig, Environment, LogRecord, make_user_pool
 from hsrl.errors import ConfigError, ContractError, FormatError, NumericsError
@@ -250,8 +249,8 @@ def test_gradient_isolation_between_actor_and_critic():
     # critic term alone: zero gradient on policy heads, but encoder reached
     c0 = encode_state(agent.policy, tr.state)
     view = forward(agent.policy, c0, heads_detached=True)
-    v_hat = aggregate(agent.critic, per_level_values(agent.critic,
-                                                     view.trajectory))
+    v_hat = aggregate(agent.critic, value_of_context(agent.critic,
+                                                     ad.stack(view.trajectory)))
     for t in agent.critic.tensors().values():
         t.zero_grad()
     for t in agent.policy.tensors().values():
@@ -304,7 +303,7 @@ def test_composite_loss_gradient_matches_finite_differences():
             c0 = encode_state(agent.policy, tr.state)
             view = forward(agent.policy, c0, heads_detached=True)
             v_hat = aggregate(agent.critic,
-                              per_level_values(agent.critic, view.trajectory))
+                              value_of_context(agent.critic, ad.stack(view.trajectory)))
         advs.append(advantage(q, float(v_hat.data), cfg.advantage_clip))
 
     def build_loss_fixed_adv():
@@ -314,7 +313,7 @@ def test_composite_loss_gradient_matches_finite_differences():
             out = forward(agent.policy, c0)
             view = forward(agent.policy, c0, heads_detached=True)
             v_hat = aggregate(agent.critic,
-                              per_level_values(agent.critic, view.trajectory))
+                              value_of_context(agent.critic, ad.stack(view.trajectory)))
             diff = ad.shift(v_hat, -q)
             term = ad.mul(diff, diff)
             term = ad.add(term, ad.scale(slate_log_prob(out, tr.sids), -adv))
@@ -523,16 +522,14 @@ def test_next_contexts_keep_their_values_after_an_update():
 
 
 def _reference_value(params, trajectory):
-    """Fused value of one trajectory by the 1-D critic functions."""
-    if len(trajectory) == 1:
-        return value_of_context(params, trajectory[0])
-    return aggregate(params, per_level_values(params, trajectory))
+    """Fused value of one trajectory, scored alone."""
+    return aggregate(params, value_of_context(params, ad.stack(trajectory)))
 
 
 def _reference_step(agent, transitions):
     """The update as one graph per transition: each state encoded and
-    forwarded alone by the 1-D functions, its critic and target values read
-    one trajectory at a time, and the terms summed in transition order."""
+    forwarded alone, its critic and target values read one trajectory at a
+    time, and the terms summed in transition order."""
     cfg = agent.cfg
     flat = cfg.variant == "flat_policy"
     single = cfg.variant == "single_critic"
@@ -545,8 +542,8 @@ def _reference_step(agent, transitions):
         c0 = encode_state(agent.policy, tr.state)
         out = forward(agent.policy, c0, flat=flat)
         if not bc_only:
-            trajectory = [c0] if single else forward(
-                agent.policy, c0, flat=flat, heads_detached=True).trajectory
+            trajectory = [c0] if single or flat else forward(
+                agent.policy, c0, heads_detached=True).trajectory
             v_hat = _reference_value(agent.critic, trajectory)
             q = tr.reward
             if not tr.done:
@@ -713,6 +710,21 @@ def test_single_critic_uses_context_zero_only():
     report = train_step(agent, transitions)
     assert report["weights"][0] == 1.0
     assert all(w == 0.0 for w in report["weights"][1:])
+
+
+def test_flat_policy_critic_scores_context_zero_only():
+    # every context of a flat trajectory is c_0, so the fusion weights have
+    # nothing to learn: they must not move, not even by rounding residue
+    agent = _agent(seed=31, variant="flat_policy")
+    env = _env()
+    for episode in range(50):
+        transitions, _ = rollout(agent, env, "sample",
+                                 np.random.default_rng([31, 0, episode]),
+                                 np.random.default_rng([31, 1, episode]))
+        report = train_step(agent, transitions)
+    assert np.array_equal(agent.critic.w_raw.data, np.zeros(len(VOCAB) + 1))
+    assert np.array_equal(report["weights"], np.eye(len(VOCAB) + 1)[0])
+    assert agent.critic.w1.grad is not None
 
 
 def test_unknown_variant_rejected():
