@@ -129,9 +129,24 @@ class ResponseModel:
         rows = ad.embed(self.encoder.item_emb, list(slate))
         return ad.add(ad.matmul(rows, u), self.bias)
 
+    def _block_logits(self, states, slates: np.ndarray) -> Tensor:
+        """(n, k) logits of slate row r for states[r], one graph for the block."""
+        n, k = slates.shape
+        u = encode_batch(self.encoder, states)
+        rows = ad.embed(self.encoder.item_emb, slates)                 # (n, k, d)
+        scores = ad.matmul(rows, ad.reshape(u, (n, self.cfg.embed_dim, 1)))
+        return ad.add(ad.reshape(scores, (n, k)), self.bias)
+
     def click_probs(self, session: "SessionState", slate) -> np.ndarray:
         with ad.no_grad():
             return ad.sigmoid(self._logits(session.state, slate)).data.copy()
+
+    def click_probs_batch(self, sessions, slates) -> np.ndarray:
+        """(B, k) block whose row r is `click_probs(sessions[r], slates[r])`
+        up to rounding (encode_batch against encode)."""
+        with ad.no_grad():
+            return ad.sigmoid(self._block_logits(
+                [s.state for s in sessions], np.asarray(slates))).data.copy()
 
 
 def _positive_state(items) -> UserState:
@@ -150,10 +165,8 @@ def _slate_bce(model: ResponseModel, records: list[LogRecord]):
         slates[r, :lengths[r]] = rec.slate
         labels[r, :lengths[r]] = rec.labels
     real = np.arange(k) < lengths[:, None]
-    u = encode_batch(model.encoder, [_positive_state(rec.history) for rec in records])
-    rows = ad.embed(model.encoder.item_emb, slates)                    # (n, k, d)
-    scores = ad.matmul(rows, ad.reshape(u, (n, model.cfg.embed_dim, 1)))
-    logits = ad.add(ad.reshape(scores, (n, k)), model.bias)
+    logits = model._block_logits([_positive_state(rec.history) for rec in records],
+                                 slates)
     # -[y log s + (1-y) log(1-s)] == softplus(logit) - y * logit
     terms = ad.sub(ad.softplus(logits), ad.mul(ad.constant(labels), logits))
     return terms, real
@@ -271,15 +284,18 @@ class Environment:
         return SessionState(user_id=uid, state=_positive_state(history),
                             patience=self.cfg.patience, step=0)
 
-    def step(self, session: SessionState, slate, rng: np.random.Generator):
-        """One environment step: sample feedback, average the item signals,
-        advance history/patience, and flag termination."""
-        cfg = self.cfg
+    def _check(self, session: SessionState, slate) -> None:
         if session.done:
             raise ContractError("stepping a finished session")
-        if len(slate) != cfg.slate_size:
-            raise ContractError(f"slate has {len(slate)} items, expected {cfg.slate_size}")
-        probs = self.model.click_probs(session, slate)
+        if len(slate) != self.cfg.slate_size:
+            raise ContractError(f"slate has {len(slate)} items, expected "
+                                f"{self.cfg.slate_size}")
+
+    def _respond(self, session: SessionState, slate, probs: np.ndarray,
+                 rng: np.random.Generator):
+        """Sample feedback from the slate's click probabilities, average the
+        item signals, advance history/patience, and flag termination."""
+        cfg = self.cfg
         feedback = (rng.random(len(slate)) < probs).astype(np.int64)
         signals = np.where(feedback == 1, CLICK_SIGNAL, NO_CLICK_SIGNAL)
         reward = float(signals.mean())
@@ -300,6 +316,22 @@ class Environment:
             done=done,
         )
         return feedback, reward, nxt, done
+
+    def step(self, session: SessionState, slate, rng: np.random.Generator):
+        """One environment step: (feedback, reward, next session, done)."""
+        self._check(session, slate)
+        return self._respond(session, slate, self.model.click_probs(session, slate),
+                             rng)
+
+    def step_batch(self, sessions: list[SessionState], slates, rngs) -> list[tuple]:
+        """`step` for each session with its slate and its own rng, from one
+        `click_probs_batch` block; every session and slate is checked before
+        the model runs."""
+        for session, slate in zip(sessions, slates, strict=True):
+            self._check(session, slate)
+        probs = self.model.click_probs_batch(sessions, slates)
+        return [self._respond(*args)
+                for args in zip(sessions, slates, probs, rngs, strict=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +463,12 @@ class GroundTruthResponse:
     def click_probs(self, session: SessionState, slate) -> np.ndarray:
         pref = self.user_prefs[session.user_id]
         match = self.item_clusters[np.asarray(slate)] == pref
+        return np.where(match, self.p_preferred, self.p_other)
+
+    def click_probs_batch(self, sessions, slates) -> np.ndarray:
+        """(B, k) block whose row r is `click_probs(sessions[r], slates[r])`."""
+        prefs = self.user_prefs[[s.user_id for s in sessions]]
+        match = self.item_clusters[np.asarray(slates)] == prefs[:, None]
         return np.where(match, self.p_preferred, self.p_other)
 
 

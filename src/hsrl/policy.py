@@ -172,25 +172,41 @@ def sid_log_prob(output: PolicyOutput, sid) -> Tensor:
 
 
 def _raw_scores(output: PolicyOutput, index: SidIndex, candidates) -> np.ndarray:
-    """score(i) = prod_l p_l[z_l(i)] = pi(z(i)|s), in candidate order."""
+    """score(i) = prod_l p_l[z_l(i)] = pi(z(i)|s), in candidate order; for
+    the output of a block of contexts, a (B, N) block with a row per context."""
     z = index.sid_matrix(candidates)
-    scores = np.ones(len(candidates))
+    scores = np.ones(output.probs[0].shape[:-1] + (len(candidates),))
     for lvl, p in enumerate(output.probs):
-        scores = scores * p.data[z[:, lvl]]
+        scores = scores * p.data[..., z[:, lvl]]
     return scores
 
 
+def _top_k_rows(scores: np.ndarray, ids: np.ndarray, k: int) -> list[list[int]]:
+    """The k best ids of each row of a (B, N) score block, ranked by score
+    descending, ties by ascending item id."""
+    # Nothing scoring below its row's k-th best score can make that row's
+    # slate; np.nonzero lists the rest row by row.
+    kth = np.partition(scores, -k, axis=1)[:, -k]
+    rows, cols = np.nonzero(scores >= kth[:, None])
+    order = np.lexsort((ids[cols], -scores[rows, cols], rows))
+    first = np.searchsorted(rows, np.arange(len(scores)))
+    return ids[cols[order[first[:, None] + np.arange(k)]]].tolist()
+
+
 def select_slate(output: PolicyOutput, index: SidIndex, candidates, k: int,
-                 mode: str, rng: np.random.Generator | None = None) -> list[int]:
+                 mode: str, rng: np.random.Generator | None = None,
+                 ) -> list[int] | list[list[int]]:
     """Pick k (1 <= k <= len(candidates)) of the candidate item ids.
 
     `greedy` takes the k best by score, ties broken by ascending item id: a
     linear-time partial selection finds the k-th best score, and only the
-    candidates scoring at least that much are sorted. `sample` draws k
+    candidates scoring at least that much are sorted. On the output of a
+    block of contexts it returns one slate per row. `sample` draws k
     without replacement in proportion to score; when fewer than k candidates
     have mass it takes those (in sampled order) and pads with the first
-    zero-score candidates in candidate order. Every candidate must be in the
-    index (`UnknownItemError` names the first that is not).
+    zero-score candidates in candidate order. It takes the output of one
+    context only. Every candidate must be in the index (`UnknownItemError`
+    names the first that is not).
     """
     if not 1 <= k <= len(candidates):
         raise ContractError(f"slate size {k} is not in 1..{len(candidates)} "
@@ -199,14 +215,15 @@ def select_slate(output: PolicyOutput, index: SidIndex, candidates, k: int,
         raise ContractError(f"unknown slate mode {mode!r}")
     if mode == "sample" and rng is None:
         raise ContractError("sample mode needs an rng")
+    block = output.probs[0].ndim == 2
+    if block and mode == "sample":
+        raise ShapeError("sample mode takes the output of one context, not a block")
 
     scores = _raw_scores(output, index, candidates)
     ids = np.asarray(candidates, dtype=np.int64)
     if mode == "greedy":
-        # Nothing scoring below the k-th best score can make the slate; the
-        # rest are ranked by score descending, ties by ascending item id.
-        top = np.flatnonzero(scores >= np.partition(scores, -k)[-k])
-        return ids[top[np.lexsort((ids[top], -scores[top]))[:k]]].tolist()
+        slates = _top_k_rows(np.atleast_2d(scores), ids, k)
+        return slates if block else slates[0]
     total = scores.sum()
     if total <= 0.0:
         return ids[rng.choice(len(ids), size=k, replace=False)].tolist()

@@ -9,11 +9,16 @@ targets are constants by construction, and the critic reads the trajectory
 through detached policy-head parameters, so neither loss leaks gradient
 across the actor/critic boundary.
 
-Rollouts run the policy without gradient tracking. The update builds one
-graph for its whole batch, with a row per transition: one `encode_batch`,
-one policy `forward` of the block of contexts, one vector of every slate
-item's log-probability and one critic pass over the heads-detached
-trajectories.
+Rollouts run the policy without gradient tracking and sample their
+slates. The update builds one graph for its whole batch, with a row per
+transition: one `encode_batch`, one policy `forward` of the block of
+contexts, one vector of every slate item's log-probability and one critic
+pass over the heads-detached trajectories.
+
+Greedy evaluation plays all its episodes in lockstep, each with its own
+generator: per step, one `encode_batch` of the live sessions' states, one
+`forward` of that block, one greedy selection with a slate per row and
+one `Environment.step_batch`. An episode that ends leaves the block.
 """
 
 from __future__ import annotations
@@ -182,12 +187,15 @@ class Agent:
 
 def rollout(agent: Agent, env: Environment, mode: str,
             rng_env: np.random.Generator,
-            rng_act: np.random.Generator | None) -> tuple[list[Transition], EpisodeMetrics]:
-    """Play one episode; sample mode trains, greedy mode evaluates.
+            rng_act: np.random.Generator) -> tuple[list[Transition], EpisodeMetrics]:
+    """Play one training episode, sampling each slate (`mode` must be
+    "sample"; greedy episodes are `evaluate`'s).
 
-    Both modes run the policy without gradient tracking. Each transition but
-    the last keeps the next state's context trajectory for the target critic.
+    The policy runs without gradient tracking. Each transition but the last
+    keeps the next state's context trajectory for the target critic.
     """
+    if mode != "sample":
+        raise ContractError(f"rollout samples its slates; got mode {mode!r}")
     flat = agent.cfg.variant == "flat_policy"
     session = env.reset(rng_env)
     transitions: list[Transition] = []
@@ -326,13 +334,32 @@ EVAL_COLUMNS = ["iteration", "episodes", "mean_total_reward",
 
 def evaluate(agent: Agent, env: Environment, episodes: int, seed: int,
              tag: int) -> list[EpisodeMetrics]:
-    """Greedy episodes on the evaluation simulator with per-episode streams."""
-    out = []
-    for i in range(episodes):
-        rng_env = np.random.default_rng([seed, _STREAM_EVAL, tag, i])
-        _, metrics = rollout(agent, env, "greedy", rng_env, None)
-        out.append(metrics)
-    return out
+    """Greedy episodes on the evaluation simulator, played in lockstep.
+
+    Episode i draws its user and its clicks from its own `[seed, EVAL, tag,
+    i]` stream. Each step encodes the states of the live episodes as one
+    block, runs one policy forward and one greedy selection over it, and
+    steps all their sessions through one `Environment.step_batch`; an
+    episode that ends leaves the block.
+    """
+    flat = agent.cfg.variant == "flat_policy"
+    rngs = [np.random.default_rng([seed, _STREAM_EVAL, tag, i]) for i in range(episodes)]
+    sessions = [env.reset(rng) for rng in rngs]
+    rewards: list[list[float]] = [[] for _ in range(episodes)]
+    live = list(range(episodes))
+    while live:
+        with ad.no_grad():
+            out = forward(agent.policy, encode_batch(
+                agent.policy.encoder, [sessions[i].state for i in live]), flat=flat)
+        slates = select_slate(out, agent.index, agent.catalog,
+                              env.cfg.slate_size, "greedy")
+        steps = env.step_batch([sessions[i] for i in live], slates,
+                               [rngs[i] for i in live])
+        for i, (_, reward, nxt, _) in zip(live, steps):
+            rewards[i].append(reward)
+            sessions[i] = nxt
+        live = [i for i in live if not sessions[i].done]
+    return [EpisodeMetrics(total_reward=sum(r), depth=len(r)) for r in rewards]
 
 
 def _summary_row(iteration: int, metrics: list[EpisodeMetrics], seed: int):

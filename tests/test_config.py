@@ -1,13 +1,22 @@
+import configparser
+import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hsrl.config import _MODULES, _keyed_fields, default_config, load_config
+from hsrl.cli import main
+from hsrl.config import (SCHEMA, _MODULES, _keyed_fields, default_config,
+                         load_config)
 from hsrl.critic import CriticConfig
 from hsrl.env import EnvConfig, SimFitConfig, SynthConfig
 from hsrl.errors import ConfigError
 from hsrl.policy import PolicyConfig
 from hsrl.trainer import TrainConfig
+
+from test_cli import BASE_CONFIG
 
 N_ITEMS = 50
 
@@ -86,3 +95,73 @@ def test_removed_keys_are_unknown(tmp_path, section, key):
     path.write_text(f"[{section}]\n{key} = 0\n")
     with pytest.raises(ConfigError, match="unknown key"):
         load_config(path)
+
+
+# ---------------------------------------------------------------------------
+# generated configs
+# ---------------------------------------------------------------------------
+
+# Per-type edge values of an INI entry: 0, -1, 1, NaN, +-inf, empty,
+# non-numeric and 2**63.
+EDGES = ["0", "-1", "1", "nan", "inf", "-inf", "", "x", str(2 ** 63)]
+# Keys that size a table or a loop draw only small values. Sizes have no
+# upper bound at load, and a huge one can exhaust memory or run for hours;
+# that stays out of scope here, and the test does not pretend otherwise.
+SIZE_KEYS = {
+    ("data", "n_items"), ("data", "n_clusters"), ("data", "embed_dim"),
+    ("data", "n_users"), ("data", "slates_per_user"),
+    ("tokenizer", "levels"), ("tokenizer", "vocab_size"),
+    ("tokenizer", "vocab_sizes"), ("policy", "d_model"), ("policy", "embed_dim"),
+    ("critic", "hidden"), ("simulator", "embed_dim"), ("simulator", "epochs"),
+    ("simulator", "batch_size"), ("env", "slate_size"), ("env", "horizon"),
+    ("env", "history_window"), ("training", "iterations"),
+    ("training", "eval_episodes"), ("training", "num_seeds"),
+}
+SMALL = ["0", "-1", "1", "2", "3", "nan", "inf", "", "x"]
+# every key gets its edge set; at most 40 interaction steps per train
+EDGE_VALUES = {(section, key): SMALL if (section, key) in SIZE_KEYS else EDGES
+               for section, keys in SCHEMA.items() for key in keys}
+EDGE_VALUES["training", "iterations"] = ["0", "-1", "1", "40", "nan", "", "x"]
+GENERATED = settings(derandomize=True, database=None, deadline=None,
+                     max_examples=150)
+
+
+def _tiny_config(path: Path, overrides) -> Path:
+    """test_cli's BASE_CONFIG with the given (section, key) -> raw values."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(BASE_CONFIG)
+    for (section, key), raw in overrides:
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, key, raw)
+    with open(path, "w") as fh:
+        parser.write(fh)
+    return path
+
+
+def _loads(path: Path) -> bool:
+    try:
+        load_config(path)
+    except ConfigError:
+        return False
+    return True
+
+
+def test_every_schema_key_alone_loads_or_raises_config_error(tmp_path):
+    path = tmp_path / "run.ini"
+    for key, values in EDGE_VALUES.items():
+        for raw in values:
+            _loads(_tiny_config(path, [(key, raw)]))
+
+
+@GENERATED
+@given(st.lists(st.sampled_from(sorted(EDGE_VALUES)), min_size=1, max_size=3,
+                unique=True).flatmap(lambda keys: st.tuples(*[
+                    st.tuples(st.just(key), st.sampled_from(EDGE_VALUES[key]))
+                    for key in keys])))
+def test_generated_config_never_exits_internal_error(overrides):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _tiny_config(Path(tmp) / "run.ini", overrides)
+        if _loads(path):
+            assert main(["train", "--config", str(path),
+                         "--out", str(Path(tmp) / "out")]) in (0, 2, 3, 4)

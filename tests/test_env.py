@@ -103,6 +103,33 @@ def test_step_on_finished_session_rejected():
         _step(FixedResponse([1.0]), session, [0], cfg, np.random.default_rng(0))
 
 
+class _UncalledResponse:
+    """Fails any test that reaches the model."""
+
+    def click_probs(self, session, slate):
+        raise AssertionError("the model ran")
+
+    click_probs_batch = click_probs
+
+
+@pytest.mark.parametrize("slates, finished, message", [
+    ([[0, 1], [2, 3]], 1, "stepping a finished session"),
+    ([[0, 1], [2]], None, "slate has 1 items, expected 2"),
+], ids=["finished_session", "wrong_width"])
+def test_step_batch_rejects_what_step_rejects_before_the_model(slates, finished,
+                                                               message):
+    env = Environment(_UncalledResponse(), [], EnvConfig(slate_size=2))
+    sessions = [_session(), _session()]
+    if finished is not None:
+        sessions[finished].done = True
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    with pytest.raises(ContractError) as one:
+        env.step(sessions[1], slates[1], rngs[1])
+    with pytest.raises(ContractError) as batch:
+        env.step_batch(sessions, slates, rngs)
+    assert str(batch.value) == str(one.value) == message
+
+
 def test_history_keeps_only_clicked_items():
     cfg = EnvConfig(slate_size=3, history_window=10)
     model = FixedResponse([1.0, 0.0, 1.0])
@@ -173,6 +200,31 @@ def test_click_probs_reject_slate_items_outside_table(slate):
     model = ResponseModel(10, SimFitConfig(embed_dim=4), np.random.default_rng(0))
     with pytest.raises(ContractError):
         model.click_probs(_session(), slate)
+
+
+_HISTORIES = [(), ((1, 1),), ((4, 1), (9, 1), (2, 1)), tuple((i, 1) for i in range(12))]
+
+
+def test_response_model_click_probs_batch_matches_each_session():
+    model = fit_response_model(_tiny_records(), 20,
+                               SimFitConfig(embed_dim=8, epochs=2), 4)
+    sessions = [_session(history=h, uid=u) for u, h in enumerate(_HISTORIES)]
+    slates = np.random.default_rng(5).integers(0, 20, size=(len(sessions), 3))
+    block = model.click_probs_batch(sessions, slates)
+    assert block.shape == slates.shape
+    for row, session, slate in zip(block, sessions, slates):
+        assert np.abs(row - model.click_probs(session, slate)).max() <= 1e-12
+
+
+def test_ground_truth_click_probs_batch_equals_each_session():
+    synth = generate_synthetic(SynthConfig(n_items=40, n_clusters=4, n_users=8,
+                                           slates_per_user=1), seed=6)
+    truth = GroundTruthResponse(synth)
+    sessions = [_session(uid=u) for u in (0, 3, 5, 3, 7)]
+    slates = np.random.default_rng(7).integers(0, 40, size=(len(sessions), 4))
+    block = truth.click_probs_batch(sessions, slates)
+    assert np.array_equal(block, [truth.click_probs(s, slate)
+                                  for s, slate in zip(sessions, slates)])
 
 
 def test_fit_all_positive_labels_majority():

@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -461,6 +462,42 @@ def test_tie_case_straddles_the_greedy_cut():
     assert kth > 0.0 and kept and dropped
     assert {index.sid_of(i) for i in kept} & {index.sid_of(i) for i in dropped}
     assert ids != sorted(ids) and max(ids) - min(ids) >= N_CANDIDATES
+
+
+def _stacked(outputs):
+    """The output of a block of contexts whose row r is outputs[r]'s probs."""
+    return replace(outputs[0], probs=[
+        ad.constant(np.stack([out.probs[lvl].data for out in outputs]))
+        for lvl in range(len(outputs[0].probs))])
+
+
+def test_greedy_block_equals_each_row_alone():
+    # every tie case's distributions scored against one index, so the rows
+    # hold tied, zero and full-support scores; plus the collision case below
+    outputs = [_slate_case(seed, live)[0] for seed, live in SLATE_CASES]
+    _, index, ids = _slate_case(*SLATE_CASES[-1])
+    catalog = np.array(ids, dtype=np.int64)
+    block = _stacked(outputs)
+    assert _raw_scores(block, index, ids).tobytes() == np.stack(
+        [_raw_scores(out, index, ids) for out in outputs]).tobytes()
+    for k in range(1, N_CANDIDATES + 1):
+        got = select_slate(block, index, catalog, k, "greedy")
+        assert got == [select_slate(out, index, catalog, k, "greedy")
+                       for out in outputs]
+        assert all(type(i) is int for slate in got for i in slate)
+
+    collided = [_output(_params(seed=23)), _output(_params(seed=24))]
+    got = select_slate(_stacked(collided), _index(), [3, 1], 2, "greedy")
+    assert got[0] == [1, 3]         # test_score_collisions_share_score_id_order
+    assert got == [select_slate(out, _index(), [3, 1], 2, "greedy")
+                   for out in collided]
+
+
+def test_sample_mode_rejects_a_block():
+    block = _stacked([_output(_params(seed=33)), _output(_params(seed=34))])
+    with pytest.raises(ShapeError, match="sample mode takes the output of one"):
+        select_slate(block, _index(), [0, 1, 2], 2, "sample",
+                     np.random.default_rng(0))
 
 
 def test_loop_reference_cases_reach_every_sample_branch():

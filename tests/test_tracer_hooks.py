@@ -78,3 +78,29 @@ def test_traced_train_step_sees_the_batched_critic(variant):
         for parent in ("trainer.train_step", "critic.target_value")}
     assert seen == expected
     assert tracer.Summary(spans).errors == 0
+
+
+def test_traced_lockstep_evaluate_nests_its_work_under_evaluate():
+    # one lockstep step per step of the longest episode, each with one
+    # policy forward, one greedy selection and one sid_matrix; the states
+    # go through encode_batch, which the tracer does not wrap, and the
+    # sessions through Environment.step_batch, so no encode or env.step
+    agent = _agent(seed=4)
+    with tracer.Tracer() as traced:
+        metrics = trainer.evaluate(agent, _env(), 4, seed=4, tag=0)
+    spans = traced.spans
+    assert tracer.Summary(spans).errors == 0
+    assert [s[tracer.PARENT] for s in spans if s[tracer.NAME] == "trainer.evaluate"] == [-1]
+
+    def under_evaluate(span):
+        while span[tracer.PARENT] >= 0:
+            span = spans[span[tracer.PARENT]]
+        return span[tracer.NAME] == "trainer.evaluate"
+
+    steps = max(m.depth for m in metrics)
+    seen = Counter(s[tracer.NAME] for s in spans if s[tracer.NAME] in (
+        "policy.forward", "policy.select_slate", "tokenizer.sid_matrix",
+        "encoder.encode", "env.step"))
+    assert seen == {"policy.forward": steps, "policy.select_slate": steps,
+                    "tokenizer.sid_matrix": steps}
+    assert all(under_evaluate(s) for s in spans)

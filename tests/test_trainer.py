@@ -10,9 +10,10 @@ import hsrl.autodiff as ad
 import hsrl.trainer as trainer
 from hsrl.critic import CriticConfig, aggregate, value_of_context
 from hsrl.encoder import UserState
-from hsrl.env import EnvConfig, Environment, LogRecord, make_user_pool
+from hsrl.env import (EnvConfig, Environment, LogRecord, SimFitConfig,
+                      fit_response_model, make_user_pool)
 from hsrl.errors import ConfigError, ContractError, FormatError, NumericsError
-from hsrl.policy import PolicyConfig, encode_state, forward
+from hsrl.policy import PolicyConfig, encode_state, forward, select_slate
 from hsrl.tokenizer import SidIndex
 from hsrl.trainer import (TRAIN_VARIANTS, Agent, TrainConfig, advantage,
                           bc_loss, entropy_term, evaluate, rollout,
@@ -50,13 +51,17 @@ def _agent(seed=0, variant="full", **kw):
 
 
 class ScriptedResponse:
-    """Clicks item ids below a threshold with certainty."""
+    """Clicks item ids below a threshold with probability `p`, others never."""
 
-    def __init__(self, click_below=6):
+    def __init__(self, click_below=6, p=1.0):
         self.click_below = click_below
+        self.p = p
 
     def click_probs(self, session, slate):
-        return np.where(np.asarray(slate) < self.click_below, 1.0, 0.0)
+        return np.where(np.asarray(slate) < self.click_below, self.p, 0.0)
+
+    def click_probs_batch(self, sessions, slates):
+        return np.where(np.asarray(slates) < self.click_below, self.p, 0.0)
 
 
 def _env(model=None, slate_size=2, patience=3, horizon=20):
@@ -516,6 +521,98 @@ def test_next_contexts_keep_their_values_after_an_update():
                    for a, b in zip(tr.next_contexts or [], cached))
 
 
+def test_rollout_rejects_greedy_mode():
+    with pytest.raises(ContractError, match="rollout samples its slates"):
+        rollout(_agent(seed=26), _env(), "greedy", np.random.default_rng(0),
+                np.random.default_rng(1))
+
+
+# ---------------------------------------------------------------------------
+# lockstep greedy evaluation against the sequential loop
+# ---------------------------------------------------------------------------
+
+
+class _RecordingEnv(Environment):
+    """Keeps the slates `step_batch` receives, per episode rng; every episode
+    is live at the first step, so the keys come in episode order."""
+
+    def __init__(self, env):
+        super().__init__(env.model, env.pool, env.cfg)
+        self.slates = {}
+
+    def step_batch(self, sessions, slates, rngs):
+        for rng, slate in zip(rngs, slates):
+            self.slates.setdefault(id(rng), []).append(slate)
+        return super().step_batch(sessions, slates, rngs)
+
+
+def _sequential_greedy(agent, env, episodes, seed, tag):
+    """Greedy eval one episode after another: per step one `encode`, one
+    forward of one context, one greedy slate and one `Environment.step`.
+    Returns (slates, total reward, depth) per episode."""
+    flat = agent.cfg.variant == "flat_policy"
+    out = []
+    for i in range(episodes):
+        rng = np.random.default_rng([seed, trainer._STREAM_EVAL, tag, i])
+        session = env.reset(rng)
+        slates, rewards, done = [], [], False
+        while not done:
+            with ad.no_grad():
+                policy_out = forward(agent.policy,
+                                     encode_state(agent.policy, session.state),
+                                     flat=flat)
+            slate = select_slate(policy_out, agent.index, agent.catalog,
+                                 env.cfg.slate_size, "greedy")
+            _, reward, session, done = env.step(session, slate, rng)
+            slates.append(slate)
+            rewards.append(reward)
+        out.append((slates, sum(rewards), len(rewards)))
+    return out
+
+
+@functools.cache
+def _fitted_simulator():
+    rng = np.random.default_rng(61)
+    records = [LogRecord(uid, tuple(int(i) for i in rng.choice(N_ITEMS, size=uid % 4)),
+                         (int(a), int(b)), tuple(int(y) for y in rng.random(2) < 0.5))
+               for uid in range(8) for a, b in [rng.choice(N_ITEMS, 2, replace=False)]]
+    return fit_response_model(records, N_ITEMS, SimFitConfig(embed_dim=4, epochs=3),
+                              62), make_user_pool(records)
+
+
+# name -> (model, pool or None for `_env`'s, patience, horizon)
+EVAL_ENVS = {
+    "coin_patience_1": lambda: (ScriptedResponse(click_below=8, p=0.5), None, 1, 20),
+    "coin_patience_3": lambda: (ScriptedResponse(click_below=8, p=0.5), None, 3, 20),
+    "horizon_cap": lambda: (ScriptedResponse(click_below=8, p=0.5), None, 1, 3),
+    "fitted": lambda: (*_fitted_simulator(), 2, 8),
+}
+
+
+@pytest.mark.parametrize("case", EVAL_ENVS)
+@pytest.mark.parametrize("variant", TRAIN_VARIANTS)
+def test_lockstep_evaluate_matches_the_sequential_loop(variant, case):
+    model, pool, patience, horizon = EVAL_ENVS[case]()
+    env = _env(model, patience=patience, horizon=horizon)
+    if pool is not None:
+        env.pool = pool
+    agent = _agent(seed=51, variant=variant)
+    for episode in range(2):  # variants differ once trained
+        transitions, _ = rollout(agent, env, "sample",
+                                 np.random.default_rng([51, 0, episode]),
+                                 np.random.default_rng([51, 1, episode]))
+        train_step(agent, transitions)
+    want = _sequential_greedy(agent, env, 8, seed=52, tag=3)
+    recording = _RecordingEnv(env)
+    got = evaluate(agent, recording, 8, seed=52, tag=3)
+    assert [(m.total_reward, m.depth) for m in got] == [
+        (reward, depth) for _, reward, depth in want]
+    assert list(recording.slates.values()) == [slates for slates, _, _ in want]
+    depths = {m.depth for m in got}
+    assert len(depths) > 1  # episodes leave the block at different steps
+    assert max(depths) <= horizon and (case != "horizon_cap" or horizon in depths)
+
+
 # ---------------------------------------------------------------------------
 # the batched update against a per-transition reference
 # ---------------------------------------------------------------------------
@@ -857,7 +954,7 @@ def _nodes_created() -> int:
 # episodes. Node counts do not depend on the machine, so a change in tape
 # cost shows here exactly; a change that moves a count updates the pin and
 # logs the old and new count.
-TAPE_NODES = {"full": (1579, 1160), "bc_only": (1394, 1160)}
+TAPE_NODES = {"full": (1579, 820), "bc_only": (1394, 820)}
 
 
 @pytest.mark.parametrize("variant", sorted(TAPE_NODES))
@@ -873,3 +970,14 @@ def test_tape_node_counts_pinned(variant):
     trained = _nodes_created()
     evaluate(agent, env, 2, seed=5, tag=0)
     assert (trained - start, _nodes_created() - trained) == TAPE_NODES[variant]
+
+
+def test_one_lockstep_evaluate_builds_fewer_tape_nodes_than_one_per_episode():
+    # every item is clicked, so each episode runs to the horizon
+    agent, env = _agent(seed=6), _env(ScriptedResponse(click_below=N_ITEMS))
+    start = _nodes_created()
+    together = evaluate(agent, env, 8, seed=6, tag=0)
+    middle = _nodes_created()
+    alone = [m for tag in range(8) for m in evaluate(agent, env, 1, seed=6, tag=tag)]
+    assert sum(m.depth for m in together) == sum(m.depth for m in alone) == 8 * 20
+    assert middle - start < _nodes_created() - middle
