@@ -104,9 +104,9 @@ def test_removed_keys_are_unknown(tmp_path, section, key):
 # Per-type edge values of an INI entry: 0, -1, 1, NaN, +-inf, empty,
 # non-numeric and 2**63.
 EDGES = ["0", "-1", "1", "nan", "inf", "-inf", "", "x", str(2 ** 63)]
-# Keys that size a table or a loop draw only small values. Sizes have no
-# upper bound at load, and a huge one can exhaust memory or run for hours;
-# that stays out of scope here, and the test does not pretend otherwise.
+# Keys that size a table or a loop draw only small values: sizes have no
+# upper bound at load, and a huge one can exhaust memory or run for hours.
+# That gap is out of scope here.
 SIZE_KEYS = {
     ("data", "n_items"), ("data", "n_clusters"), ("data", "embed_dim"),
     ("data", "n_users"), ("data", "slates_per_user"),

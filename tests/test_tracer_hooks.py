@@ -90,7 +90,8 @@ def test_traced_lockstep_evaluate_nests_its_work_under_evaluate():
         metrics = trainer.evaluate(agent, _env(), 4, seed=4, tag=0)
     spans = traced.spans
     assert tracer.Summary(spans).errors == 0
-    assert [s[tracer.PARENT] for s in spans if s[tracer.NAME] == "trainer.evaluate"] == [-1]
+    assert [s[tracer.PARENT] for s in spans
+            if s[tracer.NAME] == "trainer.evaluate"] == [-1]
 
     def under_evaluate(span):
         while span[tracer.PARENT] >= 0:

@@ -572,12 +572,14 @@ def _sequential_greedy(agent, env, episodes, seed, tag):
 
 @functools.cache
 def _fitted_simulator():
+    """A response model fitted on random records, and their user pool."""
     rng = np.random.default_rng(61)
     records = [LogRecord(uid, tuple(int(i) for i in rng.choice(N_ITEMS, size=uid % 4)),
-                         (int(a), int(b)), tuple(int(y) for y in rng.random(2) < 0.5))
-               for uid in range(8) for a, b in [rng.choice(N_ITEMS, 2, replace=False)]]
-    return fit_response_model(records, N_ITEMS, SimFitConfig(embed_dim=4, epochs=3),
-                              62), make_user_pool(records)
+                         tuple(int(i) for i in rng.choice(N_ITEMS, 2, replace=False)),
+                         tuple(int(y) for y in rng.random(2) < 0.5))
+               for uid in range(8)]
+    model = fit_response_model(records, N_ITEMS, SimFitConfig(embed_dim=4, epochs=3), 62)
+    return model, make_user_pool(records)
 
 
 # name -> (model, pool or None for `_env`'s, patience, horizon)
@@ -872,8 +874,6 @@ def test_patience_never_increases_without_click():
     while not done:
         with ad.no_grad():
             out = forward(agent.policy, encode_state(agent.policy, session.state))
-        from hsrl.policy import select_slate
-
         slate = select_slate(out, agent.index, agent.catalog, 2, "sample",
                              rng_act)
         feedback, _, session, done = env.step(session, slate, rng_env)
