@@ -334,14 +334,9 @@ EVAL_COLUMNS = ["iteration", "episodes", "mean_total_reward",
 
 def evaluate(agent: Agent, env: Environment, episodes: int, seed: int,
              tag: int) -> list[EpisodeMetrics]:
-    """Greedy episodes on the evaluation simulator, played in lockstep.
-
-    Episode i draws its user and its clicks from its own `[seed, EVAL, tag,
-    i]` stream. Each step encodes the states of the live episodes as one
-    block, runs one policy forward and one greedy selection over it, and
-    steps all their sessions through one `Environment.step_batch`; an
-    episode that ends leaves the block.
-    """
+    """Greedy episodes on the evaluation simulator, played in lockstep as
+    the module docstring describes; episode i draws its user and its clicks
+    from its own `[seed, EVAL, tag, i]` stream."""
     flat = agent.cfg.variant == "flat_policy"
     rngs = [np.random.default_rng([seed, _STREAM_EVAL, tag, i]) for i in range(episodes)]
     sessions = [env.reset(rng) for rng in rngs]
