@@ -43,6 +43,12 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+def all_finite(arr: np.ndarray) -> bool:
+    """No entry is NaN or +-Inf; one sum decides unless it is not finite."""
+    return (math.isfinite(arr if arr.ndim == 0 else np.add.reduce(arr, None))
+            or bool(np.isfinite(arr).all()))
+
+
 class Tensor:
     """A float64 array plus its position in the current tape."""
 
@@ -50,8 +56,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         arr = np.asarray(data, dtype=np.float64)
-        if (not math.isfinite(arr if arr.ndim == 0 else np.add.reduce(arr, None))
-                and not np.isfinite(arr).all()):
+        if not all_finite(arr):
             raise NumericsError("tensor holds NaN/Inf values")
         self.data = arr
         self.requires_grad = requires_grad
@@ -115,7 +120,7 @@ def backward(loss: Tensor) -> None:
     while heap:
         node, g = pending.pop(-heapq.heappop(heap))
         if node._backward is None:
-            if not np.isfinite(g).all():
+            if not all_finite(g):
                 raise NumericsError("non-finite gradient reached a parameter")
             node.grad = g.copy() if node.grad is None else node.grad + g
             continue
@@ -304,18 +309,18 @@ def _rows(x: Tensor, op: str) -> int:
 def softmax(x: Tensor) -> Tensor:
     """Probabilities over the last axis; max-subtracted for stability."""
     _rows(x, "softmax")
-    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
-    return _node(p, (x,), lambda g: (p * (g - (p * g).sum(axis=-1, keepdims=True)),))
+    e = np.exp(x.data - np.maximum.reduce(x.data, -1, keepdims=True))
+    p = e / np.add.reduce(e, -1, keepdims=True)
+    return _node(p, (x,), lambda g: (p * (g - np.add.reduce(p * g, -1, keepdims=True)),))
 
 
 def log_softmax(x: Tensor) -> Tensor:
     """Log-probabilities over the last axis."""
     _rows(x, "log_softmax")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = x.data - np.maximum.reduce(x.data, -1, keepdims=True)
+    out = shifted - np.log(np.add.reduce(np.exp(shifted), -1, keepdims=True))
     p = np.exp(out)
-    return _node(out, (x,), lambda g: (g - p * g.sum(axis=-1, keepdims=True),))
+    return _node(out, (x,), lambda g: (g - p * np.add.reduce(g, -1, keepdims=True),))
 
 
 LAYER_NORM_EPS = 1e-5
@@ -327,14 +332,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     n = _rows(x, "layer_norm")
     if n < 2 or gain.shape != (n,) or bias.shape != (n,):
         raise ShapeError(f"layer_norm: rows {x.shape}, gain {gain.shape}, bias {bias.shape}")
-    centered = x.data - x.data.sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt((centered ** 2).sum(axis=-1, keepdims=True) / n + LAYER_NORM_EPS)
+    centered = x.data - np.add.reduce(x.data, -1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(centered * centered, -1, keepdims=True) / n
+                        + LAYER_NORM_EPS)
     xhat = centered * inv
 
     def back(g):
         h = g * gain.data
-        gx = (h - h.sum(axis=-1, keepdims=True) / n
-              - xhat * ((h * xhat).sum(axis=-1, keepdims=True) / n)) * inv
+        gx = (h - np.add.reduce(h, -1, keepdims=True) / n
+              - xhat * (np.add.reduce(h * xhat, -1, keepdims=True) / n)) * inv
         return gx, (g * xhat).reshape(-1, n).sum(axis=0), g.reshape(-1, n).sum(axis=0)
 
     return _node(gain.data * xhat + bias.data, (x, gain, bias), back)

@@ -242,14 +242,16 @@ def cmd_eval(cfg: RunConfig, out: Path, args) -> int:
     eval_sim = _read(env_mod.load_response_model, ckpt.parent / "sim_eval.ckpt",
                      "simulator checkpoint", len(index), cfg.sim_config())
     items, records = _load_dataset(cfg, out)
+    misfit = f"codebook {book_path} does not fit this config and catalog"
+    if sorted(index.item_to_sid) != items.ids.tolist():
+        raise DataError(misfit)  # before `Agent` looks every catalog id up
     train_cfg = cfg.train_config()
     seed = cfg["seeds"]["agent"]
     agent = tr_mod.Agent(cfg.policy_config(_n_items(items)), cfg.critic_config(),
                          train_cfg, index, items.ids, seed, book, items.vectors)
-    agent.load_arrays(named)
-    if (book.vocab_sizes != cfg.vocab_sizes()
-            or sorted(index.item_to_sid) != items.ids.tolist()):
-        raise DataError(f"codebook {book_path} does not fit this config and catalog")
+    agent.load_arrays(named)  # a checkpoint that does not fit the config is named first
+    if book.vocab_sizes != cfg.vocab_sizes():
+        raise DataError(misfit)
     env = env_mod.Environment(eval_sim, env_mod.make_user_pool(records),
                               cfg.env_config())
     episodes = tr_mod.evaluate(agent, env, train_cfg.eval_episodes, seed,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, all_finite
 from .errors import NumericsError
 
 BETA1, BETA2 = 0.9, 0.999  # decay rates of the first and second moments
@@ -16,7 +16,9 @@ class Optimizer:
 
     Parameters whose gradient is absent or exactly zero are skipped
     entirely, so a step with zero gradients is a no-op regardless of
-    accumulated moment state.
+    accumulated moment state. The moments and parameters are updated in
+    place, through two scratch buffers the size of the largest parameter
+    that every parameter views in its own shape.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3):
@@ -27,6 +29,10 @@ class Optimizer:
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+        size = max((p.data.size for p in self.params), default=0)
+        flat = np.empty(size), np.empty(size)
+        self._scratch = [tuple(f[:p.data.size].reshape(p.data.shape) for f in flat)
+                         for p in self.params]
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -35,16 +41,23 @@ class Optimizer:
     def step(self) -> None:
         """Apply one update from the accumulated gradients."""
         for p in self.params:
-            if p.grad is not None and not np.isfinite(p.grad).all():
+            if p.grad is not None and not all_finite(p.grad):
                 raise NumericsError("NaN/Inf gradient; step aborted")
         self.step_count += 1
         t = self.step_count
-        for i, p in enumerate(self.params):
+        c1, c2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
+        for p, m, v, (a, b) in zip(self.params, self._m, self._v, self._scratch):
             g = p.grad
             if g is None or not g.any():
                 continue
-            self._m[i] = BETA1 * self._m[i] + (1.0 - BETA1) * g
-            self._v[i] = BETA2 * self._v[i] + (1.0 - BETA2) * g * g
-            mhat = self._m[i] / (1.0 - BETA1 ** t)
-            vhat = self._v[i] / (1.0 - BETA2 ** t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + EPS)
+            # m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g
+            m *= BETA1
+            m += np.multiply(g, 1.0 - BETA1, out=a)
+            v *= BETA2
+            np.multiply(g, 1.0 - BETA2, out=a)
+            v += np.multiply(a, g, out=a)
+            # p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)
+            np.sqrt(np.divide(v, c2, out=a), out=a)
+            a += EPS
+            np.multiply(np.divide(m, c1, out=b), self.lr, out=b)
+            p.data -= np.divide(b, a, out=b)

@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .encoder import EncoderConfig, EncoderParams, UserState, encode
 from .errors import ConfigError, ContractError, DataError, ShapeError
-from .tokenizer import Codebook, SidIndex
+from .tokenizer import Codebook
 
 
 @dataclass
@@ -171,13 +171,13 @@ def sid_log_prob(output: PolicyOutput, sid) -> Tensor:
     return ad.vsum(per_item_log_probs(output, [sid]))
 
 
-def _raw_scores(output: PolicyOutput, index: SidIndex, candidates) -> np.ndarray:
-    """score(i) = prod_l p_l[z_l(i)] = pi(z(i)|s), in candidate order; for
-    the output of a block of contexts, a (B, N) block with a row per context."""
-    z = index.sid_matrix(candidates)
-    scores = np.ones(output.probs[0].shape[:-1] + (len(candidates),))
-    for lvl, p in enumerate(output.probs):
-        scores = scores * p.data[..., z[:, lvl]]
+def _raw_scores(output: PolicyOutput, sids: np.ndarray) -> np.ndarray:
+    """score(i) = prod_l p_l[z_l(i)] = pi(z(i)|s) for each row z(i) of the
+    (N, L) token matrix `sids`; for the output of a block of contexts, a
+    (B, N) block with a row per context."""
+    scores = output.probs[0].data.take(sids[:, 0], axis=-1)
+    for lvl in range(1, len(output.probs)):
+        scores *= output.probs[lvl].data.take(sids[:, lvl], axis=-1)
     return scores
 
 
@@ -193,7 +193,7 @@ def _top_k_rows(scores: np.ndarray, ids: np.ndarray, k: int) -> list[list[int]]:
     return ids[cols[order[first[:, None] + np.arange(k)]]].tolist()
 
 
-def select_slate(output: PolicyOutput, index: SidIndex, candidates, k: int,
+def select_slate(output: PolicyOutput, sids: np.ndarray, candidates, k: int,
                  mode: str, rng: np.random.Generator | None = None,
                  ) -> list[int] | list[list[int]]:
     """Pick k (1 <= k <= len(candidates)) of the candidate item ids.
@@ -205,12 +205,16 @@ def select_slate(output: PolicyOutput, index: SidIndex, candidates, k: int,
     without replacement in proportion to score; when fewer than k candidates
     have mass it takes those (in sampled order) and pads with the first
     zero-score candidates in candidate order. It takes the output of one
-    context only. Every candidate must be in the index (`UnknownItemError`
-    names the first that is not).
+    context only. Row i of the (len(candidates), L) token matrix `sids` is
+    the SID of candidates[i] (`SidIndex.sid_matrix(candidates)`, which an
+    `Agent` builds once for its catalog).
     """
     if not 1 <= k <= len(candidates):
         raise ContractError(f"slate size {k} is not in 1..{len(candidates)} "
                             f"(the number of candidates)")
+    if sids.shape != (len(candidates), len(output.vocab_sizes)):
+        raise ShapeError(f"token matrix has shape {sids.shape}, expected "
+                         f"({len(candidates)}, {len(output.vocab_sizes)})")
     if mode not in ("greedy", "sample"):
         raise ContractError(f"unknown slate mode {mode!r}")
     if mode == "sample" and rng is None:
@@ -219,7 +223,7 @@ def select_slate(output: PolicyOutput, index: SidIndex, candidates, k: int,
     if block and mode == "sample":
         raise ShapeError("sample mode takes the output of one context, not a block")
 
-    scores = _raw_scores(output, index, candidates)
+    scores = _raw_scores(output, sids)
     ids = np.asarray(candidates, dtype=np.int64)
     if mode == "greedy":
         slates = _top_k_rows(np.atleast_2d(scores), ids, k)

@@ -9,11 +9,12 @@ targets are constants by construction, and the critic reads the trajectory
 through detached policy-head parameters, so neither loss leaks gradient
 across the actor/critic boundary.
 
-Rollouts run the policy without gradient tracking and sample their
-slates. The update builds one graph for its whole batch, with a row per
-transition: one `encode_batch`, one policy `forward` of the block of
-contexts, one vector of every slate item's log-probability and one critic
-pass over the heads-detached trajectories.
+Rollouts run the policy without gradient tracking, once per step whose
+state changed, and sample their slates. The update builds one graph for
+its whole batch, with a row per transition: one `encode_batch`, one
+policy `forward` of the block of contexts, one vector of every slate
+item's log-probability and one critic pass over the heads-detached
+trajectories.
 
 Greedy evaluation plays all its episodes in lockstep, each with its own
 generator: per step, one `encode_batch` of the live sessions' states, one
@@ -149,7 +150,9 @@ def bc_loss(output: PolicyOutput, sids, feedback: np.ndarray) -> Tensor | None:
 
 
 class Agent:
-    """Policy, critic, target critic, and their optimizer plus the SID index."""
+    """Policy, critic, target critic, and their optimizer plus the SID index
+    and the catalog's (N, L) token matrix, built once here: every catalog id
+    must be in the index (`UnknownItemError` names the first that is not)."""
 
     def __init__(self, policy_cfg: PolicyConfig, critic_cfg: CriticConfig,
                  train_cfg: TrainConfig, index: SidIndex, catalog: list[int],
@@ -161,6 +164,7 @@ class Agent:
         self.target = TargetCritic(self.critic)
         self.cfg = train_cfg
         self.index = index
+        self.sids = index.sid_matrix(catalog)
         self.catalog = np.array(catalog, dtype=np.int64)
         self.opt = Optimizer(
             list(self.policy.tensors().values()) + list(self.critic.tensors().values()),
@@ -191,25 +195,31 @@ def rollout(agent: Agent, env: Environment, mode: str,
     """Play one training episode, sampling each slate (`mode` must be
     "sample"; greedy episodes are `evaluate`'s).
 
-    The policy runs without gradient tracking. Each transition but the last
-    keeps the next state's context trajectory for the target critic.
+    The policy runs without gradient tracking, and only on a step whose
+    history differs from the one its last output was computed from: a slate
+    with no click leaves the state as it was, and no update runs inside a
+    rollout, so that output is exact. Each transition but the last keeps the
+    next state's context trajectory for the target critic.
     """
     if mode != "sample":
         raise ContractError(f"rollout samples its slates; got mode {mode!r}")
     flat = agent.cfg.variant == "flat_policy"
     session = env.reset(rng_env)
     transitions: list[Transition] = []
-    done = False
+    done, seen = False, None
     while not done:
-        with ad.no_grad():
-            out = forward(agent.policy, encode_state(agent.policy, session.state),
-                          flat=flat)
+        # compare histories, not states: every step builds a new UserState
+        if session.state.history != seen:
+            with ad.no_grad():
+                out = forward(agent.policy, encode_state(agent.policy, session.state),
+                              flat=flat)
+            seen = session.state.history
         if transitions:
             # a copy: with an empty history trajectory[0] is the start
             # parameter itself, which the optimizer updates in place, so a
             # batch trained on again would otherwise read a moved target
             transitions[-1].next_contexts = [c.data.copy() for c in out.trajectory]
-        slate = select_slate(out, agent.index, agent.catalog,
+        slate = select_slate(out, agent.sids, agent.catalog,
                              env.cfg.slate_size, mode, rng_act)
         feedback, reward, nxt, done = env.step(session, slate, rng_env)
         transitions.append(Transition(session.state, tuple(map(agent.index.sid_of, slate)),
@@ -346,7 +356,7 @@ def evaluate(agent: Agent, env: Environment, episodes: int, seed: int,
         with ad.no_grad():
             out = forward(agent.policy, encode_batch(
                 agent.policy.encoder, [sessions[i].state for i in live]), flat=flat)
-        slates = select_slate(out, agent.index, agent.catalog,
+        slates = select_slate(out, agent.sids, agent.catalog,
                               env.cfg.slate_size, "greedy")
         steps = env.step_batch([sessions[i] for i in live], slates,
                                [rngs[i] for i in live])

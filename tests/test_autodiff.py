@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 import hsrl.autodiff as ad
 from hsrl.errors import ContractError, NumericsError, ShapeError
+from hsrl import optim
 from hsrl.optim import Optimizer
 
 from gradcheck import assert_close, check_gradients, finite_difference
@@ -187,6 +188,57 @@ def test_row_forms_match_finite_differences_and_their_1d_forms(shape, seed):
             assert np.abs(t.grad - g).max() <= 1e-12
 
 
+def _written_out_forms(gain, bias):
+    """softmax, log_softmax and layer_norm as `.max`/`.sum`/`** 2` formulas:
+    (forward, backward) pairs, the backward returning every input's gradient."""
+    def softmax(x):
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        return p, lambda g: (p * (g - (p * g).sum(axis=-1, keepdims=True)),)
+
+    def log_softmax(x):
+        shifted = x - x.max(axis=-1, keepdims=True)
+        out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        p = np.exp(out)
+        return out, lambda g: (g - p * g.sum(axis=-1, keepdims=True),)
+
+    def layer_norm(x):
+        n = x.shape[-1]
+        centered = x - x.sum(axis=-1, keepdims=True) / n
+        inv = 1.0 / np.sqrt((centered ** 2).sum(axis=-1, keepdims=True) / n + 1e-5)
+        xhat = centered * inv
+
+        def back(g):
+            h = g * gain
+            gx = (h - h.sum(axis=-1, keepdims=True) / n
+                  - xhat * ((h * xhat).sum(axis=-1, keepdims=True) / n)) * inv
+            return gx, (g * xhat).reshape(-1, n).sum(axis=0), g.reshape(-1, n).sum(axis=0)
+
+        return gain * xhat + bias, back
+
+    return {"softmax": softmax, "log_softmax": log_softmax, "layer_norm": layer_norm}
+
+
+@pytest.mark.parametrize("shape", [(32,), (16,), (12, 32), (3, 5, 16), (4, 5)])
+def test_normalization_ops_equal_their_written_out_formulas_bitwise(shape):
+    rng = np.random.default_rng(sum(shape))
+    n = shape[-1]
+    for trial in range(50):
+        scale = 10.0 ** rng.uniform(-3, 2)
+        x = _param(rng, shape, scale)
+        gain, bias = _param(rng, (n,)), _param(rng, (n,))
+        ops = {"softmax": ad.softmax, "log_softmax": ad.log_softmax,
+               "layer_norm": lambda t: ad.layer_norm(t, gain, bias)}
+        for name, form in _written_out_forms(gain.data, bias.data).items():
+            out = ops[name](x)
+            want, want_back = form(x.data)
+            assert out.data.tobytes() == want.tobytes(), name
+            probe = rng.normal(size=shape)
+            got = out._backward(probe)
+            assert [g.tobytes() for g in got] == [
+                g.tobytes() for g in want_back(probe)], name
+
+
 @ROW_FORMS
 @given(shape=st.lists(st.integers(1, 3), min_size=1, max_size=2).map(tuple),
        parts=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
@@ -354,6 +406,9 @@ def test_finite_check_accepts_a_sum_that_overflows(data):
         for make in (ad.constant, ad.parameter):
             assert np.array_equal(make(data).data, data)
         assert np.array_equal(ad.scale(ad.parameter(data), 1.0).data, data)
+        p = ad.parameter(np.zeros(np.shape(data)))
+        p.grad = np.array(data, dtype=float)
+        Optimizer([p]).step()  # the optimizer's pre-check falls back too
 
 
 def test_nan_inputs_rejected():
@@ -559,13 +614,51 @@ def test_opt_zero_grad_noop_even_with_moment_history():
 
 
 def test_opt_nan_gradient_aborts_step():
+    # every gradient is checked before any parameter or moment moves
+    first = ad.Tensor([1.0, 2.0], requires_grad=True)
     p = ad.Tensor([1.0], requires_grad=True)
-    opt = Optimizer([p])
+    opt = Optimizer([first, p])
+    first.grad = np.array([0.5, -0.5])
     p.grad = np.array([np.nan])
     before = p.data.copy()
     with pytest.raises(NumericsError):
         opt.step()
     assert np.array_equal(p.data, before)
+    assert first.data.tolist() == [1.0, 2.0] and opt.step_count == 0
+    assert not opt._m[0].any() and not opt._v[0].any()
+
+
+def test_opt_in_place_step_equals_the_adam_formula_bitwise():
+    # 0-d, 1-D and 2-D parameters; the fourth has no gradient on odd steps
+    # and the fifth an all-zero one on even steps, after moments built up
+    rng = np.random.default_rng(73)
+    shapes = [(), (7,), (5, 3), (4,), (2, 6)]
+    params = [_param(rng, s) for s in shapes]
+    opt = Optimizer(params, lr=0.01)
+    want = [p.data.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    b1, b2 = optim.BETA1, optim.BETA2
+    for t in range(1, 8):
+        grads = [rng.normal(size=s) * 10.0 ** rng.uniform(-6, 3) for s in shapes]
+        if t % 2:
+            grads[3] = None
+        else:
+            grads[4] = np.zeros(shapes[4])
+        for p, g in zip(params, grads):
+            p.grad = g
+        opt.step()
+        for i, g in enumerate(grads):
+            if g is None or not g.any():
+                continue
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * g * g
+            want[i] = want[i] - 0.01 * (m[i] / (1.0 - b1 ** t)) / (
+                np.sqrt(v[i] / (1.0 - b2 ** t)) + optim.EPS)
+        for got, ref in ((opt._m, m), (opt._v, v), ([p.data for p in params], want)):
+            assert [np.asarray(a).tobytes() for a in got] == [
+                np.asarray(a).tobytes() for a in ref]
+    assert opt.step_count == 7
 
 
 def test_opt_converges_to_analytic_optimum():

@@ -9,12 +9,14 @@ import pytest
 
 import hsrl.autodiff as ad
 from hsrl.checkpoint import CHECKPOINT_MAGIC, load_tensors, save_tensors
+from hsrl.critic import CriticConfig
 from hsrl.encoder import UserState, encode_batch
 from hsrl.errors import (ContractError, DataError, FormatError, ShapeError,
                          UnknownItemError)
 from hsrl.policy import (PolicyConfig, PolicyParams, _raw_scores, encode_state,
                          forward, per_item_log_probs, select_slate, sid_log_prob)
 from hsrl.tokenizer import SidIndex
+from hsrl.trainer import Agent, TrainConfig
 
 from gradcheck import check_gradients
 
@@ -283,11 +285,19 @@ def _index():
     })
 
 
+def _sids(candidates):
+    """The candidates' token matrix, as `Agent` builds it for its catalog."""
+    return _index().sid_matrix(candidates)
+
+
+ITEMS = [0, 1, 2, 3, 4]
+
+
 def test_score_collisions_share_score_id_order():
     out = _output(_params(seed=23))
-    scores = _raw_scores(out, _index(), [3, 1])
+    scores = _raw_scores(out, _sids([3, 1]))
     assert scores[0] == scores[1]
-    assert select_slate(out, _index(), [3, 1], 2, "greedy") == [1, 3]
+    assert select_slate(out, _sids([3, 1]), [3, 1], 2, "greedy") == [1, 3]
 
 
 def test_score_argmax_sid_ranks_first():
@@ -295,32 +305,41 @@ def test_score_argmax_sid_ranks_first():
     out = _output(params)
     argmax_sid = tuple(int(p.data.argmax()) for p in out.probs)
     index = SidIndex({0: argmax_sid, 1: (0, 0, 0), 2: (1, 2, 3)})
-    assert select_slate(out, index, [2, 1, 0], 1, "greedy") == [0]
+    assert select_slate(out, index.sid_matrix([2, 1, 0]), [2, 1, 0], 1,
+                        "greedy") == [0]
 
 
 def test_score_equals_exp_log_prob():
     out = _output(_params(seed=25))
     index = _index()
-    items = [0, 1, 2, 3, 4]
-    for item, score in zip(items, _raw_scores(out, index, items)):
+    for item, score in zip(ITEMS, _raw_scores(out, _sids(ITEMS))):
         lp = float(sid_log_prob(out, index.sid_of(item)).data)
         assert abs(score - math.exp(lp)) < 1e-12
 
 
 def test_score_missing_candidate():
+    # `select_slate` looks no id up: the agent maps its catalog once, when
+    # it is built
+    policy_cfg = PolicyConfig(n_items=100, vocab_sizes=(4, 4, 4), d_model=8,
+                              embed_dim=8)
+    critic_cfg = CriticConfig(d_model=8, levels=3, hidden=4)
+    for catalog, bad in (([0, 99], 99), ([0, 2 ** 64], 2 ** 64)):
+        with pytest.raises(UnknownItemError, match=f"item {bad} has no SID"):
+            Agent(policy_cfg, critic_cfg, TrainConfig(), _index(), catalog, 0)
+
+
+def test_select_rejects_a_token_matrix_of_other_candidates():
     out = _output(_params(seed=26))
-    with pytest.raises(UnknownItemError, match="item 99 has no SID"):
-        select_slate(out, _index(), [0, 99], 1, "greedy")
-    with pytest.raises(UnknownItemError, match=f"item {2 ** 64} has no SID"):
-        select_slate(out, _index(), [0, 2 ** 64], 1, "greedy")
+    for sids in (_sids([0, 1]), _sids(ITEMS)[:, :2], _sids(ITEMS)[0]):
+        with pytest.raises(ShapeError, match="token matrix has shape"):
+            select_slate(out, sids, [0, 1, 2], 1, "greedy")
 
 
 def test_select_all_candidates_greedy_orders_by_score():
     out = _output(_params(seed=27))
-    index = _index()
-    slate = select_slate(out, index, [0, 1, 2, 3, 4], 5, "greedy")
+    slate = select_slate(out, _sids(ITEMS), ITEMS, 5, "greedy")
     assert slate == [item for item, _ in
-                     _loop_score_candidates(out, index, [0, 1, 2, 3, 4])]
+                     _loop_score_candidates(out, _index(), ITEMS)]
 
 
 def test_select_more_than_candidates_rejected():
@@ -328,14 +347,14 @@ def test_select_more_than_candidates_rejected():
     for k in (3, 0, -1):
         for mode in ("greedy", "sample"):
             with pytest.raises(ContractError, match=f"slate size {k} is not"):
-                select_slate(out, _index(), [0, 1], k, mode,
+                select_slate(out, _sids([0, 1]), [0, 1], k, mode,
                              np.random.default_rng(0))
 
 
 def test_select_greedy_repeatable():
     out = _output(_params(seed=29))
-    a = select_slate(out, _index(), [0, 1, 2, 3, 4], 3, "greedy")
-    b = select_slate(out, _index(), [0, 1, 2, 3, 4], 3, "greedy")
+    a = select_slate(out, _sids(ITEMS), ITEMS, 3, "greedy")
+    b = select_slate(out, _sids(ITEMS), ITEMS, 3, "greedy")
     assert a == b
 
 
@@ -343,25 +362,23 @@ def test_select_sample_dominant_candidate_always_present():
     # candidate 0 holds ~all probability mass at every level
     hot = [30.0, 0.0, 0.0, 0.0]
     out = _manual_output([hot, hot, hot])
-    index = SidIndex({0: (0, 0, 0), 1: (1, 1, 1), 2: (2, 2, 2), 3: (3, 3, 3)})
+    sids = np.array([(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)])
     for trial in range(1000):
         rng = np.random.default_rng(trial)
-        assert 0 in select_slate(out, index, [0, 1, 2, 3], 2, "sample", rng)
+        assert 0 in select_slate(out, sids, [0, 1, 2, 3], 2, "sample", rng)
 
 
 def test_select_sample_seed_deterministic():
     out = _output(_params(seed=31))
-    a = select_slate(out, _index(), [0, 1, 2, 3, 4], 3, "sample",
-                     np.random.default_rng(5))
-    b = select_slate(out, _index(), [0, 1, 2, 3, 4], 3, "sample",
-                     np.random.default_rng(5))
+    a = select_slate(out, _sids(ITEMS), ITEMS, 3, "sample", np.random.default_rng(5))
+    b = select_slate(out, _sids(ITEMS), ITEMS, 3, "sample", np.random.default_rng(5))
     assert a == b
 
 
 def test_select_unknown_mode():
     out = _output(_params(seed=32))
     with pytest.raises(ContractError):
-        select_slate(out, _index(), [0, 1], 1, "beam")
+        select_slate(out, _sids([0, 1]), [0, 1], 1, "beam")
 
 
 # Per-candidate loop versions of slate scoring and `select_slate`: the
@@ -437,12 +454,13 @@ SLATE_CASES = [(s, (4, 3, 5)) for s in range(4)] + [
 @pytest.mark.parametrize("seed, live", SLATE_CASES)
 def test_array_path_matches_loop_reference(seed, live):
     out, index, ids = _slate_case(seed, live)
-    scores = _raw_scores(out, index, ids)
-    assert scores.tobytes() == _loop_scores(out, index, ids).tobytes()
     catalog = np.array(ids, dtype=np.int64)  # as `Agent.catalog` holds it
+    sids = index.sid_matrix(catalog)         # as `Agent.sids` holds it
+    scores = _raw_scores(out, sids)
+    assert scores.tobytes() == _loop_scores(out, index, ids).tobytes()
     for k in range(1, N_CANDIDATES + 1):
         for mode in ("greedy", "sample"):
-            got = select_slate(out, index, catalog, k, mode,
+            got = select_slate(out, sids, catalog, k, mode,
                                np.random.default_rng(seed))
             want = _loop_select_slate(out, index, ids, k, mode,
                                       np.random.default_rng(seed))
@@ -477,26 +495,27 @@ def test_greedy_block_equals_each_row_alone():
     outputs = [_slate_case(seed, live)[0] for seed, live in SLATE_CASES]
     _, index, ids = _slate_case(*SLATE_CASES[-1])
     catalog = np.array(ids, dtype=np.int64)
+    sids = index.sid_matrix(catalog)
     block = _stacked(outputs)
-    assert _raw_scores(block, index, ids).tobytes() == np.stack(
-        [_raw_scores(out, index, ids) for out in outputs]).tobytes()
+    assert _raw_scores(block, sids).tobytes() == np.stack(
+        [_raw_scores(out, sids) for out in outputs]).tobytes()
     for k in range(1, N_CANDIDATES + 1):
-        got = select_slate(block, index, catalog, k, "greedy")
-        assert got == [select_slate(out, index, catalog, k, "greedy")
+        got = select_slate(block, sids, catalog, k, "greedy")
+        assert got == [select_slate(out, sids, catalog, k, "greedy")
                        for out in outputs]
         assert all(type(i) is int for slate in got for i in slate)
 
     collided = [_output(_params(seed=23)), _output(_params(seed=24))]
-    got = select_slate(_stacked(collided), _index(), [3, 1], 2, "greedy")
+    got = select_slate(_stacked(collided), _sids([3, 1]), [3, 1], 2, "greedy")
     assert got[0] == [1, 3]         # test_score_collisions_share_score_id_order
-    assert got == [select_slate(out, _index(), [3, 1], 2, "greedy")
+    assert got == [select_slate(out, _sids([3, 1]), [3, 1], 2, "greedy")
                    for out in collided]
 
 
 def test_sample_mode_rejects_a_block():
     block = _stacked([_output(_params(seed=33)), _output(_params(seed=34))])
     with pytest.raises(ShapeError, match="sample mode takes the output of one"):
-        select_slate(block, _index(), [0, 1, 2], 2, "sample",
+        select_slate(block, _sids([0, 1, 2]), [0, 1, 2], 2, "sample",
                      np.random.default_rng(0))
 
 

@@ -500,6 +500,54 @@ def test_rollout_next_contexts_line_up():
     assert transitions[-1].next_contexts is None
 
 
+def _reference_rollout(agent, env, rng_env, rng_act):
+    """`rollout` with a policy pass on every step, whether or not the state
+    changed."""
+    session, transitions, done = env.reset(rng_env), [], False
+    while not done:
+        with ad.no_grad():
+            out = forward(agent.policy, encode_state(agent.policy, session.state))
+        if transitions:
+            transitions[-1].next_contexts = [c.data.copy() for c in out.trajectory]
+        slate = select_slate(out, agent.sids, agent.catalog, env.cfg.slate_size,
+                             "sample", rng_act)
+        feedback, reward, nxt, done = env.step(session, slate, rng_env)
+        transitions.append(trainer.Transition(
+            session.state, tuple(map(agent.index.sid_of, slate)), feedback,
+            reward, int(done)))
+        session = nxt
+    return transitions
+
+
+@pytest.mark.parametrize("model", [ScriptedResponse(0), None],
+                         ids=["no_click", "clicks_below_6"])
+def test_rollout_forwards_once_per_changed_state(model, monkeypatch):
+    # a slate with no click leaves the history as it was, and the rollout
+    # reuses the policy output it already has for that history
+    calls = []
+    monkeypatch.setattr(trainer, "forward",
+                        lambda *a, **kw: calls.append(1) or forward(*a, **kw))
+    agent, env = _agent(seed=27), _env(model)
+    reused = 0
+    for episode in range(6):
+        rngs = [np.random.default_rng([27, stream, episode]) for stream in (0, 1)]
+        want = _reference_rollout(agent, env, *rngs)
+        rngs = [np.random.default_rng([27, stream, episode]) for stream in (0, 1)]
+        calls.clear()
+        got, _ = rollout(agent, env, "sample", *rngs)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a.state, a.sids, a.reward, a.done) == (b.state, b.sids, b.reward, b.done)
+            assert a.feedback.tobytes() == b.feedback.tobytes()
+            assert [c.tobytes() for c in a.next_contexts or []] == [
+                c.tobytes() for c in b.next_contexts or []]
+        changed = 1 + sum(a.state.history != b.state.history
+                          for a, b in zip(got, got[1:]))
+        assert len(calls) == changed
+        reused += len(got) - changed
+    assert reused > 0
+
+
 def test_next_contexts_keep_their_values_after_an_update():
     # nothing is clicked, so user 0's history stays empty and every next
     # context c_0 it sees is the start parameter, which the update moves
@@ -561,7 +609,7 @@ def _sequential_greedy(agent, env, episodes, seed, tag):
                 policy_out = forward(agent.policy,
                                      encode_state(agent.policy, session.state),
                                      flat=flat)
-            slate = select_slate(policy_out, agent.index, agent.catalog,
+            slate = select_slate(policy_out, agent.sids, agent.catalog,
                                  env.cfg.slate_size, "greedy")
             _, reward, session, done = env.step(session, slate, rng)
             slates.append(slate)
@@ -874,7 +922,7 @@ def test_patience_never_increases_without_click():
     while not done:
         with ad.no_grad():
             out = forward(agent.policy, encode_state(agent.policy, session.state))
-        slate = select_slate(out, agent.index, agent.catalog, 2, "sample",
+        slate = select_slate(out, agent.sids, agent.catalog, 2, "sample",
                              rng_act)
         feedback, _, session, done = env.step(session, slate, rng_env)
         if feedback.any():
@@ -954,7 +1002,7 @@ def _nodes_created() -> int:
 # episodes. Node counts do not depend on the machine, so a change in tape
 # cost shows here exactly; a change that moves a count updates the pin and
 # logs the old and new count.
-TAPE_NODES = {"full": (1579, 820), "bc_only": (1394, 820)}
+TAPE_NODES = {"full": (1173, 820), "bc_only": (988, 820)}
 
 
 @pytest.mark.parametrize("variant", sorted(TAPE_NODES))
