@@ -9,6 +9,14 @@ topological order: every consumer has a larger id than what it consumes.
 the largest id, so it visits each node that receives a gradient once,
 after all of that node's consumers, and accumulates into parameter leaves.
 
+An `embed` of a parameter table with more rows than ids hands `backward`
+its ids and gathered-row gradient instead of a dense table. `backward`
+keeps these pieces and densifies them once, at the leaf, summing in the
+order a dense gradient per piece would have been added, so `.grad` is
+byte-equal to the dense sum. The leaf's `grad_rows` then lists the rows
+its gradient can be nonzero on; `None` means every row, as for any leaf
+that received a dense piece.
+
 All data is float64. Any primitive producing a NaN or Inf raises
 NumericsError immediately rather than letting poison propagate. The check
 sums the entries first: NaN and +-Inf always carry through a sum, so a
@@ -52,7 +60,8 @@ def all_finite(arr: np.ndarray) -> bool:
 class Tensor:
     """A float64 array plus its position in the current tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_nid")
+    __slots__ = ("data", "requires_grad", "grad", "grad_rows", "_parents", "_backward",
+                 "_nid")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         arr = np.asarray(data, dtype=np.float64)
@@ -61,6 +70,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad = None
+        self.grad_rows = None
         self._parents = _parents
         self._backward = _backward
         self._nid = next(_NODE_IDS)
@@ -75,6 +85,7 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
+        self.grad_rows = None
 
     def detach(self) -> "Tensor":
         """Same buffer, no graph membership."""
@@ -103,26 +114,77 @@ def _node(data, parents, backward_fn) -> Tensor:
     return Tensor(data)
 
 
+class Rows:
+    """A leaf table's gradient that is zero outside the rows `embed` nodes
+    took: their (ids, gradient of `table[ids]`) pieces in arrival order.
+    `+` keeps pieces apart until a dense gradient meets them."""
+
+    __slots__ = ("shape", "pieces")
+    __array_ufunc__ = None  # so `array + rows` calls `rows.__radd__`
+
+    def __init__(self, shape: tuple[int, ...], pieces: list):
+        self.shape = shape
+        self.pieces = pieces
+
+    def __add__(self, other):
+        if type(other) is Rows:
+            return Rows(self.shape, self.pieces + other.pieces)
+        return self.dense()[0] + other
+
+    def __radd__(self, other):
+        return other + self.dense()[0]
+
+    def dense(self) -> tuple[np.ndarray, np.ndarray]:
+        """The dense sum and the sorted rows it can be nonzero on.
+
+        Bitwise this is the sum, in order, of one `zeros_like(table)` +
+        `np.add.at` table per piece: a later piece's duplicate ids are
+        summed from zero first, as its own dense table would hold them,
+        before they are added in; rows a piece leaves out would add +0.0,
+        which changes no entry of such a sum (none is -0.0)."""
+        (ids, g), *rest = self.pieces
+        out = np.zeros(self.shape)
+        np.add.at(out, ids, g)
+        touched = np.zeros(self.shape[0], dtype=bool)
+        touched[ids] = True
+        for ids, g in rest:
+            ids = ids.ravel()
+            rows, inverse = np.unique(ids, return_inverse=True)
+            block = np.zeros((len(rows),) + self.shape[1:])
+            np.add.at(block, inverse, g.reshape((ids.size,) + self.shape[1:]))
+            out[rows] += block
+            touched[rows] = True
+        return out, np.flatnonzero(touched)
+
+
 def backward(loss: Tensor) -> None:
-    """Accumulate dLoss/dtheta into `.grad` of every reachable parameter leaf.
+    """Accumulate dLoss/dtheta into `.grad` of every reachable parameter leaf,
+    and record in `.grad_rows` the rows it can be nonzero on (see the module
+    docstring; `None` means all of them).
 
     Deterministic for a fixed graph; calling it twice without zeroing
-    doubles every gradient (accumulation contract).
+    doubles every gradient (accumulation contract), and the record becomes
+    the union of both.
     """
     if loss.ndim != 0:
         raise ContractError("backward() needs a scalar loss")
     if not loss.requires_grad:
         raise ContractError("loss is not connected to any parameter")
 
-    # node id -> (node, gradient summed so far); the heap holds negated ids
-    pending: dict[int, tuple[Tensor, np.ndarray]] = {loss._nid: (loss, np.asarray(1.0))}
+    # node id -> (node, gradient summed so far, an array or `Rows`); the
+    # heap holds negated ids
+    pending: dict[int, tuple[Tensor, object]] = {loss._nid: (loss, np.asarray(1.0))}
     heap = [-loss._nid]
     while heap:
         node, g = pending.pop(-heapq.heappop(heap))
         if node._backward is None:
+            if type(g) is Rows:
+                _deliver_rows(node, g)
+                continue
             if not all_finite(g):
                 raise NumericsError("non-finite gradient reached a parameter")
             node.grad = g.copy() if node.grad is None else node.grad + g
+            node.grad_rows = None
             continue
         for p, pg in zip(node._parents, node._backward(g)):
             if pg is None or not p.requires_grad:
@@ -133,6 +195,19 @@ def backward(loss: Tensor) -> None:
             else:
                 pending[nid] = (p, pg)
                 heapq.heappush(heap, -nid)
+
+
+def _deliver_rows(leaf: Tensor, pieces: Rows) -> None:
+    """Add a leaf's row pieces into its `.grad` and `.grad_rows`."""
+    g, rows = pieces.dense()
+    if not all_finite(g[rows]):
+        raise NumericsError("non-finite gradient reached a parameter")
+    if leaf.grad is None:
+        leaf.grad, leaf.grad_rows = g, rows
+    else:
+        leaf.grad = leaf.grad + g
+        if leaf.grad_rows is not None:
+            leaf.grad_rows = np.union1d(leaf.grad_rows, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +352,18 @@ def stack(parts: list[Tensor]) -> Tensor:
 
 def embed(x: Tensor, ids) -> Tensor:
     """Take rows `ids` along axis 0 of `x` (entries, when `x` is 1-D);
-    the gradient scatter-adds back, so duplicate ids accumulate."""
+    the gradient scatter-adds back, so duplicate ids accumulate.
+
+    When `x` is a leaf with more rows than `ids`, the gradient goes back as
+    `Rows` holding `ids` and `g`, which `backward` densifies at the leaf;
+    otherwise it is the dense `zeros_like(x)` scatter."""
     if x.ndim < 1:
         raise ShapeError("embed: expected at least one axis")
     idx = np.asarray(ids, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ContractError("embed: index out of range")
+    if x._backward is None and x.shape[0] > idx.size:
+        return _node(x.data[idx], (x,), lambda g: (Rows(x.shape, [(idx, g)]),))
 
     def back(g):
         gx = np.zeros_like(x.data)

@@ -2,10 +2,11 @@
 
 Layout (little-endian): magic "HSRLPN1\\0", u32 version, u32 block count,
 then per block: u16 name length, utf-8 name, u8 ndim, u32 dims, float64
-row-major data. Block names are unique, and blocks keep insertion order, so
-save(load(f)) is byte-identical to f. Checkpoints, codebooks and run
-manifests go through `write_atomic`, so a crash mid-write never leaves a
-truncated file. The tab-separated text inputs are read through `read_lines`.
+row-major data. Block names are unique, every value is finite, and blocks
+keep insertion order, so save(load(f)) is byte-identical to f. Checkpoints,
+codebooks and run manifests go through `write_atomic`, so a crash mid-write
+never leaves a truncated file. The tab-separated text inputs are read
+through `read_lines`.
 """
 
 from __future__ import annotations
@@ -102,6 +103,8 @@ def load_tensors(path) -> dict[str, np.ndarray]:
             named[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         except ValueError:  # more dimensions than numpy supports
             raise FormatError(f"block {name} has {ndim} dimensions") from None
+        if not np.isfinite(named[name]).all():
+            raise FormatError(f"block {name} holds NaN or infinite values")
     if rd.pos != len(rd.blob):
         raise FormatError("trailing bytes after checkpoint payload")
     return named

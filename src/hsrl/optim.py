@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .autodiff import Tensor, all_finite
@@ -9,6 +11,11 @@ from .errors import NumericsError
 
 BETA1, BETA2 = 0.9, 0.999  # decay rates of the first and second moments
 EPS = 1e-8
+# A table updates only its reached rows while they are fewer than this share
+# of its rows. Gathering and scattering them costs more than the dense passes
+# they save from about 0.4 on, both for a 5000x32 and a 300x16 table.
+ROW_SHARE = 1 / 3
+_DENSE = "dense"  # a parameter's row state once it takes the dense path for good
 
 
 class Optimizer:
@@ -19,45 +26,95 @@ class Optimizer:
     accumulated moment state. The moments and parameters are updated in
     place, through two scratch buffers the size of the largest parameter
     that every parameter views in its own shape.
+
+    A table whose gradients arrive row-sparse (`grad_rows`, from `embed`)
+    updates only the rows some gradient has ever reached. That is exact: a
+    row never reached has m = v = g = 0, and every Adam operation leaves
+    such a row, and the parameter's row, bit for bit as it was. The reached
+    rows are gathered, take the dense path's operations in its order, and
+    are scattered back. The finite pre-check and the all-zero skip read
+    only the recorded rows, where a row gradient can be nonzero; the skip
+    rule is the same. Once the reached rows make up `ROW_SHARE` of the
+    table, or a dense gradient arrives, the table takes the dense path for
+    good; other parameters do no extra work.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3):
-        if lr <= 0.0:
-            raise ValueError("learning rate must be positive")
+        if not (lr > 0.0 and math.isfinite(lr)):
+            raise ValueError(f"learning rate must be positive and finite, got {lr}")
         self.params = list(params)
         self.lr = lr
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         size = max((p.data.size for p in self.params), default=0)
-        flat = np.empty(size), np.empty(size)
-        self._scratch = [tuple(f[:p.data.size].reshape(p.data.shape) for f in flat)
+        self._flat = np.empty(size), np.empty(size)
+        self._scratch = [tuple(f[:p.data.size].reshape(p.data.shape) for f in self._flat)
                          for p in self.params]
+        # parameter -> the rows any gradient has reached, while all its
+        # gradients were row gradients and reached few rows; else _DENSE
+        self._reached: dict[Tensor, np.ndarray | str] = {}
 
     def zero_grad(self) -> None:
         for p in self.params:
-            p.grad = None
+            p.zero_grad()
 
     def step(self) -> None:
         """Apply one update from the accumulated gradients."""
         for p in self.params:
-            if p.grad is not None and not all_finite(p.grad):
+            g = p.grad
+            if g is None:
+                continue
+            if p.grad_rows is not None and self._reached.get(p) is not _DENSE:
+                g = g[p.grad_rows]
+            if not all_finite(g):
                 raise NumericsError("NaN/Inf gradient; step aborted")
         self.step_count += 1
         t = self.step_count
         c1, c2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
         for p, m, v, (a, b) in zip(self.params, self._m, self._v, self._scratch):
             g = p.grad
-            if g is None or not g.any():
+            if g is None:
                 continue
+            rows = p.grad_rows
+            if rows is not None and self._reached.get(p) is not _DENSE:
+                if not g[rows].any():
+                    continue
+                rows = self._reach(p)
+            elif not g.any():
+                continue
+            else:
+                self._reached[p] = _DENSE
+                rows = None
+            w = p.data
+            if rows is not None:  # gather the reached rows
+                whole = w, m, v
+                w, m, v, g = (x.take(rows, axis=0) for x in (w, m, v, g))
+                a, b = (f[:w.size].reshape(w.shape) for f in self._flat)
             # m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g
             m *= BETA1
             m += np.multiply(g, 1.0 - BETA1, out=a)
             v *= BETA2
             np.multiply(g, 1.0 - BETA2, out=a)
             v += np.multiply(a, g, out=a)
-            # p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)
+            # w -= (lr*(m/c1)) / (sqrt(v/c2) + eps)
             np.sqrt(np.divide(v, c2, out=a), out=a)
             a += EPS
             np.multiply(np.divide(m, c1, out=b), self.lr, out=b)
-            p.data -= np.divide(b, a, out=b)
+            w -= np.divide(b, a, out=b)
+            if rows is not None:  # and scatter them back
+                for x, part in zip(whole, (w, m, v)):
+                    x[rows] = part
+
+    def _reach(self, p: Tensor) -> np.ndarray | None:
+        """Mark `p.grad_rows` reached; the sorted reached rows, or None once
+        they are too many to update apart."""
+        mask = self._reached.get(p)
+        if mask is None:
+            mask = self._reached[p] = np.zeros(len(p.data), dtype=bool)
+        mask[p.grad_rows] = True
+        reached = np.flatnonzero(mask)
+        if len(reached) < ROW_SHARE * len(mask):
+            return reached
+        self._reached[p] = _DENSE
+        return None

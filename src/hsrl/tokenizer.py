@@ -286,6 +286,9 @@ def load_codebook(path) -> tuple[Codebook, SidIndex]:
     for lvl, t_l in enumerate(vocab_sizes):
         raw = rd.take(8 * t_l * dim, f"level {lvl + 1} centroid block")
         book.centroids.append(np.frombuffer(raw, dtype="<f8").reshape(t_l, dim).copy())
+        if not np.isfinite(book.centroids[-1]).all():
+            raise FormatError(f"level {lvl + 1} centroid block holds NaN or "
+                              f"infinite values")
     (count,) = struct.unpack("<Q", rd.take(8, "item count"))
     mapping: dict[int, tuple[int, ...]] = {}
     for row in range(count):

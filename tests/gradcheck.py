@@ -3,14 +3,30 @@
 `finite_difference` perturbs parameter buffers in place and re-evaluates
 the loss closure, so the closure must rebuild its graph from the live
 tensors on every call. Comparisons use a relative tolerance with a small
-absolute floor to absorb finite-difference truncation noise.
+absolute floor to absorb finite-difference truncation noise. `dense_embed`
+is the reference the row-sparse `embed` gradient is pinned to bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+import hsrl.autodiff as ad
+
 EPS = 1e-5
+
+
+def dense_embed(x, ids):
+    """`ad.embed` with the dense backward: one `zeros_like(x)` + `np.add.at`
+    table per node."""
+    idx = np.asarray(ids, dtype=np.intp)
+
+    def back(g):
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, idx, g)
+        return (gx,)
+
+    return ad._node(x.data[idx], (x,), back)
 
 
 def finite_difference(f, tensors, eps: float = EPS) -> list[np.ndarray]:

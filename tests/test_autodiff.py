@@ -9,7 +9,7 @@ from hsrl.errors import ContractError, NumericsError, ShapeError
 from hsrl import optim
 from hsrl.optim import Optimizer
 
-from gradcheck import assert_close, check_gradients, finite_difference
+from gradcheck import assert_close, check_gradients, dense_embed, finite_difference
 
 TRIALS = 100
 
@@ -472,6 +472,95 @@ def test_embed_rejects_a_scalar():
         ad.embed(ad.constant(1.0), [0])
 
 
+def _probe(rng, shape):
+    """Random entries spread over 24 orders of magnitude, so a sum taken in
+    another order rounds differently."""
+    return ad.constant(rng.normal(size=shape) * 10.0 ** rng.uniform(-12, 12, size=shape))
+
+
+def _picks(rng, table, ids):
+    return ad.vsum(ad.mul(ad.embed(table, ids), _probe(rng, np.shape(ids) + table.shape[1:])))
+
+
+def _two_overlapping_nodes(take, t, rng):
+    a = take(t, [1, 4, 4, 7, 4])
+    b = take(t, [[4, 2], [1, 4], [4, 4]])
+    return ad.add(ad.vsum(ad.mul(a, _probe(rng, a.shape))),
+                  ad.vsum(ad.mul(b, _probe(rng, b.shape))))
+
+
+def _three_nodes_on_a_vector(take, t, rng):
+    parts = [take(t, ids) for ids in ([3, 3, 8], [8, 3, 3, 3], [0])]
+    return ad.add(ad.add(*(ad.vsum(ad.mul(p, _probe(rng, p.shape))) for p in parts[:2])),
+                  ad.vsum(ad.mul(parts[2], _probe(rng, parts[2].shape))))
+
+
+def _embed_and_dense_op(take, t, rng):
+    # pieces reach the leaf as rows, rows, dense, rows: every merge
+    first = take(t, [2, 2, 5])
+    dense = ad.mul(t, _probe(rng, t.shape))
+    second, third = take(t, [5, 0, 5]), take(t, [[2], [8]])
+    parts = [ad.vsum(ad.mul(x, _probe(rng, x.shape))) for x in (first, second, third)]
+    return ad.add(ad.add(ad.add(parts[0], ad.vsum(dense)), parts[1]), parts[2])
+
+
+def _non_leaf_target(take, t, rng):
+    h = take(ad.tanh(t), [3, 3])
+    return ad.vsum(ad.mul(h, _probe(rng, h.shape)))
+
+
+def _fewer_rows_than_ids(take, t, rng):
+    h = take(t, [0, 1, 1, 0, 1, 8, 8, 8, 8, 8])
+    return ad.vsum(ad.mul(h, _probe(rng, h.shape)))
+
+
+def _no_ids(take, t, rng):
+    return ad.add(ad.vsum(take(t, np.zeros(0, dtype=np.intp))),
+                  ad.vsum(ad.mul(take(t, [6]), _probe(rng, (1, 3)))))
+
+
+# case -> (table shape, loss builder, rows the gradient may be nonzero on)
+ROW_CASES = {
+    "two_overlapping_nodes": ((9, 3), _two_overlapping_nodes, [1, 2, 4, 7]),
+    "three_nodes_on_a_vector": ((10,), _three_nodes_on_a_vector, [0, 3, 8]),
+    "embed_and_dense_op": ((9, 3), _embed_and_dense_op, None),
+    "non_leaf_target": ((9, 3), _non_leaf_target, None),
+    "fewer_rows_than_ids": ((9, 3), _fewer_rows_than_ids, None),
+    "no_ids": ((9, 3), _no_ids, [6]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
+def test_row_gradients_equal_the_dense_scatter_bitwise(case):
+    shape, build, rows = ROW_CASES[case]
+    got = []
+    for take in (ad.embed, dense_embed):
+        t = _param(np.random.default_rng(40), shape)
+        for _ in range(2):  # a second backward accumulates into the first
+            ad.backward(build(take, t, np.random.default_rng(41)))
+            got.append((t.grad.copy(), t.grad_rows))
+    for (fast, recorded), (dense, _) in zip(got[:2], got[2:]):
+        assert fast.tobytes() == dense.tobytes()
+        if rows is None:
+            assert recorded is None
+        else:
+            assert recorded.tolist() == rows
+            assert not np.delete(fast, rows, axis=0).any()
+    t.zero_grad()
+    assert t.grad is None and t.grad_rows is None
+
+
+def test_dense_pieces_leave_no_row_record():
+    rng = np.random.default_rng(42)
+    t = _param(rng, (9, 3))
+    ad.backward(_picks(rng, t, [1, 2]))
+    assert t.grad_rows.tolist() == [1, 2]
+    ad.backward(ad.vsum(t))  # a dense gradient adds to the row one
+    assert t.grad_rows is None
+    Optimizer([t]).zero_grad()
+    assert t.grad is None and t.grad_rows is None
+
+
 def test_stack_softplus_add_scalar_gradients():
     rng = np.random.default_rng(21)
     s1 = ad.Tensor(np.asarray(rng.normal()), requires_grad=True)
@@ -628,6 +717,21 @@ def test_opt_nan_gradient_aborts_step():
     assert not opt._m[0].any() and not opt._v[0].any()
 
 
+def _adam_formula(m, v, w, g, t, lr):
+    """One Adam step on whole arrays, written out: new (m, v, w)."""
+    b1, b2 = optim.BETA1, optim.BETA2
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    w = w - lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + optim.EPS)
+    return m, v, w
+
+
+def _assert_adam_state(opt, params, m, v, want):
+    for got, ref in ((opt._m, m), (opt._v, v), ([p.data for p in params], want)):
+        assert [np.asarray(a).tobytes() for a in got] == [
+            np.asarray(a).tobytes() for a in ref]
+
+
 def test_opt_in_place_step_equals_the_adam_formula_bitwise():
     # 0-d, 1-D and 2-D parameters; the fourth has no gradient on odd steps
     # and the fifth an all-zero one on even steps, after moments built up
@@ -638,7 +742,6 @@ def test_opt_in_place_step_equals_the_adam_formula_bitwise():
     want = [p.data.copy() for p in params]
     m = [np.zeros(s) for s in shapes]
     v = [np.zeros(s) for s in shapes]
-    b1, b2 = optim.BETA1, optim.BETA2
     for t in range(1, 8):
         grads = [rng.normal(size=s) * 10.0 ** rng.uniform(-6, 3) for s in shapes]
         if t % 2:
@@ -649,16 +752,88 @@ def test_opt_in_place_step_equals_the_adam_formula_bitwise():
             p.grad = g
         opt.step()
         for i, g in enumerate(grads):
-            if g is None or not g.any():
-                continue
-            m[i] = b1 * m[i] + (1.0 - b1) * g
-            v[i] = b2 * v[i] + (1.0 - b2) * g * g
-            want[i] = want[i] - 0.01 * (m[i] / (1.0 - b1 ** t)) / (
-                np.sqrt(v[i] / (1.0 - b2 ** t)) + optim.EPS)
-        for got, ref in ((opt._m, m), (opt._v, v), ([p.data for p in params], want)):
-            assert [np.asarray(a).tobytes() for a in got] == [
-                np.asarray(a).tobytes() for a in ref]
+            if g is not None and g.any():
+                m[i], v[i], want[i] = _adam_formula(m[i], v[i], want[i], g, t, 0.01)
+        _assert_adam_state(opt, params, m, v, want)
     assert opt.step_count == 7
+
+
+# per step, what reaches each table: embed ids, "dense" (a dense op on the
+# whole table), "zero" (embed ids [8] with an all-zero gradient) or None
+ROW_STEPS = [
+    ([0, 0, 3], [1]),
+    ([3, 6], None),
+    (None, [1, 5]),
+    ("zero", [2]),
+    ([1], "dense"),
+    ([2, 7, 7, *range(10, 17)], [4]),
+    ([5], [0]),
+]
+
+
+def test_opt_row_gradients_equal_the_adam_formula_bitwise():
+    rng = np.random.default_rng(74)
+    tables = [_param(rng, (30, 3)), _param(rng, (24, 2))]
+    opt = Optimizer(tables, lr=0.01)
+    start = tables[0].data.copy()
+    want = [p.data.copy() for p in tables]
+    m, v = [np.zeros(p.shape) for p in tables], [np.zeros(p.shape) for p in tables]
+    reached, dense = [set(), set()], [False, False]
+    on_row_path, expected = [], []
+    for t, plan in enumerate(ROW_STEPS, start=1):
+        opt.zero_grad()
+        parts = []
+        for i, (table, what) in enumerate(zip(tables, plan)):
+            if what == "dense":
+                parts.append(ad.vsum(ad.mul(table, _probe(rng, table.shape))))
+                dense[i] = True
+            elif what == "zero":
+                parts.append(ad.vsum(ad.mul(ad.embed(table, [8]),
+                                            ad.constant(np.zeros((1, 3))))))
+            elif what is not None:
+                parts.append(_picks(rng, table, what))
+                reached[i] |= set(what)
+        ad.backward(parts[0] if len(parts) == 1 else ad.add(*parts))
+        grads = [None if p.grad is None else p.grad.copy() for p in tables]
+        opt.step()
+        for i, g in enumerate(grads):
+            if g is not None and g.any():
+                m[i], v[i], want[i] = _adam_formula(m[i], v[i], want[i], g, t, 0.01)
+        _assert_adam_state(opt, tables, m, v, want)
+        on_row_path.append([isinstance(opt._reached.get(p), np.ndarray) for p in tables])
+        expected.append([not d and len(r) < optim.ROW_SHARE * len(p.data)
+                         for p, r, d in zip(tables, reached, dense)])
+    assert on_row_path == expected
+    # the first table leaves the row path by the share of rows it reached,
+    # at step 6; the second at its first dense gradient, at step 5
+    assert [s[0] for s in expected] == [True] * 5 + [False] * 2
+    assert [s[1] for s in expected] == [True] * 4 + [False] * 3
+    # rows 8, 9 and 17 onwards of the first table were never reached
+    never = [8, 9, *range(17, 30)]
+    assert not m[0][never].any() and tables[0].data[never].tobytes() == start[never].tobytes()
+
+
+def test_opt_row_gradients_after_dense_ones_equal_the_adam_formula_bitwise():
+    # the table's first gradient is dense, before any row state exists, so
+    # every row has moments when its row gradients arrive
+    rng = np.random.default_rng(75)
+    a = _param(rng, (10, 3))
+    opt = Optimizer([a], lr=0.01)
+    m, v, want = np.zeros((10, 3)), np.zeros((10, 3)), a.data.copy()
+    for t, loss in enumerate([lambda: ad.vsum(ad.mul(a, _probe(rng, a.shape))),
+                              lambda: _picks(rng, a, [4]),
+                              lambda: _picks(rng, a, [1, 4])], start=1):
+        opt.zero_grad()
+        ad.backward(loss())
+        m, v, want = _adam_formula(m, v, want, a.grad.copy(), t, 0.01)
+        opt.step()
+        _assert_adam_state(opt, [a], [m], [v], [want])
+
+
+@pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf"), float("-inf")])
+def test_opt_rejects_a_learning_rate_that_is_not_positive_and_finite(lr):
+    with pytest.raises(ValueError):
+        Optimizer([ad.parameter(np.zeros(2))], lr=lr)
 
 
 def test_opt_converges_to_analytic_optimum():

@@ -10,7 +10,7 @@ import pytest
 
 from hsrl import env as env_mod
 from hsrl import tokenizer as tok_mod
-from hsrl.checkpoint import CHECKPOINT_MAGIC
+from hsrl.checkpoint import CHECKPOINT_MAGIC, load_tensors, save_tensors
 from hsrl.cli import SWEEP_GRIDS, main
 from hsrl.config import _blas_core
 from hsrl.env import (SimFitConfig, constant_log_loss, held_out_log_loss,
@@ -298,6 +298,31 @@ def test_eval_truncated_file_of_its_run_names_it(
     assert _run("eval", "--config", config_path, "--out", out,
                 "--checkpoint", run / "agent.ckpt") == 3
     assert capsys.readouterr().err.startswith(f"data error: {run / name}: ")
+    _assert_no_context_built(out)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["agent.ckpt", "sim_eval.ckpt", "codebook.bin"])
+def test_eval_non_finite_value_in_a_file_of_its_run_names_file_and_block(
+        tmp_path, config_path, capsys, untrained_checkpoint, name, value):
+    run = tmp_path / "run"
+    shutil.copytree(untrained_checkpoint.parent, run)
+    if name == "codebook.bin":
+        book, index = load_codebook(run / name)
+        book.centroids[0][0, 0] = value
+        save_codebook(run / name, book, index)
+        block = "level 1 centroid block"
+    else:
+        named = load_tensors(run / name)
+        block = next(iter(named))
+        named[block].flat[0] = value
+        save_tensors(run / name, named)
+        block = f"block {block}"
+    out = tmp_path / "e"
+    assert _run("eval", "--config", config_path, "--out", out,
+                "--checkpoint", run / "agent.ckpt") == 3
+    assert capsys.readouterr().err == (
+        f"data error: {run / name}: {block} holds NaN or infinite values\n")
     _assert_no_context_built(out)
 
 

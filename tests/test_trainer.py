@@ -8,6 +8,7 @@ import pytest
 
 import hsrl.autodiff as ad
 import hsrl.trainer as trainer
+from hsrl import optim
 from hsrl.critic import CriticConfig, aggregate, value_of_context
 from hsrl.encoder import UserState
 from hsrl.env import (EnvConfig, Environment, LogRecord, SimFitConfig,
@@ -19,7 +20,7 @@ from hsrl.trainer import (TRAIN_VARIANTS, Agent, TrainConfig, advantage,
                           bc_loss, entropy_term, evaluate, rollout,
                           run_ablation, slate_log_prob, td_target, train_step)
 
-from gradcheck import check_gradients
+from gradcheck import check_gradients, dense_embed
 
 
 # ---------------------------------------------------------------------------
@@ -1029,3 +1030,85 @@ def test_one_lockstep_evaluate_builds_fewer_tape_nodes_than_one_per_episode():
     alone = [m for tag in range(8) for m in evaluate(agent, env, 1, seed=6, tag=tag)]
     assert sum(m.depth for m in together) == sum(m.depth for m in alone) == 8 * 20
     assert middle - start < _nodes_created() - middle
+
+
+# ---------------------------------------------------------------------------
+# row-sparse item-table gradients end to end
+# ---------------------------------------------------------------------------
+
+
+class _DenseAdam:
+    """Reference optimizer: the Adam formula on every whole `.grad`."""
+
+    def __init__(self, params, lr):
+        self.params, self.lr, self.step_count = list(params), lr, 0
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
+
+    def zero_grad(self):
+        for p in self.params:
+            p.grad = None
+
+    def step(self):
+        self.step_count += 1
+        t = self.step_count
+        b1, b2 = optim.BETA1, optim.BETA2
+        for i, p in enumerate(self.params):
+            g = p.grad
+            if g is None or not g.any():
+                continue
+            self._m[i] = b1 * self._m[i] + (1.0 - b1) * g
+            self._v[i] = b2 * self._v[i] + (1.0 - b2) * g * g
+            p.data = p.data - self.lr * (self._m[i] / (1.0 - b1 ** t)) / (
+                np.sqrt(self._v[i] / (1.0 - b2 ** t)) + optim.EPS)
+
+
+def _catalog_run(tmp_path, name, reference):
+    """Train on a 300-item catalog; the bytes of its metrics file and the
+    agent. `reference` trains with dense `embed` gradients and `_DenseAdam`."""
+    n_items, vocab = 300, (8, 8)
+    rng = np.random.default_rng(81)
+    pool = make_user_pool([
+        LogRecord(uid, tuple(int(i) for i in rng.choice(n_items, size=uid % 7)),
+                  (0, 1), (1, 0)) for uid in range(24)])
+    env = Environment(ScriptedResponse(click_below=120, p=0.6), pool,
+                      EnvConfig(slate_size=4, patience=3, horizon=12))
+    index = SidIndex({i: (i % 8, (i // 8) % 8) for i in range(n_items)})
+    policy_cfg = PolicyConfig(n_items=n_items, vocab_sizes=vocab, d_model=8,
+                              embed_dim=8)
+    critic_cfg = CriticConfig(d_model=8, levels=len(vocab), hidden=6)
+    cfg = TrainConfig(iterations=150, eval_every=0, eval_episodes=1,
+                      learning_rate=0.01)
+    agent = Agent(policy_cfg, critic_cfg, cfg, index, list(range(n_items)), 5)
+    if reference:
+        agent.opt = _DenseAdam(agent.opt.params, agent.opt.lr)
+    ctx = trainer.ExperimentContext(policy_cfg, critic_cfg, env.cfg, None, index,
+                                    list(range(n_items)), env, env)
+    writer = trainer.MetricsWriter(tmp_path / name, trainer.metrics_columns(len(vocab)))
+    trainer.run_training(agent, ctx, 5, writer)
+    writer.close()
+    return (tmp_path / name).read_bytes(), agent
+
+
+def test_row_sparse_training_equals_dense_gradients_and_dense_adam(tmp_path, monkeypatch):
+    row_updates = []
+    real_reach = optim.Optimizer._reach
+
+    def reach(self, p):
+        rows = real_reach(self, p)
+        row_updates.append(None if rows is None else p.data.shape)
+        return rows
+
+    monkeypatch.setattr(optim.Optimizer, "_reach", reach)
+    fast, fast_agent = _catalog_run(tmp_path, "fast.csv", reference=False)
+    monkeypatch.setattr(ad, "embed", dense_embed)
+    dense, dense_agent = _catalog_run(tmp_path, "dense.csv", reference=True)
+    assert fast.count(b"\n") > 10 and fast == dense
+    for name, t in fast_agent._blocks().items():
+        assert t.data.tobytes() == dense_agent._blocks()[name].data.tobytes(), name
+    for ours, ref in ((fast_agent.opt._m, dense_agent.opt._m),
+                      (fast_agent.opt._v, dense_agent.opt._v)):
+        assert [x.tobytes() for x in ours] == [x.tobytes() for x in ref]
+    assert fast_agent.opt.step_count == dense_agent.opt.step_count
+    # the item table took the row path on more than a few updates
+    assert row_updates.count((300, 8)) > 5
