@@ -10,12 +10,12 @@ the largest id, so it visits each node that receives a gradient once,
 after all of that node's consumers, and accumulates into parameter leaves.
 
 An `embed` of a parameter table with more rows than ids hands `backward`
-its ids and gathered-row gradient instead of a dense table. `backward`
-keeps these pieces and densifies them once, at the leaf, summing in the
-order a dense gradient per piece would have been added, so `.grad` is
-byte-equal to the dense sum. The leaf's `grad_rows` then lists the rows
-its gradient can be nonzero on; `None` means every row, as for any leaf
-that received a dense piece.
+its ids and gathered-row gradient instead of a dense table, while the
+table's `sparse_grad` is set. `backward` keeps these pieces and densifies
+them once, at the leaf, summing in the order a dense gradient per piece
+would have been added, so `.grad` is byte-equal to the dense sum. The
+leaf's `grad_rows` then lists the rows its gradient can be nonzero on;
+`None` means every row, as for any leaf that received a dense piece.
 
 All data is float64. Any primitive producing a NaN or Inf raises
 NumericsError immediately rather than letting poison propagate. The check
@@ -60,8 +60,8 @@ def all_finite(arr: np.ndarray) -> bool:
 class Tensor:
     """A float64 array plus its position in the current tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "grad_rows", "_parents", "_backward",
-                 "_nid")
+    __slots__ = ("data", "requires_grad", "grad", "grad_rows", "sparse_grad",
+                 "_parents", "_backward", "_nid")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         arr = np.asarray(data, dtype=np.float64)
@@ -71,6 +71,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad = None
         self.grad_rows = None
+        self.sparse_grad = True  # see `embed`
         self._parents = _parents
         self._backward = _backward
         self._nid = next(_NODE_IDS)
@@ -354,15 +355,16 @@ def embed(x: Tensor, ids) -> Tensor:
     """Take rows `ids` along axis 0 of `x` (entries, when `x` is 1-D);
     the gradient scatter-adds back, so duplicate ids accumulate.
 
-    When `x` is a leaf with more rows than `ids`, the gradient goes back as
-    `Rows` holding `ids` and `g`, which `backward` densifies at the leaf;
-    otherwise it is the dense `zeros_like(x)` scatter."""
+    When `x` is a leaf with more rows than `ids` whose `sparse_grad` is set,
+    the gradient goes back as `Rows` holding `ids` and `g`, which `backward`
+    densifies at the leaf; otherwise it is the dense `zeros_like(x)`
+    scatter."""
     if x.ndim < 1:
         raise ShapeError("embed: expected at least one axis")
     idx = np.asarray(ids, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ContractError("embed: index out of range")
-    if x._backward is None and x.shape[0] > idx.size:
+    if x._backward is None and x.sparse_grad and x.shape[0] > idx.size:
         return _node(x.data[idx], (x,), lambda g: (Rows(x.shape, [(idx, g)]),))
 
     def back(g):
@@ -395,13 +397,19 @@ def softmax(x: Tensor) -> Tensor:
     return _node(p, (x,), lambda g: (p * (g - np.add.reduce(p * g, -1, keepdims=True)),))
 
 
-def log_softmax(x: Tensor) -> Tensor:
-    """Log-probabilities over the last axis."""
-    _rows(x, "log_softmax")
+def softmax_and_log(x: Tensor) -> tuple[Tensor, Tensor]:
+    """`softmax(x)` and the log-probabilities over the last axis: two nodes
+    from one max, exp and sum, each with the bits of its own formula. The
+    log node's backward takes `exp` of its output only when it runs."""
+    _rows(x, "softmax_and_log")
     shifted = x.data - np.maximum.reduce(x.data, -1, keepdims=True)
-    out = shifted - np.log(np.add.reduce(np.exp(shifted), -1, keepdims=True))
-    p = np.exp(out)
-    return _node(out, (x,), lambda g: (g - p * np.add.reduce(g, -1, keepdims=True),))
+    e = np.exp(shifted)
+    total = np.add.reduce(e, -1, keepdims=True)
+    p = e / total
+    out = shifted - np.log(total)
+    return (_node(p, (x,), lambda g: (p * (g - np.add.reduce(p * g, -1, keepdims=True)),)),
+            _node(out, (x,),
+                  lambda g: (g - np.exp(out) * np.add.reduce(g, -1, keepdims=True),)))
 
 
 LAYER_NORM_EPS = 1e-5

@@ -116,6 +116,7 @@ class ResponseModel:
                                 history_window=cfg.history_window)
         self.encoder = EncoderParams(enc_cfg, rng)
         self.bias = Tensor(np.zeros(()), requires_grad=True)
+        self._seen = None  # (history, encoder arrays, encoding) of the last click_probs
         if item_features is not None:
             self.encoder.init_items_from_features(item_features, rng)
 
@@ -124,8 +125,8 @@ class ResponseModel:
         out["bias"] = self.bias
         return out
 
-    def _logits(self, state: UserState, slate) -> Tensor:
-        u = encode(self.encoder, state)
+    def _logits(self, u: Tensor, slate) -> Tensor:
+        """Logits of the slate's items for the state whose encoding is `u`."""
         rows = ad.embed(self.encoder.item_emb, list(slate))
         return ad.add(ad.matmul(rows, u), self.bias)
 
@@ -138,8 +139,16 @@ class ResponseModel:
         return ad.add(ad.reshape(scores, (n, k)), self.bias)
 
     def click_probs(self, session: "SessionState", slate) -> np.ndarray:
+        """The slate's click probabilities, from the last call's state encoding
+        while the history and the encoder's arrays are the ones it came from
+        (the model is frozen once fitted; `load_into` replaces arrays)."""
+        history = session.state.history
+        arrays = [t.data for t in self.encoder.tensors().values()]
         with ad.no_grad():
-            return ad.sigmoid(self._logits(session.state, slate)).data.copy()
+            if not (self._seen and self._seen[0] == history
+                    and all(a is b for a, b in zip(self._seen[1], arrays))):
+                self._seen = history, arrays, encode(self.encoder, session.state)
+            return ad.sigmoid(self._logits(self._seen[2], slate)).data.copy()
 
     def click_probs_batch(self, sessions, slates) -> np.ndarray:
         """(B, k) block whose row r is `click_probs(sessions[r], slates[r])`

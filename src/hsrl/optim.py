@@ -15,7 +15,6 @@ EPS = 1e-8
 # of its rows. Gathering and scattering them costs more than the dense passes
 # they save from about 0.4 on, both for a 5000x32 and a 300x16 table.
 ROW_SHARE = 1 / 3
-_DENSE = "dense"  # a parameter's row state once it takes the dense path for good
 
 
 class Optimizer:
@@ -36,7 +35,8 @@ class Optimizer:
     only the recorded rows, where a row gradient can be nonzero; the skip
     rule is the same. Once the reached rows make up `ROW_SHARE` of the
     table, or a dense gradient arrives, the table takes the dense path for
-    good; other parameters do no extra work.
+    good: the optimizer clears its `sparse_grad`, so `embed` stops handing
+    it row gradients. Other parameters do no extra work.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3):
@@ -51,9 +51,9 @@ class Optimizer:
         self._flat = np.empty(size), np.empty(size)
         self._scratch = [tuple(f[:p.data.size].reshape(p.data.shape) for f in self._flat)
                          for p in self.params]
-        # parameter -> the rows any gradient has reached, while all its
-        # gradients were row gradients and reached few rows; else _DENSE
-        self._reached: dict[Tensor, np.ndarray | str] = {}
+        # table -> the rows any gradient has reached; read while the table's
+        # `sparse_grad` is set, that is while it is on the row path
+        self._reached: dict[Tensor, np.ndarray] = {}
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -65,7 +65,7 @@ class Optimizer:
             g = p.grad
             if g is None:
                 continue
-            if p.grad_rows is not None and self._reached.get(p) is not _DENSE:
+            if p.grad_rows is not None and p.sparse_grad:
                 g = g[p.grad_rows]
             if not all_finite(g):
                 raise NumericsError("NaN/Inf gradient; step aborted")
@@ -77,15 +77,14 @@ class Optimizer:
             if g is None:
                 continue
             rows = p.grad_rows
-            if rows is not None and self._reached.get(p) is not _DENSE:
+            if rows is not None and p.sparse_grad:
                 if not g[rows].any():
                     continue
                 rows = self._reach(p)
             elif not g.any():
                 continue
             else:
-                self._reached[p] = _DENSE
-                rows = None
+                p.sparse_grad, rows = False, None
             w = p.data
             if rows is not None:  # gather the reached rows
                 whole = w, m, v
@@ -116,5 +115,5 @@ class Optimizer:
         reached = np.flatnonzero(mask)
         if len(reached) < ROW_SHARE * len(mask):
             return reached
-        self._reached[p] = _DENSE
+        p.sparse_grad = False
         return None

@@ -123,9 +123,8 @@ def forward(params: PolicyParams, c0: Tensor, flat: bool = False,
     for lvl, heads in enumerate(zip(params.head_w, params.tok_emb,
                                     params.ln_gain, params.ln_bias)):
         w, emb, gain, bias = [t.detach() for t in heads] if heads_detached else heads
-        logits = ad.matmul(c, ad.transpose(w))
-        p = ad.softmax(logits)
-        log_probs.append(ad.log_softmax(logits))
+        p, log_p = ad.softmax_and_log(ad.matmul(c, ad.transpose(w)))
+        log_probs.append(log_p)
         if force_onehot and lvl in force_onehot:
             onehot = np.zeros(p.shape)
             onehot[..., force_onehot[lvl]] = 1.0
@@ -233,8 +232,21 @@ def select_slate(output: PolicyOutput, sids: np.ndarray, candidates, k: int,
         return ids[rng.choice(len(ids), size=k, replace=False)].tolist()
     p = scores / total
     nonzero = int((p > 0.0).sum())
-    if nonzero >= k:
-        return ids[rng.choice(len(ids), size=k, replace=False, p=p)].tolist()
-    picked = rng.choice(len(ids), size=nonzero, replace=False, p=p)
-    pad = np.flatnonzero(p == 0.0)[:k - nonzero]
-    return ids[np.concatenate([picked, pad])].tolist()
+    pad = [] if nonzero >= k else np.flatnonzero(p == 0.0)[:k - nonzero].tolist()
+    return ids[_draw(p, min(k, nonzero), rng) + pad].tolist()
+
+
+def _draw(p: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
+    """`rng.choice(len(p), k, replace=False, p=p)` by numpy's own algorithm,
+    so with its picks and generator state, minus its checks on `p`, which
+    `select_slate` guarantees: a distribution with k or more nonzero entries."""
+    p, found = p.copy(), []
+    while len(found) < k:
+        p[found] = 0.0
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        # an entry found before has no mass left, so it cannot come again
+        for i in cdf.searchsorted(rng.random(k - len(found)), side="right").tolist():
+            if i not in found:
+                found.append(i)
+    return found

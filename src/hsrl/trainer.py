@@ -10,11 +10,12 @@ through detached policy-head parameters, so neither loss leaks gradient
 across the actor/critic boundary.
 
 Rollouts run the policy without gradient tracking, once per step whose
-state changed, and sample their slates. The update builds one graph for
-its whole batch, with a row per transition: one `encode_batch`, one
-policy `forward` of the block of contexts, one vector of every slate
-item's log-probability and one critic pass over the heads-detached
-trajectories.
+state changed, and sample their slates; the training simulator likewise
+encodes a state only when it changed (`ResponseModel.click_probs`). The
+update builds one graph for its whole batch, with a row per transition:
+one `encode_batch`, one policy `forward` of the block of contexts, one
+vector of every slate item's log-probability and one critic pass over the
+heads-detached trajectories.
 
 Greedy evaluation plays all its episodes in lockstep, each with its own
 generator: per step, one `encode_batch` of the live sessions' states, one
@@ -198,8 +199,9 @@ def rollout(agent: Agent, env: Environment, mode: str,
     The policy runs without gradient tracking, and only on a step whose
     history differs from the one its last output was computed from: a slate
     with no click leaves the state as it was, and no update runs inside a
-    rollout, so that output is exact. Each transition but the last keeps the
-    next state's context trajectory for the target critic.
+    rollout, so that output is exact; the simulator's `click_probs` reuses
+    its state encoding likewise. Each transition but the last keeps the next
+    state's context trajectory for the target critic.
     """
     if mode != "sample":
         raise ContractError(f"rollout samples its slates; got mode {mode!r}")

@@ -254,8 +254,9 @@ def test_criterion_4_loss_formulas():
             probs, lps = [], []
             for _ in range(levels):
                 x = ad.constant(np.zeros(t))
-                probs.append(ad.softmax(x))
-                lps.append(ad.log_softmax(x))
+                p, lp = ad.softmax_and_log(x)
+                probs.append(p)
+                lps.append(lp)
             traj = [ad.constant(np.zeros(4))] * (levels + 1)
             return PolicyOutput(probs, lps, traj, (t,) * levels)
 

@@ -121,7 +121,7 @@ def test_log_softmax_gradient():
     for _ in range(TRIALS):
         x = _param(rng, (9,))
         i = int(rng.integers(9))
-        check_gradients(lambda: ad.vsum(ad.embed(ad.log_softmax(x), [i])), [x],
+        check_gradients(lambda: ad.vsum(ad.embed(ad.softmax_and_log(x)[1], [i])), [x],
                         rtol=1e-4)
 
 
@@ -151,8 +151,8 @@ def _row_form_cases(rng, shape):
                 + bias.data)
 
     return [(ad.softmax, lambda x: np.exp(x) / np.exp(x).sum(axis=-1, keepdims=True), []),
-            (ad.log_softmax, lambda x: x - np.log(np.exp(x).sum(axis=-1, keepdims=True)),
-             []),
+            (lambda x: ad.softmax_and_log(x)[1],
+             lambda x: x - np.log(np.exp(x).sum(axis=-1, keepdims=True)), []),
             (lambda x: ad.layer_norm(x, gain, bias), layer_norm, [gain, bias])]
 
 
@@ -227,16 +227,42 @@ def test_normalization_ops_equal_their_written_out_formulas_bitwise(shape):
         scale = 10.0 ** rng.uniform(-3, 2)
         x = _param(rng, shape, scale)
         gain, bias = _param(rng, (n,)), _param(rng, (n,))
-        ops = {"softmax": ad.softmax, "log_softmax": ad.log_softmax,
-               "layer_norm": lambda t: ad.layer_norm(t, gain, bias)}
+        # both outputs of `softmax_and_log` against their own formulas
+        ops = {"softmax": [ad.softmax, lambda t: ad.softmax_and_log(t)[0]],
+               "log_softmax": [lambda t: ad.softmax_and_log(t)[1]],
+               "layer_norm": [lambda t: ad.layer_norm(t, gain, bias)]}
         for name, form in _written_out_forms(gain.data, bias.data).items():
-            out = ops[name](x)
             want, want_back = form(x.data)
-            assert out.data.tobytes() == want.tobytes(), name
-            probe = rng.normal(size=shape)
-            got = out._backward(probe)
-            assert [g.tobytes() for g in got] == [
-                g.tobytes() for g in want_back(probe)], name
+            for op in ops[name]:
+                out = op(x)
+                assert out.data.tobytes() == want.tobytes(), name
+                probe = rng.normal(size=shape)
+                got = out._backward(probe)
+                assert [g.tobytes() for g in got] == [
+                    g.tobytes() for g in want_back(probe)], name
+
+
+@pytest.mark.parametrize("shape", [(9,), (4, 5), (2, 3, 6)])
+def test_softmax_and_log_gradients_match_finite_differences(shape):
+    rng = np.random.default_rng(16 + len(shape))
+    for _ in range(10):
+        x = _param(rng, shape, scale=2.0)
+        probes = [ad.constant(rng.normal(size=shape)) for _ in range(2)]
+
+        def loss(which):
+            outs = ad.softmax_and_log(x)
+            parts = [ad.vsum(ad.mul(outs[i], probes[i])) for i in which]
+            return parts[0] if len(parts) == 1 else ad.add(*parts)
+
+        for which in ((0,), (1,), (0, 1)):
+            check_gradients(lambda: loss(which), [x], rtol=1e-4, atol=1e-7)
+
+
+def test_softmax_and_log_without_gradients_builds_plain_tensors():
+    x = _param(np.random.default_rng(18), (3, 4))
+    with ad.no_grad():
+        pair = ad.softmax_and_log(x)
+    assert [(t.requires_grad, t._backward) for t in pair] == [(False, None)] * 2
 
 
 @ROW_FORMS
@@ -534,13 +560,17 @@ ROW_CASES = {
 def test_row_gradients_equal_the_dense_scatter_bitwise(case):
     shape, build, rows = ROW_CASES[case]
     got = []
-    for take in (ad.embed, dense_embed):
+    # the third table is marked dense, as the optimizer marks a table that
+    # left the row path: its embeds take the dense scatter
+    for take, sparse in ((ad.embed, True), (dense_embed, True), (ad.embed, False)):
         t = _param(np.random.default_rng(40), shape)
+        t.sparse_grad = sparse
         for _ in range(2):  # a second backward accumulates into the first
             ad.backward(build(take, t, np.random.default_rng(41)))
             got.append((t.grad.copy(), t.grad_rows))
-    for (fast, recorded), (dense, _) in zip(got[:2], got[2:]):
-        assert fast.tobytes() == dense.tobytes()
+    assert [recorded for _, recorded in got[4:]] == [None, None]
+    for (fast, recorded), (dense, _), (marked, _) in zip(got[:2], got[2:4], got[4:]):
+        assert fast.tobytes() == dense.tobytes() == marked.tobytes()
         if rows is None:
             assert recorded is None
         else:
@@ -655,7 +685,7 @@ def test_batched_primitive_gradients():
     lambda: ad.matmul(ad.constant(np.ones((2, 2, 3))), ad.constant(np.ones(3))),
     lambda: ad.add(ad.constant(np.ones(3)), ad.constant(np.ones((2, 3)))),
     lambda: ad.add(ad.constant(np.ones((2, 3, 4))), ad.constant(np.ones((2, 4)))),
-    lambda: ad.log_softmax(ad.constant(np.ones((2, 0)))),
+    lambda: ad.softmax_and_log(ad.constant(np.ones((2, 0)))),
     lambda: ad.layer_norm(ad.constant(1.0), ad.constant(np.ones(1)),
                           ad.constant(np.zeros(1))),
     lambda: ad.layer_norm(ad.constant(np.ones((2, 1))), ad.constant(np.ones(1)),
@@ -667,7 +697,7 @@ def test_batched_primitive_gradients():
     lambda: ad.matmul(ad.constant(np.ones(4)), ad.constant(np.ones((2, 4, 3)))),
     lambda: ad.matmul(ad.constant(np.ones(3)), ad.constant(np.ones((4, 2)))),
     lambda: ad.softmax(ad.constant(np.ones((3, 0)))),
-    lambda: ad.log_softmax(ad.constant(1.0)),
+    lambda: ad.softmax_and_log(ad.constant(1.0)),
     lambda: ad.layer_norm(ad.constant(np.ones((2, 3))), ad.constant(np.ones(3)),
                           ad.constant(np.zeros(4))),
 ])
@@ -800,7 +830,7 @@ def test_opt_row_gradients_equal_the_adam_formula_bitwise():
             if g is not None and g.any():
                 m[i], v[i], want[i] = _adam_formula(m[i], v[i], want[i], g, t, 0.01)
         _assert_adam_state(opt, tables, m, v, want)
-        on_row_path.append([isinstance(opt._reached.get(p), np.ndarray) for p in tables])
+        on_row_path.append([p.sparse_grad for p in tables])
         expected.append([not d and len(r) < optim.ROW_SHARE * len(p.data)
                          for p, r, d in zip(tables, reached, dense)])
     assert on_row_path == expected

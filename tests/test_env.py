@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import hsrl.autodiff as ad
+import hsrl.env as env_module
+from hsrl.checkpoint import load_into
 from hsrl.encoder import (EncoderConfig, EncoderParams, UserState, encode,
                           encode_batch)
 from hsrl.env import (CLICK_SIGNAL, NO_CLICK_SIGNAL, EnvConfig, Environment,
@@ -285,6 +287,59 @@ def test_response_model_checkpoint_roundtrip(tmp_path):
                           loaded.click_probs(sess, [1, 2, 3]))
 
 
+def _arrays(model):
+    return {k: t.data for k, t in model.tensors().items()}
+
+
+def _fresh_probs(model, session, slate):
+    """click_probs of a new model holding `model`'s parameters."""
+    fresh = ResponseModel(model.n_items, model.cfg, np.random.default_rng(0))
+    load_into(fresh.tensors(), _arrays(model), "simulator")
+    return fresh.click_probs(session, slate)
+
+
+def test_click_probs_reuse_the_encoding_only_while_history_and_parameters_hold(
+        monkeypatch):
+    records, cfg = _tiny_records(), SimFitConfig(embed_dim=8, epochs=1)
+    model, *others = [fit_response_model(records, 20, cfg, s) for s in (5, 6, 7)]
+    encoded = []
+    real_encode = env_module.encode
+
+    def encode_counted(params, state):
+        if params is model.encoder:
+            encoded.append(state.history)
+        return real_encode(params, state)
+
+    monkeypatch.setattr(env_module, "encode", encode_counted)
+    a, b, c = ((1, 1), (2, 1)), ((1, 1), (2, 1), (7, 1)), ((1, 1), (3, 1))
+    rng = np.random.default_rng(8)
+    # repeated, changed (same length too), reverted and empty histories, a
+    # new slate each call
+    for history in (a, a, c, b, b, a, (), (), a):
+        session, slate = _session(history=history), rng.choice(20, 4, replace=False)
+        got = model.click_probs(session, slate)
+        assert got.tobytes() == _fresh_probs(model, session, slate).tobytes()
+    assert encoded == [a, c, b, a, (), a]
+
+    # new parameters through `load_into`: the next call follows them
+    for history, other in zip((a, ()), others):
+        session = _session(history=history)
+        before = model.click_probs(session, [3, 4, 5])
+        load_into(model.tensors(), _arrays(other), "simulator")
+        after = model.click_probs(session, [3, 4, 5])
+        assert after.tobytes() == _fresh_probs(other, session, [3, 4, 5]).tobytes()
+        assert after.tobytes() != before.tobytes()
+
+    # the graph path under gradients still reaches the encoder
+    for t in model.tensors().values():
+        t.zero_grad()
+    ad.backward(ad.vsum(model._logits(encode(model.encoder, UserState(history=a)),
+                                      [3, 4, 5])))
+    enc = model.encoder
+    assert all(t.grad is not None and t.grad.any() for t in (
+        enc.fb_emb, enc.attn_q, enc.attn_k, enc.attn_v, enc.proj_w, enc.proj_b))
+
+
 @pytest.mark.parametrize("n_items, embed_dim", [(21, 8), (20, 6)])
 def test_simulator_checkpoint_that_does_not_fit_names_block(tmp_path, n_items,
                                                              embed_dim):
@@ -304,8 +359,8 @@ def test_simulator_checkpoint_that_does_not_fit_names_block(tmp_path, n_items,
 def _record_bce(model, rec):
     """Per-item cross-entropy of one record on its own graph, as the
     simulator was fitted before losses were batched."""
-    logits = model._logits(UserState(history=tuple((i, 1) for i in rec.history)),
-                           rec.slate)
+    state = UserState(history=tuple((i, 1) for i in rec.history))
+    logits = model._logits(encode(model.encoder, state), rec.slate)
     labels = ad.constant(np.asarray(rec.labels, dtype=np.float64))
     return ad.sub(ad.softplus(logits), ad.mul(labels, logits))
 

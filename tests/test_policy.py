@@ -13,8 +13,9 @@ from hsrl.critic import CriticConfig
 from hsrl.encoder import UserState, encode_batch
 from hsrl.errors import (ContractError, DataError, FormatError, ShapeError,
                          UnknownItemError)
-from hsrl.policy import (PolicyConfig, PolicyParams, _raw_scores, encode_state,
-                         forward, per_item_log_probs, select_slate, sid_log_prob)
+from hsrl.policy import (PolicyConfig, PolicyOutput, PolicyParams, _draw, _raw_scores,
+                         encode_state, forward, per_item_log_probs, select_slate,
+                         sid_log_prob)
 from hsrl.tokenizer import SidIndex
 from hsrl.trainer import Agent, TrainConfig
 
@@ -39,8 +40,9 @@ def _manual_output(level_logits):
     probs, log_probs = [], []
     for logits in level_logits:
         x = ad.constant(np.asarray(logits, dtype=float))
-        probs.append(ad.softmax(x))
-        log_probs.append(ad.log_softmax(x))
+        p, log_p = ad.softmax_and_log(x)
+        probs.append(p)
+        log_probs.append(log_p)
     traj = [ad.constant(np.zeros(4)) for _ in range(len(level_logits) + 1)]
     return PolicyOutput(probs, log_probs, traj,
                         tuple(len(l) for l in level_logits))
@@ -527,6 +529,67 @@ def test_loop_reference_cases_reach_every_sample_branch():
     assert min(mass) == 0                       # all-zero scores
     assert any(0 < m < 5 for m in mass)         # nonzero < k padding
     assert max(mass) == N_CANDIDATES            # full support
+
+
+def _choice_slate(scores, ids, k, rng):
+    """`select_slate`'s sampled branch written with `Generator.choice`."""
+    total = scores.sum()
+    if total <= 0.0:
+        return ids[rng.choice(len(ids), size=k, replace=False)].tolist()
+    p = scores / total
+    nonzero = int((p > 0.0).sum())
+    if nonzero >= k:
+        return ids[rng.choice(len(ids), size=k, replace=False, p=p)].tolist()
+    picked = rng.choice(len(ids), size=nonzero, replace=False, p=p)
+    return ids[np.concatenate([picked, np.flatnonzero(p == 0.0)[:k - nonzero]])].tolist()
+
+
+def test_sampled_draw_equals_generator_choice():
+    # same picks and same generator state afterwards, over 5..6000
+    # candidates, slates of 1..5 and four zero patterns
+    pads = rounds = 0
+    for seed in range(2000):
+        rng = np.random.default_rng([seed, 0])
+        n, k = int(rng.integers(5, 6001)), int(rng.integers(1, 6))
+        # peaked scores draw some candidates twice, so the draw takes rounds
+        scores = rng.random(n) ** rng.uniform(1.0, 30.0)
+        scores[[np.zeros(n, dtype=bool),                        # full support
+                rng.random(n) < rng.uniform(0.0, 0.99),         # scattered zeros
+                np.arange(n) >= rng.integers(1, 7),             # mass on the first few
+                np.arange(n) < n - rng.integers(1, 7)][seed % 4]] = 0.0  # or the last
+        ids = rng.permutation(n) * 7 + 3
+        out = PolicyOutput([ad.constant(scores)], [ad.constant(np.zeros(n))], [], (n,))
+        got_rng, want_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        got = select_slate(out, np.arange(n)[:, None], ids, k, "sample", got_rng)
+        assert got == _choice_slate(scores, ids, k, want_rng), seed
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state, seed
+        nonzero = int((scores > 0.0).sum())
+        pads += 0 < nonzero < k
+        one_round = np.random.default_rng([seed, 1])
+        one_round.random(min(k, nonzero))
+        rounds += nonzero > 0 and one_round.bit_generator.state != got_rng.bit_generator.state
+    assert pads > 100 and rounds > 100
+
+
+class _Uniforms:
+    """Stands in for a generator: `random(n)` returns the next n values."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, n):
+        out, self.values = self.values[:n], self.values[n:]
+        return np.array(out)
+
+
+def test_sampled_draw_breaks_a_uniform_on_a_cdf_step_as_numpy_does():
+    # numpy searches the cdf with side="right": a uniform equal to a step
+    # takes the entry after it, so an entry without mass is never drawn;
+    # seeded draws almost never land on a step, hence the stand-in
+    p = np.array([0.0, 0.5, 0.0, 0.25, 0.25])
+    assert _draw(p, 1, _Uniforms([0.0])) == [1]
+    assert _draw(p, 1, _Uniforms([0.5])) == [3]
+    assert _draw(p, 3, _Uniforms([0.75, 0.75, 0.0, 0.5])) == [4, 1, 3]
 
 
 def test_sid_matrix_equals_per_item_lookup():

@@ -125,8 +125,9 @@ def _uniform_output(t, levels):
     probs, lps = [], []
     for _ in range(levels):
         x = ad.constant(np.zeros(t))
-        probs.append(ad.softmax(x))
-        lps.append(ad.log_softmax(x))
+        p, lp = ad.softmax_and_log(x)
+        probs.append(p)
+        lps.append(lp)
     traj = [ad.constant(np.zeros(4)) for _ in range(levels + 1)]
     return PolicyOutput(probs, lps, traj, (t,) * levels)
 
@@ -167,8 +168,9 @@ def test_entropy_onehot_zero():
     probs, lps = [], []
     for _ in range(2):
         x = ad.constant([1e4, 0.0, 0.0])
-        probs.append(ad.softmax(x))
-        lps.append(ad.log_softmax(x))
+        p, lp = ad.softmax_and_log(x)
+        probs.append(p)
+        lps.append(lp)
     out = PolicyOutput(probs, lps, [ad.constant(np.zeros(3))] * 3, (3, 3))
     assert float(entropy_term(out).data) == 0.0
 
