@@ -11,11 +11,11 @@ after all of that node's consumers, and accumulates into parameter leaves.
 
 An `embed` of a parameter table with more rows than ids hands `backward`
 its ids and gathered-row gradient instead of a dense table, while the
-table's `sparse_grad` is set. `backward` keeps these pieces and densifies
-them once, at the leaf, summing in the order a dense gradient per piece
-would have been added, so `.grad` is byte-equal to the dense sum. The
-leaf's `grad_rows` then lists the rows its gradient can be nonzero on;
-`None` means every row, as for any leaf that received a dense piece.
+table's `sparse_grad` is set. When that one embed's rows are all the
+table receives, `backward` densifies them at the leaf and records in
+`grad_rows` the rows the gradient can be nonzero on. Any merge with
+another gradient is dense, and the leaf's `grad_rows` is then `None`
+(every row); `.grad` is byte-equal to the dense scatter either way.
 
 All data is float64. Any primitive producing a NaN or Inf raises
 NumericsError immediately rather than letting poison propagate. The check
@@ -116,56 +116,39 @@ def _node(data, parents, backward_fn) -> Tensor:
 
 
 class Rows:
-    """A leaf table's gradient that is zero outside the rows `embed` nodes
-    took: their (ids, gradient of `table[ids]`) pieces in arrival order.
-    `+` keeps pieces apart until a dense gradient meets them."""
+    """A leaf table's gradient from one `embed`: zero outside rows `ids`,
+    which take `g`, the gradient of `table[ids]`. Adding anything to it,
+    another `Rows` included, gives the dense sum."""
 
-    __slots__ = ("shape", "pieces")
+    __slots__ = ("shape", "ids", "g")
     __array_ufunc__ = None  # so `array + rows` calls `rows.__radd__`
 
-    def __init__(self, shape: tuple[int, ...], pieces: list):
+    def __init__(self, shape: tuple[int, ...], ids: np.ndarray, g: np.ndarray):
         self.shape = shape
-        self.pieces = pieces
+        self.ids = ids
+        self.g = g
 
     def __add__(self, other):
-        if type(other) is Rows:
-            return Rows(self.shape, self.pieces + other.pieces)
-        return self.dense()[0] + other
+        return self.dense() + other
 
     def __radd__(self, other):
-        return other + self.dense()[0]
+        return other + self.dense()
 
-    def dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """The dense sum and the sorted rows it can be nonzero on.
-
-        Bitwise this is the sum, in order, of one `zeros_like(table)` +
-        `np.add.at` table per piece: a later piece's duplicate ids are
-        summed from zero first, as its own dense table would hold them,
-        before they are added in; rows a piece leaves out would add +0.0,
-        which changes no entry of such a sum (none is -0.0)."""
-        (ids, g), *rest = self.pieces
+    def dense(self) -> np.ndarray:
+        """The `zeros_like(table)` + `np.add.at` scatter of `g`."""
         out = np.zeros(self.shape)
-        np.add.at(out, ids, g)
-        touched = np.zeros(self.shape[0], dtype=bool)
-        touched[ids] = True
-        for ids, g in rest:
-            ids = ids.ravel()
-            rows, inverse = np.unique(ids, return_inverse=True)
-            block = np.zeros((len(rows),) + self.shape[1:])
-            np.add.at(block, inverse, g.reshape((ids.size,) + self.shape[1:]))
-            out[rows] += block
-            touched[rows] = True
-        return out, np.flatnonzero(touched)
+        np.add.at(out, self.ids, self.g)
+        return out
 
 
 def backward(loss: Tensor) -> None:
     """Accumulate dLoss/dtheta into `.grad` of every reachable parameter leaf,
-    and record in `.grad_rows` the rows it can be nonzero on (see the module
-    docstring; `None` means all of them).
+    and record in `.grad_rows` the rows it can be nonzero on: the ids of the
+    one `embed` that reached a leaf with no gradient yet, else `None` (all
+    of them; see the module docstring).
 
     Deterministic for a fixed graph; calling it twice without zeroing
-    doubles every gradient (accumulation contract), and the record becomes
-    the union of both.
+    doubles every gradient (accumulation contract).
     """
     if loss.ndim != 0:
         raise ContractError("backward() needs a scalar loss")
@@ -179,13 +162,17 @@ def backward(loss: Tensor) -> None:
     while heap:
         node, g = pending.pop(-heapq.heappop(heap))
         if node._backward is None:
-            if type(g) is Rows:
-                _deliver_rows(node, g)
-                continue
-            if not all_finite(g):
+            rows = None
+            if type(g) is Rows:  # densified into a fresh array
+                if node.grad is None:  # one embed's rows, all the leaf gets
+                    rows = np.unique(g.ids)
+                g = g.dense()
+            elif node.grad is None:
+                g = g.copy()  # a dense piece may be shared with other nodes
+            if not all_finite(g if rows is None else g[rows]):
                 raise NumericsError("non-finite gradient reached a parameter")
-            node.grad = g.copy() if node.grad is None else node.grad + g
-            node.grad_rows = None
+            node.grad = g if node.grad is None else node.grad + g
+            node.grad_rows = rows
             continue
         for p, pg in zip(node._parents, node._backward(g)):
             if pg is None or not p.requires_grad:
@@ -196,19 +183,6 @@ def backward(loss: Tensor) -> None:
             else:
                 pending[nid] = (p, pg)
                 heapq.heappush(heap, -nid)
-
-
-def _deliver_rows(leaf: Tensor, pieces: Rows) -> None:
-    """Add a leaf's row pieces into its `.grad` and `.grad_rows`."""
-    g, rows = pieces.dense()
-    if not all_finite(g[rows]):
-        raise NumericsError("non-finite gradient reached a parameter")
-    if leaf.grad is None:
-        leaf.grad, leaf.grad_rows = g, rows
-    else:
-        leaf.grad = leaf.grad + g
-        if leaf.grad_rows is not None:
-            leaf.grad_rows = np.union1d(leaf.grad_rows, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -356,23 +330,17 @@ def embed(x: Tensor, ids) -> Tensor:
     the gradient scatter-adds back, so duplicate ids accumulate.
 
     When `x` is a leaf with more rows than `ids` whose `sparse_grad` is set,
-    the gradient goes back as `Rows` holding `ids` and `g`, which `backward`
-    densifies at the leaf; otherwise it is the dense `zeros_like(x)`
-    scatter."""
+    the gradient goes back as `Rows` holding `ids` and `g`: dense on any
+    merge, and densified at the leaf with its rows recorded when it arrives
+    alone; otherwise it is the dense `zeros_like(x)` scatter."""
     if x.ndim < 1:
         raise ShapeError("embed: expected at least one axis")
     idx = np.asarray(ids, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ContractError("embed: index out of range")
     if x._backward is None and x.sparse_grad and x.shape[0] > idx.size:
-        return _node(x.data[idx], (x,), lambda g: (Rows(x.shape, [(idx, g)]),))
-
-    def back(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
-        return (gx,)
-
-    return _node(x.data[idx], (x,), back)
+        return _node(x.data[idx], (x,), lambda g: (Rows(x.shape, idx, g),))
+    return _node(x.data[idx], (x,), lambda g: (Rows(x.shape, idx, g).dense(),))
 
 
 # ---------------------------------------------------------------------------

@@ -84,28 +84,21 @@ def weight_snapshot(params: CriticParams) -> np.ndarray:
 
 class TargetCritic:
     """The critic frozen for bootstrap targets: a deep copy of the live
-    parameters that takes no gradient, read by the live evaluator."""
+    parameters that takes no gradient, read by the live evaluator and bound
+    to the live critic it was copied from, which its updates read."""
 
     def __init__(self, live: CriticParams):
         self.params = copy.deepcopy(live)
-        for t in self.params.tensors().values():
-            t.requires_grad = False
+        self._bound = list(zip(self.params.tensors().values(), live.tensors().values()))
+        for own, _ in self._bound:
+            own.requires_grad = False
 
-    def _pairs(self, live: CriticParams) -> list[tuple[Tensor, Tensor]]:
-        own, tensors = self.params.tensors(), live.tensors()
-        if set(tensors) != set(own):
-            raise ContractError("live/target critic structures differ")
-        for name, t in tensors.items():
-            if t.data.shape != own[name].data.shape:
-                raise ContractError(f"live/target shape mismatch on {name}")
-        return [(own[name], t) for name, t in tensors.items()]
-
-    def soft_update(self, live: CriticParams, tau: float) -> None:
-        for own, t in self._pairs(live):
+    def soft_update(self, tau: float) -> None:
+        for own, t in self._bound:
             own.data = tau * t.data + (1.0 - tau) * own.data
 
-    def hard_sync(self, live: CriticParams) -> None:
-        for own, t in self._pairs(live):
+    def hard_sync(self) -> None:
+        for own, t in self._bound:
             own.data = t.data.copy()
 
     def value(self, contexts: np.ndarray) -> np.ndarray:

@@ -20,23 +20,25 @@ ROW_SHARE = 1 / 3
 class Optimizer:
     """Adam update over a fixed parameter list.
 
-    Parameters whose gradient is absent or exactly zero are skipped
-    entirely, so a step with zero gradients is a no-op regardless of
-    accumulated moment state. The moments and parameters are updated in
-    place, through two scratch buffers the size of the largest parameter
-    that every parameter views in its own shape.
+    Every gradient is checked before any parameter moves. Parameters whose
+    gradient is absent or exactly zero are skipped entirely, so a step with
+    zero gradients is a no-op regardless of accumulated moment state. The
+    moments and parameters are updated in place, through two scratch
+    buffers the size of the largest parameter that every parameter views
+    in its own shape.
 
-    A table whose gradients arrive row-sparse (`grad_rows`, from `embed`)
+    A table whose gradient arrives as one `embed`'s rows (`grad_rows`)
     updates only the rows some gradient has ever reached. That is exact: a
     row never reached has m = v = g = 0, and every Adam operation leaves
     such a row, and the parameter's row, bit for bit as it was. The reached
     rows are gathered, take the dense path's operations in its order, and
-    are scattered back. The finite pre-check and the all-zero skip read
-    only the recorded rows, where a row gradient can be nonzero; the skip
-    rule is the same. Once the reached rows make up `ROW_SHARE` of the
-    table, or a dense gradient arrives, the table takes the dense path for
-    good: the optimizer clears its `sparse_grad`, so `embed` stops handing
-    it row gradients. Other parameters do no extra work.
+    are scattered back. The finite check and the all-zero skip read only
+    the recorded rows, where such a gradient can be nonzero. Once the
+    reached rows make up `ROW_SHARE` of the table, or a dense gradient
+    arrives (any merge makes one), the table takes the dense path for good,
+    which is exact as well: the optimizer clears its `sparse_grad`, so
+    `embed` stops handing it row gradients. Other parameters do no extra
+    work.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3):
@@ -61,31 +63,25 @@ class Optimizer:
 
     def step(self) -> None:
         """Apply one update from the accumulated gradients."""
-        for p in self.params:
-            g = p.grad
-            if g is None:
+        # check and decide every parameter's step before any parameter moves
+        plan = []
+        for p, m, v, scratch in zip(self.params, self._m, self._v, self._scratch):
+            if p.grad is None:
                 continue
-            if p.grad_rows is not None and p.sparse_grad:
-                g = g[p.grad_rows]
+            g = p.grad if p.grad_rows is None else p.grad[p.grad_rows]
             if not all_finite(g):
                 raise NumericsError("NaN/Inf gradient; step aborted")
+            if g.any():
+                plan.append((p, m, v, scratch))
         self.step_count += 1
         t = self.step_count
         c1, c2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
-        for p, m, v, (a, b) in zip(self.params, self._m, self._v, self._scratch):
-            g = p.grad
-            if g is None:
-                continue
-            rows = p.grad_rows
-            if rows is not None and p.sparse_grad:
-                if not g[rows].any():
-                    continue
-                rows = self._reach(p)
-            elif not g.any():
-                continue
+        for p, m, v, (a, b) in plan:
+            w, g, rows = p.data, p.grad, None
+            if p.grad_rows is None:
+                p.sparse_grad = False
             else:
-                p.sparse_grad, rows = False, None
-            w = p.data
+                rows = self._reach(p)
             if rows is not None:  # gather the reached rows
                 whole = w, m, v
                 w, m, v, g = (x.take(rows, axis=0) for x in (w, m, v, g))

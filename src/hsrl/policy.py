@@ -136,17 +136,6 @@ def forward(params: PolicyParams, c0: Tensor, flat: bool = False,
     return PolicyOutput(probs, log_probs, trajectory, params.cfg.vocab_sizes)
 
 
-def _check_sid(output: PolicyOutput, sid) -> tuple[int, ...]:
-    sid = tuple(int(z) for z in sid)
-    if len(sid) != len(output.vocab_sizes):
-        raise ContractError(f"SID has {len(sid)} tokens, expected "
-                            f"{len(output.vocab_sizes)}")
-    for lvl, z in enumerate(sid):
-        if not 0 <= z < output.vocab_sizes[lvl]:
-            raise ContractError(f"token {z} out of range at level {lvl + 1}")
-    return sid
-
-
 def per_item_log_probs(output: PolicyOutput, sids, rows=None) -> Tensor:
     """(n,) vector of log pi(z|s) = sum_l log p_l[z_l], one entry per SID,
     all read off one forward pass; differentiable through the recursion.
@@ -154,7 +143,18 @@ def per_item_log_probs(output: PolicyOutput, sids, rows=None) -> Tensor:
     read off."""
     if len(sids) < 1:
         raise ContractError("slate must hold at least one SID")
-    z = np.array([_check_sid(output, sid) for sid in sids], dtype=np.int64)
+    levels = len(output.vocab_sizes)
+    try:
+        z = np.array(sids, dtype=np.int64)
+    except ValueError:
+        raise ContractError(f"SIDs are ragged or not integers; each needs {levels} "
+                            f"tokens") from None
+    if z.ndim != 2 or z.shape[1] != levels:
+        raise ContractError(f"SID has {np.size(sids[0])} tokens, expected {levels}")
+    bad = np.argwhere((z < 0) | (z >= np.array(output.vocab_sizes)))
+    if len(bad):
+        i, lvl = bad[0]
+        raise ContractError(f"token {z[i, lvl]} out of range at level {lvl + 1}")
     if rows is not None:  # token z of row r is entry r * T_l + z of the flat block
         z = z + np.outer(rows, output.vocab_sizes)
         output = replace(output, log_probs=[ad.reshape(lp, (lp.data.size,))

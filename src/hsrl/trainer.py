@@ -182,7 +182,7 @@ class Agent:
 
     def load_arrays(self, named: dict[str, np.ndarray]) -> None:
         load_into(self._blocks(), named, "checkpoint")
-        self.target.hard_sync(self.critic)
+        self.target.hard_sync()
 
     def weight_columns(self) -> np.ndarray:
         if self.cfg.variant in _CONTEXT_ZERO_CRITIC:
@@ -286,7 +286,7 @@ def train_step(agent: Agent, transitions: list[Transition]) -> dict:
     agent.updates += 1
 
     if variant != "bc_only":
-        agent.target.soft_update(agent.critic, cfg.target_tau)
+        agent.target.soft_update(cfg.target_tau)
 
     report["weights"] = agent.weight_columns()
     return report

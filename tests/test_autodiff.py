@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -545,14 +547,28 @@ def _no_ids(take, t, rng):
                   ad.vsum(ad.mul(take(t, [6]), _probe(rng, (1, 3)))))
 
 
-# case -> (table shape, loss builder, rows the gradient may be nonzero on)
+def _one_node(ids):
+    def build(take, t, rng):
+        h = take(t, ids)
+        return ad.vsum(ad.mul(h, _probe(rng, h.shape)))
+    return build
+
+
+# case -> (table shape, loss builder, rows the first backward's gradient may
+# be nonzero on; None when it is recorded dense). One embed's rows are kept;
+# any merge (a second node, a dense op) makes the gradient dense.
 ROW_CASES = {
-    "two_overlapping_nodes": ((9, 3), _two_overlapping_nodes, [1, 2, 4, 7]),
-    "three_nodes_on_a_vector": ((10,), _three_nodes_on_a_vector, [0, 3, 8]),
+    "one_node": ((9, 3), _one_node([1, 4, 4, 7, 4]), [1, 4, 7]),
+    "one_node_on_a_vector": ((10,), _one_node([3, 3, 8]), [3, 8]),
+    # the (histories, window) ids `encode_batch` takes, padded with row 0
+    "one_node_padded_ids": ((9, 3), _one_node([[4, 1, 4], [7, 0, 0]]), [0, 1, 4, 7]),
+    "one_node_no_ids": ((9, 3), _one_node(np.zeros(0, dtype=np.intp)), []),
+    "two_overlapping_nodes": ((9, 3), _two_overlapping_nodes, None),
+    "three_nodes_on_a_vector": ((10,), _three_nodes_on_a_vector, None),
     "embed_and_dense_op": ((9, 3), _embed_and_dense_op, None),
     "non_leaf_target": ((9, 3), _non_leaf_target, None),
     "fewer_rows_than_ids": ((9, 3), _fewer_rows_than_ids, None),
-    "no_ids": ((9, 3), _no_ids, [6]),
+    "no_ids": ((9, 3), _no_ids, None),
 }
 
 
@@ -568,14 +584,16 @@ def test_row_gradients_equal_the_dense_scatter_bitwise(case):
         for _ in range(2):  # a second backward accumulates into the first
             ad.backward(build(take, t, np.random.default_rng(41)))
             got.append((t.grad.copy(), t.grad_rows))
-    assert [recorded for _, recorded in got[4:]] == [None, None]
-    for (fast, recorded), (dense, _), (marked, _) in zip(got[:2], got[2:4], got[4:]):
+    # a second backward is a merge too
+    assert all(recorded is None for _, recorded in got[1:])
+    for (fast, _), (dense, _), (marked, _) in zip(got[:2], got[2:4], got[4:]):
         assert fast.tobytes() == dense.tobytes() == marked.tobytes()
-        if rows is None:
-            assert recorded is None
-        else:
-            assert recorded.tolist() == rows
-            assert not np.delete(fast, rows, axis=0).any()
+    first, recorded = got[0]
+    if rows is None:
+        assert recorded is None
+    else:
+        assert recorded.tolist() == rows
+        assert not np.delete(first, rows, axis=0).any()
     t.zero_grad()
     assert t.grad is None and t.grad_rows is None
 
@@ -789,26 +807,27 @@ def test_opt_in_place_step_equals_the_adam_formula_bitwise():
 
 
 # per step, what reaches each table: embed ids, "dense" (a dense op on the
-# whole table), "zero" (embed ids [8] with an all-zero gradient) or None
+# whole table), "zero" (embed ids [8] with an all-zero gradient), "merge"
+# (two embeds, ids [1, 3] and [3]) or None
 ROW_STEPS = [
-    ([0, 0, 3], [1]),
-    ([3, 6], None),
-    (None, [1, 5]),
-    ("zero", [2]),
-    ([1], "dense"),
-    ([2, 7, 7, *range(10, 17)], [4]),
-    ([5], [0]),
+    ([0, 0, 3], [1], [2, 2]),
+    ([3, 6], None, None),
+    (None, [1, 5], "merge"),
+    ("zero", [2], [9]),
+    ([1], "dense", "merge"),
+    ([2, 7, 7, *range(10, 17)], [4], [0]),
+    ([5], [0], None),
 ]
 
 
 def test_opt_row_gradients_equal_the_adam_formula_bitwise():
     rng = np.random.default_rng(74)
-    tables = [_param(rng, (30, 3)), _param(rng, (24, 2))]
+    tables = [_param(rng, (30, 3)), _param(rng, (24, 2)), _param(rng, (20, 2))]
     opt = Optimizer(tables, lr=0.01)
     start = tables[0].data.copy()
     want = [p.data.copy() for p in tables]
     m, v = [np.zeros(p.shape) for p in tables], [np.zeros(p.shape) for p in tables]
-    reached, dense = [set(), set()], [False, False]
+    reached, dense = [set(), set(), set()], [False, False, False]
     on_row_path, expected = [], []
     for t, plan in enumerate(ROW_STEPS, start=1):
         opt.zero_grad()
@@ -820,10 +839,13 @@ def test_opt_row_gradients_equal_the_adam_formula_bitwise():
             elif what == "zero":
                 parts.append(ad.vsum(ad.mul(ad.embed(table, [8]),
                                             ad.constant(np.zeros((1, 3))))))
+            elif what == "merge":
+                parts += [_picks(rng, table, [1, 3]), _picks(rng, table, [3])]
+                dense[i] = True
             elif what is not None:
                 parts.append(_picks(rng, table, what))
                 reached[i] |= set(what)
-        ad.backward(parts[0] if len(parts) == 1 else ad.add(*parts))
+        ad.backward(functools.reduce(ad.add, parts))
         grads = [None if p.grad is None else p.grad.copy() for p in tables]
         opt.step()
         for i, g in enumerate(grads):
@@ -835,9 +857,11 @@ def test_opt_row_gradients_equal_the_adam_formula_bitwise():
                          for p, r, d in zip(tables, reached, dense)])
     assert on_row_path == expected
     # the first table leaves the row path by the share of rows it reached,
-    # at step 6; the second at its first dense gradient, at step 5
+    # at step 6; the second at its first dense gradient, at step 5; the
+    # third at its first merge, at step 3
     assert [s[0] for s in expected] == [True] * 5 + [False] * 2
     assert [s[1] for s in expected] == [True] * 4 + [False] * 3
+    assert [s[2] for s in expected] == [True] * 2 + [False] * 5
     # rows 8, 9 and 17 onwards of the first table were never reached
     never = [8, 9, *range(17, 30)]
     assert not m[0][never].any() and tables[0].data[never].tobytes() == start[never].tobytes()

@@ -248,10 +248,14 @@ def test_sid_log_prob_onehot_is_zero():
 
 def test_sid_log_prob_token_out_of_range():
     out = _output(_params())
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="token 9 out of range at level 3"):
         sid_log_prob(out, (0, 0, 9))
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="token -1 out of range at level 2"):
+        sid_log_prob(out, (0, -1, 0))
+    with pytest.raises(ContractError, match="SID has 2 tokens, expected 3"):
         sid_log_prob(out, (0, 0))
+    with pytest.raises(ContractError, match="ragged"):  # SIDs of two lengths
+        per_item_log_probs(out, [(0, 0, 1), (0, 1)])
 
 
 def test_exhaustive_enumeration_sums_to_one():

@@ -724,7 +724,7 @@ def _reference_step(agent, transitions):
         ad.backward(total)
         agent.opt.step()
     if not bc_only:
-        agent.target.soft_update(agent.critic, cfg.target_tau)
+        agent.target.soft_update(cfg.target_tau)
     return report
 
 
