@@ -10,12 +10,12 @@ the largest id, so it visits each node that receives a gradient once,
 after all of that node's consumers, and accumulates into parameter leaves.
 
 An `embed` of a parameter table with more rows than ids hands `backward`
-its ids and gathered-row gradient instead of a dense table, while the
-table's `sparse_grad` is set. When that one embed's rows are all the
-table receives, `backward` densifies them at the leaf and records in
-`grad_rows` the rows the gradient can be nonzero on. Any merge with
-another gradient is dense, and the leaf's `grad_rows` is then `None`
-(every row); `.grad` is byte-equal to the dense scatter either way.
+its ids and gathered-row gradient instead of a dense table. When that one
+embed's rows are all the table receives, `backward` densifies them at the
+leaf and records the ids, as given, in `grad_rows`: the rows the gradient
+can be nonzero on. Any merge is dense, and `grad_rows` is then `None`
+(every row); `.grad` is byte-equal to the dense scatter either way. Tensors
+keep no optimizer state: what the rows are used for is `optim`'s choice.
 
 All data is float64. Any primitive producing a NaN or Inf raises
 NumericsError immediately rather than letting poison propagate. The check
@@ -60,8 +60,8 @@ def all_finite(arr: np.ndarray) -> bool:
 class Tensor:
     """A float64 array plus its position in the current tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "grad_rows", "sparse_grad",
-                 "_parents", "_backward", "_nid")
+    __slots__ = ("data", "requires_grad", "grad", "grad_rows", "_parents",
+                 "_backward", "_nid")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         arr = np.asarray(data, dtype=np.float64)
@@ -71,7 +71,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad = None
         self.grad_rows = None
-        self.sparse_grad = True  # see `embed`
         self._parents = _parents
         self._backward = _backward
         self._nid = next(_NODE_IDS)
@@ -144,8 +143,8 @@ class Rows:
 def backward(loss: Tensor) -> None:
     """Accumulate dLoss/dtheta into `.grad` of every reachable parameter leaf,
     and record in `.grad_rows` the rows it can be nonzero on: the ids of the
-    one `embed` that reached a leaf with no gradient yet, else `None` (all
-    of them; see the module docstring).
+    one `embed` that reached a leaf with no gradient yet, repeats and all,
+    else `None` (all of them; see the module docstring).
 
     Deterministic for a fixed graph; calling it twice without zeroing
     doubles every gradient (accumulation contract).
@@ -165,7 +164,7 @@ def backward(loss: Tensor) -> None:
             rows = None
             if type(g) is Rows:  # densified into a fresh array
                 if node.grad is None:  # one embed's rows, all the leaf gets
-                    rows = np.unique(g.ids)
+                    rows = g.ids
                 g = g.dense()
             elif node.grad is None:
                 g = g.copy()  # a dense piece may be shared with other nodes
@@ -329,16 +328,16 @@ def embed(x: Tensor, ids) -> Tensor:
     """Take rows `ids` along axis 0 of `x` (entries, when `x` is 1-D);
     the gradient scatter-adds back, so duplicate ids accumulate.
 
-    When `x` is a leaf with more rows than `ids` whose `sparse_grad` is set,
-    the gradient goes back as `Rows` holding `ids` and `g`: dense on any
-    merge, and densified at the leaf with its rows recorded when it arrives
-    alone; otherwise it is the dense `zeros_like(x)` scatter."""
+    When `x` is a leaf with more rows than `ids`, the gradient goes back as
+    `Rows` holding `ids` and `g`: dense on any merge, and densified at the
+    leaf with its rows recorded when it arrives alone; otherwise it is the
+    dense `zeros_like(x)` scatter."""
     if x.ndim < 1:
         raise ShapeError("embed: expected at least one axis")
     idx = np.asarray(ids, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ContractError("embed: index out of range")
-    if x._backward is None and x.sparse_grad and x.shape[0] > idx.size:
+    if x._backward is None and x.shape[0] > idx.size:
         return _node(x.data[idx], (x,), lambda g: (Rows(x.shape, idx, g),))
     return _node(x.data[idx], (x,), lambda g: (Rows(x.shape, idx, g).dense(),))
 

@@ -37,6 +37,9 @@ SWEEP_GRIDS = {
     "vocab": [16, 32, 64, 80, 128],
     "levels": [2, 3, 4, 5],
 }
+# axis -> the (section, key) its grid values set
+_SWEEP_KEYS = {"entropy": ("training", "lambda_entropy"),
+               "vocab": ("tokenizer", "vocab_size"), "levels": ("tokenizer", "levels")}
 
 _DATA_SEED_TAG = 100
 
@@ -301,7 +304,7 @@ def _pct_delta(value: float, reference: float) -> float:
 
 def cmd_sweep(cfg: RunConfig, out: Path, args) -> int:
     axis = args.axis
-    grid = SWEEP_GRIDS[axis]
+    section, key = _SWEEP_KEYS[axis]
     seeds = cfg.agent_seeds()
     items, records = _load_dataset(cfg, out)
     n_items = _n_items(items)
@@ -313,26 +316,14 @@ def cmd_sweep(cfg: RunConfig, out: Path, args) -> int:
         "axis", "value", "median_total_reward", "mean_total_reward",
         "median_depth", "mean_depth", "n_seeds"])
     try:
-        for value in grid:
+        for value in SWEEP_GRIDS[axis]:
             point = RunConfig({s: dict(sec) for s, sec in cfg.values.items()})
-            if axis == "entropy":
-                point.values["training"]["lambda_entropy"] = value
-            elif axis == "vocab":
-                point.values["tokenizer"]["vocab_size"] = value
-                point.values["tokenizer"]["vocab_sizes"] = ()
-            else:
-                point.values["tokenizer"]["levels"] = value
-                point.values["tokenizer"]["vocab_sizes"] = ()
+            point.values[section][key] = value
             book, index = tok_mod.fit_codebook(items, point.vocab_sizes(),
                                                point["seeds"]["tokenizer"])
             ctx = _experiment_context(point, items, n_items, book, index,
                                       train_sim, eval_sim, pool)
-            base = point.train_config()
-            rewards, depths = [], []
-            for seed in seeds:
-                _, metrics = tr_mod.run_experiment(ctx, base, seed)
-                rewards.append(float(np.mean([m.total_reward for m in metrics])))
-                depths.append(float(np.mean([m.depth for m in metrics])))
+            rewards, depths = tr_mod.run_seeds(ctx, point.train_config(), seeds)
             writer.write([axis, value, float(median(rewards)),
                           float(np.mean(rewards)), float(median(depths)),
                           float(np.mean(depths)), len(seeds)])

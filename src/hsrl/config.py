@@ -38,20 +38,13 @@ def _parse_bool(raw: str) -> bool:
         raise ConfigError(f"expected a boolean, got {raw!r}") from None
 
 
-def _parse_int_list(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in raw.split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {raw!r}") from None
-
-
 def _parse_float(raw: str) -> float:
     if not math.isfinite(value := float(raw)):  # nan passes every range check
         raise ValueError(raw)
     return value
 
 
-_PARSERS = {bool: _parse_bool, tuple: _parse_int_list, float: _parse_float}
+_PARSERS = {bool: _parse_bool, float: _parse_float}
 
 # Module sections: the dataclass is the only declaration of the section's
 # keys, parsers and defaults. Fields that another section supplies are not
@@ -95,7 +88,6 @@ SCHEMA = {
     "tokenizer": {
         "levels": (int, 3),
         "vocab_size": (int, 64),
-        "vocab_sizes": (_parse_int_list, ()),
     },
     "policy": _section_schema("policy"),
     "critic": _section_schema("critic"),
@@ -125,11 +117,6 @@ class RunConfig:
 
     def vocab_sizes(self) -> tuple[int, ...]:
         tok = self.values["tokenizer"]
-        explicit = tok["vocab_sizes"]
-        if explicit:
-            if tok["levels"] != len(explicit):
-                raise ConfigError("tokenizer.levels disagrees with vocab_sizes list")
-            return tuple(explicit)
         return (tok["vocab_size"],) * tok["levels"]
 
     def _module(self, section: str, **supplied):

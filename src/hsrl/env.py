@@ -470,12 +470,12 @@ class GroundTruthResponse:
         self.p_other = data.cfg.p_other
 
     def click_probs(self, session: SessionState, slate) -> np.ndarray:
-        pref = self.user_prefs[session.user_id]
-        match = self.item_clusters[np.asarray(slate)] == pref
-        return np.where(match, self.p_preferred, self.p_other)
+        """Row 0 of the one-session `click_probs_batch` block."""
+        return self.click_probs_batch([session], [slate])[0]
 
     def click_probs_batch(self, sessions, slates) -> np.ndarray:
-        """(B, k) block whose row r is `click_probs(sessions[r], slates[r])`."""
+        """(B, k) block: `p_preferred` where item `slates[r][j]` is in the
+        preferred cluster of `sessions[r]`'s user, else `p_other`."""
         prefs = self.user_prefs[[s.user_id for s in sessions]]
         match = self.item_clusters[np.asarray(slates)] == prefs[:, None]
         return np.where(match, self.p_preferred, self.p_other)

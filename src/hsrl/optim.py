@@ -1,4 +1,5 @@
-"""First-order parameter updates: Adam over a fixed parameter list."""
+"""First-order parameter updates: Adam over a fixed parameter list. The
+optimizer alone keeps the row-path state (see `Optimizer`)."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from .errors import NumericsError
 
 BETA1, BETA2 = 0.9, 0.999  # decay rates of the first and second moments
 EPS = 1e-8
-# A table updates only its reached rows while they are fewer than this share
+# A parameter updates only its reached rows while they are fewer than this share
 # of its rows. Gathering and scattering them costs more than the dense passes
 # they save from about 0.4 on, both for a 5000x32 and a 300x16 table.
 ROW_SHARE = 1 / 3
@@ -27,18 +28,17 @@ class Optimizer:
     buffers the size of the largest parameter that every parameter views
     in its own shape.
 
-    A table whose gradient arrives as one `embed`'s rows (`grad_rows`)
-    updates only the rows some gradient has ever reached. That is exact: a
-    row never reached has m = v = g = 0, and every Adam operation leaves
-    such a row, and the parameter's row, bit for bit as it was. The reached
-    rows are gathered, take the dense path's operations in its order, and
-    are scattered back. The finite check and the all-zero skip read only
-    the recorded rows, where such a gradient can be nonzero. Once the
-    reached rows make up `ROW_SHARE` of the table, or a dense gradient
-    arrives (any merge makes one), the table takes the dense path for good,
-    which is exact as well: the optimizer clears its `sparse_grad`, so
-    `embed` stops handing it row gradients. Other parameters do no extra
-    work.
+    Every parameter with an axis starts on the row path: it updates only
+    the rows some gradient has ever reached. That is exact: a row never
+    reached has m = v = g = 0, and every Adam operation leaves such a row,
+    and the parameter's row, bit for bit as it was. A gradient that is one
+    `embed`'s rows (`grad_rows`) reaches those rows, any other every row.
+    The reached rows are gathered, take the dense path's operations in its
+    order, and are scattered back. The finite check and the all-zero skip
+    read only the recorded rows, where such a gradient can be nonzero.
+    Once the reached rows make up `ROW_SHARE` of the parameter, it takes
+    the dense path for good, which is exact as well; a parameter whose
+    first gradient is dense does so at its first step.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3):
@@ -53,9 +53,9 @@ class Optimizer:
         self._flat = np.empty(size), np.empty(size)
         self._scratch = [tuple(f[:p.data.size].reshape(p.data.shape) for f in self._flat)
                          for p in self.params]
-        # table -> the rows any gradient has reached; read while the table's
-        # `sparse_grad` is set, that is while it is on the row path
-        self._reached: dict[Tensor, np.ndarray] = {}
+        # parameter on the row path -> the rows any gradient has reached
+        self._reached = {p: np.zeros(len(p.data), dtype=bool)
+                         for p in self.params if p.data.ndim}
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -77,11 +77,7 @@ class Optimizer:
         t = self.step_count
         c1, c2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
         for p, m, v, (a, b) in plan:
-            w, g, rows = p.data, p.grad, None
-            if p.grad_rows is None:
-                p.sparse_grad = False
-            else:
-                rows = self._reach(p)
+            w, g, rows = p.data, p.grad, self._reach(p)
             if rows is not None:  # gather the reached rows
                 whole = w, m, v
                 w, m, v, g = (x.take(rows, axis=0) for x in (w, m, v, g))
@@ -102,14 +98,14 @@ class Optimizer:
                     x[rows] = part
 
     def _reach(self, p: Tensor) -> np.ndarray | None:
-        """Mark `p.grad_rows` reached; the sorted reached rows, or None once
-        they are too many to update apart."""
+        """Mark the rows `p.grad` can be nonzero on reached; the sorted
+        reached rows, or None once `p` takes the dense path."""
         mask = self._reached.get(p)
         if mask is None:
-            mask = self._reached[p] = np.zeros(len(p.data), dtype=bool)
-        mask[p.grad_rows] = True
+            return None
+        mask[slice(None) if p.grad_rows is None else p.grad_rows] = True
         reached = np.flatnonzero(mask)
         if len(reached) < ROW_SHARE * len(mask):
             return reached
-        p.sparse_grad = False
+        del self._reached[p]
         return None

@@ -35,6 +35,9 @@ class PolicyConfig:
     def __post_init__(self):
         if self.d_model < 2 or self.embed_dim < 1:
             raise ConfigError("policy needs d_model >= 2 (layer norm) and embed_dim >= 1")
+        if not self.vocab_sizes or min(self.vocab_sizes) < 1:
+            raise ConfigError(f"tokenizer levels and vocab sizes must be >= 1, "
+                              f"got vocab sizes {self.vocab_sizes}")
 
     @property
     def levels(self) -> int:

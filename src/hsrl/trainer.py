@@ -421,17 +421,23 @@ def run_experiment(ctx: ExperimentContext, train_cfg: TrainConfig, seed: int,
     return agent, final
 
 
+def run_seeds(ctx: ExperimentContext, train_cfg: TrainConfig,
+              seeds: list[int]) -> tuple[list[float], list[float]]:
+    """Each seed's `run_experiment` mean final-eval total reward and depth."""
+    rewards, depths = [], []
+    for seed in seeds:
+        _, metrics = run_experiment(ctx, train_cfg, seed)
+        rewards.append(float(np.mean([m.total_reward for m in metrics])))
+        depths.append(float(np.mean([m.depth for m in metrics])))
+    return rewards, depths
+
+
 def run_ablation(variant: str, ctx: ExperimentContext, base_cfg: TrainConfig,
                  seeds: list[int]) -> dict:
     """Train/eval one ablation variant across seeds under shared budgets."""
     if variant not in ABLATION_VARIANTS:
         raise ConfigError(f"unknown ablation variant {variant!r}")
-    cfg = replace(base_cfg, variant=variant)
-    rewards, depths = [], []
-    for seed in seeds:
-        _, metrics = run_experiment(ctx, cfg, seed)
-        rewards.append(float(np.mean([m.total_reward for m in metrics])))
-        depths.append(float(np.mean([m.depth for m in metrics])))
+    rewards, depths = run_seeds(ctx, replace(base_cfg, variant=variant), seeds)
     return {
         "variant": variant,
         "median_total_reward": float(median(rewards)),

@@ -555,8 +555,8 @@ def _one_node(ids):
 
 
 # case -> (table shape, loss builder, rows the first backward's gradient may
-# be nonzero on; None when it is recorded dense). One embed's rows are kept;
-# any merge (a second node, a dense op) makes the gradient dense.
+# be nonzero on; None when it is recorded dense). One embed's ids are kept as
+# given; any merge (a second node, a dense op) makes the gradient dense.
 ROW_CASES = {
     "one_node": ((9, 3), _one_node([1, 4, 4, 7, 4]), [1, 4, 7]),
     "one_node_on_a_vector": ((10,), _one_node([3, 3, 8]), [3, 8]),
@@ -576,23 +576,20 @@ ROW_CASES = {
 def test_row_gradients_equal_the_dense_scatter_bitwise(case):
     shape, build, rows = ROW_CASES[case]
     got = []
-    # the third table is marked dense, as the optimizer marks a table that
-    # left the row path: its embeds take the dense scatter
-    for take, sparse in ((ad.embed, True), (dense_embed, True), (ad.embed, False)):
+    for take in (ad.embed, dense_embed):
         t = _param(np.random.default_rng(40), shape)
-        t.sparse_grad = sparse
         for _ in range(2):  # a second backward accumulates into the first
             ad.backward(build(take, t, np.random.default_rng(41)))
             got.append((t.grad.copy(), t.grad_rows))
     # a second backward is a merge too
     assert all(recorded is None for _, recorded in got[1:])
-    for (fast, _), (dense, _), (marked, _) in zip(got[:2], got[2:4], got[4:]):
-        assert fast.tobytes() == dense.tobytes() == marked.tobytes()
+    for (fast, _), (dense, _) in zip(got[:2], got[2:]):
+        assert fast.tobytes() == dense.tobytes()
     first, recorded = got[0]
     if rows is None:
         assert recorded is None
     else:
-        assert recorded.tolist() == rows
+        assert sorted(set(np.ravel(recorded).tolist())) == rows
         assert not np.delete(first, rows, axis=0).any()
     t.zero_grad()
     assert t.grad is None and t.grad_rows is None
@@ -852,7 +849,7 @@ def test_opt_row_gradients_equal_the_adam_formula_bitwise():
             if g is not None and g.any():
                 m[i], v[i], want[i] = _adam_formula(m[i], v[i], want[i], g, t, 0.01)
         _assert_adam_state(opt, tables, m, v, want)
-        on_row_path.append([p.sparse_grad for p in tables])
+        on_row_path.append([p in opt._reached for p in tables])
         expected.append([not d and len(r) < optim.ROW_SHARE * len(p.data)
                          for p, r, d in zip(tables, reached, dense)])
     assert on_row_path == expected
@@ -882,6 +879,29 @@ def test_opt_row_gradients_after_dense_ones_equal_the_adam_formula_bitwise():
         m, v, want = _adam_formula(m, v, want, a.grad.copy(), t, 0.01)
         opt.step()
         _assert_adam_state(opt, [a], [m], [v], [want])
+
+
+def test_opt_row_path_state_lives_in_the_optimizer_alone():
+    # a table that went dense under one optimizer starts a new one on the
+    # row path, and that step is still the Adam formula; a 0-d parameter
+    # has no row path
+    rng = np.random.default_rng(76)
+    a, s = _param(rng, (12, 2)), _param(rng, ())
+    first = Optimizer([a, s], lr=0.01)
+    assert list(first._reached) == [a]
+    ad.backward(ad.vsum(ad.mul(a, _probe(rng, a.shape))))
+    first.step()
+    assert not first._reached
+    second = Optimizer([a], lr=0.01)
+    want = a.data.copy()
+    second.zero_grad()
+    ad.backward(_picks(rng, a, [3, 3]))
+    assert a.grad_rows.tolist() == [3, 3]
+    m, v, want = _adam_formula(np.zeros(a.shape), np.zeros(a.shape), want,
+                               a.grad.copy(), 1, 0.01)
+    second.step()
+    assert second._reached[a].tolist() == [i == 3 for i in range(12)]
+    _assert_adam_state(second, [a], [m], [v], [want])
 
 
 @pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf"), float("-inf")])

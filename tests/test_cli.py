@@ -662,6 +662,9 @@ def test_unknown_config_section_rejected(tmp_path):
     pytest.param("[training]\nlambda_bc = nan\n", 2, id="lambda_bc_nan"),
     pytest.param("[data]\nnoise = inf\n", 2, id="data_noise_inf"),
     pytest.param("[training]\nlearning_rate = -inf\n", 2, id="learning_rate_minus_inf"),
+    pytest.param("[tokenizer]\nlevels = 0\n", 2, id="tokenizer_levels_zero"),
+    pytest.param("[tokenizer]\nlevels = -1\n", 2, id="tokenizer_levels_negative"),
+    pytest.param("[tokenizer]\nvocab_size = 0\n", 2, id="tokenizer_vocab_size"),
     pytest.param("[data]\nn_items = 4\nn_clusters = 2\n[env]\nslate_size = 5\n",
                  3, id="slate_exceeds_catalog"),
 ])
@@ -677,6 +680,19 @@ def test_bad_config_value_rejected(tmp_path, capsys, text, code):
     else:
         assert err.startswith("data error:")
         assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+
+@pytest.mark.parametrize("command", ["train", "tokenize"])
+@pytest.mark.parametrize("text", ["levels = 0", "levels = -1", "vocab_size = 0",
+                                  "vocab_sizes = 4,4"])
+def test_bad_tokenizer_size_fails_at_load(tmp_path, capsys, command, text):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[tokenizer]\n{text}\n")
+    out = tmp_path / "o"
+    assert _run(command, "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert not out.exists()
 
 
 def test_internal_error_fails_manifest_with_exit_5(tmp_path, config_path,

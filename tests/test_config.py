@@ -89,7 +89,8 @@ def test_each_module_key_sets_exactly_its_field(tmp_path, section, key, field):
                                           ("training", "target_mode"),
                                           ("training", "target_period"),
                                           ("critic", "per_level_heads"),
-                                          ("policy", "item_emb_from_features")])
+                                          ("policy", "item_emb_from_features"),
+                                          ("tokenizer", "vocab_sizes")])
 def test_removed_keys_are_unknown(tmp_path, section, key):
     path = tmp_path / "run.ini"
     path.write_text(f"[{section}]\n{key} = 0\n")
@@ -111,7 +112,7 @@ SIZE_KEYS = {
     ("data", "n_items"), ("data", "n_clusters"), ("data", "embed_dim"),
     ("data", "n_users"), ("data", "slates_per_user"),
     ("tokenizer", "levels"), ("tokenizer", "vocab_size"),
-    ("tokenizer", "vocab_sizes"), ("policy", "d_model"), ("policy", "embed_dim"),
+    ("policy", "d_model"), ("policy", "embed_dim"),
     ("critic", "hidden"), ("simulator", "embed_dim"), ("simulator", "epochs"),
     ("simulator", "batch_size"), ("env", "slate_size"), ("env", "horizon"),
     ("env", "history_window"), ("training", "iterations"),
