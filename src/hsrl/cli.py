@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import traceback
+from dataclasses import replace
 from pathlib import Path
 from statistics import median
 
@@ -115,10 +116,13 @@ def _n_items(items) -> int:
     return len(items)
 
 
-def _build_codebook(cfg: RunConfig, items, out: Path):
+def _build_codebook(cfg: RunConfig, items, out: Path | None = None):
+    """Fit `cfg`'s codebook on the catalog, saved as `codebook.bin` in `out`
+    when one is given."""
     book, index = tok_mod.fit_codebook(items, cfg.vocab_sizes(),
                                        cfg["seeds"]["tokenizer"])
-    tok_mod.save_codebook(out / "codebook.bin", book, index)
+    if out is not None:
+        tok_mod.save_codebook(out / "codebook.bin", book, index)
     return book, index
 
 
@@ -141,31 +145,29 @@ def _build_simulators(cfg: RunConfig, items, n_items: int, records, out: Path,
     return train_sim, eval_sim
 
 
-def _experiment_context(cfg: RunConfig, items, n_items: int, book, index,
-                        train_sim, eval_sim, pool) -> tr_mod.ExperimentContext:
-    env_cfg = cfg.env_config()
-    return tr_mod.ExperimentContext(
-        policy_cfg=cfg.policy_config(n_items),
-        critic_cfg=cfg.critic_config(),
-        env_cfg=env_cfg,
-        codebook=book,
-        index=index,
-        catalog=[int(i) for i in items.ids],
-        train_env=env_mod.Environment(train_sim, pool, env_cfg),
-        eval_env=env_mod.Environment(eval_sim, pool, env_cfg),
-        item_features=items.vectors,
-    )
-
-
-def _build_context(cfg: RunConfig, out: Path,
-                   manifest: Manifest) -> tr_mod.ExperimentContext:
+def _build_contexts(cfg: RunConfig, out: Path, manifest: Manifest,
+                    grid: list[RunConfig] | None = None) -> list[tr_mod.ExperimentContext]:
+    """One experiment context per config point: `cfg` alone, whose codebook
+    is saved as `codebook.bin`, or each point of a sweep's `grid`. The data
+    comes first, then every point's codebook, then the two simulators, fitted
+    once for all points, so a grid the catalog cannot tokenize fails before
+    any simulator is fitted or any agent trained."""
     items, records = _load_dataset(cfg, out)
     n_items = _n_items(items)
-    book, index = _build_codebook(cfg, items, out)
+    points = grid or [cfg]
+    books = [_build_codebook(p, items, None if grid else out) for p in points]
     train_sim, eval_sim = _build_simulators(cfg, items, n_items, records, out,
                                             manifest)
-    return _experiment_context(cfg, items, n_items, book, index, train_sim,
-                               eval_sim, env_mod.make_user_pool(records))
+    pool = env_mod.make_user_pool(records)
+    contexts = []
+    for point, (book, index) in zip(points, books):
+        env_cfg = point.env_config()
+        contexts.append(tr_mod.ExperimentContext(
+            point.policy_config(n_items), point.critic_config(), env_cfg, book,
+            index, [int(i) for i in items.ids],
+            env_mod.Environment(train_sim, pool, env_cfg),
+            env_mod.Environment(eval_sim, pool, env_cfg), items.vectors))
+    return contexts
 
 
 # ---------------------------------------------------------------------------
@@ -205,25 +207,22 @@ def cmd_fit_sim(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_train(cfg: RunConfig, out: Path, args) -> int:
-    ctx = _build_context(cfg, out, args.manifest)
+    ctx, = _build_contexts(cfg, out, args.manifest)
     train_cfg = cfg.train_config()
     seed = cfg["seeds"]["agent"]
     agent = tr_mod.Agent(ctx.policy_cfg, ctx.critic_cfg, train_cfg, ctx.index,
                          ctx.catalog, seed, ctx.codebook, ctx.item_features)
-    metrics = tr_mod.MetricsWriter(
-        out / "metrics.csv", tr_mod.metrics_columns(len(cfg.vocab_sizes())))
-    evals = tr_mod.MetricsWriter(out / "eval_metrics.csv", tr_mod.EVAL_COLUMNS)
-    try:
-        tr_mod.run_training(agent, ctx, seed, metrics, evals)
-    except NumericsError as exc:
-        # Parameters are still last-good: the optimizer aborts before applying.
-        save_tensors(out / "agent.ckpt", agent.tensors())
-        (out / "abort.json").write_text(json.dumps(
-            {"error": str(exc), "updates": agent.updates}, indent=2) + "\n")
-        raise
-    finally:
-        metrics.close()
-        evals.close()
+    columns = tr_mod.metrics_columns(len(cfg.vocab_sizes()))
+    with (tr_mod.MetricsWriter(out / "metrics.csv", columns) as metrics,
+          tr_mod.MetricsWriter(out / "eval_metrics.csv", tr_mod.EVAL_COLUMNS) as evals):
+        try:
+            tr_mod.run_training(agent, ctx, seed, metrics, evals)
+        except NumericsError as exc:
+            # Parameters are still last-good: the optimizer aborts before applying.
+            save_tensors(out / "agent.ckpt", agent.tensors())
+            (out / "abort.json").write_text(json.dumps(
+                {"error": str(exc), "updates": agent.updates}, indent=2) + "\n")
+            raise
     save_tensors(out / "agent.ckpt", agent.tensors())
     final = tr_mod.evaluate(agent, ctx.eval_env, train_cfg.eval_episodes,
                             seed, tr_mod._FINAL_EVAL_TAG)
@@ -260,11 +259,8 @@ def cmd_eval(cfg: RunConfig, out: Path, args) -> int:
     episodes = tr_mod.evaluate(agent, env, train_cfg.eval_episodes, seed,
                                tr_mod._FINAL_EVAL_TAG)
     row = tr_mod._summary_row(0, episodes, seed)
-    writer = tr_mod.MetricsWriter(out / "eval_summary.csv", tr_mod.EVAL_COLUMNS)
-    try:
+    with tr_mod.MetricsWriter(out / "eval_summary.csv", tr_mod.EVAL_COLUMNS) as writer:
         writer.write(row)
-    finally:
-        writer.close()
     _, n, r_mean, r_median, r_std, d_mean, d_median, d_std, _ = row
     print(f"episodes={n}")
     print(f"total_reward mean={r_mean:.4f} median={r_median:.4f} std={r_std:.4f}")
@@ -273,26 +269,23 @@ def cmd_eval(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_ablate(cfg: RunConfig, out: Path, args) -> int:
-    ctx = _build_context(cfg, out, args.manifest)
-    base_cfg = cfg.train_config()
+    ctx, = _build_contexts(cfg, out, args.manifest)
     seeds = cfg.agent_seeds()
-    results = {v: tr_mod.run_ablation(v, ctx, base_cfg, seeds)
-               for v in tr_mod.ABLATION_VARIANTS}
-    full = results["full"]
-    writer = tr_mod.MetricsWriter(out / "ablation.csv", [
-        "variant", "median_total_reward", "median_depth",
-        "delta_total_reward_pct", "delta_depth_pct", "n_seeds"])
-    try:
-        for variant in tr_mod.ABLATION_VARIANTS:
-            res = results[variant]
-            d_r = _pct_delta(res["median_total_reward"], full["median_total_reward"])
-            d_d = _pct_delta(res["median_depth"], full["median_depth"])
-            writer.write([variant, res["median_total_reward"],
-                          res["median_depth"], d_r, d_d, len(seeds)])
-            print(f"{variant}: median reward {res['median_total_reward']:.4f} "
-                  f"({d_r:+.1f}%), median depth {res['median_depth']:.2f}")
-    finally:
-        writer.close()
+    base_cfg = cfg.train_config()
+    medians = {}  # variant -> (median total reward, median depth) over seeds
+    for variant in tr_mod.ABLATION_VARIANTS:
+        runs = tr_mod.run_seeds(ctx, replace(base_cfg, variant=variant), seeds)
+        medians[variant] = tuple(float(median(values)) for values in runs)
+    full_reward, full_depth = medians["full"]
+    with tr_mod.MetricsWriter(out / "ablation.csv", [
+            "variant", "median_total_reward", "median_depth",
+            "delta_total_reward_pct", "delta_depth_pct", "n_seeds"]) as writer:
+        for variant, (reward, depth) in medians.items():
+            d_r = _pct_delta(reward, full_reward)
+            d_d = _pct_delta(depth, full_depth)
+            writer.write([variant, reward, depth, d_r, d_d, len(seeds)])
+            print(f"{variant}: median reward {reward:.4f} "
+                  f"({d_r:+.1f}%), median depth {depth:.2f}")
     return 0
 
 
@@ -306,30 +299,21 @@ def cmd_sweep(cfg: RunConfig, out: Path, args) -> int:
     axis = args.axis
     section, key = _SWEEP_KEYS[axis]
     seeds = cfg.agent_seeds()
-    items, records = _load_dataset(cfg, out)
-    n_items = _n_items(items)
-    train_sim, eval_sim = _build_simulators(cfg, items, n_items, records, out,
-                                            args.manifest)
-    pool = env_mod.make_user_pool(records)
-
-    writer = tr_mod.MetricsWriter(out / "sweep.csv", [
-        "axis", "value", "median_total_reward", "mean_total_reward",
-        "median_depth", "mean_depth", "n_seeds"])
-    try:
-        for value in SWEEP_GRIDS[axis]:
-            point = RunConfig({s: dict(sec) for s, sec in cfg.values.items()})
-            point.values[section][key] = value
-            book, index = tok_mod.fit_codebook(items, point.vocab_sizes(),
-                                               point["seeds"]["tokenizer"])
-            ctx = _experiment_context(point, items, n_items, book, index,
-                                      train_sim, eval_sim, pool)
+    grid = []
+    for value in SWEEP_GRIDS[axis]:
+        point = RunConfig({s: dict(sec) for s, sec in cfg.values.items()})
+        point.values[section][key] = value
+        grid.append(point)
+    contexts = _build_contexts(cfg, out, args.manifest, grid)
+    with tr_mod.MetricsWriter(out / "sweep.csv", [
+            "axis", "value", "median_total_reward", "mean_total_reward",
+            "median_depth", "mean_depth", "n_seeds"]) as writer:
+        for value, point, ctx in zip(SWEEP_GRIDS[axis], grid, contexts):
             rewards, depths = tr_mod.run_seeds(ctx, point.train_config(), seeds)
             writer.write([axis, value, float(median(rewards)),
                           float(np.mean(rewards)), float(median(depths)),
                           float(np.mean(depths)), len(seeds)])
             print(f"{axis}={value}: median reward {median(rewards):.4f}")
-    finally:
-        writer.close()
     return 0
 
 
@@ -366,39 +350,43 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# error type -> (stderr label, exit code); any other exception is internal
+_FAILURES = ((ConfigError, "config error", EXIT_CONFIG),
+             ((DataError, FormatError), "data error", EXIT_DATA),
+             (NumericsError, "numeric abort", EXIT_NUMERIC))
+
+
+def _start_run(out: Path, command: str, cfg: RunConfig) -> Manifest:
+    """Create the output directory and its running manifest. A path that
+    cannot hold them is a config error, as a bad `--seed-*` is."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        return Manifest(out, command, cfg, outputs=[str(out)])
+    except OSError as exc:
+        raise ConfigError(f"cannot write the output directory {out}: {exc}") from None
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    manifest = None
     try:
         cfg = load_config(args.config) if args.config else default_config()
         apply_seed_overrides(cfg, tokenizer=args.seed_tok,
                              simulator=args.seed_sim, agent=args.seed_agent)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest(out, args.command, cfg, outputs=[str(out)])
-    args.manifest = manifest  # commands add what they measure to it
-    try:
+        out = Path(args.out)
+        # commands add what they measure to the manifest
+        args.manifest = manifest = _start_run(out, args.command, cfg)
         code = _COMMANDS[args.command][0](cfg, out, args)
-    except ConfigError as exc:
-        manifest.finalize("failed", str(exc))
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DataError, FormatError) as exc:
-        manifest.finalize("failed", str(exc))
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericsError as exc:
-        manifest.finalize("failed", str(exc))
-        print(f"numeric abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except Exception as exc:
-        error = f"{type(exc).__name__}: {exc}"
-        manifest.finalize("failed", error, traceback.format_exc())
-        print(f"internal error: {error}", file=sys.stderr)
-        return EXIT_INTERNAL
+        label, code = next(((label, code) for kind, label, code in _FAILURES
+                            if isinstance(exc, kind)), ("internal error", EXIT_INTERNAL))
+        error, trace = str(exc), None
+        if code == EXIT_INTERNAL:
+            error, trace = f"{type(exc).__name__}: {exc}", traceback.format_exc()
+        if manifest is not None:
+            manifest.finalize("failed", error, trace)
+        print(f"{label}: {error}", file=sys.stderr)
+        return code
     manifest.finalize("complete")
     return code
 

@@ -185,7 +185,10 @@ def _validate(cfg: RunConfig) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     """Parse and validate a config document; unknown keys are rejected."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # configparser spreads a `[DEFAULT]` section's keys over every other
+    # section; a default-section name no header line can hold makes
+    # `[DEFAULT]` an ordinary, and so unknown, section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -231,11 +234,12 @@ def apply_seed_overrides(cfg: RunConfig, tokenizer=None, simulator=None,
 
 
 def _git_stamp() -> str:
+    """HEAD of the checkout hsrl runs from, not of the caller's directory."""
     try:
         out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
-                             text=True, timeout=5)
+                             text=True, timeout=5, cwd=Path(__file__).parent)
         return out.stdout.strip() if out.returncode == 0 else "unknown"
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         return "unknown"
 
 

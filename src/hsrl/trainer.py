@@ -26,7 +26,7 @@ one `Environment.step_batch`. An episode that ends leaves the block.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from statistics import median
 
@@ -332,6 +332,12 @@ class MetricsWriter:
         self._fh.flush()
         self._fh.close()
 
+    def __enter__(self) -> "MetricsWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
 
 def metrics_columns(levels: int) -> list[str]:
     return (["iteration", "total_reward", "depth", "loss_V", "loss_PG",
@@ -430,18 +436,3 @@ def run_seeds(ctx: ExperimentContext, train_cfg: TrainConfig,
         rewards.append(float(np.mean([m.total_reward for m in metrics])))
         depths.append(float(np.mean([m.depth for m in metrics])))
     return rewards, depths
-
-
-def run_ablation(variant: str, ctx: ExperimentContext, base_cfg: TrainConfig,
-                 seeds: list[int]) -> dict:
-    """Train/eval one ablation variant across seeds under shared budgets."""
-    if variant not in ABLATION_VARIANTS:
-        raise ConfigError(f"unknown ablation variant {variant!r}")
-    rewards, depths = run_seeds(ctx, replace(base_cfg, variant=variant), seeds)
-    return {
-        "variant": variant,
-        "median_total_reward": float(median(rewards)),
-        "median_depth": float(median(depths)),
-        "per_seed_total_reward": rewards,
-        "per_seed_depth": depths,
-    }

@@ -415,6 +415,19 @@ def test_sweep_levels_axis_refits_codebook_and_reruns_bitwise(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_sweep_vocab_grid_the_catalog_cannot_tokenize_fails_before_fitting(
+        tmp_path, config_path, capsys):
+    # the 60-item catalog cannot take vocab 64; no point may be trained first
+    out = tmp_path / "sweep"
+    assert _run("sweep", "--config", config_path, "--out", out,
+                "--axis", "vocab") == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("data error:")
+    assert not list(out.glob("sim_*.ckpt"))
+    assert not (out / "sweep.csv").exists()
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+
 def test_sweep_unknown_axis_usage_error(tmp_path, config_path):
     with pytest.raises(SystemExit) as exc:
         _run("sweep", "--config", config_path, "--out", tmp_path / "s",
@@ -629,10 +642,16 @@ def test_unknown_config_key_rejected(tmp_path):
     assert _run("train", "--config", cfg, "--out", tmp_path / "o") == 2
 
 
-def test_unknown_config_section_rejected(tmp_path):
+def test_unknown_config_section_rejected(tmp_path, capsys):
+    # configparser would spread [DEFAULT]'s keys over the other sections
     cfg = tmp_path / "bad.ini"
-    cfg.write_text("[experiment]\nname = x\n")
-    assert _run("train", "--config", cfg, "--out", tmp_path / "o") == 2
+    for text, section in [("[experiment]\nname = x\n", "experiment"),
+                          ("[DEFAULT]\nlearning_rate = 5\n", "DEFAULT"),
+                          ("[DEFAULT]\nhidden = 7\n[critic]\n", "DEFAULT")]:
+        cfg.write_text(text)
+        assert _run("train", "--config", cfg, "--out", tmp_path / "o") == 2, text
+        assert capsys.readouterr().err == (
+            f"config error: unknown config section [{section}]\n")
 
 
 @pytest.mark.parametrize("text, code", [
@@ -713,6 +732,18 @@ def test_internal_error_fails_manifest_with_exit_5(tmp_path, config_path,
     assert manifest["status"] == "failed"
     assert manifest["error"] == "ContractError: broken invariant"
     assert "raise ContractError" in manifest["traceback"]
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_out_naming_an_existing_file_is_a_config_error(tmp_path, config_path,
+                                                      capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert _run(command, "--config", config_path, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("config error:")
+    assert "Traceback" not in err
+    assert out.read_text() == "not a directory\n"
 
 
 def test_missing_config_file(tmp_path):

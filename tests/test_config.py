@@ -1,4 +1,6 @@
 import configparser
+import shutil
+import subprocess
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
@@ -8,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsrl.cli import main
-from hsrl.config import (SCHEMA, _MODULES, _keyed_fields, default_config,
-                         load_config)
+from hsrl.config import (SCHEMA, _MODULES, _git_stamp, _keyed_fields,
+                         default_config, load_config)
 from hsrl.critic import CriticConfig
 from hsrl.env import EnvConfig, SimFitConfig, SynthConfig
 from hsrl.errors import ConfigError
@@ -166,3 +168,22 @@ def test_generated_config_never_exits_internal_error(overrides):
         if _loads(path):
             assert main(["train", "--config", str(path),
                          "--out", str(Path(tmp) / "out")]) in (0, 2, 3, 4)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_git_stamp_names_hsrl_checkout_not_working_directory(tmp_path, monkeypatch):
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t"]
+    for args in (["init", "-q"], ["commit", "-q", "--allow-empty", "-m", "x"]):
+        subprocess.run(git + args, cwd=tmp_path, check=True, capture_output=True)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    monkeypatch.chdir(tmp_path)
+    assert _git_stamp() != head
+
+
+def test_git_stamp_timeout_is_unknown(monkeypatch):
+    def timeout(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+    monkeypatch.setattr(subprocess, "run", timeout)
+    assert _git_stamp() == "unknown"

@@ -1,6 +1,6 @@
 """Golden output digests: every output file of `gen-data`, `tokenize`,
-`fit-sim`, `train`, `eval` and `ablate` on the tiny test configs must hash
-to the sha256 recorded in `golden_digests.json`.
+`fit-sim`, `train`, `eval`, `ablate` and `sweep` on the tiny test configs
+must hash to the sha256 recorded in `golden_digests.json`.
 
 Bitwise results hold only for one Python, numpy and BLAS build, one
 OpenBLAS core (the kernel set it picks for the CPU at run time, "unknown"
@@ -51,6 +51,7 @@ RUNS = [
      TRAIN_CONFIG + "variant = bc_only\n", []),
     ("eval", "eval", TRAIN_CONFIG, ["--checkpoint", "train/agent.ckpt"]),
     ("ablate", "ablate", BASE_CONFIG, []),
+    ("sweep", "sweep", BASE_CONFIG, ["--axis", "levels"]),
 ]
 
 

@@ -18,7 +18,7 @@ from hsrl.policy import PolicyConfig, encode_state, forward, select_slate
 from hsrl.tokenizer import SidIndex
 from hsrl.trainer import (TRAIN_VARIANTS, Agent, TrainConfig, advantage,
                           bc_loss, entropy_term, evaluate, rollout,
-                          run_ablation, slate_log_prob, td_target, train_step)
+                          slate_log_prob, td_target, train_step)
 
 from gradcheck import check_gradients, dense_embed
 
@@ -880,12 +880,6 @@ def test_flat_policy_critic_scores_context_zero_only():
 def test_unknown_variant_rejected():
     with pytest.raises(ConfigError):
         TrainConfig(variant="no_critic")
-
-
-def test_run_ablation_rejects_bc_only():
-    agent = _agent()
-    with pytest.raises(ConfigError):
-        run_ablation("bc_only", None, agent.cfg, [0])
 
 
 def test_nan_forward_aborts_step_with_params_intact():
