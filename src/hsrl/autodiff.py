@@ -17,11 +17,22 @@ can be nonzero on. Any merge is dense, and `grad_rows` is then `None`
 (every row); `.grad` is byte-equal to the dense scatter either way. Tensors
 keep no optimizer state: what the rows are used for is `optim`'s choice.
 
-All data is float64. Any primitive producing a NaN or Inf raises
-NumericsError immediately rather than letting poison propagate. The check
-sums the entries first: NaN and +-Inf always carry through a sum, so a
-finite sum proves every entry finite. Only a sum that is not finite (which
-finite entries reach by overflowing) falls back to testing each entry.
+All data is float64. A primitive producing a NaN or Inf raises
+NumericsError at once rather than letting poison propagate; two regimes
+find it. With gradients, each new tensor and each gradient reaching a
+parameter is scanned: NaN and +-Inf always carry through a sum, so a finite
+sum proves every entry finite, and only a sum that is not finite (finite
+entries may overflow it) falls back to testing each entry. Under `no_grad`
+no node is scanned: the block runs with numpy's overflow, invalid and
+divide-by-zero errors raising (underflow stays silent: masked attention
+scores underflow by design), and IEEE 754 flags those at the operation
+that turns finite operands into a NaN or Inf. That holds given that every
+tensor entering the block is finite: leaves are scanned, and neither the
+optimizer nor `checkpoint.load_into` writes a non-finite parameter; a NaN
+or Inf written straight into `.data` is outside the contract (`tanh` and
+`sigmoid` saturate an Inf). The flags are stricter where an op overflows
+inside but returns finite values: `layer_norm([1e160, -1e160, 3])` gives
+zeros with gradients and raises under `no_grad`.
 """
 
 from __future__ import annotations
@@ -41,12 +52,17 @@ _GRAD_ENABLED = True
 
 @contextmanager
 def no_grad():
-    """Disable graph recording inside the block (evaluation/rollout path)."""
+    """Disable graph recording inside the block (evaluation/rollout path),
+    where IEEE flags stand in for scanning each node (module docstring);
+    the caller's numpy error state is restored on every exit."""
     global _GRAD_ENABLED
     prev = _GRAD_ENABLED
     _GRAD_ENABLED = False
     try:
-        yield
+        with np.errstate(all="raise", under="ignore"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericsError(f"NaN/Inf under no_grad: {exc}") from None
     finally:
         _GRAD_ENABLED = prev
 
@@ -63,9 +79,10 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "grad_rows", "_parents",
                  "_backward", "_nid")
 
-    def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None,
+                 _scan: bool = True):
         arr = np.asarray(data, dtype=np.float64)
-        if not all_finite(arr):
+        if _scan and not all_finite(arr):
             raise NumericsError("tensor holds NaN/Inf values")
         self.data = arr
         self.requires_grad = requires_grad
@@ -107,10 +124,11 @@ def constant(data) -> Tensor:
 
 
 def _node(data, parents, backward_fn) -> Tensor:
-    if _GRAD_ENABLED:
-        for p in parents:
-            if p.requires_grad:
-                return Tensor(data, True, parents, backward_fn)
+    if not _GRAD_ENABLED:  # no_grad's flags checked the arithmetic
+        return Tensor(data, _scan=False)
+    for p in parents:
+        if p.requires_grad:
+            return Tensor(data, True, parents, backward_fn)
     return Tensor(data)
 
 

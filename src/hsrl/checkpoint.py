@@ -112,8 +112,8 @@ def load_tensors(path) -> dict[str, np.ndarray]:
 
 def load_into(params: dict, named: dict[str, np.ndarray], label: str) -> None:
     """Copy each array of `named` into the parameter tensor of the same name.
-    Every name and shape is checked before any tensor is written, so an
-    error leaves all of them as they were."""
+    Every name, shape and value is checked before any tensor is written, so
+    an error leaves all of them as they were."""
     if set(named) != set(params):
         raise FormatError(f"{label} does not fit this config: blocks differ "
                           f"on {sorted(set(params) ^ set(named))}")
@@ -122,5 +122,7 @@ def load_into(params: dict, named: dict[str, np.ndarray], label: str) -> None:
             raise FormatError(f"{label} does not fit this config: block {name} "
                               f"has shape {named[name].shape}, expected "
                               f"{tensor.data.shape}")
+        if not np.isfinite(named[name]).all():
+            raise FormatError(f"{label} block {name} holds NaN or infinite values")
     for name, tensor in params.items():
         tensor.data = named[name].copy()

@@ -218,7 +218,8 @@ def cmd_train(cfg: RunConfig, out: Path, args) -> int:
         try:
             tr_mod.run_training(agent, ctx, seed, metrics, evals)
         except NumericsError as exc:
-            # Parameters are still last-good: the optimizer aborts before applying.
+            # Parameters are finite: the optimizer checks every gradient before
+            # any parameter moves and writes no parameter a NaN or Inf.
             save_tensors(out / "agent.ckpt", agent.tensors())
             (out / "abort.json").write_text(json.dumps(
                 {"error": str(exc), "updates": agent.updates}, indent=2) + "\n")

@@ -144,11 +144,14 @@ class ResponseModel:
         (the model is frozen once fitted; `load_into` replaces arrays)."""
         history = session.state.history
         arrays = [t.data for t in self.encoder.tensors().values()]
+        seen = self._seen
         with ad.no_grad():
-            if not (self._seen and self._seen[0] == history
-                    and all(a is b for a, b in zip(self._seen[1], arrays))):
-                self._seen = history, arrays, encode(self.encoder, session.state)
-            return ad.sigmoid(self._logits(self._seen[2], slate)).data.copy()
+            if not (seen and seen[0] == history
+                    and all(a is b for a, b in zip(seen[1], arrays))):
+                seen = history, arrays, encode(self.encoder, session.state)
+            probs = ad.sigmoid(self._logits(seen[2], slate)).data.copy()
+        self._seen = seen  # kept only once the whole call has succeeded
+        return probs
 
     def click_probs_batch(self, sessions, slates) -> np.ndarray:
         """(B, k) block whose row r is `click_probs(sessions[r], slates[r])`

@@ -28,6 +28,12 @@ class Optimizer:
     buffers the size of the largest parameter that every parameter views
     in its own shape.
 
+    No parameter is written a NaN or Inf: after the moments move, each new
+    value is computed under raising numpy errors and written once computed,
+    so an overflow raises NumericsError with that parameter and those after
+    it as they were. (An Inf first moment needs a gradient whose square
+    overflows, so it meets an Inf second moment: Inf/Inf, which raises.)
+
     Every parameter with an axis starts on the row path: it updates only
     the rows some gradient has ever reached. That is exact: a row never
     reached has m = v = g = 0, and every Adam operation leaves such a row,
@@ -76,10 +82,11 @@ class Optimizer:
         self.step_count += 1
         t = self.step_count
         c1, c2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
+        staged = []
         for p, m, v, (a, b) in plan:
             w, g, rows = p.data, p.grad, self._reach(p)
             if rows is not None:  # gather the reached rows
-                whole = w, m, v
+                whole = m, v
                 w, m, v, g = (x.take(rows, axis=0) for x in (w, m, v, g))
                 a, b = (f[:w.size].reshape(w.shape) for f in self._flat)
             # m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g
@@ -88,14 +95,20 @@ class Optimizer:
             v *= BETA2
             np.multiply(g, 1.0 - BETA2, out=a)
             v += np.multiply(a, g, out=a)
-            # w -= (lr*(m/c1)) / (sqrt(v/c2) + eps)
-            np.sqrt(np.divide(v, c2, out=a), out=a)
-            a += EPS
-            np.multiply(np.divide(m, c1, out=b), self.lr, out=b)
-            w -= np.divide(b, a, out=b)
             if rows is not None:  # and scatter them back
-                for x, part in zip(whole, (w, m, v)):
-                    x[rows] = part
+                whole[0][rows], whole[1][rows] = m, v
+            staged.append((p.data, w, m, v, a, b, rows))
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                for data, w, m, v, a, b, rows in staged:
+                    # w - (lr*(m/c1)) / (sqrt(v/c2) + eps), written once computed
+                    np.sqrt(np.divide(v, c2, out=a), out=a)
+                    a += EPS
+                    np.multiply(np.divide(m, c1, out=b), self.lr, out=b)
+                    np.subtract(w, np.divide(b, a, out=b), out=b)
+                    data[... if rows is None else rows] = b
+        except FloatingPointError as exc:
+            raise NumericsError(f"Adam step overflows ({exc}); step aborted") from None
 
     def _reach(self, p: Tensor) -> np.ndarray | None:
         """Mark the rows `p.grad` can be nonzero on reached; the sorted

@@ -1,4 +1,5 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -453,6 +454,94 @@ def test_no_grad_suppresses_graph():
     assert not out.requires_grad
 
 
+# Primitives on finite inputs built from one large entry `x` (|x| >= 1e308)
+# whose arithmetic overflows; see the module docstring's no_grad contract.
+C = ad.constant
+OVERFLOWS = {
+    "add": lambda x: ad.add(C([x, 1.0]), C([x, 2.0])),
+    "add_row": lambda x: ad.add(C([[1.0, x]]), C([0.0, x])),
+    "sub": lambda x: ad.sub(C([x]), C([-x])),
+    "mul": lambda x: ad.mul(C([x, 3.0]), C([x, 3.0])),
+    "scale": lambda x: ad.scale(C([2.0, x]), 10.0),
+    "shift": lambda x: ad.shift(C(x), x),
+    "vsum": lambda x: ad.vsum(C([x, 0.5, x])),
+    "vmean": lambda x: ad.vmean(C([x, x])),
+    "vmean_axis": lambda x: ad.vmean(C([[x], [x]]), axis=0),
+    "dot": lambda x: ad.dot(C([x, x]), C([1.0, 1.0])),
+    "matmul": lambda x: ad.matmul(C([[x, 2.0]]), C([[x], [1.0]])),
+    "softmax": lambda x: ad.softmax(C([x, -x])),
+    "softmax_and_log": lambda x: ad.softmax_and_log(C([[0.0, 1.0], [x, -x]])),
+    "layer_norm": lambda x: ad.layer_norm(C([x, -x, 3.0]), C(np.ones(3)), C(np.zeros(3))),
+    "tanh_of_scale": lambda x: ad.tanh(ad.scale(C([x]), 1e308)),
+    "sigmoid_of_mul": lambda x: ad.sigmoid(ad.mul(C([x]), C([x]))),
+    "softplus_of_add": lambda x: ad.softplus(ad.add(C([x]), C([x]))),
+}
+
+
+@pytest.mark.parametrize("op", sorted(OVERFLOWS))
+@FUZZ
+@given(x=st.floats(1e308, np.finfo(np.float64).max), sign=st.sampled_from([1.0, -1.0]))
+def test_no_grad_raises_numerics_error_where_finite_inputs_overflow(op, x, sign):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning fails the test
+        with pytest.raises(NumericsError, match="under no_grad"), ad.no_grad():
+            OVERFLOWS[op](sign * x)
+
+
+def test_no_grad_raises_on_an_overflow_that_tanh_would_mask():
+    x = ad.constant([1e308, 1.0])
+    with pytest.raises(NumericsError), ad.no_grad():
+        ad.tanh(ad.scale(x, 1e308))
+
+
+def test_no_grad_ignores_underflow_whatever_the_callers_state():
+    with np.errstate(under="raise"), ad.no_grad():
+        out = ad.softmax(ad.constant([0.0, -1e9]))  # exp(-1e9) underflows to 0
+    assert np.array_equal(out.data, [1.0, 0.0])
+
+
+def test_no_grad_is_stricter_than_the_scan_on_an_internal_overflow():
+    args = ad.constant([1e160, -1e160, 3.0]), ad.constant(np.ones(3)), ad.constant(np.zeros(3))
+    with np.errstate(over="ignore"):
+        assert np.array_equal(ad.layer_norm(*args).data, np.zeros(3))
+    with pytest.raises(NumericsError), ad.no_grad():
+        ad.layer_norm(*args)
+
+
+def test_no_grad_restores_the_callers_error_state():
+    with np.errstate(over="warn", invalid="ignore", divide="print", under="raise"):
+        caller = np.geterr()
+        with ad.no_grad():
+            inside = np.geterr()
+            assert inside == {"over": "raise", "invalid": "raise", "divide": "raise",
+                              "under": "ignore"}
+        assert np.geterr() == caller
+        with pytest.raises(NumericsError), ad.no_grad():
+            ad.scale(ad.constant([1e308]), 10.0)
+        assert np.geterr() == caller
+        with pytest.raises(KeyError), ad.no_grad():
+            raise KeyError("not numerics")
+        assert np.geterr() == caller
+        with ad.no_grad():
+            with pytest.raises(NumericsError), ad.no_grad():
+                ad.scale(ad.constant([1e308]), 10.0)
+            assert np.geterr() == inside
+            with ad.no_grad():
+                pass
+            assert np.geterr() == inside
+        assert np.geterr() == caller
+    assert ad._GRAD_ENABLED
+
+
+def test_no_grad_nodes_skip_the_scan_but_keep_node_ids_and_float64():
+    start = int(repr(ad._NODE_IDS)[len("count("):-1])
+    with ad.no_grad():
+        s = ad.vsum(ad.constant([1.0, 2.0]))
+    assert int(repr(ad._NODE_IDS)[len("count("):-1]) == start + 2
+    assert type(s.data) is np.ndarray and s.data.dtype == np.float64 and s.shape == ()
+    assert not s.requires_grad and s._parents == () and s._backward is None
+
+
 # ---------------------------------------------------------------------------
 # mixed primitives
 # ---------------------------------------------------------------------------
@@ -760,6 +849,28 @@ def test_opt_nan_gradient_aborts_step():
     assert np.array_equal(p.data, before)
     assert first.data.tolist() == [1.0, 2.0] and opt.step_count == 0
     assert not opt._m[0].any() and not opt._v[0].any()
+
+
+@pytest.mark.parametrize("rows", [None, np.array([1])])
+def test_opt_step_that_would_overflow_writes_no_parameter(rows):
+    # (1.7e308 - (-1.7e308)) overflows; w, and every parameter after it, stay
+    w = ad.Tensor([[1.7e308, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]], requires_grad=True)
+    after = ad.Tensor([1.0], requires_grad=True)
+    opt = Optimizer([w, after], lr=1.7e308)
+    if rows is None:
+        w.grad = np.array([[-1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+    else:
+        w.grad, w.grad_rows = np.array([[0.0, 0.0], [-1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]), rows
+        w.data[[0, 1]] = w.data[[1, 0]]
+    after.grad = np.array([1.0])
+    before = w.data.copy(), after.data.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="step aborted"):
+            opt.step()
+    assert w.data.tobytes() == before[0].tobytes()
+    assert after.data.tobytes() == before[1].tobytes()
+    assert np.geterr()["over"] == "warn"
 
 
 def _adam_formula(m, v, w, g, t, lr):

@@ -460,7 +460,7 @@ def test_train_numeric_abort_exit_code_and_last_good_checkpoint(tmp_path):
                                        "learning_rate = 1e280"))
     out = tmp_path / "boom"
     assert _run("train", "--config", cfg, "--out", out) == 4
-    assert (out / "agent.ckpt").exists()  # last-good parameters retained
+    load_tensors(out / "agent.ckpt")  # kept, and every parameter is finite
     assert (out / "abort.json").exists()
     assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
 

@@ -14,7 +14,8 @@ from hsrl.env import (CLICK_SIGNAL, NO_CLICK_SIGNAL, EnvConfig, Environment,
                       held_out_log_loss, ingest_ml1m_style, load_records,
                       load_response_model, make_user_pool, save_records,
                       save_response_model)
-from hsrl.errors import ContractError, DataError, FormatError, UnknownItemError
+from hsrl.errors import (ContractError, DataError, FormatError, NumericsError,
+                         UnknownItemError)
 from hsrl.policy import PolicyConfig, PolicyParams
 from hsrl.tokenizer import load_embeddings, save_embeddings
 
@@ -296,6 +297,23 @@ def _fresh_probs(model, session, slate):
     fresh = ResponseModel(model.n_items, model.cfg, np.random.default_rng(0))
     load_into(fresh.tensors(), _arrays(model), "simulator")
     return fresh.click_probs(session, slate)
+
+
+def test_click_probs_that_raises_keeps_its_memo():
+    model = _mixed_model()
+    good = {k: v.copy() for k, v in _arrays(model).items()}
+    a = _session(history=((1, 1), (2, 0)))
+    probs = model.click_probs(a, [3, 4, 5])
+    memo = model._seen
+    # finite parameters whose attention scores overflow under no_grad
+    load_into(model.tensors(), {**good, "enc/item_emb": good["enc/item_emb"] * 1e200},
+              "simulator")
+    for session in (a, _session(history=((4, 1),))):
+        with pytest.raises(NumericsError):
+            model.click_probs(session, [3, 4, 5])
+        assert model._seen is memo
+    load_into(model.tensors(), good, "simulator")
+    assert model.click_probs(a, [3, 4, 5]).tobytes() == probs.tobytes()
 
 
 def test_click_probs_reuse_the_encoding_only_while_history_and_parameters_hold(

@@ -85,15 +85,27 @@ def output_digests() -> dict[str, str]:
             if p.name != "manifest.json"}
 
 
+def child_env(setup: str) -> dict[str, str]:
+    """Environment of a child process that imports this hsrl under `setup`."""
+    paths = [str(Path(hsrl.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, **SETUPS[setup], "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 def child_digests(setup: str, workdir: Path) -> tuple[str, dict[str, str]]:
     """Build key and output digests of a child process that runs every
     command of RUNS in `workdir` under the environment of `setup`."""
-    paths = [str(Path(hsrl.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, **SETUPS[setup], "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     out = workdir / "digests.json"
-    subprocess.run([sys.executable, __file__, "--child", str(out)], cwd=workdir, env=env,
-                   check=True, stdout=subprocess.DEVNULL)
+    subprocess.run([sys.executable, __file__, "--child", str(out)], cwd=workdir,
+                   env=child_env(setup), check=True, stdout=subprocess.DEVNULL)
     return json.loads(out.read_text())
+
+
+def skip_undispatched(setup: str) -> None:
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    disabled = SETUPS[setup].get("NPY_DISABLE_CPU_FEATURES", "")
+    if any(f not in __cpu_dispatch__ for f in disabled.split(",") if f):
+        pytest.skip(f"this numpy does not dispatch {disabled}")
 
 
 def _changed(expected: dict[str, str], got: dict[str, str]) -> list[str]:
@@ -113,17 +125,51 @@ def test_outputs_match_golden_digests(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("setup", [name for name in SETUPS if name != "native"])
 def test_outputs_match_golden_digests_under_other_kernels(setup, tmp_path):
-    from numpy._core._multiarray_umath import __cpu_dispatch__
-
-    disabled = SETUPS[setup].get("NPY_DISABLE_CPU_FEATURES", "")
-    if any(f not in __cpu_dispatch__ for f in disabled.split(",") if f):
-        pytest.skip(f"this numpy does not dispatch {disabled}")
+    skip_undispatched(setup)
     key, got = child_digests(setup, tmp_path)
     expected = json.loads(GOLDEN.read_text()).get(key)
     if expected is None:
         pytest.skip(f"no golden digests for build {key!r}")
     changed = _changed(expected, got)
     assert not changed, f"{setup}: outputs differ from the golden digests: {changed}"
+
+
+# The product shapes of the no-grad passes: 1-D@2-D, 2-D@1-D, 2-D@2-D, a
+# stacked (B,T,k)@(k,n) and a batched (B,T,k)@(B,k,T).
+PRODUCTS = [((16,), (16, 16)), ((16, 16), (16,)), ((10, 16), (16, 64)),
+            ((32, 10, 16), (16, 16)), ((32, 10, 16), (32, 16, 10))]
+
+# Under no_grad every product whose arithmetic overflows must raise
+# NumericsError: one where each term overflows (1e200 * 1e200) and one where
+# each term fits but their sum does not (1e154 * 1e154, k >= 2 terms); a
+# product of normal values must raise nothing. Prints the shapes that fail.
+FLAG_CHECK = f"""
+import numpy as np
+import hsrl.autodiff as ad
+from hsrl.errors import NumericsError
+
+failed = []
+for a, b in {PRODUCTS!r}:
+    for fill in (1e200, 1e154):
+        try:
+            with ad.no_grad():
+                ad.matmul(ad.constant(np.full(a, fill)), ad.constant(np.full(b, -fill)))
+            failed.append((a, b, fill))
+        except NumericsError:
+            pass
+    rng = np.random.default_rng(0)
+    with ad.no_grad():
+        ad.matmul(ad.constant(rng.normal(size=a)), ad.constant(rng.normal(size=b)))
+print(failed)
+"""
+
+
+@pytest.mark.parametrize("setup", SETUPS)
+def test_no_grad_products_raise_on_overflow_under_every_kernel_setup(setup):
+    skip_undispatched(setup)
+    run = subprocess.run([sys.executable, "-c", FLAG_CHECK], env=child_env(setup),
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]", f"{setup}: no NumericsError for {run.stdout}"
 
 
 if __name__ == "__main__":

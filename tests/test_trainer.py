@@ -984,6 +984,19 @@ def test_checkpoint_that_does_not_fit_changes_no_tensor(damage):
         assert all(np.array_equal(old[k], now[k]) for k in old)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_checkpoint_with_a_non_finite_value_changes_no_tensor(bad):
+    agent = _agent(seed=0)
+    named = {k: v + 1.0 for k, v in _agent(seed=1).tensors().items()}
+    last = list(named)[-1]  # blocks before it are valid
+    named[last].flat[-1] = bad
+    before = _agent_state(agent)
+    with pytest.raises(FormatError, match=f"^checkpoint block {last} holds NaN"):
+        agent.load_arrays(named)
+    for old, now in zip(before, _agent_state(agent)):
+        assert all(np.array_equal(old[k], now[k]) for k in old)
+
+
 # ---------------------------------------------------------------------------
 # tape cost
 # ---------------------------------------------------------------------------
