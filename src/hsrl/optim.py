@@ -19,20 +19,17 @@ ROW_SHARE = 1 / 3
 
 
 class Optimizer:
-    """Adam update over a fixed parameter list.
+    """Adam update over a fixed parameter list, applied whole or not at all.
 
     Every gradient is checked before any parameter moves. Parameters whose
     gradient is absent or exactly zero are skipped entirely, so a step with
-    zero gradients is a no-op regardless of accumulated moment state. The
-    moments and parameters are updated in place, through two scratch
-    buffers the size of the largest parameter that every parameter views
-    in its own shape.
+    zero gradients is a no-op regardless of accumulated moment state.
 
-    No parameter is written a NaN or Inf: after the moments move, each new
-    value is computed under raising numpy errors and written once computed,
-    so an overflow raises NumericsError with that parameter and those after
-    it as they were. (An Inf first moment needs a gradient whose square
-    overflows, so it meets an Inf second moment: Inf/Inf, which raises.)
+    Then every stepping parameter's new moments and value are computed
+    under raising numpy errors, and only once all are computed are they
+    written, with the reached-rows masks and `step_count`. A step that
+    would make a NaN or Inf raises NumericsError and leaves every
+    parameter, moment, mask and `step_count` as it was.
 
     Every parameter with an axis starts on the row path: it updates only
     the rows some gradient has ever reached. That is exact: a row never
@@ -55,10 +52,6 @@ class Optimizer:
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
-        size = max((p.data.size for p in self.params), default=0)
-        self._flat = np.empty(size), np.empty(size)
-        self._scratch = [tuple(f[:p.data.size].reshape(p.data.shape) for f in self._flat)
-                         for p in self.params]
         # parameter on the row path -> the rows any gradient has reached
         self._reached = {p: np.zeros(len(p.data), dtype=bool)
                          for p in self.params if p.data.ndim}
@@ -71,54 +64,48 @@ class Optimizer:
         """Apply one update from the accumulated gradients."""
         # check and decide every parameter's step before any parameter moves
         plan = []
-        for p, m, v, scratch in zip(self.params, self._m, self._v, self._scratch):
+        for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
             g = p.grad if p.grad_rows is None else p.grad[p.grad_rows]
             if not all_finite(g):
                 raise NumericsError("NaN/Inf gradient; step aborted")
             if g.any():
-                plan.append((p, m, v, scratch))
-        self.step_count += 1
-        t = self.step_count
+                plan.append((p, m, v))
+        t = self.step_count + 1
         c1, c2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
-        staged = []
-        for p, m, v, (a, b) in plan:
-            w, g, rows = p.data, p.grad, self._reach(p)
-            if rows is not None:  # gather the reached rows
-                whole = m, v
-                w, m, v, g = (x.take(rows, axis=0) for x in (w, m, v, g))
-                a, b = (f[:w.size].reshape(w.shape) for f in self._flat)
-            # m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g
-            m *= BETA1
-            m += np.multiply(g, 1.0 - BETA1, out=a)
-            v *= BETA2
-            np.multiply(g, 1.0 - BETA2, out=a)
-            v += np.multiply(a, g, out=a)
-            if rows is not None:  # and scatter them back
-                whole[0][rows], whole[1][rows] = m, v
-            staged.append((p.data, w, m, v, a, b, rows))
+        # compute every new moment and value before writing any
+        new = []
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                for data, w, m, v, a, b, rows in staged:
-                    # w - (lr*(m/c1)) / (sqrt(v/c2) + eps), written once computed
-                    np.sqrt(np.divide(v, c2, out=a), out=a)
-                    a += EPS
-                    np.multiply(np.divide(m, c1, out=b), self.lr, out=b)
-                    np.subtract(w, np.divide(b, a, out=b), out=b)
-                    data[... if rows is None else rows] = b
+                for p, m, v in plan:
+                    w, g, (rows, mask) = p.data, p.grad, self._reach(p)
+                    if rows is not None:  # gather the reached rows
+                        w, m, v, g = (x.take(rows, axis=0) for x in (w, m, v, g))
+                    m = m * BETA1 + g * (1.0 - BETA1)
+                    v = v * BETA2 + (g * (1.0 - BETA2)) * g
+                    w = w - ((m / c1) * self.lr) / (np.sqrt(v / c2) + EPS)
+                    new.append((rows, mask, m, v, w))
         except FloatingPointError as exc:
             raise NumericsError(f"Adam step overflows ({exc}); step aborted") from None
+        for (p, m, v), (rows, mask, *values) in zip(plan, new):
+            for whole, part in zip((m, v, p.data), values):
+                whole[... if rows is None else rows] = part
+            self._reached.pop(p, None)
+            if mask is not None:
+                self._reached[p] = mask
+        self.step_count = t
 
-    def _reach(self, p: Tensor) -> np.ndarray | None:
-        """Mark the rows `p.grad` can be nonzero on reached; the sorted
-        reached rows, or None once `p` takes the dense path."""
+    def _reach(self, p: Tensor) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """The sorted rows `p` steps and its reached-rows mask after this
+        step, which marks the rows `p.grad` can be nonzero on in a copy of
+        the live mask; (None, None) once `p` takes the dense path."""
         mask = self._reached.get(p)
         if mask is None:
-            return None
+            return None, None
+        mask = mask.copy()
         mask[slice(None) if p.grad_rows is None else p.grad_rows] = True
         reached = np.flatnonzero(mask)
         if len(reached) < ROW_SHARE * len(mask):
-            return reached
-        del self._reached[p]
-        return None
+            return reached, mask
+        return None, None

@@ -435,9 +435,15 @@ def test_finite_check_accepts_a_sum_that_overflows(data):
         for make in (ad.constant, ad.parameter):
             assert np.array_equal(make(data).data, data)
         assert np.array_equal(ad.scale(ad.parameter(data), 1.0).data, data)
+        # the optimizer's pre-check falls back too and accepts the gradient,
+        # whose second moment then overflows: the step raises and moves nothing
         p = ad.parameter(np.zeros(np.shape(data)))
         p.grad = np.array(data, dtype=float)
-        Optimizer([p]).step()  # the optimizer's pre-check falls back too
+        opt = Optimizer([p])
+        with pytest.raises(NumericsError, match="Adam step overflows"):
+            opt.step()
+        assert not p.data.any() and opt.step_count == 0
+        assert not opt._m[0].any() and not opt._v[0].any()
 
 
 def test_nan_inputs_rejected():
@@ -851,26 +857,48 @@ def test_opt_nan_gradient_aborts_step():
     assert not opt._m[0].any() and not opt._v[0].any()
 
 
+def _adam_state(opt):
+    """Bytes of every parameter, moment and reached-rows mask, and step_count."""
+    arrays = [p.data for p in opt.params] + opt._m + opt._v
+    return ([a.tobytes() for a in arrays], opt.step_count,
+            [(id(p), mask.tobytes()) for p, mask in opt._reached.items()])
+
+
 @pytest.mark.parametrize("rows", [None, np.array([1])])
 def test_opt_step_that_would_overflow_writes_no_parameter(rows):
-    # (1.7e308 - (-1.7e308)) overflows; w, and every parameter after it, stay
+    # (1.7e308 - (-1.7e308)) overflows on w; a, before it, would step to
+    # -1.7e308 and `after` would step too, but nothing moves
+    a = ad.Tensor([1.0], requires_grad=True)
     w = ad.Tensor([[1.7e308, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]], requires_grad=True)
     after = ad.Tensor([1.0], requires_grad=True)
-    opt = Optimizer([w, after], lr=1.7e308)
+    opt = Optimizer([a, w, after], lr=1.7e308)
     if rows is None:
         w.grad = np.array([[-1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
     else:
         w.grad, w.grad_rows = np.array([[0.0, 0.0], [-1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]), rows
         w.data[[0, 1]] = w.data[[1, 0]]
-    after.grad = np.array([1.0])
-    before = w.data.copy(), after.data.copy()
+    a.grad, after.grad = np.array([1.0]), np.array([1.0])
+    before = _adam_state(opt)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericsError, match="step aborted"):
             opt.step()
-    assert w.data.tobytes() == before[0].tobytes()
-    assert after.data.tobytes() == before[1].tobytes()
+    assert _adam_state(opt) == before
     assert np.geterr()["over"] == "warn"
+
+
+def test_opt_second_moment_overflow_raises_instead_of_freezing_the_entry():
+    # g^2 overflows v[0]; an Inf second moment would hold w[0] still for good
+    w = ad.Tensor([1.0, 1.0], requires_grad=True)
+    opt = Optimizer([w], lr=0.1)
+    w.grad = np.array([1e200, 1.0])
+    before = _adam_state(opt)
+    with pytest.raises(NumericsError, match="Adam step overflows"):
+        opt.step()
+    assert _adam_state(opt) == before
+    w.grad = np.array([1.0, 1.0])
+    opt.step()
+    assert w.data[0] == w.data[1] < 1.0 and np.isfinite(opt._v[0]).all()  # both moved
 
 
 def _adam_formula(m, v, w, g, t, lr):
