@@ -14,8 +14,9 @@ its ids and gathered-row gradient instead of a dense table. When that one
 embed's rows are all the table receives, `backward` densifies them at the
 leaf and records the ids, as given, in `grad_rows`: the rows the gradient
 can be nonzero on. Any merge is dense, and `grad_rows` is then `None`
-(every row); `.grad` is byte-equal to the dense scatter either way. Tensors
-keep no optimizer state: what the rows are used for is `optim`'s choice.
+(every row); `.grad` is byte-equal to the dense scatter (one `bincount`)
+either way. Tensors keep no optimizer state: what the rows are used for is
+`optim`'s choice. `matmul`, `mul` and `dot` skip gradients nothing requires.
 
 All data is float64. A primitive producing a NaN or Inf raises
 NumericsError at once rather than letting poison propagate; two regimes
@@ -152,10 +153,11 @@ class Rows:
         return other + self.dense()
 
     def dense(self) -> np.ndarray:
-        """The `zeros_like(table)` + `np.add.at` scatter of `g`."""
-        out = np.zeros(self.shape)
-        np.add.at(out, self.ids, self.g)
-        return out
+        """`np.add.at` of `g` into zeros, bit for bit: `bincount` also sums in order."""
+        width = math.prod(self.shape[1:])
+        cells = (self.ids.reshape(-1, 1) * width + np.arange(width)).ravel()
+        out = np.bincount(cells, self.g.ravel(), math.prod(self.shape))
+        return out.astype(np.float64, copy=False).reshape(self.shape)
 
 
 def backward(loss: Tensor) -> None:
@@ -231,7 +233,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
-    return _node(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+    return _node(a.data * b.data, (a, b), lambda g: (
+        g * b.data if a.requires_grad else None, g * a.data if b.requires_grad else None))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -262,7 +265,9 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 1 or b.ndim != 1:
         raise ShapeError("dot: both operands must be 1-D")
     _same_shape(a, b, "dot")
-    return _node(a.data @ b.data, (a, b), lambda g: (float(g) * b.data, float(g) * a.data))
+    return _node(a.data @ b.data, (a, b), lambda g: (
+        float(g) * b.data if a.requires_grad else None,
+        float(g) * a.data if b.requires_grad else None))
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -306,12 +311,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
 
     def back(g):
-        if bn == 1:
-            return np.outer(g, b.data), a.data.T @ g
-        if bn > 2:
-            return g @ _swap(b.data), _swap(a.data) @ g
-        return (g @ b.data.T,
-                a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        ga = gb = None
+        if a.requires_grad:
+            ga = np.outer(g, b.data) if bn == 1 else g @ _swap(b.data)
+        if b.requires_grad:
+            gb = (_swap(a.data) @ g if bn != 2
+                  else a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        return ga, gb
 
     return _node(a.data @ b.data, (a, b), back)
 

@@ -5,8 +5,9 @@ self-attention layer with a residual connection, mean-pooled, and
 projected to the output width. A learned start vector stands in for the
 pooled projection when the history is empty.
 
-`encode` maps one state to a vector; `encode_batch` maps a batch of states
-to one matrix, padding the histories to the longest and masking the padding.
+`encode` maps one state to a vector; `encode_batch` maps a batch to one
+matrix as `history_arrays` (padded to the longest) then `encode_arrays`
+(masking the padding), which the simulator fit calls on arrays built once.
 """
 
 from __future__ import annotations
@@ -101,15 +102,8 @@ def encode(params: EncoderParams, state: UserState) -> Tensor:
     return params.start
 
 
-def encode_batch(params: EncoderParams, states) -> Tensor:
-    """One (B, out_dim) tensor whose row r is `encode(params, states[r])` up
-    to rounding; an empty history gives `params.start` exactly.
-
-    Histories are cut to the window and padded to the longest one. Padded
-    keys get weight 0 in attention and padded rows weight 0 in the mean
-    pooling, so padding adds nothing to any value or gradient.
-    """
-    cfg = params.cfg
+def history_arrays(cfg: EncoderConfig, states):
+    """`(ids, bits, lengths)`: the histories cut to the window, zero-padded."""
     histories = [state.history[-cfg.history_window:] for state in states]
     lengths = np.array([len(h) for h in histories], dtype=np.intp)
     n, width = len(histories), int(lengths.max(initial=0))
@@ -120,6 +114,19 @@ def encode_batch(params: EncoderParams, states) -> Tensor:
             if not 0 <= item < cfg.n_items:
                 raise UnknownItemError(f"item {item} outside embedding table")
             ids[r, c], bits[r, c] = item, bit
+    return ids, bits, lengths
+
+
+def encode_batch(params: EncoderParams, states) -> Tensor:
+    """(B, out_dim): row r is `encode(params, states[r])` up to rounding."""
+    return encode_arrays(params, *history_arrays(params.cfg, states))
+
+
+def encode_arrays(params: EncoderParams, ids, bits, lengths) -> Tensor:
+    """`encode_batch` of the states with these `history_arrays`: padding adds
+    nothing (weight 0 in attention and pooling), and an empty history is `start`."""
+    cfg = params.cfg
+    n, width = ids.shape
     starts = ad.add(ad.constant(np.zeros((n, cfg.out_dim))), params.start)
     if width == 0:
         return starts

@@ -7,9 +7,10 @@ reward inside [-0.2, 1.0]. Sessions carry a patience counter that drops
 by one on each zero-click step, refreshes fully on any click, and ends
 the episode at zero; a hard horizon caps depth regardless.
 
-The module also ingests ratings logs into fixed-size slate records and
-generates a synthetic catalog with planted cluster structure for
-desk-scale experiments.
+A fit builds every record's encoder, slate and label arrays once and
+takes each batch's rows by index. The module also ingests ratings logs
+into fixed-size slate records and generates a synthetic catalog with
+planted cluster structure for desk-scale experiments.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import load_into, load_tensors, read_lines, save_tensors
 from .encoder import (EncoderConfig, EncoderParams, UserState, encode,
-                      encode_batch)
+                      encode_arrays, encode_batch, history_arrays)
 from .errors import ConfigError, ContractError, DataError
 from .optim import Optimizer
 from .tokenizer import ItemEmbeddings
@@ -130,10 +131,9 @@ class ResponseModel:
         rows = ad.embed(self.encoder.item_emb, list(slate))
         return ad.add(ad.matmul(rows, u), self.bias)
 
-    def _block_logits(self, states, slates: np.ndarray) -> Tensor:
-        """(n, k) logits of slate row r for states[r], one graph for the block."""
+    def _block_logits(self, u: Tensor, slates: np.ndarray) -> Tensor:
+        """(n, k) logits of slate row r for encoding u[r], one graph for the block."""
         n, k = slates.shape
-        u = encode_batch(self.encoder, states)
         rows = ad.embed(self.encoder.item_emb, slates)                 # (n, k, d)
         scores = ad.matmul(rows, ad.reshape(u, (n, self.cfg.embed_dim, 1)))
         return ad.add(ad.reshape(scores, (n, k)), self.bias)
@@ -157,8 +157,8 @@ class ResponseModel:
         """(B, k) block whose row r is `click_probs(sessions[r], slates[r])`
         up to rounding (encode_batch against encode)."""
         with ad.no_grad():
-            return ad.sigmoid(self._block_logits(
-                [s.state for s in sessions], np.asarray(slates))).data.copy()
+            u = encode_batch(self.encoder, [s.state for s in sessions])
+            return ad.sigmoid(self._block_logits(u, np.asarray(slates))).data.copy()
 
 
 def _positive_state(items) -> UserState:
@@ -166,30 +166,41 @@ def _positive_state(items) -> UserState:
     return UserState(history=tuple((i, 1) for i in items))
 
 
-def _slate_bce(model: ResponseModel, records: list[LogRecord]):
-    """Per-item binary cross-entropy of a batch of records as one (B, k)
-    block, k the longest slate, and the (B, k) mask of real slate items."""
-    lengths = np.array([len(rec.slate) for rec in records])
-    n, k = len(records), int(lengths.max())
-    slates = np.zeros((n, k), dtype=np.intp)
-    labels = np.zeros((n, k))
+def _record_batches(model: ResponseModel, records: list[LogRecord]):
+    """`take(rows)`: `(ids, bits, lengths, slates, labels, real-item mask)` of
+    records `rows` (indices or a slice), byte-equal to the arrays built from
+    them alone: every record's are built once, and each take cuts them."""
+    ids, bits, lengths = history_arrays(
+        model.encoder.cfg, [_positive_state(rec.history) for rec in records])
+    slate_lengths = np.array([len(rec.slate) for rec in records])
+    slates = np.zeros((len(records), int(slate_lengths.max())), dtype=np.intp)
+    labels = np.zeros(slates.shape)
     for r, rec in enumerate(records):
-        slates[r, :lengths[r]] = rec.slate
-        labels[r, :lengths[r]] = rec.labels
-    real = np.arange(k) < lengths[:, None]
-    logits = model._block_logits([_positive_state(rec.history) for rec in records],
+        slates[r, :slate_lengths[r]] = rec.slate
+        labels[r, :slate_lengths[r]] = rec.labels
+
+    def take(rows):
+        width, k = int(lengths[rows].max(initial=0)), int(slate_lengths[rows].max())
+        return (ids[rows, :width], bits[rows, :width], lengths[rows], slates[rows, :k],
+                labels[rows, :k], np.arange(k) < slate_lengths[rows, None])
+    return take
+
+
+def _slate_bce(model: ResponseModel, batch) -> Tensor:
+    """Per-item binary cross-entropy of a `take` batch as one (B, k) block."""
+    ids, bits, lengths, slates, labels, _ = batch
+    logits = model._block_logits(encode_arrays(model.encoder, ids, bits, lengths),
                                  slates)
     # -[y log s + (1-y) log(1-s)] == softplus(logit) - y * logit
-    terms = ad.sub(ad.softplus(logits), ad.mul(ad.constant(labels), logits))
-    return terms, real
+    return ad.sub(ad.softplus(logits), ad.mul(ad.constant(labels), logits))
 
 
-def _batch_loss(model: ResponseModel, records: list[LogRecord]) -> Tensor:
+def _batch_loss(model: ResponseModel, batch) -> Tensor:
     """Mean over records of each record's mean per-item cross-entropy, so
     slates of any length weigh the same; one graph for the whole batch."""
-    terms, real = _slate_bce(model, records)
-    weights = real / real.sum(axis=1, keepdims=True) / len(records)
-    return ad.vsum(ad.mul(terms, ad.constant(weights)))
+    real = batch[-1]
+    weights = real / real.sum(axis=1, keepdims=True) / len(real)
+    return ad.vsum(ad.mul(_slate_bce(model, batch), ad.constant(weights)))
 
 
 def fit_response_model(records: list[LogRecord], n_items: int,
@@ -206,12 +217,12 @@ def fit_response_model(records: list[LogRecord], n_items: int,
     model.encoder.item_emb.requires_grad = False
     trainable = [t for t in model.tensors().values() if t.requires_grad]
     opt = Optimizer(trainable, lr=cfg.learning_rate)
+    take = _record_batches(model, records)
     for _ in range(cfg.epochs):
         order = rng.permutation(len(records))
         for lo in range(0, len(order), cfg.batch_size):
-            batch = [records[i] for i in order[lo:lo + cfg.batch_size]]
             opt.zero_grad()
-            ad.backward(_batch_loss(model, batch))
+            ad.backward(_batch_loss(model, take(order[lo:lo + cfg.batch_size])))
             opt.step()
     return model
 
@@ -250,11 +261,12 @@ def load_response_model(path, n_items: int, cfg: SimFitConfig) -> ResponseModel:
 def held_out_log_loss(model: ResponseModel, records: list[LogRecord]) -> float:
     """Mean per-item cross-entropy of `model` on `records`."""
     total, count = 0.0, 0
+    take = _record_batches(model, records)
     with ad.no_grad():
         for lo in range(0, len(records), model.cfg.batch_size):
-            terms, real = _slate_bce(model, records[lo:lo + model.cfg.batch_size])
-            total += float(terms.data[real].sum())
-            count += int(real.sum())
+            batch = take(slice(lo, lo + model.cfg.batch_size))
+            total += float(_slate_bce(model, batch).data[batch[-1]].sum())
+            count += int(batch[-1].sum())
     return total / count
 
 

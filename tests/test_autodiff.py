@@ -701,6 +701,99 @@ def test_dense_pieces_leave_no_row_record():
     assert t.grad is None and t.grad_rows is None
 
 
+# Zeros of both signs, subnormals, values near 1e300 (a few of them sum
+# without overflow) and everything between.
+scatter_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1e300, -1e300]),
+    st.floats(-1e300, 1e300))
+
+
+@st.composite
+def scatters(draw):
+    """(table shape, ids with repeats, gradient of `table[ids]`)."""
+    shape = draw(st.sampled_from([(1,), (6,), (2, 3), (4, 5), (3, 2, 2), (3, 0), (2, 32)]))
+    ids = draw(arrays(np.intp, draw(st.sampled_from([(0,), (1,), (7,), (3, 4)])),
+                      elements=st.integers(0, shape[0] - 1)))
+    return shape, ids, draw(arrays(np.float64, ids.shape + shape[1:],
+                                   elements=scatter_values))
+
+
+def _assert_scatter_equals_add_at(shape, ids, g):
+    """`Rows.dense` against `gradcheck.dense_embed`'s `zeros` + `np.add.at`."""
+    got = ad.Rows(shape, ids, g).dense()
+    want, = dense_embed(ad.parameter(np.zeros(shape)), ids)._backward(g)
+    assert got.dtype == np.float64 and got.shape == shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@FUZZ
+@given(case=scatters())
+def test_bincount_scatter_equals_add_at_bitwise(case):
+    _assert_scatter_equals_add_at(*case)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bincount_scatter_of_320_ids_into_two_rows_equals_add_at_bitwise(seed):
+    # the feedback-bit table of a simulator-fit batch: 32 histories of 10
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, 2, size=(32, 10))
+    g = rng.normal(size=(32, 10, 32)) * 10.0 ** rng.uniform(-300, 300, size=(32, 10, 32))
+    g[0] = -0.0
+    _assert_scatter_equals_add_at((2, 32), ids, g)
+
+
+@pytest.mark.parametrize("shape", [(4,), (4, 3), (4, 0), (4, 2, 0)])
+def test_bincount_scatter_of_no_ids_is_float_zeros(shape):
+    ids = np.zeros(0, dtype=np.intp)
+    _assert_scatter_equals_add_at(shape, ids, np.zeros((0,) + shape[1:]))
+    _assert_scatter_equals_add_at(shape, ids[:, None], np.zeros((0, 1) + shape[1:]))
+
+
+# case -> (op, shape of a, shape of b): the product forms whose gradient
+# with respect to a constant operand is skipped
+CONSTANT_OPERAND_CASES = {
+    "matmul_1d_b": (ad.matmul, (4, 3), (3,)),
+    "matmul_1d_a": (ad.matmul, (3,), (3, 5)),
+    "matmul_2d": (ad.matmul, (4, 3), (3, 5)),
+    "matmul_shared_2d_b": (ad.matmul, (2, 4, 3), (3, 5)),
+    "matmul_batched_b": (ad.matmul, (2, 4, 3), (2, 3, 5)),
+    "mul": (ad.mul, (3, 4), (3, 4)),
+    "dot": (ad.dot, (5,), (5,)),
+}
+
+
+@pytest.mark.parametrize("constant_side", [0, 1])
+@pytest.mark.parametrize("case", sorted(CONSTANT_OPERAND_CASES))
+def test_no_gradient_for_a_constant_operand(case, constant_side):
+    op, *shapes = CONSTANT_OPERAND_CASES[case]
+    rng = np.random.default_rng(43)
+    data = [rng.normal(size=shape) for shape in shapes]
+    both = op(*(ad.parameter(d) for d in data))
+    g = rng.normal(size=both.shape)
+    reference = both._backward(g)
+    one = op(*(ad.constant(d) if side == constant_side else ad.parameter(d)
+               for side, d in enumerate(data)))
+    grads = one._backward(g)
+    assert grads[constant_side] is None
+    live = 1 - constant_side
+    assert grads[live].tobytes() == reference[live].tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(CONSTANT_OPERAND_CASES))
+def test_an_operand_cleared_before_backward_gets_no_gradient(case):
+    # as the simulator fit clears its item table's flag
+    op, *shapes = CONSTANT_OPERAND_CASES[case]
+    rng = np.random.default_rng(44)
+    a, b = (ad.parameter(rng.normal(size=shape)) for shape in shapes)
+    out = op(a, b)
+    probe = ad.constant(rng.normal(size=out.shape))
+    loss = ad.vsum(ad.mul(out, probe)) if out.ndim else ad.scale(out, 1.5)
+    b.requires_grad = False
+    assert out._backward(np.ones(out.shape))[1] is None
+    ad.backward(loss)
+    assert b.grad is None and a.grad is not None
+
+
 def test_stack_softplus_add_scalar_gradients():
     rng = np.random.default_rng(21)
     s1 = ad.Tensor(np.asarray(rng.normal()), requires_grad=True)

@@ -5,11 +5,11 @@ import hsrl.autodiff as ad
 import hsrl.env as env_module
 from hsrl.checkpoint import load_into
 from hsrl.encoder import (EncoderConfig, EncoderParams, UserState, encode,
-                          encode_batch)
+                          encode_batch, history_arrays)
 from hsrl.env import (CLICK_SIGNAL, NO_CLICK_SIGNAL, EnvConfig, Environment,
                       GroundTruthResponse, LogRecord, ResponseModel,
                       SessionState, SimFitConfig, SynthConfig, _batch_loss,
-                      constant_log_loss,
+                      _positive_state, _record_batches, constant_log_loss,
                       fit_response_model, fit_simulators, generate_synthetic,
                       held_out_log_loss, ingest_ml1m_style, load_records,
                       load_response_model, make_user_pool, save_records,
@@ -424,7 +424,8 @@ def test_batch_loss_and_gradients_match_per_record_sum():
     model, records = _mixed_model(), _mixed_records()
     assert {len(rec.history) for rec in records} == set(range(11))
     assert {len(rec.slate) for rec in records} == {3, 5}
-    batched, batched_grads = _loss_and_grads(model, lambda: _batch_loss(model, records))
+    batched, batched_grads = _loss_and_grads(
+        model, lambda: _batch_loss(model, _record_batches(model, records)(slice(None))))
     reference, reference_grads = _loss_and_grads(
         model, lambda: _per_record_loss(model, records))
     assert abs(batched - reference) <= 1e-12
@@ -432,6 +433,58 @@ def test_batch_loss_and_gradients_match_per_record_sum():
     for key, grad in reference_grads.items():
         assert np.any(grad != 0.0), key
         assert np.abs(batched_grads[key] - grad).max() <= 1e-12, key
+
+
+def _slate_fill(records):
+    """The slates, labels and real-item mask a batch built from its records."""
+    lengths = np.array([len(rec.slate) for rec in records])
+    n, k = len(records), int(lengths.max())
+    slates = np.zeros((n, k), dtype=np.intp)
+    labels = np.zeros((n, k))
+    for r, rec in enumerate(records):
+        slates[r, :lengths[r]] = rec.slate
+        labels[r, :lengths[r]] = rec.labels
+    return slates, labels, np.arange(k) < lengths[:, None]
+
+
+def test_once_built_arrays_equal_the_per_batch_build():
+    model, records = _mixed_model(), _mixed_records(n=75, seed=6)
+    window = model.cfg.history_window
+    assert window < 10
+    take = _record_batches(model, records)
+    order = np.random.default_rng(7).permutation(len(records))
+    batches = ([order[lo:lo + 4] for lo in range(0, len(records), 4)]
+               + [slice(0, 6), slice(22, 25), slice(33, 34), slice(1, 12, 2),
+                  slice(64, 75), slice(None)])
+    short = set()
+    for rows in batches:
+        batch = [records[i] for i in np.arange(len(records))[rows]]
+        states = [_positive_state(rec.history) for rec in batch]
+        want = (*history_arrays(model.encoder.cfg, states), *_slate_fill(batch))
+        got = take(rows)
+        for name, g, w in zip(("ids", "bits", "lengths", "slates", "labels", "real"),
+                              got, want, strict=True):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+            assert g.tobytes() == w.tobytes(), name
+        if max(len(rec.history) for rec in batch) < window:
+            short.add(got[0].shape[1])
+    # batches cut below the window (to no history at all, too) and to slates of 3
+    assert {0, 2, 5} <= short
+    assert take(slice(1, 12, 2))[3].shape == (6, 3)
+
+
+def test_fit_builds_each_records_state_once(monkeypatch):
+    calls = []
+
+    def counted(items):
+        calls.append(items)
+        return _positive_state(items)
+
+    monkeypatch.setattr(env_module, "_positive_state", counted)
+    records = _mixed_records()
+    cfg = SimFitConfig(embed_dim=8, history_window=6, epochs=3, batch_size=8)
+    fit_response_model(records, 30, cfg, 0)
+    assert calls == [rec.history for rec in records]
 
 
 def test_encode_batch_rows_match_encode():

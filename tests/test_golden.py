@@ -1,6 +1,8 @@
 """Golden output digests: every output file of `gen-data`, `tokenize`,
 `fit-sim`, `train`, `eval`, `ablate` and `sweep` on the tiny test configs
-must hash to the sha256 recorded in `golden_digests.json`.
+must hash to the sha256 recorded in `golden_digests.json`, and so must
+the tensors of the two simulators that criterion 6 fits (`SIMULATORS`):
+six epochs of full batches, which the tiny configs barely reach.
 
 Bitwise results hold only for one Python, numpy and BLAS build, one
 OpenBLAS core (the kernel set it picks for the CPU at run time, "unknown"
@@ -34,6 +36,7 @@ import pytest
 import hsrl
 from hsrl.cli import main
 from hsrl.config import _blas_build, _blas_core
+from hsrl.env import SimFitConfig, SynthConfig, fit_simulators, generate_synthetic
 
 from test_cli import BASE_CONFIG
 
@@ -53,6 +56,10 @@ RUNS = [
     ("ablate", "ablate", BASE_CONFIG, []),
     ("sweep", "sweep", BASE_CONFIG, ["--axis", "levels"]),
 ]
+
+# Digest key of criterion 6's simulators: synthetic data seeded [11, 100],
+# both simulators fitted at seed 11 on the 300-item catalog.
+SIMULATORS = "criterion6/simulators"
 
 
 # set-up name -> environment variables of the child process that runs it
@@ -74,15 +81,27 @@ def build_key() -> str:
             f"simd {simd}")
 
 
+def simulators_digest() -> str:
+    """sha256 over the names and bytes of both criterion-6 simulators' tensors."""
+    synth = generate_synthetic(SynthConfig(n_items=300, n_clusters=8), [11, 100])
+    digest = hashlib.sha256()
+    for sim in fit_simulators(synth.records, 300, SimFitConfig(), 11, synth.items.vectors):
+        for name, tensor in sim.tensors().items():
+            digest.update(name.encode())
+            digest.update(tensor.data.tobytes())
+    return digest.hexdigest()
+
+
 def output_digests() -> dict[str, str]:
     """Run every command of RUNS in the working directory; sha256 of each
-    output file, keyed by its relative path."""
+    output file, keyed by its relative path, and `SIMULATORS`'s digest."""
     for out, command, config, extra in RUNS:
         Path(f"{out}.ini").write_text(config)
         assert main([command, "--config", f"{out}.ini", "--out", out, *extra]) == 0, out
-    return {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
-            for out, *_ in RUNS for p in sorted(Path(out).iterdir())
-            if p.name != "manifest.json"}
+    digests = {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+               for out, *_ in RUNS for p in sorted(Path(out).iterdir())
+               if p.name != "manifest.json"}
+    return {**digests, SIMULATORS: simulators_digest()}
 
 
 def child_env(setup: str) -> dict[str, str]:
