@@ -105,10 +105,6 @@ class Tensor:
         self.grad = None
         self.grad_rows = None
 
-    def detach(self) -> "Tensor":
-        """Same buffer, no graph membership."""
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 

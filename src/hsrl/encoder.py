@@ -3,11 +3,13 @@
 History items and their feedback bits are embedded, mixed by one
 self-attention layer with a residual connection, mean-pooled, and
 projected to the output width. A learned start vector stands in for the
-pooled projection when the history is empty.
+pooled projection when the history is empty; both paths encode it as
+`0 + start`, so no encoder call returns a parameter itself.
 
 `encode` maps one state to a vector; `encode_batch` maps a batch to one
 matrix as `history_arrays` (padded to the longest) then `encode_arrays`
 (masking the padding), which the simulator fit calls on arrays built once.
+Both cut each history to the window and check its items in one place.
 """
 
 from __future__ import annotations
@@ -80,39 +82,43 @@ class EncoderParams:
         self.item_emb.data = feats @ proj
 
 
-def encode(params: EncoderParams, state: UserState) -> Tensor:
-    """Deterministic state encoding; empty history maps to the start vector."""
-    cfg = params.cfg
+def _window(cfg: EncoderConfig, state: UserState) -> tuple[tuple[int, int], ...]:
+    """The state's history cut to the window, every item checked against the table."""
     history = state.history[-cfg.history_window:]
-    if history:
-        ids = [item for item, _ in history]
-        bits = [bit for _, bit in history]
-        for item in ids:
-            if not 0 <= item < cfg.n_items:
-                raise UnknownItemError(f"item {item} outside embedding table")
-        x = ad.add(ad.embed(params.item_emb, ids), ad.embed(params.fb_emb, bits))
-        q = ad.matmul(x, params.attn_q)
-        k = ad.matmul(x, params.attn_k)
-        v = ad.matmul(x, params.attn_v)
-        attn = ad.softmax(ad.scale(ad.matmul(q, ad.transpose(k)),
-                                   1.0 / math.sqrt(cfg.embed_dim)))
-        mixed = ad.add(x, ad.matmul(attn, v))
-        pooled = ad.vmean(mixed, axis=0)
-        return ad.add(ad.matmul(params.proj_w, pooled), params.proj_b)
-    return params.start
+    for item, _ in history:
+        if not 0 <= item < cfg.n_items:
+            raise UnknownItemError(f"item {item} outside embedding table")
+    return history
+
+
+def encode(params: EncoderParams, state: UserState) -> Tensor:
+    """Deterministic state encoding; an empty history maps to `0 + start`,
+    a new tensor holding the start vector's bytes, as in `encode_arrays`."""
+    cfg = params.cfg
+    history = _window(cfg, state)
+    if not history:
+        return ad.add(ad.constant(np.zeros(cfg.out_dim)), params.start)
+    x = ad.add(ad.embed(params.item_emb, [item for item, _ in history]),
+               ad.embed(params.fb_emb, [bit for _, bit in history]))
+    q = ad.matmul(x, params.attn_q)
+    k = ad.matmul(x, params.attn_k)
+    v = ad.matmul(x, params.attn_v)
+    attn = ad.softmax(ad.scale(ad.matmul(q, ad.transpose(k)),
+                               1.0 / math.sqrt(cfg.embed_dim)))
+    mixed = ad.add(x, ad.matmul(attn, v))
+    pooled = ad.vmean(mixed, axis=0)
+    return ad.add(ad.matmul(params.proj_w, pooled), params.proj_b)
 
 
 def history_arrays(cfg: EncoderConfig, states):
     """`(ids, bits, lengths)`: the histories cut to the window, zero-padded."""
-    histories = [state.history[-cfg.history_window:] for state in states]
+    histories = [_window(cfg, state) for state in states]
     lengths = np.array([len(h) for h in histories], dtype=np.intp)
     n, width = len(histories), int(lengths.max(initial=0))
     ids = np.zeros((n, width), dtype=np.intp)
     bits = np.zeros((n, width), dtype=np.intp)
     for r, history in enumerate(histories):
         for c, (item, bit) in enumerate(history):
-            if not 0 <= item < cfg.n_items:
-                raise UnknownItemError(f"item {item} outside embedding table")
             ids[r, c], bits[r, c] = item, bit
     return ids, bits, lengths
 

@@ -8,7 +8,9 @@ by one on each zero-click step, refreshes fully on any click, and ends
 the episode at zero; a hard horizon caps depth regardless.
 
 A fit builds every record's encoder, slate and label arrays once and
-takes each batch's rows by index. The module also ingests ratings logs
+takes each batch's rows by index. One formula scores slates: a block of
+them in the fit and in `click_probs_batch`, and one slate as row 0 of a
+one-row block in `click_probs`. The module also ingests ratings logs
 into fixed-size slate records and generates a synthetic catalog with
 planted cluster structure for desk-scale experiments.
 """
@@ -101,7 +103,8 @@ class SimFitConfig:
 
 class ResponseModel:
     """Learned click-probability model: encoder state vector dotted with
-    item embeddings, squashed through a sigmoid.
+    item embeddings, squashed through a sigmoid. `_block_logits` is the one
+    scoring formula; a single slate is row 0 of a one-row block.
 
     When catalog item features are supplied, the item-embedding table is
     initialized from a seeded random projection of them (scaled to roughly
@@ -126,11 +129,6 @@ class ResponseModel:
         out["bias"] = self.bias
         return out
 
-    def _logits(self, u: Tensor, slate) -> Tensor:
-        """Logits of the slate's items for the state whose encoding is `u`."""
-        rows = ad.embed(self.encoder.item_emb, list(slate))
-        return ad.add(ad.matmul(rows, u), self.bias)
-
     def _block_logits(self, u: Tensor, slates: np.ndarray) -> Tensor:
         """(n, k) logits of slate row r for encoding u[r], one graph for the block."""
         n, k = slates.shape
@@ -139,7 +137,8 @@ class ResponseModel:
         return ad.add(ad.reshape(scores, (n, k)), self.bias)
 
     def click_probs(self, session: "SessionState", slate) -> np.ndarray:
-        """The slate's click probabilities, from the last call's state encoding
+        """The slate's click probabilities: row 0 of the block formula, from
+        the last call's state encoding (kept in the block's (1, d, 1) shape)
         while the history and the encoder's arrays are the ones it came from
         (the model is frozen once fitted; `load_into` replaces arrays)."""
         history = session.state.history
@@ -148,8 +147,10 @@ class ResponseModel:
         with ad.no_grad():
             if not (seen and seen[0] == history
                     and all(a is b for a, b in zip(seen[1], arrays))):
-                seen = history, arrays, encode(self.encoder, session.state)
-            probs = ad.sigmoid(self._logits(seen[2], slate)).data.copy()
+                u = encode(self.encoder, session.state)
+                seen = history, arrays, ad.reshape(u, (1, self.cfg.embed_dim, 1))
+            logits = self._block_logits(seen[2], np.asarray([slate]))
+            probs = ad.sigmoid(logits).data[0].copy()
         self._seen = seen  # kept only once the whole call has succeeded
         return probs
 
@@ -271,13 +272,11 @@ def held_out_log_loss(model: ResponseModel, records: list[LogRecord]) -> float:
 
 
 def constant_log_loss(rate: float, records: list[LogRecord]) -> float:
+    """Mean per-item cross-entropy of clicking every item at `rate`."""
     rate = min(max(rate, 1e-12), 1.0 - 1e-12)
-    total, count = 0.0, 0
-    for rec in records:
-        for y in rec.labels:
-            total += -(y * np.log(rate) + (1 - y) * np.log(1.0 - rate))
-            count += 1
-    return total / count
+    clicks = sum(sum(rec.labels) for rec in records)
+    count = sum(len(rec.labels) for rec in records)
+    return -(clicks * np.log(rate) + (count - clicks) * np.log(1.0 - rate)) / count
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ def forward(params: PolicyParams, c0: Tensor, flat: bool = False,
     probs, log_probs, trajectory, c = [], [], [c0], c0
     for lvl, heads in enumerate(zip(params.head_w, params.tok_emb,
                                     params.ln_gain, params.ln_bias)):
-        w, emb, gain, bias = [t.detach() for t in heads] if heads_detached else heads
+        w, emb, gain, bias = [ad.constant(t.data) for t in heads] if heads_detached else heads
         p, log_p = ad.softmax_and_log(ad.matmul(c, ad.transpose(w)))
         log_probs.append(log_p)
         if force_onehot and lvl in force_onehot:

@@ -217,10 +217,7 @@ def rollout(agent: Agent, env: Environment, mode: str,
                               flat=flat)
             seen = session.state.history
         if transitions:
-            # a copy: with an empty history trajectory[0] is the start
-            # parameter itself, which the optimizer updates in place, so a
-            # batch trained on again would otherwise read a moved target
-            transitions[-1].next_contexts = [c.data.copy() for c in out.trajectory]
+            transitions[-1].next_contexts = [c.data for c in out.trajectory]
         slate = select_slate(out, agent.sids, agent.catalog,
                              env.cfg.slate_size, mode, rng_act)
         feedback, reward, nxt, done = env.step(session, slate, rng_env)
@@ -273,9 +270,9 @@ def train_step(agent: Agent, transitions: list[Transition]) -> dict:
             terms["loss_BC"] = ad.dot(ad.constant(per_item), log_probs)
 
     report = {key: float(terms[key].data) if key in terms else 0.0 for key in weights}
-    if not weights["H_en"]:  # reported only: entropy_term's sums on plain arrays
-        report["H_en"] = float(sum((p.data * lp.data).sum() for p, lp in
-                                   zip(out.probs, out.log_probs)) * (1.0 / batch))
+    # entropy_term's sums on plain arrays: the graph term's value when it is built
+    report["H_en"] = float(sum((p.data * lp.data).sum() for p, lp in
+                               zip(out.probs, out.log_probs)) * (1.0 / batch))
     parts = [term if weights[key] == 1.0 else ad.scale(term, weights[key])
              for key, term in terms.items() if weights[key] != 0.0]
     total = reduce(ad.add, parts) if parts else None

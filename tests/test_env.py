@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hsrl.autodiff as ad
 import hsrl.env as env_module
@@ -292,6 +294,39 @@ def _arrays(model):
     return {k: t.data for k, t in model.tensors().items()}
 
 
+def _one_state_logits(model, u, slate):
+    """Reference: logits of the slate's items for the state whose (d,)
+    encoding is `u`, scored as a (k, d) @ (d,) product on their own."""
+    rows = ad.embed(model.encoder.item_emb, list(slate))
+    return ad.add(ad.matmul(rows, u), model.bias)
+
+
+_FUZZ_HISTORY = st.lists(st.tuples(st.integers(0, 29), st.integers(0, 1)),
+                         max_size=12).map(tuple)
+_FUZZ_SLATE = st.lists(st.integers(0, 29), min_size=1, max_size=6)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 3),
+       calls=st.lists(st.tuples(_FUZZ_HISTORY, st.booleans(), _FUZZ_SLATE),
+                      min_size=1, max_size=8))
+def test_click_probs_bytes_equal_the_one_state_formula(seed, calls):
+    # histories of 0-12 items against a window of 10; `again` repeats the
+    # previous history, so the memo's encoding is read back too
+    model = ResponseModel(30, SimFitConfig(embed_dim=8), np.random.default_rng(seed))
+    model.bias.data = np.asarray(0.3)
+    history = ()
+    for fresh, again, slate in calls:
+        history = history if again else fresh
+        state = UserState(history=history)
+        got = model.click_probs(SessionState(0, state, 3, 0), slate)
+        with ad.no_grad():
+            want = ad.sigmoid(_one_state_logits(
+                model, encode(model.encoder, state), slate)).data
+        assert got.shape == (len(slate),)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def _fresh_probs(model, session, slate):
     """click_probs of a new model holding `model`'s parameters."""
     fresh = ResponseModel(model.n_items, model.cfg, np.random.default_rng(0))
@@ -351,8 +386,8 @@ def test_click_probs_reuse_the_encoding_only_while_history_and_parameters_hold(
     # the graph path under gradients still reaches the encoder
     for t in model.tensors().values():
         t.zero_grad()
-    ad.backward(ad.vsum(model._logits(encode(model.encoder, UserState(history=a)),
-                                      [3, 4, 5])))
+    u = ad.reshape(encode(model.encoder, UserState(history=a)), (1, 8, 1))
+    ad.backward(ad.vsum(model._block_logits(u, np.array([[3, 4, 5]]))))
     enc = model.encoder
     assert all(t.grad is not None and t.grad.any() for t in (
         enc.fb_emb, enc.attn_q, enc.attn_k, enc.attn_v, enc.proj_w, enc.proj_b))
@@ -378,7 +413,7 @@ def _record_bce(model, rec):
     """Per-item cross-entropy of one record on its own graph, as the
     simulator was fitted before losses were batched."""
     state = UserState(history=tuple((i, 1) for i in rec.history))
-    logits = model._logits(encode(model.encoder, state), rec.slate)
+    logits = _one_state_logits(model, encode(model.encoder, state), rec.slate)
     labels = ad.constant(np.asarray(rec.labels, dtype=np.float64))
     return ad.sub(ad.softplus(logits), ad.mul(labels, logits))
 

@@ -10,7 +10,7 @@ import pytest
 import hsrl.autodiff as ad
 from hsrl.checkpoint import CHECKPOINT_MAGIC, load_tensors, save_tensors
 from hsrl.critic import CriticConfig
-from hsrl.encoder import UserState, encode_batch
+from hsrl.encoder import UserState, encode, encode_batch, history_arrays
 from hsrl.errors import (ContractError, DataError, FormatError, ShapeError,
                          UnknownItemError)
 from hsrl.policy import (PolicyConfig, PolicyOutput, PolicyParams, _draw, _raw_scores,
@@ -54,9 +54,26 @@ def _manual_output(level_logits):
 
 
 def test_empty_history_zero_profile_is_start_vector():
+    # a new tensor holding the start bytes: the optimizer updates `start` in
+    # place, and an encoding must not move with it
     params = _params()
+    start = params.encoder.start
     c0 = encode_state(params, UserState())
-    assert np.array_equal(c0.data, params.encoder.start.data)
+    assert c0 is not start and not np.shares_memory(c0.data, start.data)
+    assert c0.data.tobytes() == start.data.tobytes()
+
+
+def test_encode_and_encode_batch_name_the_same_first_unknown_item():
+    enc = _params(n_items=5, history_window=2).encoder
+    # item 9 falls out of the window of 2; 7 is the first unknown item left
+    states = [UserState(history=((1, 1),)),
+              UserState(history=((9, 1), (2, 0), (7, 1))),
+              UserState(history=((8, 1),))]
+    for call in (lambda: encode(enc, states[1]), lambda: encode_batch(enc, states),
+                 lambda: history_arrays(enc.cfg, states)):
+        with pytest.raises(UnknownItemError) as caught:
+            call()
+        assert caught.value.args == ("item 7 outside embedding table",)
 
 
 def test_encode_deterministic():

@@ -73,7 +73,7 @@ def _env(model=None, slate_size=2, patience=3, horizon=20):
 
 
 def _empty_history_env(model=None):
-    # user 0 has no logged history: its encoding is the start parameter itself
+    # user 0 has no logged history: its encoding is `0 + start`
     pool = make_user_pool([LogRecord(0, (), (3, 4), (0, 0)),
                            LogRecord(1, (5,), (6, 7), (0, 1))])
     return Environment(model or ScriptedResponse(), pool,
@@ -553,7 +553,8 @@ def test_rollout_forwards_once_per_changed_state(model, monkeypatch):
 
 def test_next_contexts_keep_their_values_after_an_update():
     # nothing is clicked, so user 0's history stays empty and every next
-    # context c_0 it sees is the start parameter, which the update moves
+    # context c_0 it sees holds the start parameter's bytes, which the
+    # update moves
     agent = _agent(seed=41)
     env = _empty_history_env(ScriptedResponse(click_below=0))
     transitions = []
@@ -772,8 +773,8 @@ def test_batched_update_matches_the_per_transition_update(variant):
 
 @pytest.mark.parametrize("variant", TRAIN_VARIANTS)
 def test_recorded_graph_update_matches_reencode_with_an_empty_history(variant):
-    # An empty history encodes to the start parameter itself, so gradients
-    # reach it straight from each such transition's row of the batched
+    # An empty history encodes to `0 + start`, so gradients reach the start
+    # parameter straight from each such transition's row of the batched
     # forward and, except in bc_only, from its critic rows. Three rollout +
     # update rounds: the agent builds one graph per recorded episode, its
     # twin re-encodes every transition alone (the per-transition reference);
