@@ -25,6 +25,7 @@ from .critic import CriticConfig
 from .env import EnvConfig, SimFitConfig, SynthConfig
 from .errors import ConfigError
 from .policy import PolicyConfig
+from .tokenizer import MAX_VOCAB_SIZE
 from .trainer import TrainConfig
 
 _BOOL_VALUES = {"true": True, "yes": True, "1": True, "on": True,
@@ -174,6 +175,9 @@ def _validate(cfg: RunConfig) -> RunConfig:
     for name, value in cfg.values["seeds"].items():
         if value < 0:
             raise ConfigError(f"seeds.{name} must be non-negative")
+    if cfg.values["tokenizer"]["vocab_size"] > MAX_VOCAB_SIZE:
+        raise ConfigError(f"tokenizer.vocab_size must be <= {MAX_VOCAB_SIZE}: the "
+                          f"codebook file stores each token in a uint16 field")
     cfg.synth_config()
     cfg.policy_config(n_items=1)  # its checks do not read the catalog size
     cfg.critic_config()

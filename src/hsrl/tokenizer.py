@@ -22,10 +22,12 @@ from .errors import (DataError, FormatError, ShapeError, UnknownItemError,
 
 KMEANS_MAX_ITERS = 100
 KMEANS_REL_TOL = 1e-6
-# Points per distance block: bounds k-means' (rows, T, d) difference array.
-SQ_DIST_BLOCK_ROWS = 256
+# Points per nearest-centroid block: bounds the (rows, T) screen arrays.
+NEAREST_BLOCK_ROWS = 1024
 
 CODEBOOK_MAGIC = b"HSRLCB1\x00"
+# The codebook file stores each token in a uint16 field.
+MAX_VOCAB_SIZE = 0xFFFF
 
 
 @dataclass
@@ -133,19 +135,66 @@ class CollisionReport:
 # ---------------------------------------------------------------------------
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(N, T) squared Euclidean distances, in blocks of SQ_DIST_BLOCK_ROWS
-    points; each entry takes the same reduction path for any N or block."""
-    starts = range(SQ_DIST_BLOCK_ROWS, len(points), SQ_DIST_BLOCK_ROWS)
-    return np.concatenate([((block[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-                           for block in np.split(points, starts)])
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    """Squared row norms for the screen; past ~1e154 they overflow to inf."""
+    with np.errstate(over="ignore"):
+        return np.einsum("ij,ij->i", a, a)
+
+
+def _screen(points, points_sq, centers, centers_sq) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, T) bounds `lo <= exact <= hi` on the exact distance of every
+    point to every centre, from the GEMM distance |x|^2 + |c|^2 - 2 x.c.
+
+    In any summation order (so under any BLAS kernel) the GEMM distance and
+    the exact formula each lie within about (d + 2) * eps/2 * (|x| + |c|)^2
+    of the true distance, and underflow adds at most a few subnormal units
+    per product; the slack doubles the first bound and adds d + 4 smallest
+    normals. A pair whose screen overflows or turns NaN gets (-inf, inf).
+    """
+    d = points.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        approx = points_sq[:, None] + centers_sq - 2.0 * (points @ centers.T)
+        norms = np.sqrt(points_sq)[:, None] + np.sqrt(centers_sq)
+        slack = (2 * (d + 4) * np.finfo(np.float64).eps) * norms ** 2 \
+            + (d + 4) * np.finfo(np.float64).tiny
+        lo, hi = approx - slack, approx + slack
+    unbounded = ~(np.isfinite(lo) & np.isfinite(hi))
+    lo[unbounded], hi[unbounded] = -np.inf, np.inf
+    return lo, hi
+
+
+def _nearest(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's nearest centre (ties to the lowest index) and its
+    squared distance `((x - c) ** 2).sum(axis=-1)`, bitwise.
+
+    In blocks of NEAREST_BLOCK_ROWS points, `_screen` drops every centre
+    whose lower bound exceeds the least upper bound of its row; only the
+    pairs left take the exact formula, so no (rows, T, d) array is built.
+    """
+    t = len(centers)
+    labels = np.empty(len(points), dtype=np.int64)
+    min_d2 = np.empty(len(points))
+    centers_sq = _sq_norms(centers)
+    for start in range(0, len(points), NEAREST_BLOCK_ROWS):
+        block = points[start:start + NEAREST_BLOCK_ROWS]
+        lo, hi = _screen(block, _sq_norms(block), centers, centers_sq)
+        rows, cols = np.nonzero(lo <= hi.min(axis=1, keepdims=True))
+        exact = ((block[rows] - centers[cols]) ** 2).sum(axis=-1)
+        firsts = np.searchsorted(rows, np.arange(len(block)))  # every row has one
+        best = np.minimum.reduceat(exact, firsts)
+        stop = start + len(block)
+        min_d2[start:stop] = best
+        labels[start:stop] = np.minimum.reduceat(
+            np.where(exact == best[rows], cols, t), firsts)
+    return labels, min_d2
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]), dtype=np.float64)
     centers[0] = points[rng.integers(n)]
-    d2 = _sq_dists(points, centers[:1]).min(axis=1)
+    d2 = ((points - centers[0]) ** 2).sum(axis=-1)
+    points_sq = _sq_norms(points)
     for j in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -153,7 +202,10 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         else:
             idx = rng.integers(n)  # all points coincide with chosen centers
         centers[j] = points[idx]
-        d2 = np.minimum(d2, _sq_dists(points, centers[j:j + 1]).min(axis=1))
+        # Only a point the new centre may bring closer takes the exact formula.
+        lo, _ = _screen(points, points_sq, centers[j:j + 1], _sq_norms(centers[j:j + 1]))
+        rows = np.flatnonzero(lo[:, 0] < d2)
+        d2[rows] = np.minimum(d2[rows], ((points[rows] - centers[j]) ** 2).sum(axis=-1))
     return centers
 
 
@@ -162,9 +214,8 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     centers = _kmeanspp_init(points, k, rng)
     prev_inertia = np.inf
     for _ in range(KMEANS_MAX_ITERS):
-        d2 = _sq_dists(points, centers)
-        labels = d2.argmin(axis=1)
-        inertia = d2[np.arange(len(points)), labels].sum()
+        labels, d2 = _nearest(points, centers)
+        inertia = d2.sum()
         new_centers = np.empty_like(centers)
         empty = []
         for j in range(k):
@@ -176,7 +227,7 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
         if empty:
             # Reseed empty clusters at the points farthest from their
             # assigned centroid (deterministic: distance order, then index).
-            order = np.argsort(-d2[np.arange(len(points)), labels], kind="stable")
+            order = np.argsort(-d2, kind="stable")
             for slot, j in enumerate(empty):
                 new_centers[j] = points[order[slot]]
             centers = new_centers
@@ -194,8 +245,8 @@ def _canonical_order(centers: np.ndarray) -> np.ndarray:
 
 
 def _assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Nearest-centroid tokens; argmin resolves ties to the lowest index."""
-    return _sq_dists(points, centers).argmin(axis=1)
+    """Nearest-centroid tokens; ties resolve to the lowest index."""
+    return _nearest(points, centers)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +284,7 @@ def fit_codebook(items: ItemEmbeddings, vocab_sizes: tuple[int, ...],
         tokens[order, lvl] = labels
         learn -= centers[labels]
 
-    index = SidIndex({int(i): tuple(int(z) for z in tokens[row])
-                      for row, i in enumerate(items.ids)})
+    index = SidIndex(dict(zip(items.ids.tolist(), map(tuple, tokens.tolist()))))
     return book, index
 
 

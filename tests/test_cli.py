@@ -703,7 +703,7 @@ def test_bad_config_value_rejected(tmp_path, capsys, text, code):
 
 @pytest.mark.parametrize("command", ["train", "tokenize"])
 @pytest.mark.parametrize("text", ["levels = 0", "levels = -1", "vocab_size = 0",
-                                  "vocab_sizes = 4,4"])
+                                  "vocab_size = 65536", "vocab_sizes = 4,4"])
 def test_bad_tokenizer_size_fails_at_load(tmp_path, capsys, command, text):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(f"[tokenizer]\n{text}\n")

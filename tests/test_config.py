@@ -100,6 +100,16 @@ def test_removed_keys_are_unknown(tmp_path, section, key):
         load_config(path)
 
 
+def test_vocab_size_past_uint16_token_field_rejected(tmp_path):
+    # the codebook file stores tokens as uint16: 65535 tokens fit, 65536 do not
+    path = tmp_path / "run.ini"
+    path.write_text("[tokenizer]\nvocab_size = 65535\n")
+    assert load_config(path)["tokenizer"]["vocab_size"] == 65535
+    path.write_text("[tokenizer]\nvocab_size = 65536\n")
+    with pytest.raises(ConfigError, match="vocab_size must be <= 65535.*uint16"):
+        load_config(path)
+
+
 # ---------------------------------------------------------------------------
 # generated configs
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hsrl
 import hsrl.autodiff as ad
 import hsrl.env as env_module
 from hsrl.checkpoint import load_into
@@ -785,3 +791,30 @@ def test_shuffled_embeddings_file_gives_same_item_tables(tmp_path):
         tables.append((sim.encoder.item_emb.data, policy.encoder.item_emb.data))
     for a, b in zip(*tables):
         assert np.array_equal(a, b)
+
+
+# A fresh process fits both simulators for one epoch twice and prints the
+# minor page faults of the second fit.
+REFIT_FAULTS = """
+import resource
+from hsrl.env import SimFitConfig, SynthConfig, fit_simulators, generate_synthetic
+
+synth = generate_synthetic(SynthConfig(), [11, 100])
+fit = lambda: fit_simulators(synth.records, 300, SimFitConfig(epochs=1), 11,
+                             synth.items.vectors)
+fit()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+fit()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc page faults")
+def test_second_simulator_fit_reuses_freed_heap():
+    # importing hsrl pins glibc's trim and mmap thresholds; with glibc's
+    # defaults every training step faults its freed memory back in (about
+    # 25k faults here)
+    env = {**os.environ, "PYTHONPATH": str(Path(hsrl.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", REFIT_FAULTS], env=env,
+                         capture_output=True, text=True, check=True)
+    assert int(run.stdout) < 1000

@@ -2,7 +2,9 @@
 `fit-sim`, `train`, `eval`, `ablate` and `sweep` on the tiny test configs
 must hash to the sha256 recorded in `golden_digests.json`, and so must
 the tensors of the two simulators that criterion 6 fits (`SIMULATORS`):
-six epochs of full batches, which the tiny configs barely reach.
+six epochs of full batches, which the tiny configs barely reach, and
+the centroids and SID matrix of the 5000-item benchmark codebook
+(`CATALOG_CODEBOOK`), whose 64-token levels the tiny configs never fit.
 
 Bitwise results hold only for one Python, numpy and BLAS build, one
 OpenBLAS core (the kernel set it picks for the CPU at run time, "unknown"
@@ -37,6 +39,7 @@ import hsrl
 from hsrl.cli import main
 from hsrl.config import _blas_build, _blas_core
 from hsrl.env import SimFitConfig, SynthConfig, fit_simulators, generate_synthetic
+from hsrl.tokenizer import fit_codebook
 
 from test_cli import BASE_CONFIG
 
@@ -60,6 +63,10 @@ RUNS = [
 # Digest key of criterion 6's simulators: synthetic data seeded [11, 100],
 # both simulators fitted at seed 11 on the 300-item catalog.
 SIMULATORS = "criterion6/simulators"
+# Digest key of the `catalog_5k` benchmark codebook: 5000 items in 32
+# clusters, dim 32, synthetic data seeded [11, 100], vocab (64, 64, 64)
+# fitted at tokenizer seed 7.
+CATALOG_CODEBOOK = "catalog/codebook"
 
 
 # set-up name -> environment variables of the child process that runs it
@@ -92,16 +99,29 @@ def simulators_digest() -> str:
     return digest.hexdigest()
 
 
+def catalog_codebook_digest() -> str:
+    """sha256 over the centroids and SID matrix of the `catalog_5k` codebook."""
+    synth = generate_synthetic(SynthConfig(n_items=5000, n_clusters=32, dim=32), [11, 100])
+    book, index = fit_codebook(synth.items, (64, 64, 64), 7)
+    digest = hashlib.sha256()
+    for centers in book.centroids:
+        digest.update(centers.tobytes())
+    digest.update(index.sid_matrix(synth.items.ids).tobytes())
+    return digest.hexdigest()
+
+
 def output_digests() -> dict[str, str]:
     """Run every command of RUNS in the working directory; sha256 of each
-    output file, keyed by its relative path, and `SIMULATORS`'s digest."""
+    output file, keyed by its relative path, and the digests of `SIMULATORS`
+    and `CATALOG_CODEBOOK`."""
     for out, command, config, extra in RUNS:
         Path(f"{out}.ini").write_text(config)
         assert main([command, "--config", f"{out}.ini", "--out", out, *extra]) == 0, out
     digests = {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
                for out, *_ in RUNS for p in sorted(Path(out).iterdir())
                if p.name != "manifest.json"}
-    return {**digests, SIMULATORS: simulators_digest()}
+    return {**digests, SIMULATORS: simulators_digest(),
+            CATALOG_CODEBOOK: catalog_codebook_digest()}
 
 
 def child_env(setup: str) -> dict[str, str]:

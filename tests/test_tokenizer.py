@@ -2,12 +2,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsrl.errors import DataError, FormatError, VocabTooLargeError
-from hsrl.tokenizer import (CODEBOOK_MAGIC, SQ_DIST_BLOCK_ROWS, ItemEmbeddings,
-                            SidIndex, _assign, _sq_dists, collision_report,
-                            fit_codebook, load_codebook, load_embeddings,
-                            save_codebook, save_embeddings)
+from hsrl.tokenizer import (CODEBOOK_MAGIC, NEAREST_BLOCK_ROWS, ItemEmbeddings,
+                            SidIndex, _assign, _kmeanspp_init, _nearest,
+                            collision_report, fit_codebook, load_codebook,
+                            load_embeddings, save_codebook, save_embeddings)
 
 
 def _random_items(n=60, d=4, seed=5):
@@ -116,13 +118,106 @@ def test_centroids_canonically_sorted():
 # ---------------------------------------------------------------------------
 
 
+def _bruteforce_nearest(points, centers):
+    """Labels and distances of the full (N, T, d) difference formula, with
+    argmin's lowest-index ties."""
+    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    labels = d2.argmin(axis=1)
+    return labels, d2[np.arange(len(points)), labels]
+
+
+def _assert_nearest_bitwise(points, centers):
+    labels, min_d2 = _nearest(points, centers)
+    want_labels, want_d2 = _bruteforce_nearest(points, centers)
+    assert np.array_equal(labels, want_labels)
+    assert np.array_equal(min_d2.view(np.int64), want_d2.view(np.int64))
+    assert np.array_equal(_assign(points, centers), want_labels)
+
+
 @pytest.mark.parametrize("dim", [5, 32])
-def test_blocked_sq_dists_equal_one_block_formula(dim):
+def test_blocked_nearest_equal_one_block_formula(dim):
     rng = np.random.default_rng(dim)
-    points = rng.normal(size=(2 * SQ_DIST_BLOCK_ROWS + 37, dim))
+    points = rng.normal(size=(2 * NEAREST_BLOCK_ROWS + 37, dim))
     centers = rng.normal(size=(9, dim))
-    one_block = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    assert np.array_equal(_sq_dists(points, centers), one_block)
+    _assert_nearest_bitwise(points, centers)
+
+
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+@st.composite
+def nearest_cases(draw):
+    """(points, centres) of one kind: Gaussian at scales 1e-150..1e150, a
+    small integer grid (ties), duplicated centres with points on them, a
+    cloud far from the origin (the GEMM distance cancels), subnormal
+    distances, or coordinates near 1e154, where the screen overflows but
+    the exact formula does not."""
+    kind = draw(st.sampled_from(["scaled", "grid", "duplicates", "offset",
+                                 "subnormal", "huge"]))
+    d, n, t = draw(st.integers(1, 64)), draw(st.integers(1, 80)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.floats(-150, 150))
+    if kind == "scaled":
+        return rng.normal(size=(n, d)) * scale, rng.normal(size=(t, d)) * scale
+    if kind == "grid":
+        return (rng.integers(-2, 3, size=(n, d)) * scale,
+                rng.integers(-2, 3, size=(t, d)) * scale)
+    if kind == "duplicates":
+        centers = (rng.normal(size=(t, d)) * scale)[rng.integers(t, size=t)]
+        return (np.concatenate([centers[rng.integers(t, size=n)],
+                                rng.normal(size=(n, d)) * scale]), centers)
+    if kind == "offset":
+        offset = rng.normal(size=d) * 10.0 ** draw(st.floats(0, 7))
+        return (offset + rng.normal(size=(n, d)) * 1e-3,
+                offset + rng.normal(size=(t, d)) * 1e-3)
+    if kind == "subnormal":
+        tiny = 10.0 ** draw(st.floats(-170, -155))
+        return rng.normal(size=(n, d)) * tiny, rng.normal(size=(t, d)) * tiny
+    spread = 1e152 / np.sqrt(d)
+    return (1e154 + rng.normal(size=(n, d)) * spread,
+            1e154 + rng.normal(size=(t, d)) * spread)
+
+
+@FUZZ
+@given(case=nearest_cases())
+def test_nearest_and_assign_bitwise_equal_bruteforce(case):
+    # the screen's own overflow stays inside it: Tier-1 turns any
+    # RuntimeWarning into an error
+    _assert_nearest_bitwise(*case)
+
+
+def _bruteforce_kmeanspp(points, k, rng):
+    """k-means++ seeding that updates every point's distance each round
+    through the full difference formula."""
+    n = len(points)
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = ((points[:, None, :] - centers[None, :1, :]) ** 2).sum(axis=2).min(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        idx = rng.choice(n, p=d2 / total) if total > 0.0 else rng.integers(n)
+        centers[j] = points[idx]
+        d2 = np.minimum(
+            d2, ((points[:, None, :] - centers[None, j:j + 1, :]) ** 2).sum(axis=2).min(axis=1))
+    return centers
+
+
+@pytest.mark.parametrize("case", ["random", "duplicated", "offset"])
+def test_kmeanspp_init_draws_as_bruteforce_seeding(case):
+    # duplicated: 6 distinct rows for 10 centres, so the draws also reach
+    # the all-zero-distance branch; offset: a cloud far from the origin,
+    # where the screen's slack is wider than the distances themselves
+    rng = np.random.default_rng(3)
+    points = rng.normal(size=(300, 7)) * 3.0
+    if case == "duplicated":
+        points = points[rng.integers(6, size=300)]
+    if case == "offset":
+        points = 1e6 + points * 1e-4
+    for seed in range(5):
+        screened, full = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _kmeanspp_init(points, 10, screened)
+        assert got.tobytes() == _bruteforce_kmeanspp(points, 10, full).tobytes()
+        assert screened.bit_generator.state == full.bit_generator.state
 
 
 def test_assign_exact_centroid_match():
