@@ -19,21 +19,21 @@ either way. Tensors keep no optimizer state: what the rows are used for is
 `optim`'s choice. `matmul`, `mul` and `dot` skip gradients nothing requires.
 
 All data is float64. A primitive producing a NaN or Inf raises
-NumericsError at once rather than letting poison propagate; two regimes
-find it. With gradients, each new tensor and each gradient reaching a
-parameter is scanned: NaN and +-Inf always carry through a sum, so a finite
-sum proves every entry finite, and only a sum that is not finite (finite
-entries may overflow it) falls back to testing each entry. Under `no_grad`
-no node is scanned: the block runs with numpy's overflow, invalid and
-divide-by-zero errors raising (underflow stays silent: masked attention
-scores underflow by design), and IEEE 754 flags those at the operation
-that turns finite operands into a NaN or Inf. That holds given that every
-tensor entering the block is finite: leaves are scanned, and neither the
-optimizer nor `checkpoint.load_into` writes a non-finite parameter; a NaN
-or Inf written straight into `.data` is outside the contract (`tanh` and
-`sigmoid` saturate an Inf). The flags are stricter where an op overflows
-inside but returns finite values: `layer_norm([1e160, -1e160, 3])` gives
-zeros with gradients and raises under `no_grad`.
+NumericsError at once rather than letting poison propagate. No node is
+scanned: every graph is built, differentiated and stepped inside
+`checked()` (`no_grad` is `checked()` plus the grad switch), which runs
+with numpy's overflow, invalid and divide-by-zero errors raising
+(underflow stays silent: masked attention scores underflow by design), and
+IEEE 754 flags those at the operation that turns finite operands into a
+NaN or Inf, `backward`'s products included. That holds given that every
+tensor entering a block is finite, so data is scanned where it enters: each
+`Tensor`, `parameter` and `constant`, and each gradient reaching a
+parameter. NaN and +-Inf always carry through a sum, so a finite sum proves
+every entry finite, and only a sum that is not finite (finite entries may
+overflow it) falls back to testing each entry. Neither the optimizer nor
+`checkpoint.load_into` writes a non-finite parameter; a NaN or Inf written
+straight into `.data` is outside the contract (`tanh` and `sigmoid`
+saturate an Inf), and so is a graph built outside a block.
 """
 
 from __future__ import annotations
@@ -52,18 +52,25 @@ _GRAD_ENABLED = True
 
 
 @contextmanager
-def no_grad():
-    """Disable graph recording inside the block (evaluation/rollout path),
-    where IEEE flags stand in for scanning each node (module docstring);
-    the caller's numpy error state is restored on every exit."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+def checked(what: str = "NaN/Inf in a tape op"):
+    """Run the block, or each call it decorates, in the tape's error state
+    (module docstring); the caller's state is restored on every exit."""
     try:
         with np.errstate(all="raise", under="ignore"):
             yield
     except FloatingPointError as exc:
-        raise NumericsError(f"NaN/Inf under no_grad: {exc}") from None
+        raise NumericsError(f"{what}: {exc}") from None
+
+
+@contextmanager
+def no_grad():
+    """Disable graph recording inside a `checked()` block (eval, rollouts)."""
+    global _GRAD_ENABLED
+    prev = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        with checked():
+            yield
     finally:
         _GRAD_ENABLED = prev
 
@@ -121,12 +128,11 @@ def constant(data) -> Tensor:
 
 
 def _node(data, parents, backward_fn) -> Tensor:
-    if not _GRAD_ENABLED:  # no_grad's flags checked the arithmetic
-        return Tensor(data, _scan=False)
-    for p in parents:
-        if p.requires_grad:
-            return Tensor(data, True, parents, backward_fn)
-    return Tensor(data)
+    if _GRAD_ENABLED:  # either way, `checked()`'s flags check the arithmetic
+        for p in parents:
+            if p.requires_grad:
+                return Tensor(data, True, parents, backward_fn, _scan=False)
+    return Tensor(data, _scan=False)
 
 
 class Rows:

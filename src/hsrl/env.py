@@ -204,6 +204,7 @@ def _batch_loss(model: ResponseModel, batch) -> Tensor:
     return ad.vsum(ad.mul(_slate_bce(model, batch), ad.constant(weights)))
 
 
+@ad.checked()
 def fit_response_model(records: list[LogRecord], n_items: int,
                        cfg: SimFitConfig, seed,
                        item_features: np.ndarray | None = None) -> ResponseModel:

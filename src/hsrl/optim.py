@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .autodiff import Tensor, all_finite
+from .autodiff import Tensor, all_finite, checked
 from .errors import NumericsError
 
 BETA1, BETA2 = 0.9, 0.999  # decay rates of the first and second moments
@@ -26,10 +26,10 @@ class Optimizer:
     zero gradients is a no-op regardless of accumulated moment state.
 
     Then every stepping parameter's new moments and value are computed
-    under raising numpy errors, and only once all are computed are they
-    written, with the reached-rows masks and `step_count`. A step that
-    would make a NaN or Inf raises NumericsError and leaves every
-    parameter, moment, mask and `step_count` as it was.
+    in the tape's error state (`autodiff.checked`), and only once all are
+    computed are they written, with the reached-rows masks and
+    `step_count`. A step that would make a NaN or Inf raises NumericsError
+    and leaves every parameter, moment, mask and `step_count` as it was.
 
     Every parameter with an axis starts on the row path: it updates only
     the rows some gradient has ever reached. That is exact: a row never
@@ -76,18 +76,15 @@ class Optimizer:
         c1, c2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
         # compute every new moment and value before writing any
         new = []
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                for p, m, v in plan:
-                    w, g, (rows, mask) = p.data, p.grad, self._reach(p)
-                    if rows is not None:  # gather the reached rows
-                        w, m, v, g = (x.take(rows, axis=0) for x in (w, m, v, g))
-                    m = m * BETA1 + g * (1.0 - BETA1)
-                    v = v * BETA2 + (g * (1.0 - BETA2)) * g
-                    w = w - ((m / c1) * self.lr) / (np.sqrt(v / c2) + EPS)
-                    new.append((rows, mask, m, v, w))
-        except FloatingPointError as exc:
-            raise NumericsError(f"Adam step overflows ({exc}); step aborted") from None
+        with checked("Adam step overflows; step aborted"):
+            for p, m, v in plan:
+                w, g, (rows, mask) = p.data, p.grad, self._reach(p)
+                if rows is not None:  # gather the reached rows
+                    w, m, v, g = (x.take(rows, axis=0) for x in (w, m, v, g))
+                m = m * BETA1 + g * (1.0 - BETA1)
+                v = v * BETA2 + (g * (1.0 - BETA2)) * g
+                w = w - ((m / c1) * self.lr) / (np.sqrt(v / c2) + EPS)
+                new.append((rows, mask, m, v, w))
         for (p, m, v), (rows, mask, *values) in zip(plan, new):
             for whole, part in zip((m, v, p.data), values):
                 whole[... if rows is None else rows] = part

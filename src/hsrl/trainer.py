@@ -228,6 +228,7 @@ def rollout(agent: Agent, env: Environment, mode: str,
                                        depth=len(transitions))
 
 
+@ad.checked()
 def train_step(agent: Agent, transitions: list[Transition]) -> dict:
     """One joint update on a batch of transitions, through one graph; returns
     the loss report. Each loss is the batch mean of its per-transition term."""

@@ -422,10 +422,6 @@ def test_finite_check_finds_one_bad_entry_anywhere(base, where, bad):
         for make in (ad.constant, ad.parameter):
             with pytest.raises(NumericsError):
                 make(poisoned)
-        x = ad.parameter(base)
-        x.data[...] = poisoned  # bypass the check to poison a primitive's input
-        with pytest.raises(NumericsError):
-            ad.scale(x, 1.0)
 
 
 @pytest.mark.parametrize("data", [[1e308, 1e308], [-1e308, -1e308],
@@ -449,8 +445,8 @@ def test_finite_check_accepts_a_sum_that_overflows(data):
 def test_nan_inputs_rejected():
     with pytest.raises(NumericsError):
         ad.Tensor([np.nan, 1.0])
-    with pytest.raises(NumericsError), np.errstate(over="ignore"):
-        ad.scale(ad.constant([1e308]), 10.0)  # output overflows to Inf
+    with pytest.raises(NumericsError), ad.checked():
+        ad.scale(ad.parameter([1e308]), 10.0)  # output overflows to Inf
 
 
 def test_no_grad_suppresses_graph():
@@ -460,28 +456,30 @@ def test_no_grad_suppresses_graph():
     assert not out.requires_grad
 
 
-# Primitives on finite inputs built from one large entry `x` (|x| >= 1e308)
-# whose arithmetic overflows; see the module docstring's no_grad contract.
-C = ad.constant
+# Primitives on finite leaves, made by `C`, built from one large entry `x`
+# (|x| >= 1e308) whose arithmetic overflows; see the module docstring.
 OVERFLOWS = {
-    "add": lambda x: ad.add(C([x, 1.0]), C([x, 2.0])),
-    "add_row": lambda x: ad.add(C([[1.0, x]]), C([0.0, x])),
-    "sub": lambda x: ad.sub(C([x]), C([-x])),
-    "mul": lambda x: ad.mul(C([x, 3.0]), C([x, 3.0])),
-    "scale": lambda x: ad.scale(C([2.0, x]), 10.0),
-    "shift": lambda x: ad.shift(C(x), x),
-    "vsum": lambda x: ad.vsum(C([x, 0.5, x])),
-    "vmean": lambda x: ad.vmean(C([x, x])),
-    "vmean_axis": lambda x: ad.vmean(C([[x], [x]]), axis=0),
-    "dot": lambda x: ad.dot(C([x, x]), C([1.0, 1.0])),
-    "matmul": lambda x: ad.matmul(C([[x, 2.0]]), C([[x], [1.0]])),
-    "softmax": lambda x: ad.softmax(C([x, -x])),
-    "softmax_and_log": lambda x: ad.softmax_and_log(C([[0.0, 1.0], [x, -x]])),
-    "layer_norm": lambda x: ad.layer_norm(C([x, -x, 3.0]), C(np.ones(3)), C(np.zeros(3))),
-    "tanh_of_scale": lambda x: ad.tanh(ad.scale(C([x]), 1e308)),
-    "sigmoid_of_mul": lambda x: ad.sigmoid(ad.mul(C([x]), C([x]))),
-    "softplus_of_add": lambda x: ad.softplus(ad.add(C([x]), C([x]))),
+    "add": lambda x, C: ad.add(C([x, 1.0]), C([x, 2.0])),
+    "add_row": lambda x, C: ad.add(C([[1.0, x]]), C([0.0, x])),
+    "sub": lambda x, C: ad.sub(C([x]), C([-x])),
+    "mul": lambda x, C: ad.mul(C([x, 3.0]), C([x, 3.0])),
+    "scale": lambda x, C: ad.scale(C([2.0, x]), 10.0),
+    "shift": lambda x, C: ad.shift(C(x), x),
+    "vsum": lambda x, C: ad.vsum(C([x, 0.5, x])),
+    "vmean": lambda x, C: ad.vmean(C([x, x])),
+    "vmean_axis": lambda x, C: ad.vmean(C([[x], [x]]), axis=0),
+    "dot": lambda x, C: ad.dot(C([x, x]), C([1.0, 1.0])),
+    "matmul": lambda x, C: ad.matmul(C([[x, 2.0]]), C([[x], [1.0]])),
+    "softmax": lambda x, C: ad.softmax(C([x, -x])),
+    "softmax_and_log": lambda x, C: ad.softmax_and_log(C([[0.0, 1.0], [x, -x]])),
+    "layer_norm": lambda x, C: ad.layer_norm(C([x, -x, 3.0]), C(np.ones(3)), C(np.zeros(3))),
+    "tanh_of_scale": lambda x, C: ad.tanh(ad.scale(C([x]), 1e308)),
+    "sigmoid_of_mul": lambda x, C: ad.sigmoid(ad.mul(C([x]), C([x]))),
+    "softplus_of_add": lambda x, C: ad.softplus(ad.add(C([x]), C([x]))),
 }
+# Each block the tape runs in, with the leaves that make a graph in it: under
+# `checked()` alone, gradients are recorded.
+BLOCKS = [(ad.no_grad, ad.constant), (ad.checked, ad.parameter)]
 
 
 @pytest.mark.parametrize("op", sorted(OVERFLOWS))
@@ -490,53 +488,57 @@ OVERFLOWS = {
 def test_no_grad_raises_numerics_error_where_finite_inputs_overflow(op, x, sign):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning fails the test
-        with pytest.raises(NumericsError, match="under no_grad"), ad.no_grad():
-            OVERFLOWS[op](sign * x)
+        for block, leaf in BLOCKS:
+            with pytest.raises(NumericsError, match="NaN/Inf in a tape op"), block():
+                OVERFLOWS[op](sign * x, leaf)
 
 
 def test_no_grad_raises_on_an_overflow_that_tanh_would_mask():
-    x = ad.constant([1e308, 1.0])
-    with pytest.raises(NumericsError), ad.no_grad():
-        ad.tanh(ad.scale(x, 1e308))
+    for block, leaf in BLOCKS:
+        with pytest.raises(NumericsError), block():
+            ad.tanh(ad.scale(leaf([1e308, 1.0]), 1e308))
 
 
 def test_no_grad_ignores_underflow_whatever_the_callers_state():
-    with np.errstate(under="raise"), ad.no_grad():
-        out = ad.softmax(ad.constant([0.0, -1e9]))  # exp(-1e9) underflows to 0
-    assert np.array_equal(out.data, [1.0, 0.0])
+    for block, leaf in BLOCKS:
+        with np.errstate(under="raise"), block():
+            out = ad.softmax(leaf([0.0, -1e9]))  # exp(-1e9) underflows to 0
+        assert np.array_equal(out.data, [1.0, 0.0])
 
 
 def test_no_grad_is_stricter_than_the_scan_on_an_internal_overflow():
-    args = ad.constant([1e160, -1e160, 3.0]), ad.constant(np.ones(3)), ad.constant(np.zeros(3))
-    with np.errstate(over="ignore"):
-        assert np.array_equal(ad.layer_norm(*args).data, np.zeros(3))
-    with pytest.raises(NumericsError), ad.no_grad():
-        ad.layer_norm(*args)
+    # the op overflows inside but returns finite values (zeros), which no
+    # scan of its output would find: the flags raise in both blocks
+    for block, leaf in BLOCKS:
+        args = leaf([1e160, -1e160, 3.0]), leaf(np.ones(3)), leaf(np.zeros(3))
+        with pytest.raises(NumericsError, match="overflow"), block():
+            ad.layer_norm(*args)
 
 
 def test_no_grad_restores_the_callers_error_state():
-    with np.errstate(over="warn", invalid="ignore", divide="print", under="raise"):
-        caller = np.geterr()
-        with ad.no_grad():
-            inside = np.geterr()
-            assert inside == {"over": "raise", "invalid": "raise", "divide": "raise",
-                              "under": "ignore"}
-        assert np.geterr() == caller
-        with pytest.raises(NumericsError), ad.no_grad():
-            ad.scale(ad.constant([1e308]), 10.0)
-        assert np.geterr() == caller
-        with pytest.raises(KeyError), ad.no_grad():
-            raise KeyError("not numerics")
-        assert np.geterr() == caller
-        with ad.no_grad():
-            with pytest.raises(NumericsError), ad.no_grad():
-                ad.scale(ad.constant([1e308]), 10.0)
-            assert np.geterr() == inside
-            with ad.no_grad():
-                pass
-            assert np.geterr() == inside
-        assert np.geterr() == caller
-    assert ad._GRAD_ENABLED
+    for block, leaf in BLOCKS:
+        with np.errstate(over="warn", invalid="ignore", divide="print", under="raise"):
+            caller = np.geterr()
+            with block():
+                inside = np.geterr()
+                assert inside == {"over": "raise", "invalid": "raise", "divide": "raise",
+                                  "under": "ignore"}
+            assert np.geterr() == caller
+            with pytest.raises(NumericsError), block():
+                ad.scale(leaf([1e308]), 10.0)
+            assert np.geterr() == caller
+            with pytest.raises(KeyError), block():
+                raise KeyError("not numerics")
+            assert np.geterr() == caller
+            with block():
+                with pytest.raises(NumericsError), block():
+                    ad.scale(leaf([1e308]), 10.0)
+                assert np.geterr() == inside
+                with block():
+                    pass
+                assert np.geterr() == inside
+            assert np.geterr() == caller
+        assert ad._GRAD_ENABLED
 
 
 def test_no_grad_nodes_skip_the_scan_but_keep_node_ids_and_float64():
@@ -992,6 +994,16 @@ def test_opt_second_moment_overflow_raises_instead_of_freezing_the_entry():
     w.grad = np.array([1.0, 1.0])
     opt.step()
     assert w.data[0] == w.data[1] < 1.0 and np.isfinite(opt._v[0]).all()  # both moved
+
+
+def test_opt_step_ignores_underflow_whatever_the_callers_state():
+    # g^2 (1 - b2) underflows v[0] to 0, which is no error: both entries step
+    w = ad.Tensor([0.0, 0.0], requires_grad=True)
+    opt = Optimizer([w], lr=0.1)
+    w.grad = np.array([1e-200, 1.0])
+    with np.errstate(under="raise"):
+        opt.step()
+    assert (w.data < 0.0).all() and opt.step_count == 1
 
 
 def _adam_formula(m, v, w, g, t, lr):

@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from hsrl import autodiff as ad
 from hsrl import env as env_mod
 from hsrl import tokenizer as tok_mod
 from hsrl.checkpoint import CHECKPOINT_MAGIC, load_tensors, save_tensors
@@ -164,6 +165,25 @@ def test_train_rerun_bitwise_identical(tmp_path, config_path):
     assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
     assert (out1 / "agent.ckpt").read_bytes() == (out2 / "agent.ckpt").read_bytes()
     assert (out1 / "eval_metrics.csv").read_bytes() == (out2 / "eval_metrics.csv").read_bytes()
+
+
+def test_train_records_every_gradient_under_raising_flags(tmp_path, config_path,
+                                                        monkeypatch):
+    # no graph that records a gradient, the simulator fits' included, is
+    # built outside `autodiff.checked()`: its flags stand in for a node scan
+    states = []
+    real_node = ad._node
+
+    def node(data, parents, backward_fn):
+        out = real_node(data, parents, backward_fn)
+        if out.requires_grad:
+            states.append(np.geterr())
+        return out
+
+    monkeypatch.setattr(ad, "_node", node)
+    assert _run("train", "--config", config_path, "--out", tmp_path / "train") == 0
+    loose = [s for s in states if {s["over"], s["invalid"], s["divide"]} != {"raise"}]
+    assert states and not loose, f"{len(loose)} of {len(states)} nodes unchecked"
 
 
 def test_train_seed_override_changes_outputs(tmp_path, config_path):

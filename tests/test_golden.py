@@ -173,32 +173,58 @@ def test_outputs_match_golden_digests_under_other_kernels(setup, tmp_path):
     assert not changed, f"{setup}: outputs differ from the golden digests: {changed}"
 
 
-# The product shapes of the no-grad passes: 1-D@2-D, 2-D@1-D, 2-D@2-D, a
+# The product shapes of the tape's passes: 1-D@2-D, 2-D@1-D, 2-D@2-D, a
 # stacked (B,T,k)@(k,n) and a batched (B,T,k)@(B,k,T).
 PRODUCTS = [((16,), (16, 16)), ((16, 16), (16,)), ((10, 16), (16, 64)),
             ((32, 10, 16), (16, 16)), ((32, 10, 16), (32, 16, 10))]
 
-# Under no_grad every product whose arithmetic overflows must raise
-# NumericsError: one where each term overflows (1e200 * 1e200) and one where
-# each term fits but their sum does not (1e154 * 1e154, k >= 2 terms); a
-# product of normal values must raise nothing. Prints the shapes that fail.
+# Under no_grad, and in grad mode under `checked()` with one operand a
+# parameter, every product whose arithmetic overflows must raise
+# NumericsError from the flags: one where each term overflows (1e200 *
+# 1e200) and one where each term fits but their sum does not (1e154 *
+# 1e154, k >= 2 terms). So must `backward`'s product for a finite graph
+# whose gradient overflows: the loss scales the product by `fill`, and the
+# parameter is the operand whose gradient then sums `fill * fill` over
+# k >= 2 terms. Products of normal values, and their backward, must raise
+# nothing. Prints the cases that fail.
 FLAG_CHECK = f"""
 import numpy as np
 import hsrl.autodiff as ad
 from hsrl.errors import NumericsError
 
+def overflows(block, run):
+    try:
+        with block():
+            run()
+    except NumericsError as exc:
+        return "overflow encountered" in str(exc)
+    return False
+
 failed = []
+rng = np.random.default_rng(0)
 for a, b in {PRODUCTS!r}:
+    side = int(len(b) == 1)  # the parameter's side
+    shapes = (a, b)[side], (a, b)[1 - side]
+
+    def product(p, c):
+        p, c = ad.parameter(np.full(shapes[0], p)), ad.constant(np.full(shapes[1], c))
+        return ad.matmul(c, p) if side else ad.matmul(p, c)
+
+    def backward(p, c, fill):
+        ad.backward(ad.vsum(ad.scale(product(p, c), fill)))
+
     for fill in (1e200, 1e154):
-        try:
-            with ad.no_grad():
-                ad.matmul(ad.constant(np.full(a, fill)), ad.constant(np.full(b, -fill)))
-            failed.append((a, b, fill))
-        except NumericsError:
-            pass
-    rng = np.random.default_rng(0)
+        for case, block, run in (
+                ("no_grad", ad.no_grad, lambda: product(fill, -fill)),
+                ("checked", ad.checked, lambda: product(fill, -fill)),
+                ("backward", ad.checked, lambda: backward(1 / fill, fill, fill))):
+            if not overflows(block, run):
+                failed.append((a, b, fill, case))
+    normal = rng.normal(size=shapes[0]), rng.normal(size=shapes[1])
     with ad.no_grad():
-        ad.matmul(ad.constant(rng.normal(size=a)), ad.constant(rng.normal(size=b)))
+        product(*normal)
+    with ad.checked():
+        backward(*normal, 1.0)
 print(failed)
 """
 
