@@ -246,7 +246,7 @@ def cmd_eval(cfg: RunConfig, out: Path, args) -> int:
                      "simulator checkpoint", len(index), cfg.sim_config())
     items, records = _load_dataset(cfg, out)
     misfit = f"codebook {book_path} does not fit this config and catalog"
-    if sorted(index.item_to_sid) != items.ids.tolist():
+    if not np.array_equal(index.ids, items.ids):
         raise DataError(misfit)  # before `Agent` looks every catalog id up
     train_cfg = cfg.train_config()
     seed = cfg["seeds"]["agent"]

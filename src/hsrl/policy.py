@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoder import EncoderConfig, EncoderParams, UserState, encode
+from .encoder import EncoderConfig, EncoderParams
 from .errors import ConfigError, ContractError, DataError, ShapeError
 from .tokenizer import Codebook
 
@@ -100,10 +100,6 @@ class PolicyOutput:
     log_probs: list[Tensor]
     trajectory: list[Tensor]
     vocab_sizes: tuple[int, ...]
-
-
-def encode_state(params: PolicyParams, state: UserState) -> Tensor:
-    return encode(params.encoder, state)
 
 
 def forward(params: PolicyParams, c0: Tensor, flat: bool = False,

@@ -7,6 +7,12 @@ lexicographic canonical ordering of centroid rows after fitting (k-means
 label order is arbitrary), and fitting on a lexicographically sorted copy
 of the data so the learned centroids do not depend on catalog order.
 Nearest-centroid ties resolve to the lowest token index.
+
+`codebook.bin` (little-endian): magic "HSRLCB1\\0", u32 levels L, u32 dim,
+L u32 vocab sizes, per level a (T_l, dim) float64 row-major centroid block,
+u64 item count, then per item in ascending id order a u64 id and L u16
+tokens. Centroids are finite, ids unique and within int64, and tokens below
+their level's vocab size, so save(load(f)) is byte-identical to f.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import BinaryReader, read_lines, write_atomic
-from .errors import (DataError, FormatError, ShapeError, UnknownItemError,
-                     VocabTooLargeError)
+from .errors import (ContractError, DataError, FormatError, ShapeError,
+                     UnknownItemError, VocabTooLargeError)
 
 KMEANS_MAX_ITERS = 100
 KMEANS_REL_TOL = 1e-6
@@ -74,30 +80,25 @@ class Codebook:
 
 
 class SidIndex:
-    """Deterministic bidirectional item <-> SID lookup.
+    """The fixed item -> SID table: read-only item ids, ascending, and their
+    (N, L) int64 tokens. `sid_of` (once per slate item per step) reads the
+    dict derived from it; `sid_matrix` binary-searches it. An id the index
+    does not hold raises `UnknownItemError` naming it."""
 
-    The mapping is fixed once built (`item_to_sid` is not to be edited), so
-    it is also held as arrays: the item ids in ascending order and their
-    (N, L) int64 token matrix in that order. `sid_matrix` looks rows up by
-    binary search; any id the index does not hold (negative, past the
-    largest id, or on an empty index) raises `UnknownItemError` naming it,
-    as `sid_of` does.
-    """
-
-    def __init__(self, item_to_sid: dict[int, tuple[int, ...]]):
-        self.item_to_sid = dict(item_to_sid)
-        buckets: dict[tuple[int, ...], list[int]] = {}
-        for item, sid in self.item_to_sid.items():
-            buckets.setdefault(sid, []).append(item)
-        self.sid_to_items = {sid: sorted(items) for sid, items in buckets.items()}
-        items = sorted(self.item_to_sid)
-        levels = len(next(iter(self.item_to_sid.values()), ()))
-        self._ids = np.array(items, dtype=np.int64)
-        self._tokens = np.array([self.item_to_sid[i] for i in items],
-                                dtype=np.int64).reshape(len(items), levels)
+    def __init__(self, ids, tokens):
+        ids = np.asarray(ids, dtype=np.int64)
+        tokens = np.asarray(tokens, dtype=np.int64)
+        if ids.ndim != 1 or tokens.ndim != 2 or len(tokens) != len(ids):
+            raise ShapeError(f"tokens {tokens.shape} are not (N, L) for ids {ids.shape}")
+        order = np.argsort(ids, kind="stable")
+        self.ids, self.tokens = ids[order], tokens[order]
+        if (repeat := np.flatnonzero(self.ids[1:] == self.ids[:-1])).size:
+            raise ContractError(f"duplicate item id {self.ids[repeat[0]]}")
+        self.ids.flags.writeable = self.tokens.flags.writeable = False
+        self.item_to_sid = dict(zip(self.ids.tolist(), map(tuple, self.tokens.tolist())))
 
     def __len__(self) -> int:
-        return len(self.item_to_sid)
+        return len(self.ids)
 
     def sid_of(self, item_id: int) -> tuple[int, ...]:
         try:
@@ -113,12 +114,12 @@ class SidIndex:
             for item in item_ids:
                 self.sid_of(item)
             raise
-        pos = np.searchsorted(self._ids, ids)
-        known = pos < len(self._ids)
-        known[known] = self._ids[pos[known]] == ids[known]
+        pos = np.searchsorted(self.ids, ids)
+        known = pos < len(self.ids)
+        known[known] = self.ids[pos[known]] == ids[known]
         if not known.all():
             raise UnknownItemError(f"item {ids[~known][0]} has no SID")
-        return self._tokens.take(pos, axis=0)
+        return self.tokens.take(pos, axis=0)
 
 
 @dataclass
@@ -244,11 +245,6 @@ def _canonical_order(centers: np.ndarray) -> np.ndarray:
     return centers[np.lexsort(centers.T[::-1])]
 
 
-def _assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Nearest-centroid tokens; ties resolve to the lowest index."""
-    return _nearest(points, centers)[0]
-
-
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -280,29 +276,23 @@ def fit_codebook(items: ItemEmbeddings, vocab_sizes: tuple[int, ...],
             raise DataError(f"level {lvl + 1}: k-means produced duplicate centroids")
         book.centroids.append(centers)
 
-        labels = _assign(learn, centers)
+        labels, _ = _nearest(learn, centers)
         tokens[order, lvl] = labels
         learn -= centers[labels]
 
-    index = SidIndex(dict(zip(items.ids.tolist(), map(tuple, tokens.tolist()))))
-    return book, index
+    return book, SidIndex(items.ids, tokens)
 
 
 def collision_report(index: SidIndex, vocab_sizes: tuple[int, ...]) -> CollisionReport:
-    buckets = index.sid_to_items
-    sizes = [len(v) for v in buckets.values()]
+    _, sizes = np.unique(index.tokens, axis=0, return_counts=True)
     entropy = []
     for lvl, t_l in enumerate(vocab_sizes):
-        counts = np.bincount(index._tokens[:, lvl], minlength=t_l)
+        counts = np.bincount(index.tokens[:, lvl], minlength=t_l)
         p = counts[counts > 0] / counts.sum()
         entropy.append(float(-(p * np.log(p)).sum()))
-    return CollisionReport(
-        n_items=len(index),
-        n_sids=len(buckets),
-        n_collided_sids=sum(1 for s in sizes if s > 1),
-        max_bucket=max(sizes) if sizes else 0,
-        level_entropy=entropy,
-    )
+    return CollisionReport(n_items=len(index), n_sids=len(sizes),
+                           n_collided_sids=int((sizes > 1).sum()),
+                           max_bucket=int(sizes.max(initial=0)), level_entropy=entropy)
 
 
 # ---------------------------------------------------------------------------
@@ -310,22 +300,32 @@ def collision_report(index: SidIndex, vocab_sizes: tuple[int, ...]) -> Collision
 # ---------------------------------------------------------------------------
 
 
+def _record_dtype(levels: int) -> np.dtype:  # one codebook.bin item record
+    return np.dtype([("id", "<u8"), ("tokens", "<u2", (levels,))])
+
+
 def save_codebook(path, book: Codebook, index: SidIndex) -> None:
-    """Little-endian binary: header, centroid blocks, then item->SID records."""
+    """Write `codebook.bin` in the layout of the module docstring."""
+    if index.tokens.shape[1] != book.levels:
+        raise ContractError(f"SIDs of {index.tokens.shape[1]} tokens for {book.levels} levels")
+    if len(index) and index.ids[0] < 0:
+        raise ContractError(f"item id {index.ids[0]} is negative; the file holds u64 ids")
+    over = ((index.tokens < 0) | (index.tokens > 0xFFFF)).any(axis=0)
+    if over.any():
+        raise ContractError(f"token outside the u16 range at level {np.argmax(over) + 1}")
+    records = np.empty(len(index), dtype=_record_dtype(book.levels))
+    records["id"], records["tokens"] = index.ids, index.tokens
     parts = [CODEBOOK_MAGIC,
              struct.pack("<II", book.levels, book.dim),
              struct.pack(f"<{book.levels}I", *book.vocab_sizes)]
     for centers in book.centroids:
         parts.append(np.ascontiguousarray(centers, dtype="<f8").tobytes())
-    items = sorted(index.item_to_sid)
-    parts.append(struct.pack("<Q", len(items)))
-    for item in items:
-        parts.append(struct.pack("<Q", item))
-        parts.append(struct.pack(f"<{book.levels}H", *index.item_to_sid[item]))
+    parts += [struct.pack("<Q", len(records)), records.tobytes()]
     write_atomic(path, b"".join(parts))
 
 
 def load_codebook(path) -> tuple[Codebook, SidIndex]:
+    """Read `codebook.bin`; `FormatError` names the first bad record or level."""
     with open(path, "rb") as fh:
         rd = BinaryReader(fh.read(), "codebook file")
     if rd.take(len(CODEBOOK_MAGIC), "magic") != CODEBOOK_MAGIC:
@@ -340,22 +340,25 @@ def load_codebook(path) -> tuple[Codebook, SidIndex]:
             raise FormatError(f"level {lvl + 1} centroid block holds NaN or "
                               f"infinite values")
     (count,) = struct.unpack("<Q", rd.take(8, "item count"))
-    mapping: dict[int, tuple[int, ...]] = {}
-    for row in range(count):
-        (item,) = struct.unpack("<Q", rd.take(8, f"item record {row}"))
-        sid = struct.unpack(f"<{levels}H", rd.take(2 * levels, f"item record {row}"))
-        if item > np.iinfo(np.int64).max:
-            raise FormatError(f"item record {row}: id {item} does not fit int64")
-        if item in mapping:
-            raise FormatError(f"item record {row}: duplicate item id {item}")
-        mapping[item] = tuple(int(z) for z in sid)
+    rec = _record_dtype(levels)
+    whole = min(count, (len(rd.blob) - rd.pos) // rec.itemsize)
+    records = np.frombuffer(rd.blob, dtype=rec, count=whole, offset=rd.pos)
+    ids, tokens = records["id"], records["tokens"]
+    order = np.argsort(ids, kind="stable")
+    repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]  # an id's later records
+    big = np.flatnonzero(ids > np.iinfo(np.int64).max)
+    row = int(min(big.min(initial=whole), repeats.min(initial=whole)))
+    if row < whole:  # the first bad record in file order
+        raise FormatError(f"item record {row}: " + (
+            f"id {ids[row]} does not fit int64" if row in big
+            else f"duplicate item id {ids[row]}"))
+    rd.take(count * rec.itemsize, f"item record {whole}")
     if rd.pos != len(rd.blob):
         raise FormatError("trailing bytes after codebook payload")
-    for lvl, t_l in enumerate(vocab_sizes):
-        for sid in mapping.values():
-            if not 0 <= sid[lvl] < t_l:
-                raise FormatError(f"token out of range at level {lvl + 1}")
-    return book, SidIndex(mapping)
+    over = (tokens >= np.array(vocab_sizes, dtype=np.int64)).any(axis=0)
+    if over.any():
+        raise FormatError(f"token out of range at level {int(np.argmax(over)) + 1}")
+    return book, SidIndex(ids, tokens)
 
 
 def save_embeddings(path, items: ItemEmbeddings) -> None:

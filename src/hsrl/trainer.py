@@ -37,12 +37,12 @@ from .autodiff import Tensor
 from .checkpoint import load_into
 from .critic import (CriticConfig, CriticParams, TargetCritic, aggregate,
                      value_of_context, weight_snapshot)
-from .encoder import UserState, encode_batch
+from .encoder import UserState, encode, encode_batch
 from .env import Environment, EnvConfig, EpisodeMetrics
 from .errors import ConfigError, ContractError
 from .optim import Optimizer
-from .policy import (PolicyConfig, PolicyParams, PolicyOutput, encode_state,
-                     forward, per_item_log_probs, select_slate)
+from .policy import (PolicyConfig, PolicyParams, PolicyOutput, forward,
+                     per_item_log_probs, select_slate)
 from .tokenizer import Codebook, SidIndex
 
 ABLATION_VARIANTS = ("full", "no_entropy", "flat_policy", "no_bc", "single_critic")
@@ -213,7 +213,7 @@ def rollout(agent: Agent, env: Environment, mode: str,
         # compare histories, not states: every step builds a new UserState
         if session.state.history != seen:
             with ad.no_grad():
-                out = forward(agent.policy, encode_state(agent.policy, session.state),
+                out = forward(agent.policy, encode(agent.policy.encoder, session.state),
                               flat=flat)
             seen = session.state.history
         if transitions:

@@ -17,12 +17,11 @@ import hsrl.autodiff as ad
 from hsrl.cli import SWEEP_GRIDS, main as cli_main
 from hsrl.critic import (CriticConfig, CriticParams, aggregate,
                          value_of_context)
-from hsrl.encoder import UserState
+from hsrl.encoder import UserState, encode
 from hsrl.env import (EnvConfig, Environment, GroundTruthResponse, SimFitConfig,
                       SynthConfig, fit_simulators, generate_synthetic,
                       make_user_pool)
-from hsrl.policy import (PolicyConfig, PolicyParams, encode_state, forward,
-                         sid_log_prob)
+from hsrl.policy import PolicyConfig, PolicyParams, forward, sid_log_prob
 from hsrl.tokenizer import ItemEmbeddings, fit_codebook
 from hsrl.trainer import (Agent, ExperimentContext, TrainConfig, advantage,
                           bc_loss, entropy_term, rollout, run_experiment,
@@ -81,7 +80,7 @@ def test_criterion_1_gradient_suite():
             sid = (trial % 3, (trial + 1) % 3)
             check_gradients(
                 lambda: sid_log_prob(
-                    forward(params, encode_state(params, state)), sid),
+                    forward(params, encode(params.encoder, state)), sid),
                 tensors, rtol=1e-3, atol=1e-7)
             cases += 1
 
@@ -111,7 +110,7 @@ def test_criterion_1_gradient_suite():
                        + list(critic.tensors().values()))
 
             def loss():
-                c0 = encode_state(params, state)
+                c0 = encode(params.encoder, state)
                 out = forward(params, c0)
                 view = forward(params, c0, heads_detached=True)
                 v_hat = aggregate(critic,
@@ -132,10 +131,10 @@ def test_criterion_1_gradient_suite():
             check_gradients(
                 lambda: ad.add(
                     ad.scale(slate_log_prob(
-                        forward(params, encode_state(params, state)), sids),
+                        forward(params, encode(params.encoder, state)), sids),
                         -adv),
                     ad.scale(entropy_term(
-                        forward(params, encode_state(params, state))), 0.1)),
+                        forward(params, encode(params.encoder, state))), 0.1)),
                 params.head_w + params.tok_emb, rtol=1e-3, atol=1e-7)
             cases += 1
 
@@ -168,10 +167,10 @@ def test_criterion_2_tokenizer_suite():
                 assert err <= prev + 1e-12
             prev = err
 
-        # partition of the catalog
+        # partition of the catalog: each item holds exactly one SID
         book, index = fit_codebook(items, (6, 6), seed=8)
-        covered = sorted(i for b in index.sid_to_items.values() for i in b)
-        assert covered == list(range(80))
+        assert index.ids.tolist() == list(range(80))
+        assert index.tokens.shape == (80, 2)
 
         # determinism under a fixed seed
         book2, index2 = fit_codebook(items, (6, 6), seed=8)
@@ -212,7 +211,7 @@ def test_criterion_3_policy_normalization():
             params = _tiny_policy(3000 + draw, vocab=(4, 4, 4), d_model=8)
             state = UserState(history=((draw % 8, 1),))
             with ad.no_grad():
-                out = forward(params, encode_state(params, state))
+                out = forward(params, encode(params.encoder, state))
             total = sum(
                 math.exp(float(sid_log_prob(out, z).data))
                 for z in itertools.product(range(4), repeat=3))
@@ -222,7 +221,7 @@ def test_criterion_3_policy_normalization():
         params = _tiny_policy(3100, vocab=(4, 4, 4), d_model=8)
         state = UserState(history=((2, 1), (5, 0)))
         with ad.no_grad():
-            c0 = encode_state(params, state)
+            c0 = encode(params.encoder, state)
             out = forward(params, c0, force_onehot={0: 3, 1: 1, 2: 0})
         for lvl, tok in ((0, 3), (1, 1), (2, 0)):
             e = params.tok_emb[lvl].data.T @ out.probs[lvl].data
@@ -291,7 +290,8 @@ def _toy_agent(seed, **kw):
     policy_cfg = PolicyConfig(n_items=12, vocab_sizes=(3, 3), d_model=6,
                               embed_dim=6)
     critic_cfg = CriticConfig(d_model=6, levels=2, hidden=4)
-    index = SidIndex({i: (i % 3, (i // 3) % 3) for i in range(12)})
+    ids = np.arange(12)
+    index = SidIndex(ids, np.stack([ids % 3, ids // 3 % 3], axis=1))
     return Agent(policy_cfg, critic_cfg, cfg, index, list(range(12)), seed)
 
 
@@ -331,12 +331,12 @@ def test_criterion_5_overfit_one_batch():
         def log_prob():
             with ad.no_grad():
                 out = forward(agent2.policy,
-                              encode_state(agent2.policy, tr.state))
+                              encode(agent2.policy.encoder, tr.state))
                 return float(slate_log_prob(out, tr.sids).data)
 
         seq = [log_prob()]
         for _ in range(50):
-            out = forward(agent2.policy, encode_state(agent2.policy, tr.state))
+            out = forward(agent2.policy, encode(agent2.policy.encoder, tr.state))
             agent2.opt.zero_grad()
             ad.backward(ad.scale(slate_log_prob(out, tr.sids), -1.0))
             agent2.opt.step()

@@ -352,13 +352,13 @@ def test_eval_codebook_that_does_not_fit_catalog_or_config(
     run = tmp_path / "run"
     shutil.copytree(untrained_checkpoint.parent, run)
     book, index = load_codebook(run / "codebook.bin")
-    mapping = dict(index.item_to_sid)
+    ids = index.ids.copy()
     if edit == "item ids":  # the catalog holds items 0..59
-        mapping[60] = mapping.pop(59)
+        ids[ids == 59] = 60
     else:  # the config asks for vocab 4 at each level
         book.vocab_sizes = (5, 4)
         book.centroids[0] = np.vstack([book.centroids[0], book.centroids[0][:1]])
-    save_codebook(run / "codebook.bin", book, SidIndex(mapping))
+    save_codebook(run / "codebook.bin", book, SidIndex(ids, index.tokens))
     out = tmp_path / "e"
     assert _run("eval", "--config", config_path, "--out", out,
                 "--checkpoint", run / "agent.ckpt") == 3

@@ -14,8 +14,7 @@ from hsrl.encoder import UserState, encode, encode_batch, history_arrays
 from hsrl.errors import (ContractError, DataError, FormatError, ShapeError,
                          UnknownItemError)
 from hsrl.policy import (PolicyConfig, PolicyOutput, PolicyParams, _draw, _raw_scores,
-                         encode_state, forward, per_item_log_probs, select_slate,
-                         sid_log_prob)
+                         forward, per_item_log_probs, select_slate, sid_log_prob)
 from hsrl.tokenizer import SidIndex
 from hsrl.trainer import Agent, TrainConfig
 
@@ -29,7 +28,7 @@ def _params(vocab=(4, 4, 4), d_model=8, n_items=20, seed=1, **kw):
 
 
 def _output(params, history=((3, 1), (5, 0), (7, 1)), **kw):
-    c0 = encode_state(params, UserState(history=history))
+    c0 = encode(params.encoder, UserState(history=history))
     return forward(params, c0, **kw)
 
 
@@ -49,7 +48,7 @@ def _manual_output(level_logits):
 
 
 # ---------------------------------------------------------------------------
-# encode_state
+# state encoding
 # ---------------------------------------------------------------------------
 
 
@@ -58,7 +57,7 @@ def test_empty_history_zero_profile_is_start_vector():
     # place, and an encoding must not move with it
     params = _params()
     start = params.encoder.start
-    c0 = encode_state(params, UserState())
+    c0 = encode(params.encoder, UserState())
     assert c0 is not start and not np.shares_memory(c0.data, start.data)
     assert c0.data.tobytes() == start.data.tobytes()
 
@@ -79,14 +78,14 @@ def test_encode_and_encode_batch_name_the_same_first_unknown_item():
 def test_encode_deterministic():
     params = _params()
     s = UserState(history=((1, 1), (2, 0)))
-    assert np.array_equal(encode_state(params, s).data,
-                          encode_state(params, s).data)
+    assert np.array_equal(encode(params.encoder, s).data,
+                          encode(params.encoder, s).data)
 
 
 def test_encode_unknown_item():
     params = _params(n_items=5)
     with pytest.raises(UnknownItemError):
-        encode_state(params, UserState(history=((17, 1),)))
+        encode(params.encoder, UserState(history=((17, 1),)))
 
 
 def test_encode_gradient_matches_finite_differences():
@@ -95,7 +94,7 @@ def test_encode_gradient_matches_finite_differences():
     enc = params.encoder
     tensors = [enc.item_emb, enc.fb_emb, enc.attn_q, enc.attn_k, enc.attn_v,
                enc.proj_w, enc.proj_b]
-    check_gradients(lambda: ad.vsum(encode_state(params, state)), tensors,
+    check_gradients(lambda: ad.vsum(encode(params.encoder, state)), tensors,
                     rtol=1e-3, atol=1e-7)
 
 
@@ -153,7 +152,7 @@ def test_trajectory_contexts_zero_mean():
 
 def test_flat_mode_reads_context_zero_everywhere():
     params = _params(seed=12)
-    c0 = encode_state(params, UserState(history=((3, 1),)))
+    c0 = encode(params.encoder, UserState(history=((3, 1),)))
     out = forward(params, c0, flat=True)
     for c in out.trajectory:
         assert np.array_equal(c.data, c0.data)
@@ -291,7 +290,7 @@ def test_sid_log_prob_gradient_through_recursion():
                + params.head_w + params.tok_emb + params.ln_gain + params.ln_bias)
 
     def loss():
-        out = forward(params, encode_state(params, state))
+        out = forward(params, encode(params.encoder, state))
         return sid_log_prob(out, (2, 1))
 
     check_gradients(loss, tensors, rtol=1e-3, atol=1e-7)
@@ -303,9 +302,8 @@ def test_sid_log_prob_gradient_through_recursion():
 
 
 def _index():
-    return SidIndex({
-        0: (0, 0, 0), 1: (1, 1, 1), 2: (2, 2, 2), 3: (1, 1, 1), 4: (3, 0, 1),
-    })
+    return SidIndex([0, 1, 2, 3, 4],
+                    [(0, 0, 0), (1, 1, 1), (2, 2, 2), (1, 1, 1), (3, 0, 1)])
 
 
 def _sids(candidates):
@@ -327,7 +325,7 @@ def test_score_argmax_sid_ranks_first():
     params = _params(seed=24)
     out = _output(params)
     argmax_sid = tuple(int(p.data.argmax()) for p in out.probs)
-    index = SidIndex({0: argmax_sid, 1: (0, 0, 0), 2: (1, 2, 3)})
+    index = SidIndex([0, 1, 2], [argmax_sid, (0, 0, 0), (1, 2, 3)])
     assert select_slate(out, index.sid_matrix([2, 1, 0]), [2, 1, 0], 1,
                         "greedy") == [0]
 
@@ -456,7 +454,7 @@ def _slate_case(seed, live_tokens):
     `live_tokens[l]` tokens (the rest underflow to exactly 0)."""
     rng = np.random.default_rng(seed)
     ids = [int(i) for i in rng.choice(10_000, size=N_CANDIDATES, replace=False)]
-    index = SidIndex({i: tuple(int(rng.integers(t)) for t in VOCAB) for i in ids})
+    index = SidIndex(ids, [[int(rng.integers(t)) for t in VOCAB] for _ in ids])
     logits = []
     for t, live in zip(VOCAB, live_tokens):
         row = rng.integers(0, 2, size=t).astype(float)
@@ -616,8 +614,7 @@ def test_sampled_draw_breaks_a_uniform_on_a_cdf_step_as_numpy_does():
 def test_sid_matrix_equals_per_item_lookup():
     rng = np.random.default_rng(7)
     ids = rng.choice(10 ** 6, size=50, replace=False)
-    index = SidIndex({int(i): tuple(int(z) for z in rng.integers(0, 9, size=3))
-                      for i in ids})
+    index = SidIndex(ids, [rng.integers(0, 9, size=3) for _ in ids])
     query = [int(i) for i in rng.choice(ids, size=80)]  # repeats, any order
     got = index.sid_matrix(query)
     want = np.array([index.sid_of(i) for i in query], dtype=np.int64)
@@ -627,12 +624,12 @@ def test_sid_matrix_equals_per_item_lookup():
 
 
 @pytest.mark.parametrize("index, query, bad", [
-    (SidIndex({2: (0,), 5: (1,)}), [2, 3, 5], 3),
-    (SidIndex({2: (0,), 5: (1,)}), [5, -1], -1),
-    (SidIndex({2: (0,), 5: (1,)}), [2, 6], 6),
-    (SidIndex({}), [0], 0),
-    (SidIndex({2: (0,), 5: (1,)}), [2, 7, 2 ** 64], 7),
-    (SidIndex({2: (0,), 5: (1,)}), [5, 2 ** 64], 2 ** 64),
+    (SidIndex([2, 5], [(0,), (1,)]), [2, 3, 5], 3),
+    (SidIndex([2, 5], [(0,), (1,)]), [5, -1], -1),
+    (SidIndex([2, 5], [(0,), (1,)]), [2, 6], 6),
+    (SidIndex([], np.empty((0, 1))), [0], 0),
+    (SidIndex([2, 5], [(0,), (1,)]), [2, 7, 2 ** 64], 7),
+    (SidIndex([5, 2], [(1,), (0,)]), [5, 2 ** 64], 2 ** 64),
 ], ids=["between_ids", "negative", "past_largest", "empty_index",
         "first_of_two_unknown", "past_int64"])
 def test_sid_matrix_unknown_ids_raise(index, query, bad):

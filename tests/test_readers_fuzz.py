@@ -39,8 +39,9 @@ def codebooks(draw):
     centroids = [draw(arrays(np.float64, (t, dim), elements=finite)) for t in vocab]
     ids = draw(st.sets(st.integers(0, 2 ** 63 - 1), max_size=6))
     sid = st.tuples(*(st.integers(0, t - 1) for t in vocab))
-    mapping = {item: draw(sid) for item in sorted(ids)}
-    return Codebook(dim=dim, vocab_sizes=vocab, centroids=centroids), SidIndex(mapping)
+    items = sorted(ids)
+    tokens = np.array([draw(sid) for _ in items], dtype=np.int64).reshape(len(items), levels)
+    return Codebook(dim=dim, vocab_sizes=vocab, centroids=centroids), SidIndex(items, tokens)
 
 
 @st.composite

@@ -2,14 +2,15 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hsrl.errors import DataError, FormatError, VocabTooLargeError
-from hsrl.tokenizer import (CODEBOOK_MAGIC, NEAREST_BLOCK_ROWS, ItemEmbeddings,
-                            SidIndex, _assign, _kmeanspp_init, _nearest,
-                            collision_report, fit_codebook, load_codebook,
-                            load_embeddings, save_codebook, save_embeddings)
+from hsrl.errors import (ContractError, DataError, FormatError, ShapeError,
+                         VocabTooLargeError)
+from hsrl.tokenizer import (CODEBOOK_MAGIC, NEAREST_BLOCK_ROWS, Codebook,
+                            ItemEmbeddings, SidIndex, _kmeanspp_init, _nearest, collision_report,
+                            fit_codebook, load_codebook, load_embeddings,
+                            save_codebook, save_embeddings)
 
 
 def _random_items(n=60, d=4, seed=5):
@@ -131,7 +132,6 @@ def _assert_nearest_bitwise(points, centers):
     want_labels, want_d2 = _bruteforce_nearest(points, centers)
     assert np.array_equal(labels, want_labels)
     assert np.array_equal(min_d2.view(np.int64), want_d2.view(np.int64))
-    assert np.array_equal(_assign(points, centers), want_labels)
 
 
 @pytest.mark.parametrize("dim", [5, 32])
@@ -223,13 +223,13 @@ def test_kmeanspp_init_draws_as_bruteforce_seeding(case):
 def test_assign_exact_centroid_match():
     centers = np.array([[0.0, 0.0], [4.0, 4.0], [1.0, 1.0]])
     points = np.array([[4.0, 4.0], [0.0, 0.0], [1.0, 1.0]])
-    assert _assign(points, centers).tolist() == [1, 0, 2]
+    assert _nearest(points, centers)[0].tolist() == [1, 0, 2]
 
 
 def test_assign_tie_breaks_to_lowest_token():
     centers = np.array([[1.0], [-1.0], [3.0], [-1.0]])
     points = np.array([[0.0], [2.0], [-1.0]])
-    assert _assign(points, centers).tolist() == [0, 0, 1]
+    assert _nearest(points, centers)[0].tolist() == [0, 0, 1]
 
 
 def test_assign_reproduces_fit_sids():
@@ -253,29 +253,45 @@ def test_single_level_matches_bruteforce_nearest_neighbor():
 
 
 # ---------------------------------------------------------------------------
-# index (SID -> items) / collisions
+# index table / collisions
 # ---------------------------------------------------------------------------
 
 
-def test_decode_singleton_and_empty():
-    index = SidIndex({7: (0, 1), 9: (2, 2)})
-    assert index.sid_to_items == {(0, 1): [7], (2, 2): [9]}  # no unused SIDs
+def test_index_sorts_rows_by_id():
+    index = SidIndex([9, 3, 5], [(0, 0), (0, 1), (1, 1)])
+    assert index.ids.tolist() == [3, 5, 9]
+    assert index.tokens.tolist() == [[0, 1], [1, 1], [0, 0]]
+    assert index.item_to_sid == {3: (0, 1), 5: (1, 1), 9: (0, 0)}
+    assert len(index) == 3
+    with pytest.raises(ValueError):  # the table is fixed once built
+        index.tokens[0, 0] = 2
 
 
-def test_decode_collision_ascending_ids():
-    index = SidIndex({9: (0, 0), 3: (0, 0), 5: (1, 1)})
-    assert index.sid_to_items[(0, 0)] == [3, 9]
+def test_index_rejects_duplicate_id():
+    with pytest.raises(ContractError, match="duplicate item id 5"):
+        SidIndex([9, 5, 3, 5, 9], [(0,), (1,), (0,), (2,), (1,)])
+
+
+@pytest.mark.parametrize("ids, tokens", [
+    ([1, 2], [0, 1]),              # tokens not (N, L)
+    ([1, 2], [(0,), (1,), (2,)]),  # more rows than ids
+    ([[1, 2]], [(0,), (1,)]),      # ids not (N,)
+], ids=["tokens_1d", "more_rows", "ids_2d"])
+def test_index_rejects_misshapen_table(ids, tokens):
+    with pytest.raises(ShapeError):
+        SidIndex(ids, tokens)
 
 
 def test_partition_property():
+    # every catalog item holds exactly one SID
     items = _random_items(n=70, d=3, seed=30)
     _, index = fit_codebook(items, (4, 4), seed=30)
-    covered = sorted(i for bucket in index.sid_to_items.values() for i in bucket)
-    assert covered == sorted(int(i) for i in items.ids)
+    assert index.ids.tolist() == sorted(int(i) for i in items.ids)
+    assert index.tokens.shape == (70, 2)
 
 
 def test_collision_report_distinct_sids():
-    index = SidIndex({0: (0,), 1: (1,), 2: (2,)})
+    index = SidIndex([0, 1, 2], [(0,), (1,), (2,)])
     report = collision_report(index, (4,))
     assert report.n_collided_sids == 0
     assert report.max_bucket == 1
@@ -290,7 +306,7 @@ def test_collision_report_degenerate_vocab():
 
 
 def test_collision_report_uniform_entropy():
-    index = SidIndex({i: (i % 4,) for i in range(16)})
+    index = SidIndex(np.arange(16), np.arange(16)[:, None] % 4)
     report = collision_report(index, (4,))
     assert report.level_entropy[0] == pytest.approx(np.log(4), abs=1e-12)
 
@@ -301,17 +317,24 @@ def test_collision_report_uniform_entropy():
 
 
 def test_codebook_roundtrip_byte_exact(tmp_path):
-    items = _random_items(n=40, d=3, seed=40)
-    book, index = fit_codebook(items, (4, 4), seed=40)
-    first = tmp_path / "cb.bin"
-    second = tmp_path / "cb2.bin"
-    save_codebook(first, book, index)
-    loaded_book, loaded_index = load_codebook(first)
-    save_codebook(second, loaded_book, loaded_index)
-    assert first.read_bytes() == second.read_bytes()
-    assert loaded_index.item_to_sid == index.item_to_sid
-    for a, b in zip(book.centroids, loaded_book.centroids):
-        assert np.array_equal(a, b)
+    rng = np.random.default_rng(40)
+    shuffled = ItemEmbeddings(rng.permutation(np.arange(5000) * 7 + 3),
+                              rng.normal(size=(5000, 3)))
+    for items in (_random_items(n=40, d=3, seed=40), shuffled):
+        book, index = fit_codebook(items, (4, 4), seed=40)
+        first = tmp_path / "cb.bin"
+        second = tmp_path / "cb2.bin"
+        save_codebook(first, book, index)
+        loaded_book, loaded_index = load_codebook(first)
+        save_codebook(second, loaded_book, loaded_index)
+        assert first.read_bytes() == second.read_bytes()
+        # the records: (u64 id, 2 x u16 token), ascending id
+        records = b"".join(struct.pack("<Q2H", int(i), *index.sid_of(int(i)))
+                           for i in sorted(items.ids))
+        assert first.read_bytes().endswith(struct.pack("<Q", len(items)) + records)
+        assert loaded_index.item_to_sid == index.item_to_sid
+        for a, b in zip(book.centroids, loaded_book.centroids):
+            assert np.array_equal(a, b)
 
 
 def test_codebook_bad_magic(tmp_path):
@@ -339,13 +362,15 @@ def test_codebook_missing_block_named(tmp_path):
         load_codebook(path)
 
 
-def _crafted_codebook(path, item_ids):
-    """One level of two 1-D centroids, then one record (token 0) per id."""
+def _crafted_codebook(path, item_ids, tokens=None, count=None, tail=b""):
+    """One level of two 1-D centroids, an item count (`count`, else one per
+    id), one record per id (token 0 unless `tokens` gives them), then `tail`."""
+    tokens = [0] * len(item_ids) if tokens is None else tokens
     blob = [CODEBOOK_MAGIC, struct.pack("<II", 1, 1), struct.pack("<I", 2),
             np.array([0.0, 1.0], dtype="<f8").tobytes(),
-            struct.pack("<Q", len(item_ids))]
-    blob += [struct.pack("<QH", item, 0) for item in item_ids]
-    path.write_bytes(b"".join(blob))
+            struct.pack("<Q", len(item_ids) if count is None else count)]
+    blob += [struct.pack("<QH", item, z) for item, z in zip(item_ids, tokens)]
+    path.write_bytes(b"".join(blob) + tail)
 
 
 def test_codebook_item_id_beyond_int64_rejected(tmp_path):
@@ -362,6 +387,86 @@ def test_codebook_duplicate_item_record_rejected(tmp_path):
     _crafted_codebook(path, [3, 5, 3])
     with pytest.raises(FormatError, match="record 2: duplicate item id 3"):
         load_codebook(path)
+
+
+@pytest.mark.parametrize("crafted, message", [
+    (dict(item_ids=[3, 2 ** 63, 3]), f"item record 1: id {2 ** 63} does not fit int64"),
+    (dict(item_ids=[3, 5, 3, 2 ** 63]), "item record 2: duplicate item id 3"),
+    (dict(item_ids=[5, 3, 3], count=5), "item record 2: duplicate item id 3"),
+    (dict(item_ids=[3, 5], count=4), "truncated while reading item record 2"),
+    (dict(item_ids=[3, 5], count=3, tail=b"\0" * 5), "truncated while reading item record 2"),
+    (dict(item_ids=[3, 5], tokens=[0, 2], tail=b"\0"), "trailing bytes"),
+    (dict(item_ids=[3, 5], tokens=[0, 2]), "token out of range at level 1"),
+], ids=["big_then_duplicate", "duplicate_then_big", "duplicate_then_truncated",
+        "truncated", "partial_record", "trailing_then_token", "token"])
+def test_codebook_names_first_fault_in_file_order(tmp_path, crafted, message):
+    path = tmp_path / "cb.bin"
+    _crafted_codebook(path, **crafted)
+    with pytest.raises(FormatError, match=message):
+        load_codebook(path)
+
+
+def _recordwise_error(blob, vocab):
+    """The error a record-by-record reader of `blob` (the item count and
+    what follows it) meets first, or None."""
+    levels = len(vocab)
+    (count,) = struct.unpack_from("<Q", blob)
+    pos, size, seen, sids = 8, 8 + 2 * levels, set(), []
+    for row in range(count):
+        if pos + size > len(blob):
+            return f"codebook file truncated while reading item record {row}"
+        item, *sid = struct.unpack_from(f"<Q{levels}H", blob, pos)
+        pos += size
+        if item >= 2 ** 63:
+            return f"item record {row}: id {item} does not fit int64"
+        if item in seen:
+            return f"item record {row}: duplicate item id {item}"
+        seen.add(item)
+        sids.append(sid)
+    if pos != len(blob):
+        return "trailing bytes after codebook payload"
+    for lvl, t_l in enumerate(vocab):
+        if any(sid[lvl] >= t_l for sid in sids):
+            return f"token out of range at level {lvl + 1}"
+    return None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), ids=st.lists(
+    st.sampled_from([0, 1, 2, 3, 5, 8, 13, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1]),
+    max_size=6))
+def test_codebook_records_fail_as_recordwise_reader(tmp_path, data, ids):
+    vocab = (2, 3)
+    tokens = [data.draw(st.tuples(st.integers(0, 2), st.integers(0, 3))) for _ in ids]
+    count = data.draw(st.just(len(ids)) | st.integers(0, len(ids) + 2))
+    records = (struct.pack("<Q", count)
+               + b"".join(struct.pack("<Q2H", i, *z) for i, z in zip(ids, tokens))
+               + data.draw(st.just(b"") | st.binary(max_size=13)))
+    path = tmp_path / "cb.bin"
+    path.write_bytes(CODEBOOK_MAGIC + struct.pack("<II2I", 2, 1, *vocab)
+                     + np.arange(5, dtype="<f8").tobytes() + records)
+    want = _recordwise_error(records, vocab)
+    if want is None:
+        assert load_codebook(path)[1].item_to_sid == dict(zip(ids, tokens))
+    else:
+        with pytest.raises(FormatError) as err:
+            load_codebook(path)
+        assert str(err.value) == want
+
+
+@pytest.mark.parametrize("ids, tokens, message", [
+    ([2, -4], [(0, 1), (1, 0)], "item id -4 is negative"),
+    ([1, 2], [(0, 1), (1, 2 ** 16)], "u16 range at level 2"),
+    ([1, 2], [(0, -1), (1, 0)], "u16 range at level 2"),
+    ([1, 2], [(0,), (1,)], "SIDs of 1 tokens for 2 levels"),
+], ids=["negative_id", "token_past_u16", "negative_token", "levels_differ"])
+def test_save_codebook_rejects_what_the_file_cannot_hold(tmp_path, ids, tokens, message):
+    book = Codebook(dim=1, vocab_sizes=(2, 2),
+                    centroids=[np.zeros((2, 1)), np.ones((2, 1))])
+    with pytest.raises(ContractError, match=message):
+        save_codebook(tmp_path / "cb.bin", book, SidIndex(ids, tokens))
+    assert list(tmp_path.iterdir()) == []  # no file, not even a temporary one
 
 
 def test_embeddings_file_roundtrip(tmp_path):

@@ -10,11 +10,11 @@ import hsrl.autodiff as ad
 import hsrl.trainer as trainer
 from hsrl import optim
 from hsrl.critic import CriticConfig, aggregate, value_of_context
-from hsrl.encoder import UserState
+from hsrl.encoder import UserState, encode
 from hsrl.env import (EnvConfig, Environment, LogRecord, SimFitConfig,
                       fit_response_model, make_user_pool)
 from hsrl.errors import ConfigError, ContractError, FormatError, NumericsError
-from hsrl.policy import PolicyConfig, encode_state, forward, select_slate
+from hsrl.policy import PolicyConfig, forward, select_slate
 from hsrl.tokenizer import SidIndex
 from hsrl.trainer import (TRAIN_VARIANTS, Agent, TrainConfig, advantage,
                           bc_loss, entropy_term, evaluate, rollout,
@@ -33,10 +33,8 @@ VOCAB = (3, 3)
 
 def _index():
     # spread 12 items over the 9 SIDs; a few collide
-    sids = {}
-    for i in range(N_ITEMS):
-        sids[i] = (i % 3, (i // 3) % 3)
-    return SidIndex(sids)
+    ids = np.arange(N_ITEMS)
+    return SidIndex(ids, np.stack([ids % 3, ids // 3 % 3], axis=1))
 
 
 def _agent(seed=0, variant="full", **kw):
@@ -180,7 +178,7 @@ def test_entropy_bounds():
     for trial in range(20):
         state = UserState(history=((trial % N_ITEMS, 1),))
         with ad.no_grad():
-            out = forward(agent.policy, encode_state(agent.policy, state))
+            out = forward(agent.policy, encode(agent.policy.encoder, state))
         h = float(entropy_term(out).data)
         assert -sum(math.log(t) for t in VOCAB) - 1e-9 <= h <= 0.0
 
@@ -243,7 +241,7 @@ def test_gradient_isolation_between_actor_and_critic():
     tr = _fake_transitions(agent, env, n=1)[0]
 
     # policy-gradient term alone: zero gradient on critic parameters
-    c0 = encode_state(agent.policy, tr.state)
+    c0 = encode(agent.policy.encoder, tr.state)
     out = forward(agent.policy, c0)
     pg = ad.scale(slate_log_prob(out, tr.sids), -0.7)
     for t in agent.critic.tensors().values():
@@ -255,7 +253,7 @@ def test_gradient_isolation_between_actor_and_critic():
     assert any(t.grad is not None for t in agent.policy.tensors().values())
 
     # critic term alone: zero gradient on policy heads, but encoder reached
-    c0 = encode_state(agent.policy, tr.state)
+    c0 = encode(agent.policy.encoder, tr.state)
     view = forward(agent.policy, c0, heads_detached=True)
     v_hat = aggregate(agent.critic, value_of_context(agent.critic,
                                                      ad.stack(view.trajectory)))
@@ -308,7 +306,7 @@ def test_composite_loss_gradient_matches_finite_differences():
     advs = []
     for tr, q in zip(transitions, frozen):
         with ad.no_grad():
-            c0 = encode_state(agent.policy, tr.state)
+            c0 = encode(agent.policy.encoder, tr.state)
             view = forward(agent.policy, c0, heads_detached=True)
             v_hat = aggregate(agent.critic,
                               value_of_context(agent.critic, ad.stack(view.trajectory)))
@@ -317,7 +315,7 @@ def test_composite_loss_gradient_matches_finite_differences():
     def build_loss_fixed_adv():
         total = None
         for tr, q, adv in zip(transitions, frozen, advs):
-            c0 = encode_state(agent.policy, tr.state)
+            c0 = encode(agent.policy.encoder, tr.state)
             out = forward(agent.policy, c0)
             view = forward(agent.policy, c0, heads_detached=True)
             v_hat = aggregate(agent.critic,
@@ -356,7 +354,7 @@ def test_policy_head_gradients_match_fd_through_actor_terms():
                    + agent.policy.ln_gain + agent.policy.ln_bias)
 
     def loss():
-        out = forward(agent.policy, encode_state(agent.policy, tr.state))
+        out = forward(agent.policy, encode(agent.policy.encoder, tr.state))
         term = ad.scale(slate_log_prob(out, tr.sids), -adv)
         term = ad.add(term, ad.scale(entropy_term(out), 0.1))
         bc = bc_loss(out, tr.sids, tr.feedback)
@@ -386,12 +384,12 @@ def test_positive_advantage_log_prob_strictly_increases():
 
     def log_prob():
         with ad.no_grad():
-            out = forward(agent.policy, encode_state(agent.policy, tr.state))
+            out = forward(agent.policy, encode(agent.policy.encoder, tr.state))
             return float(slate_log_prob(out, tr.sids).data)
 
     values = [log_prob()]
     for _ in range(50):
-        out = forward(agent.policy, encode_state(agent.policy, tr.state))
+        out = forward(agent.policy, encode(agent.policy.encoder, tr.state))
         loss = ad.scale(slate_log_prob(out, tr.sids), -1.0)  # advantage +1
         agent.opt.zero_grad()
         ad.backward(loss)
@@ -406,14 +404,14 @@ def test_pg_loss_sign_single_step():
     agent = _agent(seed=16, learning_rate=0.05)
     env = _env()
     tr = _fake_transitions(agent, env, n=1, seed=17)[0]
-    out = forward(agent.policy, encode_state(agent.policy, tr.state))
+    out = forward(agent.policy, encode(agent.policy.encoder, tr.state))
     before = float(slate_log_prob(out, tr.sids).data)
     loss = ad.scale(slate_log_prob(out, tr.sids), -1.0)
     agent.opt.zero_grad()
     ad.backward(loss)
     agent.opt.step()
     with ad.no_grad():
-        out2 = forward(agent.policy, encode_state(agent.policy, tr.state))
+        out2 = forward(agent.policy, encode(agent.policy.encoder, tr.state))
     assert float(slate_log_prob(out2, tr.sids).data) > before
 
 
@@ -438,7 +436,7 @@ def test_zero_advantage_gives_zero_policy_gradient():
     agent = _agent(seed=19)
     env = _env()
     tr = _fake_transitions(agent, env, n=1, seed=20)[0]
-    out = forward(agent.policy, encode_state(agent.policy, tr.state))
+    out = forward(agent.policy, encode(agent.policy.encoder, tr.state))
     pg = ad.scale(slate_log_prob(out, tr.sids), -0.0)
     for t in agent.policy.tensors().values():
         t.zero_grad()
@@ -497,7 +495,7 @@ def test_rollout_next_contexts_line_up():
                              np.random.default_rng(9))
     for tr, nxt in zip(transitions, transitions[1:]):
         with ad.no_grad():
-            out = forward(agent.policy, encode_state(agent.policy, nxt.state))
+            out = forward(agent.policy, encode(agent.policy.encoder, nxt.state))
         for cached, fresh in zip(tr.next_contexts, out.trajectory):
             assert np.array_equal(cached, fresh.data)
     assert transitions[-1].next_contexts is None
@@ -509,7 +507,7 @@ def _reference_rollout(agent, env, rng_env, rng_act):
     session, transitions, done = env.reset(rng_env), [], False
     while not done:
         with ad.no_grad():
-            out = forward(agent.policy, encode_state(agent.policy, session.state))
+            out = forward(agent.policy, encode(agent.policy.encoder, session.state))
         if transitions:
             transitions[-1].next_contexts = [c.data.copy() for c in out.trajectory]
         slate = select_slate(out, agent.sids, agent.catalog, env.cfg.slate_size,
@@ -611,7 +609,7 @@ def _sequential_greedy(agent, env, episodes, seed, tag):
         while not done:
             with ad.no_grad():
                 policy_out = forward(agent.policy,
-                                     encode_state(agent.policy, session.state),
+                                     encode(agent.policy.encoder, session.state),
                                      flat=flat)
             slate = select_slate(policy_out, agent.sids, agent.catalog,
                                  env.cfg.slate_size, "greedy")
@@ -690,7 +688,7 @@ def _reference_step(agent, transitions):
     use_bc = cfg.lambda_bc > 0.0 and cfg.variant != "no_bc"
     parts = {"loss_V": [], "loss_PG": [], "H_en": [], "loss_BC": []}
     for tr in transitions:
-        c0 = encode_state(agent.policy, tr.state)
+        c0 = encode(agent.policy.encoder, tr.state)
         out = forward(agent.policy, c0, flat=flat)
         if not bc_only:
             trajectory = [c0] if single or flat else forward(
@@ -826,7 +824,7 @@ def test_flat_policy_normalization_invariant():
     agent = _agent(seed=26, variant="flat_policy")
     state = UserState(history=((2, 1),))
     with ad.no_grad():
-        out = forward(agent.policy, encode_state(agent.policy, state),
+        out = forward(agent.policy, encode(agent.policy.encoder, state),
                       flat=True)
     total = sum(
         math.exp(float(slate_log_prob(out, [z]).data))
@@ -919,7 +917,7 @@ def test_patience_never_increases_without_click():
     done = False
     while not done:
         with ad.no_grad():
-            out = forward(agent.policy, encode_state(agent.policy, session.state))
+            out = forward(agent.policy, encode(agent.policy.encoder, session.state))
         slate = select_slate(out, agent.sids, agent.catalog, 2, "sample",
                              rng_act)
         feedback, _, session, done = env.step(session, slate, rng_env)
@@ -1083,7 +1081,8 @@ def _catalog_run(tmp_path, name, reference):
                   (0, 1), (1, 0)) for uid in range(24)])
     env = Environment(ScriptedResponse(click_below=120, p=0.6), pool,
                       EnvConfig(slate_size=4, patience=3, horizon=12))
-    index = SidIndex({i: (i % 8, (i // 8) % 8) for i in range(n_items)})
+    ids = np.arange(n_items)
+    index = SidIndex(ids, np.stack([ids % 8, ids // 8 % 8], axis=1))
     policy_cfg = PolicyConfig(n_items=n_items, vocab_sizes=vocab, d_model=8,
                               embed_dim=8)
     critic_cfg = CriticConfig(d_model=8, levels=len(vocab), hidden=6)
