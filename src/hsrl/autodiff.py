@@ -243,10 +243,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _node(a.data * c, (a,), lambda g: (g * c,))
 
 
-def shift(a: Tensor, c: float) -> Tensor:
-    return _node(a.data + c, (a,), lambda g: (g,))
-
-
 def vsum(a: Tensor) -> Tensor:
     return _node(a.data.sum(), (a,), lambda g: (np.full_like(a.data, float(g)),))
 

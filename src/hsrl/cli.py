@@ -225,8 +225,7 @@ def cmd_train(cfg: RunConfig, out: Path, args) -> int:
                 {"error": str(exc), "updates": agent.updates}, indent=2) + "\n")
             raise
     save_tensors(out / "agent.ckpt", agent.tensors())
-    final = tr_mod.evaluate(agent, ctx.eval_env, train_cfg.eval_episodes,
-                            seed, tr_mod._FINAL_EVAL_TAG)
+    final = tr_mod.evaluate(agent, ctx.eval_env, train_cfg.eval_episodes, seed)
     rewards = [m.total_reward for m in final]
     depths = [m.depth for m in final]
     print(f"trained {agent.updates} updates over {train_cfg.iterations} "
@@ -257,9 +256,8 @@ def cmd_eval(cfg: RunConfig, out: Path, args) -> int:
         raise DataError(misfit)
     env = env_mod.Environment(eval_sim, env_mod.make_user_pool(records),
                               cfg.env_config())
-    episodes = tr_mod.evaluate(agent, env, train_cfg.eval_episodes, seed,
-                               tr_mod._FINAL_EVAL_TAG)
-    row = tr_mod._summary_row(0, episodes, seed)
+    episodes = tr_mod.evaluate(agent, env, train_cfg.eval_episodes, seed)
+    row = tr_mod.summary_row(0, episodes, seed)
     with tr_mod.MetricsWriter(out / "eval_summary.csv", tr_mod.EVAL_COLUMNS) as writer:
         writer.write(row)
     _, n, r_mean, r_median, r_std, d_mean, d_median, d_std, _ = row

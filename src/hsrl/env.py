@@ -32,12 +32,14 @@ from .tokenizer import ItemEmbeddings
 
 CLICK_SIGNAL = 1.0
 NO_CLICK_SIGNAL = -0.2
+# A log record keeps at most this many of its user's latest positives.
+RECORD_HISTORY = 10
 
 
 @dataclass
 class LogRecord:
     user_id: int
-    history: tuple[int, ...]      # positive items before the slate, at most 10
+    history: tuple[int, ...]      # positive items before the slate, at most RECORD_HISTORY
     slate: tuple[int, ...]
     labels: tuple[int, ...]
 
@@ -46,8 +48,8 @@ class LogRecord:
             raise DataError("slate and label lists disagree in length")
         if not self.slate:
             raise DataError("record slate is empty")
-        if len(self.history) > 10:
-            raise DataError("record history longer than 10")
+        if len(self.history) > RECORD_HISTORY:
+            raise DataError(f"record history longer than {RECORD_HISTORY}")
         if any(y not in (0, 1) for y in self.labels):
             raise DataError(f"click labels must be 0 or 1, got {self.labels}")
 
@@ -391,7 +393,7 @@ def ingest_ml1m_style(path) -> list[LogRecord]:
             chunk = events[lo:lo + 10]
             slate = tuple(item for _, _, item, _ in chunk)
             labels = tuple(int(rating > 3) for _, _, _, rating in chunk)
-            record = LogRecord(user_id=user, history=tuple(positives[-10:]),
+            record = LogRecord(user_id=user, history=tuple(positives[-RECORD_HISTORY:]),
                                slate=slate, labels=labels)
             staged.append((chunk[0][0], user, seq, record))
             positives.extend(i for (_, _, i, r) in chunk if r > 3)
@@ -522,7 +524,7 @@ def generate_synthetic(cfg: SynthConfig, seed) -> SyntheticDataset:
             labels = (rng.random(cfg.slate_size) < probs).astype(int)
             records.append(LogRecord(
                 user_id=uid,
-                history=tuple(positives[uid][-10:]),
+                history=tuple(positives[uid][-RECORD_HISTORY:]),
                 slate=tuple(int(i) for i in slate),
                 labels=tuple(int(y) for y in labels),
             ))

@@ -164,11 +164,6 @@ def per_item_log_probs(output: PolicyOutput, sids, rows=None) -> Tensor:
     return total
 
 
-def sid_log_prob(output: PolicyOutput, sid) -> Tensor:
-    """log pi(z|s) of a single SID, as a scalar."""
-    return ad.vsum(per_item_log_probs(output, [sid]))
-
-
 def _raw_scores(output: PolicyOutput, sids: np.ndarray) -> np.ndarray:
     """score(i) = prod_l p_l[z_l(i)] = pi(z(i)|s) for each row z(i) of the
     (N, L) token matrix `sids`; for the output of a block of contexts, a

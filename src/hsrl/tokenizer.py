@@ -80,10 +80,10 @@ class Codebook:
 
 
 class SidIndex:
-    """The fixed item -> SID table: read-only item ids, ascending, and their
-    (N, L) int64 tokens. `sid_of` (once per slate item per step) reads the
-    dict derived from it; `sid_matrix` binary-searches it. An id the index
-    does not hold raises `UnknownItemError` naming it."""
+    """The fixed item -> SID table, the one item -> SID lookup: read-only
+    item ids, ascending, and their (N, L) int64 tokens. `sid_matrix`
+    binary-searches it; an id the index does not hold raises
+    `UnknownItemError` naming the first such id."""
 
     def __init__(self, ids, tokens):
         ids = np.asarray(ids, dtype=np.int64)
@@ -95,16 +95,9 @@ class SidIndex:
         if (repeat := np.flatnonzero(self.ids[1:] == self.ids[:-1])).size:
             raise ContractError(f"duplicate item id {self.ids[repeat[0]]}")
         self.ids.flags.writeable = self.tokens.flags.writeable = False
-        self.item_to_sid = dict(zip(self.ids.tolist(), map(tuple, self.tokens.tolist())))
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def sid_of(self, item_id: int) -> tuple[int, ...]:
-        try:
-            return self.item_to_sid[item_id]
-        except KeyError:
-            raise UnknownItemError(f"item {item_id} has no SID") from None
 
     def sid_matrix(self, item_ids) -> np.ndarray:
         """(n, L) int64 tokens of a sequence of items, in the given order."""
@@ -112,7 +105,9 @@ class SidIndex:
             ids = np.asarray(item_ids, dtype=np.int64)
         except OverflowError:  # held ids fit int64: name the first unknown one
             for item in item_ids:
-                self.sid_of(item)
+                if not -2 ** 63 <= item < 2 ** 63:
+                    raise UnknownItemError(f"item {item} has no SID") from None
+                self.sid_matrix([item])
             raise
         pos = np.searchsorted(self.ids, ids)
         known = pos < len(self.ids)

@@ -14,8 +14,8 @@ state changed, and sample their slates; the training simulator likewise
 encodes a state only when it changed (`ResponseModel.click_probs`). The
 update builds one graph for its whole batch, with a row per transition:
 one `encode_batch`, one policy `forward` of the block of contexts, one
-vector of every slate item's log-probability and one critic pass over the
-heads-detached trajectories.
+`SidIndex.sid_matrix` lookup of every slate item, one vector of their
+log-probabilities and one critic pass over the heads-detached trajectories.
 
 Greedy evaluation plays all its episodes in lockstep, each with its own
 generator: per step, one `encode_batch` of the live sessions' states, one
@@ -95,8 +95,11 @@ class TrainConfig:
 
 @dataclass
 class Transition:
+    """One rollout step: the state, the item ids of the slate `env.step` was
+    shown (the update looks their SIDs up), and what the step returned."""
+
     state: UserState
-    sids: tuple[tuple[int, ...], ...]
+    slate: tuple[int, ...]
     feedback: np.ndarray
     reward: float
     done: int
@@ -200,8 +203,9 @@ def rollout(agent: Agent, env: Environment, mode: str,
     history differs from the one its last output was computed from: a slate
     with no click leaves the state as it was, and no update runs inside a
     rollout, so that output is exact; the simulator's `click_probs` reuses
-    its state encoding likewise. Each transition but the last keeps the next
-    state's context trajectory for the target critic.
+    its state encoding likewise. Each transition keeps its slate's item ids,
+    and each but the last the next state's context trajectory for the target
+    critic.
     """
     if mode != "sample":
         raise ContractError(f"rollout samples its slates; got mode {mode!r}")
@@ -221,8 +225,8 @@ def rollout(agent: Agent, env: Environment, mode: str,
         slate = select_slate(out, agent.sids, agent.catalog,
                              env.cfg.slate_size, mode, rng_act)
         feedback, reward, nxt, done = env.step(session, slate, rng_env)
-        transitions.append(Transition(session.state, tuple(map(agent.index.sid_of, slate)),
-                                      feedback, reward, int(done)))
+        transitions.append(Transition(session.state, tuple(slate), feedback, reward,
+                                      int(done)))
         session = nxt
     return transitions, EpisodeMetrics(total_reward=sum(tr.reward for tr in transitions),
                                        depth=len(transitions))
@@ -241,10 +245,10 @@ def train_step(agent: Agent, transitions: list[Transition]) -> dict:
 
     c0 = encode_batch(agent.policy.encoder, [tr.state for tr in transitions])
     out = forward(agent.policy, c0, flat=flat)
-    sizes = np.array([len(tr.sids) for tr in transitions])
+    sizes = np.array([len(tr.slate) for tr in transitions])
     rows = np.repeat(np.arange(batch), sizes)       # transition of each slate item
-    log_probs = per_item_log_probs(out, [z for tr in transitions for z in tr.sids],
-                                   rows)
+    sids = agent.index.sid_matrix([item for tr in transitions for item in tr.slate])
+    log_probs = per_item_log_probs(out, sids, rows)
     terms: dict[str, Tensor] = {}
     if variant != "bc_only":
         trajectory = [c0] if variant in _CONTEXT_ZERO_CRITIC else forward(
@@ -349,7 +353,7 @@ EVAL_COLUMNS = ["iteration", "episodes", "mean_total_reward",
 
 
 def evaluate(agent: Agent, env: Environment, episodes: int, seed: int,
-             tag: int) -> list[EpisodeMetrics]:
+             tag: int = _FINAL_EVAL_TAG) -> list[EpisodeMetrics]:
     """Greedy episodes on the evaluation simulator, played in lockstep as
     the module docstring describes; episode i draws its user and its clicks
     from its own `[seed, EVAL, tag, i]` stream."""
@@ -373,7 +377,7 @@ def evaluate(agent: Agent, env: Environment, episodes: int, seed: int,
     return [EpisodeMetrics(total_reward=sum(r), depth=len(r)) for r in rewards]
 
 
-def _summary_row(iteration: int, metrics: list[EpisodeMetrics], seed: int):
+def summary_row(iteration: int, metrics: list[EpisodeMetrics], seed: int):
     rewards = [m.total_reward for m in metrics]
     depths = [float(m.depth) for m in metrics]
     return [iteration, len(metrics),
@@ -410,7 +414,7 @@ def run_training(agent: Agent, ctx: ExperimentContext, seed: int,
             eval_bucket = iteration // cfg.eval_every
             metrics = evaluate(agent, ctx.eval_env, cfg.eval_episodes,
                                seed, eval_bucket)
-            eval_writer.write(_summary_row(iteration, metrics, seed))
+            eval_writer.write(summary_row(iteration, metrics, seed))
 
 
 def run_experiment(ctx: ExperimentContext, train_cfg: TrainConfig, seed: int,
@@ -420,8 +424,7 @@ def run_experiment(ctx: ExperimentContext, train_cfg: TrainConfig, seed: int,
     agent = Agent(ctx.policy_cfg, ctx.critic_cfg, train_cfg, ctx.index,
                   ctx.catalog, seed, ctx.codebook, ctx.item_features)
     run_training(agent, ctx, seed, metrics_writer, eval_writer)
-    final = evaluate(agent, ctx.eval_env, train_cfg.eval_episodes, seed,
-                     _FINAL_EVAL_TAG)
+    final = evaluate(agent, ctx.eval_env, train_cfg.eval_episodes, seed)
     return agent, final
 
 

@@ -21,7 +21,7 @@ from hsrl.encoder import UserState, encode
 from hsrl.env import (EnvConfig, Environment, GroundTruthResponse, SimFitConfig,
                       SynthConfig, fit_simulators, generate_synthetic,
                       make_user_pool)
-from hsrl.policy import PolicyConfig, PolicyParams, forward, sid_log_prob
+from hsrl.policy import PolicyConfig, PolicyParams, forward
 from hsrl.tokenizer import ItemEmbeddings, fit_codebook
 from hsrl.trainer import (Agent, ExperimentContext, TrainConfig, advantage,
                           bc_loss, entropy_term, rollout, run_experiment,
@@ -79,8 +79,8 @@ def test_criterion_1_gradient_suite():
             tensors = list(params.tensors().values())
             sid = (trial % 3, (trial + 1) % 3)
             check_gradients(
-                lambda: sid_log_prob(
-                    forward(params, encode(params.encoder, state)), sid),
+                lambda: slate_log_prob(
+                    forward(params, encode(params.encoder, state)), [sid]),
                 tensors, rtol=1e-3, atol=1e-7)
             cases += 1
 
@@ -115,7 +115,7 @@ def test_criterion_1_gradient_suite():
                 view = forward(params, c0, heads_detached=True)
                 v_hat = aggregate(critic,
                                   value_of_context(critic, ad.stack(view.trajectory)))
-                diff = ad.shift(v_hat, -q)
+                diff = ad.sub(v_hat, ad.constant(q))
                 term = ad.mul(diff, diff)                       # critic MSE
                 term = ad.add(term, ad.scale(slate_log_prob(out, sids), -adv))
                 term = ad.add(term, ad.scale(entropy_term(out), 0.1))
@@ -174,7 +174,8 @@ def test_criterion_2_tokenizer_suite():
 
         # determinism under a fixed seed
         book2, index2 = fit_codebook(items, (6, 6), seed=8)
-        assert index.item_to_sid == index2.item_to_sid
+        assert np.array_equal(index.ids, index2.ids)
+        assert np.array_equal(index.tokens, index2.tokens)
         assert all(np.array_equal(a, b)
                    for a, b in zip(book.centroids, book2.centroids))
 
@@ -183,13 +184,13 @@ def test_criterion_2_tokenizer_suite():
         centers = book1.centroids[0]
         for i in range(80):
             d2 = ((items.vectors[i] - centers) ** 2).sum(axis=1)
-            assert index1.sid_of(i) == (int(d2.argmin()),)
+            assert index1.sid_matrix([i]).tolist() == [[int(d2.argmin())]]
 
         # planted-cluster recovery on the synthetic generator
         synth = generate_synthetic(SynthConfig(n_items=300, n_clusters=8),
                                    seed=2003)
         _, sidx = fit_codebook(synth.items, (16, 16, 16), seed=10)
-        token_of = np.array([sidx.sid_of(i)[0] for i in range(300)])
+        token_of = sidx.sid_matrix(range(300))[:, 0]
         agree = 0
         for tok in np.unique(token_of):
             members = synth.item_clusters[token_of == tok]
@@ -213,7 +214,7 @@ def test_criterion_3_policy_normalization():
             with ad.no_grad():
                 out = forward(params, encode(params.encoder, state))
             total = sum(
-                math.exp(float(sid_log_prob(out, z).data))
+                math.exp(float(slate_log_prob(out, [z]).data))
                 for z in itertools.product(range(4), repeat=3))
             assert abs(total - 1.0) < 1e-9
 
@@ -332,13 +333,15 @@ def test_criterion_5_overfit_one_batch():
             with ad.no_grad():
                 out = forward(agent2.policy,
                               encode(agent2.policy.encoder, tr.state))
-                return float(slate_log_prob(out, tr.sids).data)
+                return float(slate_log_prob(
+                    out, agent2.index.sid_matrix(tr.slate)).data)
 
         seq = [log_prob()]
         for _ in range(50):
             out = forward(agent2.policy, encode(agent2.policy.encoder, tr.state))
             agent2.opt.zero_grad()
-            ad.backward(ad.scale(slate_log_prob(out, tr.sids), -1.0))
+            ad.backward(ad.scale(slate_log_prob(out, agent2.index.sid_matrix(tr.slate)),
+                                 -1.0))
             agent2.opt.step()
             seq.append(log_prob())
         assert all(b > a for a, b in zip(seq, seq[1:]))

@@ -708,7 +708,7 @@ def test_synthetic_tokenizer_recovers_planted_clusters():
     book, index = fit_codebook(synth.items, (16, 16, 16), seed=15)
     # level-1 token must determine the planted cluster almost perfectly:
     # for each token take its majority cluster and count agreement
-    token_of = np.array([index.sid_of(i)[0] for i in range(300)])
+    token_of = index.sid_matrix(range(300))[:, 0]
     agree = 0
     for tok in np.unique(token_of):
         members = synth.item_clusters[token_of == tok]

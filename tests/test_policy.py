@@ -14,9 +14,9 @@ from hsrl.encoder import UserState, encode, encode_batch, history_arrays
 from hsrl.errors import (ContractError, DataError, FormatError, ShapeError,
                          UnknownItemError)
 from hsrl.policy import (PolicyConfig, PolicyOutput, PolicyParams, _draw, _raw_scores,
-                         forward, per_item_log_probs, select_slate, sid_log_prob)
+                         forward, per_item_log_probs, select_slate)
 from hsrl.tokenizer import SidIndex
-from hsrl.trainer import Agent, TrainConfig
+from hsrl.trainer import Agent, TrainConfig, slate_log_prob
 
 from gradcheck import check_gradients
 
@@ -163,7 +163,7 @@ def test_flat_mode_reads_context_zero_everywhere():
 
 
 # ---------------------------------------------------------------------------
-# sid_log_prob
+# SID log-likelihood: `slate_log_prob` of a one-SID slate
 # ---------------------------------------------------------------------------
 
 
@@ -251,7 +251,7 @@ def test_sid_log_prob_uniform_product():
     for w in params.head_w:
         w.data[:] = 0.0
     out = _output(params)
-    lp = sid_log_prob(out, (5, 20, 63))
+    lp = slate_log_prob(out, [(5, 20, 63)])
     assert float(lp.data) == pytest.approx(3 * math.log(1 / 64), abs=1e-12)
     assert math.exp(float(lp.data)) == pytest.approx(3.8147e-6, rel=1e-4)
 
@@ -259,17 +259,17 @@ def test_sid_log_prob_uniform_product():
 def test_sid_log_prob_onehot_is_zero():
     hot = [0.0, 1e4, 0.0, 0.0]
     out = _manual_output([hot, hot, hot])
-    assert float(sid_log_prob(out, (1, 1, 1)).data) == 0.0
+    assert float(slate_log_prob(out, [(1, 1, 1)]).data) == 0.0
 
 
 def test_sid_log_prob_token_out_of_range():
     out = _output(_params())
     with pytest.raises(ContractError, match="token 9 out of range at level 3"):
-        sid_log_prob(out, (0, 0, 9))
+        slate_log_prob(out, [(0, 0, 9)])
     with pytest.raises(ContractError, match="token -1 out of range at level 2"):
-        sid_log_prob(out, (0, -1, 0))
+        slate_log_prob(out, [(0, -1, 0)])
     with pytest.raises(ContractError, match="SID has 2 tokens, expected 3"):
-        sid_log_prob(out, (0, 0))
+        slate_log_prob(out, [(0, 0)])
     with pytest.raises(ContractError, match="ragged"):  # SIDs of two lengths
         per_item_log_probs(out, [(0, 0, 1), (0, 1)])
 
@@ -278,7 +278,7 @@ def test_exhaustive_enumeration_sums_to_one():
     for seed in range(20):
         params = _params(seed=seed + 100)
         out = _output(params, history=((seed % 20, 1),))
-        total = sum(math.exp(float(sid_log_prob(out, z).data))
+        total = sum(math.exp(float(slate_log_prob(out, [z]).data))
                     for z in itertools.product(range(4), repeat=3))
         assert abs(total - 1.0) < 1e-9
 
@@ -291,7 +291,7 @@ def test_sid_log_prob_gradient_through_recursion():
 
     def loss():
         out = forward(params, encode(params.encoder, state))
-        return sid_log_prob(out, (2, 1))
+        return slate_log_prob(out, [(2, 1)])
 
     check_gradients(loss, tensors, rtol=1e-3, atol=1e-7)
 
@@ -334,7 +334,7 @@ def test_score_equals_exp_log_prob():
     out = _output(_params(seed=25))
     index = _index()
     for item, score in zip(ITEMS, _raw_scores(out, _sids(ITEMS))):
-        lp = float(sid_log_prob(out, index.sid_of(item)).data)
+        lp = float(slate_log_prob(out, index.sid_matrix([item])).data)
         assert abs(score - math.exp(lp)) < 1e-12
 
 
@@ -407,8 +407,13 @@ def test_select_unknown_mode():
 # calls, same tie rule).
 
 
+def _lookup(index, item):
+    """The SID of one item, by a linear scan of the index's table."""
+    return tuple(index.tokens[np.flatnonzero(index.ids == item)[0]].tolist())
+
+
 def _loop_scores(output, index, candidates):
-    z = np.array([index.sid_of(i) for i in candidates], dtype=np.int64)
+    z = np.array([_lookup(index, i) for i in candidates], dtype=np.int64)
     scores = np.ones(len(candidates))
     for lvl, p in enumerate(output.probs):
         scores = scores * p.data[z[:, lvl]]
@@ -499,7 +504,7 @@ def test_tie_case_straddles_the_greedy_cut():
     kept = [i for i, s in ranked[:5] if s == kth]
     dropped = [i for i, s in ranked[5:] if s == kth]
     assert kth > 0.0 and kept and dropped
-    assert {index.sid_of(i) for i in kept} & {index.sid_of(i) for i in dropped}
+    assert {_lookup(index, i) for i in kept} & {_lookup(index, i) for i in dropped}
     assert ids != sorted(ids) and max(ids) - min(ids) >= N_CANDIDATES
 
 
@@ -617,7 +622,7 @@ def test_sid_matrix_equals_per_item_lookup():
     index = SidIndex(ids, [rng.integers(0, 9, size=3) for _ in ids])
     query = [int(i) for i in rng.choice(ids, size=80)]  # repeats, any order
     got = index.sid_matrix(query)
-    want = np.array([index.sid_of(i) for i in query], dtype=np.int64)
+    want = np.array([_lookup(index, i) for i in query], dtype=np.int64)
     assert got.dtype == np.int64 and got.shape == want.shape
     assert got.flags.c_contiguous
     assert got.tobytes() == want.tobytes()

@@ -10,6 +10,9 @@ to the name (`benchmarks/tracer.py` wraps functions by their string names).
 The scan matches names, not bindings, so a public name that is also an
 attribute used elsewhere is hidden from it: an `autodiff.log` would pass
 through `math.log`, and a `tokenizer.decode` through `bytes.decode`.
+
+No module of `src/hsrl/` imports or reads another `hsrl` module's
+underscore name: what another module needs is public.
 """
 
 import ast
@@ -106,3 +109,33 @@ def _unread_methods() -> dict[str, str]:
 def test_every_method_has_a_reader_outside_its_definition():
     # a method whose last reader was deleted goes with it
     assert _unread_methods() == {}
+
+
+def _foreign_private_reads() -> list[str]:
+    """`module: line: name` for every underscore name (dunders aside) that a
+    module of `src/hsrl/` imports from, or reads off, another `hsrl` module."""
+    found = []
+    for module, body in _modules().items():
+        aliases = set()  # names this module binds to hsrl modules
+        for node in (n for stmt in body for n in ast.walk(stmt)):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "hsrl"):
+                for name in node.names:
+                    if node.module in (None, "hsrl"):  # `from . import env as env_mod`
+                        aliases.add(name.asname or name.name)
+                    elif name.name.startswith("_") and not name.name.startswith("__"):
+                        found.append(f"{module}: {node.lineno}: {name.name}")
+            elif isinstance(node, ast.Import):
+                aliases.update(name.asname for name in node.names
+                               if name.asname and name.name.startswith("hsrl."))
+        for node in (n for stmt in body for n in ast.walk(stmt)):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases and node.attr.startswith("_")
+                    and not node.attr.startswith("__")):
+                found.append(f"{module}: {node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a name another module needs is public; its underscore says it is not
+    assert _foreign_private_reads() == []

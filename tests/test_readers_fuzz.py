@@ -96,7 +96,8 @@ def test_codebook_roundtrip(tmp_path, built):
     assert (loaded_book.dim, loaded_book.vocab_sizes) == (book.dim, book.vocab_sizes)
     for a, b in zip(loaded_book.centroids, book.centroids, strict=True):
         assert a.tobytes() == b.tobytes()
-    assert loaded_index.item_to_sid == index.item_to_sid
+    assert np.array_equal(loaded_index.ids, index.ids)
+    assert np.array_equal(loaded_index.tokens, index.tokens)
 
 
 @FUZZ

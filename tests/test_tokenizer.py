@@ -48,10 +48,7 @@ def test_two_level_hand_example():
     book, index = fit_codebook(items, (2, 2), seed=0)
     assert book.centroids[0].ravel() == pytest.approx([0.05, 1.05], abs=1e-12)
     assert book.centroids[1].ravel() == pytest.approx([-0.05, 0.05], abs=1e-12)
-    assert index.sid_of(0) == (0, 0)
-    assert index.sid_of(1) == (0, 1)
-    assert index.sid_of(2) == (1, 0)
-    assert index.sid_of(3) == (1, 1)
+    assert index.sid_matrix([0, 1, 2, 3]).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
 def test_identical_embeddings_single_centroid():
@@ -60,7 +57,7 @@ def test_identical_embeddings_single_centroid():
     assert book.centroids[0] == pytest.approx(np.full((1, 3), 0.5), abs=1e-15)
     _, residuals = _bruteforce_residuals(book, items.vectors)
     assert (residuals ** 2).sum() == pytest.approx(0.0, abs=1e-24)
-    assert all(index.sid_of(i) == (0,) for i in range(5))
+    assert index.sid_matrix(range(5)).tolist() == [[0]] * 5
 
 
 def test_quantization_error_nonincreasing_in_depth():
@@ -94,7 +91,8 @@ def test_fit_determinism():
     book2, index2 = fit_codebook(items, (8, 8), seed=9)
     for c1, c2 in zip(book1.centroids, book2.centroids):
         assert np.array_equal(c1, c2)
-    assert index1.item_to_sid == index2.item_to_sid
+    assert np.array_equal(index1.ids, index2.ids)
+    assert np.array_equal(index1.tokens, index2.tokens)
 
 
 def test_item_order_does_not_change_sids():
@@ -103,7 +101,8 @@ def test_item_order_does_not_change_sids():
     shuffled = ItemEmbeddings(items.ids[perm], items.vectors[perm])
     _, index1 = fit_codebook(items, (6, 6), seed=2)
     _, index2 = fit_codebook(shuffled, (6, 6), seed=2)
-    assert index1.item_to_sid == index2.item_to_sid
+    assert np.array_equal(index1.ids, index2.ids)
+    assert np.array_equal(index1.tokens, index2.tokens)
 
 
 def test_centroids_canonically_sorted():
@@ -242,14 +241,14 @@ def test_assign_reproduces_fit_sids():
     for case in (items, duplicated):
         book, index = fit_codebook(case, (5, 5, 5), seed=12)
         tokens, _ = _bruteforce_residuals(book, case.vectors)
-        assert [index.sid_of(int(i)) for i in case.ids] == tokens
+        assert list(map(tuple, index.sid_matrix(case.ids).tolist())) == tokens
 
 
 def test_single_level_matches_bruteforce_nearest_neighbor():
     items = _random_items(n=50, d=4, seed=21)
     book, index = fit_codebook(items, (7,), seed=21)
     tokens, _ = _bruteforce_residuals(book, items.vectors)
-    assert [index.sid_of(int(i)) for i in items.ids] == tokens
+    assert list(map(tuple, index.sid_matrix(items.ids).tolist())) == tokens
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +260,6 @@ def test_index_sorts_rows_by_id():
     index = SidIndex([9, 3, 5], [(0, 0), (0, 1), (1, 1)])
     assert index.ids.tolist() == [3, 5, 9]
     assert index.tokens.tolist() == [[0, 1], [1, 1], [0, 0]]
-    assert index.item_to_sid == {3: (0, 1), 5: (1, 1), 9: (0, 0)}
     assert len(index) == 3
     with pytest.raises(ValueError):  # the table is fixed once built
         index.tokens[0, 0] = 2
@@ -329,10 +327,11 @@ def test_codebook_roundtrip_byte_exact(tmp_path):
         save_codebook(second, loaded_book, loaded_index)
         assert first.read_bytes() == second.read_bytes()
         # the records: (u64 id, 2 x u16 token), ascending id
-        records = b"".join(struct.pack("<Q2H", int(i), *index.sid_of(int(i)))
+        records = b"".join(struct.pack("<Q2H", int(i), *index.sid_matrix([i])[0].tolist())
                            for i in sorted(items.ids))
         assert first.read_bytes().endswith(struct.pack("<Q", len(items)) + records)
-        assert loaded_index.item_to_sid == index.item_to_sid
+        assert np.array_equal(loaded_index.ids, index.ids)
+        assert np.array_equal(loaded_index.tokens, index.tokens)
         for a, b in zip(book.centroids, loaded_book.centroids):
             assert np.array_equal(a, b)
 
@@ -379,7 +378,7 @@ def test_codebook_item_id_beyond_int64_rejected(tmp_path):
     with pytest.raises(FormatError, match=f"id {2 ** 63} does not fit int64"):
         load_codebook(path)
     _crafted_codebook(path, [3, 2 ** 63 - 1])
-    assert load_codebook(path)[1].sid_of(2 ** 63 - 1) == (0,)
+    assert load_codebook(path)[1].sid_matrix([2 ** 63 - 1]).tolist() == [[0]]
 
 
 def test_codebook_duplicate_item_record_rejected(tmp_path):
@@ -448,7 +447,9 @@ def test_codebook_records_fail_as_recordwise_reader(tmp_path, data, ids):
                      + np.arange(5, dtype="<f8").tobytes() + records)
     want = _recordwise_error(records, vocab)
     if want is None:
-        assert load_codebook(path)[1].item_to_sid == dict(zip(ids, tokens))
+        loaded = load_codebook(path)[1]
+        assert loaded.ids.tolist() == sorted(ids)
+        assert loaded.tokens.tolist() == [list(z) for _, z in sorted(zip(ids, tokens))]
     else:
         with pytest.raises(FormatError) as err:
             load_codebook(path)

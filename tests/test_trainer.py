@@ -131,12 +131,10 @@ def _uniform_output(t, levels):
 
 
 def test_slate_log_prob_single_item_reduces_to_sid():
-    from hsrl.policy import sid_log_prob
-
     out = _uniform_output(4, 3)
     single = float(slate_log_prob(out, [(1, 2, 3)]).data)
-    assert single == pytest.approx(float(sid_log_prob(out, (1, 2, 3)).data),
-                                   abs=1e-15)
+    sid = sum(float(lp.data[z]) for lp, z in zip(out.log_probs, (1, 2, 3)))
+    assert single == pytest.approx(sid, abs=1e-15)
 
 
 def test_slate_log_prob_duplicate_sids():
@@ -243,7 +241,7 @@ def test_gradient_isolation_between_actor_and_critic():
     # policy-gradient term alone: zero gradient on critic parameters
     c0 = encode(agent.policy.encoder, tr.state)
     out = forward(agent.policy, c0)
-    pg = ad.scale(slate_log_prob(out, tr.sids), -0.7)
+    pg = ad.scale(slate_log_prob(out, agent.index.sid_matrix(tr.slate)), -0.7)
     for t in agent.critic.tensors().values():
         t.zero_grad()
     for t in agent.policy.tensors().values():
@@ -261,7 +259,7 @@ def test_gradient_isolation_between_actor_and_critic():
         t.zero_grad()
     for t in agent.policy.tensors().values():
         t.zero_grad()
-    diff = ad.shift(v_hat, -0.5)
+    diff = ad.sub(v_hat, ad.constant(0.5))
     ad.backward(ad.mul(diff, diff))
     for lvl in range(len(VOCAB)):
         assert agent.policy.head_w[lvl].grad is None
@@ -320,11 +318,11 @@ def test_composite_loss_gradient_matches_finite_differences():
             view = forward(agent.policy, c0, heads_detached=True)
             v_hat = aggregate(agent.critic,
                               value_of_context(agent.critic, ad.stack(view.trajectory)))
-            diff = ad.shift(v_hat, -q)
+            diff = ad.sub(v_hat, ad.constant(q))
             term = ad.mul(diff, diff)
-            term = ad.add(term, ad.scale(slate_log_prob(out, tr.sids), -adv))
+            term = ad.add(term, ad.scale(slate_log_prob(out, agent.index.sid_matrix(tr.slate)), -adv))
             term = ad.add(term, ad.scale(entropy_term(out), cfg.lambda_entropy))
-            bc = bc_loss(out, tr.sids, tr.feedback)
+            bc = bc_loss(out, agent.index.sid_matrix(tr.slate), tr.feedback)
             if bc is not None:
                 term = ad.add(term, ad.scale(bc, cfg.lambda_bc))
             total = term if total is None else ad.add(total, term)
@@ -355,9 +353,9 @@ def test_policy_head_gradients_match_fd_through_actor_terms():
 
     def loss():
         out = forward(agent.policy, encode(agent.policy.encoder, tr.state))
-        term = ad.scale(slate_log_prob(out, tr.sids), -adv)
+        term = ad.scale(slate_log_prob(out, agent.index.sid_matrix(tr.slate)), -adv)
         term = ad.add(term, ad.scale(entropy_term(out), 0.1))
-        bc = bc_loss(out, tr.sids, tr.feedback)
+        bc = bc_loss(out, agent.index.sid_matrix(tr.slate), tr.feedback)
         if bc is not None:
             term = ad.add(term, ad.scale(bc, 0.5))
         return term
@@ -385,12 +383,12 @@ def test_positive_advantage_log_prob_strictly_increases():
     def log_prob():
         with ad.no_grad():
             out = forward(agent.policy, encode(agent.policy.encoder, tr.state))
-            return float(slate_log_prob(out, tr.sids).data)
+            return float(slate_log_prob(out, agent.index.sid_matrix(tr.slate)).data)
 
     values = [log_prob()]
     for _ in range(50):
         out = forward(agent.policy, encode(agent.policy.encoder, tr.state))
-        loss = ad.scale(slate_log_prob(out, tr.sids), -1.0)  # advantage +1
+        loss = ad.scale(slate_log_prob(out, agent.index.sid_matrix(tr.slate)), -1.0)  # advantage +1
         agent.opt.zero_grad()
         ad.backward(loss)
         agent.opt.step()
@@ -405,14 +403,14 @@ def test_pg_loss_sign_single_step():
     env = _env()
     tr = _fake_transitions(agent, env, n=1, seed=17)[0]
     out = forward(agent.policy, encode(agent.policy.encoder, tr.state))
-    before = float(slate_log_prob(out, tr.sids).data)
-    loss = ad.scale(slate_log_prob(out, tr.sids), -1.0)
+    before = float(slate_log_prob(out, agent.index.sid_matrix(tr.slate)).data)
+    loss = ad.scale(slate_log_prob(out, agent.index.sid_matrix(tr.slate)), -1.0)
     agent.opt.zero_grad()
     ad.backward(loss)
     agent.opt.step()
     with ad.no_grad():
         out2 = forward(agent.policy, encode(agent.policy.encoder, tr.state))
-    assert float(slate_log_prob(out2, tr.sids).data) > before
+    assert float(slate_log_prob(out2, agent.index.sid_matrix(tr.slate)).data) > before
 
 
 def test_train_step_determinism_bitwise():
@@ -437,7 +435,7 @@ def test_zero_advantage_gives_zero_policy_gradient():
     env = _env()
     tr = _fake_transitions(agent, env, n=1, seed=20)[0]
     out = forward(agent.policy, encode(agent.policy.encoder, tr.state))
-    pg = ad.scale(slate_log_prob(out, tr.sids), -0.0)
+    pg = ad.scale(slate_log_prob(out, agent.index.sid_matrix(tr.slate)), -0.0)
     for t in agent.policy.tensors().values():
         t.zero_grad()
     ad.backward(pg)
@@ -501,6 +499,60 @@ def test_rollout_next_contexts_line_up():
     assert transitions[-1].next_contexts is None
 
 
+def test_rollout_transitions_keep_the_slates_env_step_was_shown(monkeypatch):
+    shown, step = [], Environment.step
+
+    def spy(self, session, slate, rng):
+        shown.append(tuple(slate))
+        return step(self, session, slate, rng)
+
+    monkeypatch.setattr(Environment, "step", spy)
+    agent, env = _agent(seed=51), _env()
+    for episode in range(3):
+        shown.clear()
+        transitions, _ = rollout(agent, env, "sample",
+                                 np.random.default_rng([51, 0, episode]),
+                                 np.random.default_rng([51, 1, episode]))
+        assert [tr.slate for tr in transitions] == shown
+        assert all(type(i) is int for tr in transitions for i in tr.slate)
+
+
+def test_train_step_reads_every_sid_of_its_batch_with_one_lookup(monkeypatch):
+    # the slates of a batch spanning two episodes go through one
+    # `sid_matrix` call, in transition order, and its matrix is the one the
+    # log-probabilities read
+    agent, env = _agent(seed=53), _env()
+    batch = []
+    for episode in range(2):
+        more, _ = rollout(agent, env, "sample",
+                          np.random.default_rng([53, 0, episode]),
+                          np.random.default_rng([53, 1, episode]))
+        batch.extend(more)
+    assert sum(tr.done for tr in batch) == 2 and len(batch) > 2
+    lookups, scored = [], []
+    sid_matrix, per_item_log_probs = SidIndex.sid_matrix, trainer.per_item_log_probs
+
+    def lookup(self, item_ids):
+        lookups.append(sid_matrix(self, item_ids))
+        return lookups[-1]
+
+    def score(output, sids, rows=None):
+        scored.append(sids)
+        return per_item_log_probs(output, sids, rows)
+
+    monkeypatch.setattr(SidIndex, "sid_matrix", lookup)
+    monkeypatch.setattr(trainer, "per_item_log_probs", score)
+    train_step(agent, batch)
+    assert len(lookups) == 1 and len(scored) == 1 and scored[0] is lookups[0]
+    # reference: a per-item lookup in a dict of the index table
+    table = dict(zip(agent.index.ids.tolist(), map(tuple, agent.index.tokens.tolist())))
+    want = np.array([table[i] for tr in batch for i in tr.slate], dtype=np.int64)
+    got = lookups[0]
+    assert got.dtype == np.int64 and got.shape == want.shape == (
+        sum(len(tr.slate) for tr in batch), len(VOCAB))
+    assert got.tobytes() == want.tobytes()
+
+
 def _reference_rollout(agent, env, rng_env, rng_act):
     """`rollout` with a policy pass on every step, whether or not the state
     changed."""
@@ -514,8 +566,7 @@ def _reference_rollout(agent, env, rng_env, rng_act):
                              "sample", rng_act)
         feedback, reward, nxt, done = env.step(session, slate, rng_env)
         transitions.append(trainer.Transition(
-            session.state, tuple(map(agent.index.sid_of, slate)), feedback,
-            reward, int(done)))
+            session.state, tuple(slate), feedback, reward, int(done)))
         session = nxt
     return transitions
 
@@ -538,7 +589,7 @@ def test_rollout_forwards_once_per_changed_state(model, monkeypatch):
         got, _ = rollout(agent, env, "sample", *rngs)
         assert len(got) == len(want)
         for a, b in zip(got, want):
-            assert (a.state, a.sids, a.reward, a.done) == (b.state, b.sids, b.reward, b.done)
+            assert (a.state, a.slate, a.reward, a.done) == (b.state, b.slate, b.reward, b.done)
             assert a.feedback.tobytes() == b.feedback.tobytes()
             assert [c.tobytes() for c in a.next_contexts or []] == [
                 c.tobytes() for c in b.next_contexts or []]
@@ -701,11 +752,11 @@ def _reference_step(agent, transitions):
                         ad.constant(c) for c in tr.next_contexts[:len(trajectory)]])
                 q = td_target(tr.reward, 0, float(v_next.data), cfg.gamma)
             adv = advantage(q, float(v_hat.data), cfg.advantage_clip)
-            diff = ad.shift(v_hat, -q)
+            diff = ad.sub(v_hat, ad.constant(q))
             parts["loss_V"].append(ad.mul(diff, diff))
-            parts["loss_PG"].append(ad.scale(slate_log_prob(out, tr.sids), -adv))
+            parts["loss_PG"].append(ad.scale(slate_log_prob(out, agent.index.sid_matrix(tr.slate)), -adv))
         parts["H_en"].append(entropy_term(out))
-        bc = bc_loss(out, tr.sids, tr.feedback) if use_bc or bc_only else None
+        bc = bc_loss(out, agent.index.sid_matrix(tr.slate), tr.feedback) if use_bc or bc_only else None
         if bc is not None:
             parts["loss_BC"].append(bc)
 
