@@ -1,13 +1,14 @@
 """Joint actor-critic optimization driven by on-policy rollouts.
 
-Each update consumes one freshly collected episode: the critic regresses
-its fused value onto one-step bootstrap targets from the frozen target
-critic, which trails the live critic by Polyak averaging, and the policy
-follows clipped-advantage gradients plus entropy pressure and a
-behavioral-cloning anchor on clicked items. Advantages and bootstrap
-targets are constants by construction, and the critic reads the trajectory
-through detached policy-head parameters, so neither loss leaks gradient
-across the actor/critic boundary.
+Each update consumes one freshly collected episode. Each loss term is one
+function over row-batched inputs, which `train_step` and the acceptance
+gate's one-row checks share: `value_loss` regresses the critic's fused
+value onto one-step bootstrap targets from a Polyak-trailing target
+critic, `pg_loss` follows clipped advantages, `entropy_term` adds entropy
+pressure and `bc_loss` a behavioral-cloning anchor on clicked items.
+Advantages and bootstrap targets are constants by construction, and the
+critic reads the trajectory through detached policy-head parameters, so
+neither loss leaks gradient across the actor/critic boundary.
 
 Rollouts run the policy without gradient tracking, once per step whose
 state changed, and sample their slates; the training simulator likewise
@@ -123,9 +124,16 @@ def advantage(q, v, clip: float = 1.0):
     return np.clip(q - v, -clip, clip)
 
 
-def slate_log_prob(output: PolicyOutput, sids) -> Tensor:
-    """Mean SID log-likelihood over the slate under one shared forward pass."""
-    return ad.vmean(per_item_log_probs(output, sids))
+def value_loss(v_hat: Tensor, q) -> Tensor:
+    """Critic MSE: the mean over rows of (v_hat - Q)^2, the targets constant."""
+    diff = ad.sub(v_hat, ad.constant(q))
+    return ad.vmean(ad.mul(diff, diff))
+
+
+def pg_loss(log_probs: Tensor, rows: np.ndarray, adv: np.ndarray) -> Tensor:
+    """-(1/B) sum_b adv[b] * (mean log pi over slate b); item i is in slate rows[i]."""
+    sizes = np.bincount(rows, minlength=len(adv))
+    return ad.dot(ad.constant(-adv[rows] / sizes[rows] / len(adv)), log_probs)
 
 
 def entropy_term(output: PolicyOutput) -> Tensor:
@@ -135,17 +143,13 @@ def entropy_term(output: PolicyOutput) -> Tensor:
                            for p, lp in zip(output.probs, output.log_probs)])
 
 
-def bc_loss(output: PolicyOutput, sids, feedback: np.ndarray) -> Tensor | None:
-    """Click-weighted negative log-likelihood; None when the slate has no
-    positive feedback (exactly zero loss and zero gradient)."""
-    feedback = np.asarray(feedback, dtype=np.float64)
-    if len(feedback) != len(sids):
-        raise ContractError("feedback and slate lengths differ")
-    pos = feedback.sum()
-    if pos == 0:
+def bc_loss(log_probs: Tensor, rows: np.ndarray, clicks: np.ndarray, batch: int) -> Tensor | None:
+    """-(1/B) sum_b (mean log pi over slate b's clicks); None if no slate has one."""
+    pos = np.bincount(rows, weights=clicks, minlength=batch)
+    if not pos.any():
         return None
-    weights = ad.constant(feedback / pos)
-    return ad.scale(ad.dot(weights, per_item_log_probs(output, sids)), -1.0)
+    per_item = -clicks / np.where(pos > 0, pos, 1.0)[rows] / batch
+    return ad.dot(ad.constant(per_item), log_probs)
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +243,16 @@ def train_step(agent: Agent, transitions: list[Transition]) -> dict:
     cfg, variant, batch = agent.cfg, agent.cfg.variant, len(transitions)
     if batch < 1:
         raise ContractError("empty batch")
-    flat = variant == "flat_policy"
+    for i, tr in enumerate(transitions):  # before any state changes
+        if len(tr.feedback) != len(tr.slate):
+            raise ContractError(f"transition {i}: {len(tr.feedback)} feedback entries "
+                                f"for a slate of {len(tr.slate)} items")
     weights = {"loss_V": 1.0, "loss_PG": 1.0, "loss_BC": cfg.lambda_bc,
                "H_en": 0.0 if variant in ("no_entropy", "bc_only") else cfg.lambda_entropy}
 
     c0 = encode_batch(agent.policy.encoder, [tr.state for tr in transitions])
-    out = forward(agent.policy, c0, flat=flat)
-    sizes = np.array([len(tr.slate) for tr in transitions])
-    rows = np.repeat(np.arange(batch), sizes)       # transition of each slate item
+    out = forward(agent.policy, c0, flat=variant == "flat_policy")
+    rows = np.repeat(np.arange(batch), [len(tr.slate) for tr in transitions])
     sids = agent.index.sid_matrix([item for tr in transitions for item in tr.slate])
     log_probs = per_item_log_probs(out, sids, rows)
     terms: dict[str, Tensor] = {}
@@ -261,18 +267,14 @@ def train_step(agent: Agent, transitions: list[Transition]) -> dict:
                 [transitions[i].next_contexts[:len(trajectory)] for i in boot], axis=1))
         q = td_target(np.array([tr.reward for tr in transitions]), done, v_next, cfg.gamma)
         adv = advantage(q, v_hat.data, cfg.advantage_clip)
-        diff = ad.sub(v_hat, ad.constant(q))
-        terms["loss_V"] = ad.vmean(ad.mul(diff, diff))
-        terms["loss_PG"] = ad.dot(ad.constant(-adv[rows] / sizes[rows] / batch),
-                                  log_probs)
+        terms["loss_V"] = value_loss(v_hat, q)
+        terms["loss_PG"] = pg_loss(log_probs, rows, adv)
     if weights["H_en"]:
         terms["H_en"] = ad.scale(entropy_term(out), 1.0 / batch)
     if (cfg.lambda_bc > 0.0 and variant != "no_bc") or variant == "bc_only":
-        clicks = np.concatenate([tr.feedback for tr in transitions]).astype(np.float64)
-        pos = np.bincount(rows, weights=clicks, minlength=batch)
-        if pos.any():  # a slate with no click adds exactly zero loss and gradient
-            per_item = -clicks / np.where(pos > 0, pos, 1.0)[rows] / batch
-            terms["loss_BC"] = ad.dot(ad.constant(per_item), log_probs)
+        clicks = np.concatenate([tr.feedback for tr in transitions])
+        if (bc := bc_loss(log_probs, rows, clicks, batch)) is not None:
+            terms["loss_BC"] = bc
 
     report = {key: float(terms[key].data) if key in terms else 0.0 for key in weights}
     # entropy_term's sums on plain arrays: the graph term's value when it is built
@@ -392,9 +394,7 @@ def run_training(agent: Agent, ctx: ExperimentContext, seed: int,
     """Play one fresh episode per update until the interaction budget is
     spent."""
     cfg = agent.cfg
-    iteration = 0
-    episode = 0
-    eval_bucket = 0
+    iteration = episode = eval_bucket = 0
     while iteration < cfg.iterations:
         rng_env = np.random.default_rng([seed, _STREAM_ENV, episode])
         rng_act = np.random.default_rng([seed, _STREAM_ACTION, episode])
@@ -405,8 +405,7 @@ def run_training(agent: Agent, ctx: ExperimentContext, seed: int,
         report = train_step(agent, transitions)
         if metrics_writer is not None:
             metrics_writer.write(
-                [iteration, metrics.total_reward,
-                 float(metrics.depth), report["loss_V"],
+                [iteration, metrics.total_reward, float(metrics.depth), report["loss_V"],
                  report["loss_PG"], report["H_en"], report["loss_BC"]]
                 + [float(w) for w in report["weights"]] + [seed])
         if (eval_writer is not None and cfg.eval_every > 0

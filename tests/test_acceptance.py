@@ -21,11 +21,11 @@ from hsrl.encoder import UserState, encode
 from hsrl.env import (EnvConfig, Environment, GroundTruthResponse, SimFitConfig,
                       SynthConfig, fit_simulators, generate_synthetic,
                       make_user_pool)
-from hsrl.policy import PolicyConfig, PolicyParams, forward
+from hsrl.policy import PolicyConfig, PolicyParams, forward, per_item_log_probs
 from hsrl.tokenizer import ItemEmbeddings, fit_codebook
 from hsrl.trainer import (Agent, ExperimentContext, TrainConfig, advantage,
-                          bc_loss, entropy_term, rollout, run_experiment,
-                          slate_log_prob, td_target, train_step)
+                          bc_loss, entropy_term, pg_loss, rollout, run_experiment,
+                          td_target, train_step, value_loss)
 
 from gradcheck import check_gradients
 
@@ -79,8 +79,8 @@ def test_criterion_1_gradient_suite():
             tensors = list(params.tensors().values())
             sid = (trial % 3, (trial + 1) % 3)
             check_gradients(
-                lambda: slate_log_prob(
-                    forward(params, encode(params.encoder, state)), [sid]),
+                lambda: ad.vsum(per_item_log_probs(
+                    forward(params, encode(params.encoder, state)), [sid])),
                 tensors, rtol=1e-3, atol=1e-7)
             cases += 1
 
@@ -103,6 +103,7 @@ def test_criterion_1_gradient_suite():
             critic = CriticParams(CriticConfig(d_model=6, levels=2, hidden=4),
                                   np.random.default_rng(trial + 200))
             sids = [(trial % 3, 2), (0, (trial + 1) % 3)]
+            rows = np.zeros(len(sids), dtype=np.int64)  # a one-transition batch
             feedback = np.array([1, trial % 2])
             q = float(rng.normal())
             adv = float(np.clip(rng.normal(), -1, 1))
@@ -115,11 +116,11 @@ def test_criterion_1_gradient_suite():
                 view = forward(params, c0, heads_detached=True)
                 v_hat = aggregate(critic,
                                   value_of_context(critic, ad.stack(view.trajectory)))
-                diff = ad.sub(v_hat, ad.constant(q))
-                term = ad.mul(diff, diff)                       # critic MSE
-                term = ad.add(term, ad.scale(slate_log_prob(out, sids), -adv))
+                term = value_loss(v_hat, q)                     # critic MSE
+                lp = per_item_log_probs(out, sids)
+                term = ad.add(term, pg_loss(lp, rows, np.array([adv])))
                 term = ad.add(term, ad.scale(entropy_term(out), 0.1))
-                bc = bc_loss(out, sids, feedback)
+                bc = bc_loss(lp, rows, feedback, 1)
                 term = ad.add(term, ad.scale(bc, 0.5))
                 return term
 
@@ -130,9 +131,9 @@ def test_criterion_1_gradient_suite():
             # actor-side terms alone cover the head parameters
             check_gradients(
                 lambda: ad.add(
-                    ad.scale(slate_log_prob(
+                    pg_loss(per_item_log_probs(
                         forward(params, encode(params.encoder, state)), sids),
-                        -adv),
+                        rows, np.array([adv])),
                     ad.scale(entropy_term(
                         forward(params, encode(params.encoder, state))), 0.1)),
                 params.head_w + params.tok_emb, rtol=1e-3, atol=1e-7)
@@ -214,7 +215,7 @@ def test_criterion_3_policy_normalization():
             with ad.no_grad():
                 out = forward(params, encode(params.encoder, state))
             total = sum(
-                math.exp(float(slate_log_prob(out, [z]).data))
+                math.exp(float(per_item_log_probs(out, [z]).data[0]))
                 for z in itertools.product(range(4), repeat=3))
             assert abs(total - 1.0) < 1e-9
 
@@ -264,15 +265,19 @@ def test_criterion_4_loss_formulas():
         assert abs(float(entropy_term(out).data) - (-3 * math.log(4))) < 1e-12
 
         out64 = uniform_output(64, 3)
-        assert abs(float(slate_log_prob(out64, [(0, 0, 0), (1, 2, 3)]).data)
+        # a one-transition batch: advantage -1 gives the slate-mean log-likelihood
+        rows = np.zeros(2, dtype=np.int64)
+        assert abs(float(pg_loss(per_item_log_probs(out64, [(0, 0, 0), (1, 2, 3)]),
+                                 rows, np.array([-1.0])).data)
                    - 3 * math.log(1 / 64)) < 1e-12
 
         # BC: zero on zero-positive slates, exact weighting otherwise
-        assert bc_loss(out, [(0, 0, 0), (1, 1, 1)], np.array([0, 0])) is None
+        lp = per_item_log_probs(out, [(0, 0, 0), (1, 1, 1)])
+        assert bc_loss(lp, rows, np.array([0, 0]), 1) is None
         lp_item = 3 * math.log(1 / 4)
-        loss = bc_loss(out, [(0, 0, 0), (1, 1, 1)], np.array([1, 0]))
+        loss = bc_loss(lp, rows, np.array([1, 0]), 1)
         assert abs(float(loss.data) - (-lp_item)) < 1e-12
-        loss_all = bc_loss(out, [(0, 0, 0), (1, 1, 1)], np.array([1, 1]))
+        loss_all = bc_loss(lp, rows, np.array([1, 1]), 1)
         assert abs(float(loss_all.data) - (-lp_item)) < 1e-12
 
 
@@ -333,15 +338,15 @@ def test_criterion_5_overfit_one_batch():
             with ad.no_grad():
                 out = forward(agent2.policy,
                               encode(agent2.policy.encoder, tr.state))
-                return float(slate_log_prob(
-                    out, agent2.index.sid_matrix(tr.slate)).data)
+                return float(per_item_log_probs(
+                    out, agent2.index.sid_matrix(tr.slate)).data.mean())
 
         seq = [log_prob()]
         for _ in range(50):
             out = forward(agent2.policy, encode(agent2.policy.encoder, tr.state))
             agent2.opt.zero_grad()
-            ad.backward(ad.scale(slate_log_prob(out, agent2.index.sid_matrix(tr.slate)),
-                                 -1.0))
+            ad.backward(pg_loss(per_item_log_probs(out, agent2.index.sid_matrix(tr.slate)),
+                                np.zeros(len(tr.slate), dtype=np.int64), np.array([1.0])))
             agent2.opt.step()
             seq.append(log_prob())
         assert all(b > a for a, b in zip(seq, seq[1:]))

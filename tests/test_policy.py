@@ -16,7 +16,7 @@ from hsrl.errors import (ContractError, DataError, FormatError, ShapeError,
 from hsrl.policy import (PolicyConfig, PolicyOutput, PolicyParams, _draw, _raw_scores,
                          forward, per_item_log_probs, select_slate)
 from hsrl.tokenizer import SidIndex
-from hsrl.trainer import Agent, TrainConfig, slate_log_prob
+from hsrl.trainer import Agent, TrainConfig
 
 from gradcheck import check_gradients
 
@@ -163,7 +163,7 @@ def test_flat_mode_reads_context_zero_everywhere():
 
 
 # ---------------------------------------------------------------------------
-# SID log-likelihood: `slate_log_prob` of a one-SID slate
+# SID log-likelihood: `per_item_log_probs` of one SID
 # ---------------------------------------------------------------------------
 
 
@@ -251,25 +251,25 @@ def test_sid_log_prob_uniform_product():
     for w in params.head_w:
         w.data[:] = 0.0
     out = _output(params)
-    lp = slate_log_prob(out, [(5, 20, 63)])
-    assert float(lp.data) == pytest.approx(3 * math.log(1 / 64), abs=1e-12)
-    assert math.exp(float(lp.data)) == pytest.approx(3.8147e-6, rel=1e-4)
+    lp = float(per_item_log_probs(out, [(5, 20, 63)]).data[0])
+    assert lp == pytest.approx(3 * math.log(1 / 64), abs=1e-12)
+    assert math.exp(lp) == pytest.approx(3.8147e-6, rel=1e-4)
 
 
 def test_sid_log_prob_onehot_is_zero():
     hot = [0.0, 1e4, 0.0, 0.0]
     out = _manual_output([hot, hot, hot])
-    assert float(slate_log_prob(out, [(1, 1, 1)]).data) == 0.0
+    assert float(per_item_log_probs(out, [(1, 1, 1)]).data[0]) == 0.0
 
 
 def test_sid_log_prob_token_out_of_range():
     out = _output(_params())
     with pytest.raises(ContractError, match="token 9 out of range at level 3"):
-        slate_log_prob(out, [(0, 0, 9)])
+        per_item_log_probs(out, [(0, 0, 9)])
     with pytest.raises(ContractError, match="token -1 out of range at level 2"):
-        slate_log_prob(out, [(0, -1, 0)])
+        per_item_log_probs(out, [(0, -1, 0)])
     with pytest.raises(ContractError, match="SID has 2 tokens, expected 3"):
-        slate_log_prob(out, [(0, 0)])
+        per_item_log_probs(out, [(0, 0)])
     with pytest.raises(ContractError, match="ragged"):  # SIDs of two lengths
         per_item_log_probs(out, [(0, 0, 1), (0, 1)])
 
@@ -278,7 +278,7 @@ def test_exhaustive_enumeration_sums_to_one():
     for seed in range(20):
         params = _params(seed=seed + 100)
         out = _output(params, history=((seed % 20, 1),))
-        total = sum(math.exp(float(slate_log_prob(out, [z]).data))
+        total = sum(math.exp(float(per_item_log_probs(out, [z]).data[0]))
                     for z in itertools.product(range(4), repeat=3))
         assert abs(total - 1.0) < 1e-9
 
@@ -291,7 +291,7 @@ def test_sid_log_prob_gradient_through_recursion():
 
     def loss():
         out = forward(params, encode(params.encoder, state))
-        return slate_log_prob(out, [(2, 1)])
+        return ad.vsum(per_item_log_probs(out, [(2, 1)]))
 
     check_gradients(loss, tensors, rtol=1e-3, atol=1e-7)
 
@@ -334,7 +334,7 @@ def test_score_equals_exp_log_prob():
     out = _output(_params(seed=25))
     index = _index()
     for item, score in zip(ITEMS, _raw_scores(out, _sids(ITEMS))):
-        lp = float(slate_log_prob(out, index.sid_matrix([item])).data)
+        lp = float(per_item_log_probs(out, index.sid_matrix([item])).data[0])
         assert abs(score - math.exp(lp)) < 1e-12
 
 

@@ -11,6 +11,10 @@ The scan matches names, not bindings, so a public name that is also an
 attribute used elsewhere is hidden from it: an `autodiff.log` would pass
 through `math.log`, and a `tokenizer.decode` through `bytes.decode`.
 
+No public name relies on `tests/test_acceptance.py` alone for its reader
+beyond the pinned `GATE_ONLY_NAMES`: a formula that only the gate reads is
+a copy the program never runs, so the gate would test dead code.
+
 No module of `src/hsrl/` imports or reads another `hsrl` module's
 underscore name: what another module needs is public.
 """
@@ -21,8 +25,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hsrl"
-OUTSIDE = [ROOT / "tests" / "test_acceptance.py",
-           *sorted((ROOT / "benchmarks").glob("*.py"))]
+BENCHMARKS = sorted((ROOT / "benchmarks").glob("*.py"))
+OUTSIDE = [ROOT / "tests" / "test_acceptance.py", *BENCHMARKS]
+# Public names whose only reader outside the unit tests is the acceptance
+# gate: criterion 7 drives the ground-truth simulator, which no `src/` path
+# builds yet.
+GATE_ONLY_NAMES = frozenset({"GroundTruthResponse"})
 
 
 def _referenced(nodes) -> Counter[str]:
@@ -44,10 +52,10 @@ def _modules() -> dict[str, list[ast.stmt]]:
     return {p.name: ast.parse(p.read_text()).body for p in sorted(SRC.glob("*.py"))}
 
 
-def _unread_public_names() -> dict[str, str]:
-    """Public name -> defining module, for every name nothing outside the
-    unit tests refers to."""
-    outside = _referenced(ast.parse(p.read_text()) for p in OUTSIDE)
+def _unread_public_names(readers=OUTSIDE) -> dict[str, str]:
+    """Public name -> defining module, for every name that neither another
+    module nor any of the `readers` files refers to."""
+    outside = _referenced(ast.parse(p.read_text()) for p in readers)
     modules = _modules()
     unread = {}
     for module, body in modules.items():
@@ -66,6 +74,12 @@ def _unread_public_names() -> dict[str, str]:
 def test_every_public_name_has_a_reader_outside_unit_tests():
     unread = _unread_public_names()
     assert not unread, f"public names that only unit tests call: {unread}"
+
+
+def test_only_the_pinned_public_names_rely_on_the_gate_alone():
+    # a loss term the gate checks but the update does not call fails here
+    gate_only = _unread_public_names(BENCHMARKS).keys() - _unread_public_names().keys()
+    assert gate_only == GATE_ONLY_NAMES
 
 
 def _orphaned_private_functions() -> dict[str, str]:

@@ -14,11 +14,11 @@ from hsrl.encoder import UserState, encode
 from hsrl.env import (EnvConfig, Environment, LogRecord, SimFitConfig,
                       fit_response_model, make_user_pool)
 from hsrl.errors import ConfigError, ContractError, FormatError, NumericsError
-from hsrl.policy import PolicyConfig, forward, select_slate
+from hsrl.policy import PolicyConfig, forward, per_item_log_probs, select_slate
 from hsrl.tokenizer import SidIndex
 from hsrl.trainer import (TRAIN_VARIANTS, Agent, TrainConfig, advantage,
-                          bc_loss, entropy_term, evaluate, rollout,
-                          slate_log_prob, td_target, train_step)
+                          bc_loss, entropy_term, evaluate, pg_loss, rollout,
+                          td_target, train_step, value_loss)
 
 from gradcheck import check_gradients, dense_embed
 
@@ -78,6 +78,12 @@ def _empty_history_env(model=None):
                        EnvConfig(slate_size=2, patience=3, horizon=20))
 
 
+def _one_row(out, sids):
+    """The log-probabilities of one slate's SIDs, and the row of each: the
+    one-transition batch the loss functions take."""
+    return per_item_log_probs(out, sids), np.zeros(len(sids), dtype=np.int64)
+
+
 def _fake_transitions(agent, env, n=4, seed=3):
     rng_env = np.random.default_rng([seed, 0])
     rng_act = np.random.default_rng([seed, 1])
@@ -130,23 +136,26 @@ def _uniform_output(t, levels):
     return PolicyOutput(probs, lps, traj, (t,) * levels)
 
 
-def test_slate_log_prob_single_item_reduces_to_sid():
+def test_one_sid_pg_loss_reduces_to_its_token_log_probs():
+    # advantage -1 over a one-row batch: the loss is the slate's mean SID
+    # log-likelihood, here that of its one SID
     out = _uniform_output(4, 3)
-    single = float(slate_log_prob(out, [(1, 2, 3)]).data)
+    single = float(pg_loss(*_one_row(out, [(1, 2, 3)]), np.array([-1.0])).data)
     sid = sum(float(lp.data[z]) for lp, z in zip(out.log_probs, (1, 2, 3)))
     assert single == pytest.approx(sid, abs=1e-15)
+    assert float(per_item_log_probs(out, [(1, 2, 3)]).data[0]) == pytest.approx(sid, abs=1e-15)
 
 
-def test_slate_log_prob_duplicate_sids():
+def test_pg_loss_of_a_repeated_sid_equals_that_of_one():
     out = _uniform_output(4, 3)
-    one = float(slate_log_prob(out, [(0, 1, 2)]).data)
-    two = float(slate_log_prob(out, [(0, 1, 2), (0, 1, 2)]).data)
+    one = float(pg_loss(*_one_row(out, [(0, 1, 2)]), np.array([-1.0])).data)
+    two = float(pg_loss(*_one_row(out, [(0, 1, 2), (0, 1, 2)]), np.array([-1.0])).data)
     assert two == pytest.approx(one, abs=1e-12)
 
 
-def test_slate_log_prob_uniform_value():
+def test_pg_loss_uniform_value():
     out = _uniform_output(64, 3)
-    got = float(slate_log_prob(out, [(0, 0, 0), (5, 6, 7)]).data)
+    got = float(pg_loss(*_one_row(out, [(0, 0, 0), (5, 6, 7)]), np.array([-1.0])).data)
     assert got == pytest.approx(3 * math.log(1 / 64), abs=1e-10)
     assert got == pytest.approx(-12.4766, abs=1e-3)
 
@@ -183,7 +192,7 @@ def test_entropy_bounds():
 
 def test_bc_zero_positive_is_none():
     out = _uniform_output(4, 2)
-    assert bc_loss(out, [(0, 0), (1, 1)], np.array([0, 0])) is None
+    assert bc_loss(*_one_row(out, [(0, 0), (1, 1)]), np.array([0, 0]), 1) is None
 
 
 def test_bc_single_positive_value():
@@ -195,14 +204,14 @@ def test_bc_single_positive_value():
     lp_level = ad.constant([-1.0, math.log1p(-math.exp(-1.0))])
     out = PolicyOutput([p, p], [lp_level, lp_level],
                        [ad.constant(np.zeros(2))] * 3, (2, 2))
-    loss = bc_loss(out, [(0, 0), (1, 1)], np.array([1, 0]))
+    loss = bc_loss(*_one_row(out, [(0, 0), (1, 1)]), np.array([1, 0]), 1)
     assert float(loss.data) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_bc_all_positive_equal_logprobs():
     out = _uniform_output(8, 2)
     lp = 2 * math.log(1 / 8)
-    loss = bc_loss(out, [(0, 1), (2, 3), (4, 5)], np.array([1, 1, 1]))
+    loss = bc_loss(*_one_row(out, [(0, 1), (2, 3), (4, 5)]), np.array([1, 1, 1]), 1)
     assert float(loss.data) == pytest.approx(-lp, abs=1e-12)
 
 
@@ -241,7 +250,7 @@ def test_gradient_isolation_between_actor_and_critic():
     # policy-gradient term alone: zero gradient on critic parameters
     c0 = encode(agent.policy.encoder, tr.state)
     out = forward(agent.policy, c0)
-    pg = ad.scale(slate_log_prob(out, agent.index.sid_matrix(tr.slate)), -0.7)
+    pg = pg_loss(*_one_row(out, agent.index.sid_matrix(tr.slate)), np.array([0.7]))
     for t in agent.critic.tensors().values():
         t.zero_grad()
     for t in agent.policy.tensors().values():
@@ -318,11 +327,11 @@ def test_composite_loss_gradient_matches_finite_differences():
             view = forward(agent.policy, c0, heads_detached=True)
             v_hat = aggregate(agent.critic,
                               value_of_context(agent.critic, ad.stack(view.trajectory)))
-            diff = ad.sub(v_hat, ad.constant(q))
-            term = ad.mul(diff, diff)
-            term = ad.add(term, ad.scale(slate_log_prob(out, agent.index.sid_matrix(tr.slate)), -adv))
+            lp, rows = _one_row(out, agent.index.sid_matrix(tr.slate))
+            term = value_loss(v_hat, q)
+            term = ad.add(term, pg_loss(lp, rows, np.array([adv])))
             term = ad.add(term, ad.scale(entropy_term(out), cfg.lambda_entropy))
-            bc = bc_loss(out, agent.index.sid_matrix(tr.slate), tr.feedback)
+            bc = bc_loss(lp, rows, tr.feedback, 1)
             if bc is not None:
                 term = ad.add(term, ad.scale(bc, cfg.lambda_bc))
             total = term if total is None else ad.add(total, term)
@@ -353,9 +362,10 @@ def test_policy_head_gradients_match_fd_through_actor_terms():
 
     def loss():
         out = forward(agent.policy, encode(agent.policy.encoder, tr.state))
-        term = ad.scale(slate_log_prob(out, agent.index.sid_matrix(tr.slate)), -adv)
+        lp, rows = _one_row(out, agent.index.sid_matrix(tr.slate))
+        term = pg_loss(lp, rows, np.array([adv]))
         term = ad.add(term, ad.scale(entropy_term(out), 0.1))
-        bc = bc_loss(out, agent.index.sid_matrix(tr.slate), tr.feedback)
+        bc = bc_loss(lp, rows, tr.feedback, 1)
         if bc is not None:
             term = ad.add(term, ad.scale(bc, 0.5))
         return term
@@ -383,12 +393,12 @@ def test_positive_advantage_log_prob_strictly_increases():
     def log_prob():
         with ad.no_grad():
             out = forward(agent.policy, encode(agent.policy.encoder, tr.state))
-            return float(slate_log_prob(out, agent.index.sid_matrix(tr.slate)).data)
+            return float(per_item_log_probs(out, agent.index.sid_matrix(tr.slate)).data.mean())
 
     values = [log_prob()]
     for _ in range(50):
         out = forward(agent.policy, encode(agent.policy.encoder, tr.state))
-        loss = ad.scale(slate_log_prob(out, agent.index.sid_matrix(tr.slate)), -1.0)  # advantage +1
+        loss = pg_loss(*_one_row(out, agent.index.sid_matrix(tr.slate)), np.array([1.0]))
         agent.opt.zero_grad()
         ad.backward(loss)
         agent.opt.step()
@@ -403,14 +413,15 @@ def test_pg_loss_sign_single_step():
     env = _env()
     tr = _fake_transitions(agent, env, n=1, seed=17)[0]
     out = forward(agent.policy, encode(agent.policy.encoder, tr.state))
-    before = float(slate_log_prob(out, agent.index.sid_matrix(tr.slate)).data)
-    loss = ad.scale(slate_log_prob(out, agent.index.sid_matrix(tr.slate)), -1.0)
+    lp, rows = _one_row(out, agent.index.sid_matrix(tr.slate))
+    before = float(lp.data.mean())
+    loss = pg_loss(lp, rows, np.array([1.0]))
     agent.opt.zero_grad()
     ad.backward(loss)
     agent.opt.step()
     with ad.no_grad():
         out2 = forward(agent.policy, encode(agent.policy.encoder, tr.state))
-    assert float(slate_log_prob(out2, agent.index.sid_matrix(tr.slate)).data) > before
+    assert per_item_log_probs(out2, agent.index.sid_matrix(tr.slate)).data.mean() > before
 
 
 def test_train_step_determinism_bitwise():
@@ -435,7 +446,7 @@ def test_zero_advantage_gives_zero_policy_gradient():
     env = _env()
     tr = _fake_transitions(agent, env, n=1, seed=20)[0]
     out = forward(agent.policy, encode(agent.policy.encoder, tr.state))
-    pg = ad.scale(slate_log_prob(out, agent.index.sid_matrix(tr.slate)), -0.0)
+    pg = pg_loss(*_one_row(out, agent.index.sid_matrix(tr.slate)), np.array([0.0]))
     for t in agent.policy.tensors().values():
         t.zero_grad()
     ad.backward(pg)
@@ -551,6 +562,61 @@ def test_train_step_reads_every_sid_of_its_batch_with_one_lookup(monkeypatch):
     assert got.dtype == np.int64 and got.shape == want.shape == (
         sum(len(tr.slate) for tr in batch), len(VOCAB))
     assert got.tobytes() == want.tobytes()
+
+
+LOSS_FUNCTIONS = ("value_loss", "pg_loss", "entropy_term", "bc_loss")
+
+
+@pytest.mark.parametrize("variant", TRAIN_VARIANTS)
+def test_train_step_calls_each_loss_function_once(variant, monkeypatch):
+    # the update's terms come from the four loss functions, each called once
+    # over the whole batch, and a term the variant drops is never built
+    agent, env = _agent(seed=57, variant=variant), _env()
+    batch = _fake_transitions(agent, env, n=4, seed=58)
+    assert any(tr.feedback.any() for tr in batch)
+    calls = {name: [] for name in LOSS_FUNCTIONS}
+
+    def spy(name, real):
+        def call(*args):
+            calls[name].append((args, real(*args)))
+            return calls[name][-1][1]
+        return call
+
+    for name in LOSS_FUNCTIONS:
+        monkeypatch.setattr(trainer, name, spy(name, getattr(trainer, name)))
+    report = train_step(agent, batch)
+    critic = variant != "bc_only"
+    assert {name: len(c) for name, c in calls.items()} == {
+        "value_loss": critic, "pg_loss": critic, "bc_loss": variant != "no_bc",
+        "entropy_term": variant not in ("no_entropy", "bc_only")}
+    for name, key in (("value_loss", "loss_V"), ("pg_loss", "loss_PG"),
+                      ("bc_loss", "loss_BC")):
+        assert [float(got.data) for _, got in calls[name]] == [report[key]] * len(calls[name])
+    # the policy terms read the batch's one vector of log-probabilities
+    policy_args = [args for name in ("pg_loss", "bc_loss") for args, _ in calls[name]]
+    assert all(args[0] is policy_args[0][0] for args in policy_args)
+    assert policy_args[0][0].data.shape == (sum(len(tr.slate) for tr in batch),)
+
+
+@pytest.mark.parametrize("case", ["short", "long_then_short"])
+def test_train_step_rejects_feedback_that_does_not_match_its_slate(case):
+    # one transition's feedback one item short; or one item long and the
+    # next one short, so the batch's clicks still count one per slate item
+    # but sit on the wrong slates. The update names the first transition at
+    # fault and writes nothing.
+    agent, env = _agent(seed=5), _env()
+    train_step(agent, _fake_transitions(agent, env, n=2, seed=4))  # Adam moments set
+    batch = _fake_transitions(agent, env, n=4, seed=3)
+    if case == "long_then_short":
+        batch[1] = replace(batch[1], feedback=np.append(batch[1].feedback, 1))
+    batch[2] = replace(batch[2], feedback=batch[2].feedback[:-1])
+    before = copy.deepcopy(agent)
+    first = 2 if case == "short" else 1
+    with pytest.raises(ContractError, match=f"^transition {first}: "):
+        train_step(agent, batch)
+    assert (agent.updates, agent.opt.step_count) == (before.updates, before.opt.step_count)
+    for a, b in zip(_written_arrays(agent), _written_arrays(before)):
+        assert np.array_equal(a, b)
 
 
 def _reference_rollout(agent, env, rng_env, rng_act):
@@ -729,7 +795,9 @@ def _reference_value(params, trajectory):
 def _reference_step(agent, transitions):
     """The update as one graph per transition: each state encoded and
     forwarded alone, its critic and target values read one trajectory at a
-    time, and the terms summed in transition order."""
+    time, and the terms summed in transition order. Each loss formula is
+    written out here for one transition, apart from the loss functions
+    `train_step` calls, so the comparison is not circular."""
     cfg = agent.cfg
     flat = cfg.variant == "flat_policy"
     single = cfg.variant == "single_critic"
@@ -741,6 +809,7 @@ def _reference_step(agent, transitions):
     for tr in transitions:
         c0 = encode(agent.policy.encoder, tr.state)
         out = forward(agent.policy, c0, flat=flat)
+        lp = per_item_log_probs(out, agent.index.sid_matrix(tr.slate))
         if not bc_only:
             trajectory = [c0] if single or flat else forward(
                 agent.policy, c0, heads_detached=True).trajectory
@@ -754,11 +823,13 @@ def _reference_step(agent, transitions):
             adv = advantage(q, float(v_hat.data), cfg.advantage_clip)
             diff = ad.sub(v_hat, ad.constant(q))
             parts["loss_V"].append(ad.mul(diff, diff))
-            parts["loss_PG"].append(ad.scale(slate_log_prob(out, agent.index.sid_matrix(tr.slate)), -adv))
-        parts["H_en"].append(entropy_term(out))
-        bc = bc_loss(out, agent.index.sid_matrix(tr.slate), tr.feedback) if use_bc or bc_only else None
-        if bc is not None:
-            parts["loss_BC"].append(bc)
+            parts["loss_PG"].append(ad.scale(ad.vmean(lp), -adv))
+        parts["H_en"].append(functools.reduce(ad.add, [
+            ad.vsum(ad.mul(p, logp)) for p, logp in zip(out.probs, out.log_probs)]))
+        clicks = tr.feedback.astype(np.float64)
+        if (use_bc or bc_only) and clicks.sum() > 0:
+            parts["loss_BC"].append(ad.scale(ad.dot(ad.constant(clicks / clicks.sum()), lp),
+                                             -1.0))
 
     report, total = {"loss_V": 0.0, "loss_PG": 0.0, "H_en": 0.0, "loss_BC": 0.0}, None
     for key, weight in (("loss_V", 1.0), ("loss_PG", 1.0),
@@ -778,11 +849,15 @@ def _reference_step(agent, transitions):
     return report
 
 
+def _written_arrays(agent):
+    """Every array an update writes."""
+    return (list(agent.tensors().values()) + agent.opt._m + agent.opt._v
+            + [t.data for t in agent.target.params.tensors().values()])
+
+
 def _update_state(agent, report):
     """Every array an update writes, then the losses it reports."""
-    return (list(agent.tensors().values()) + agent.opt._m + agent.opt._v
-            + [t.data for t in agent.target.params.tensors().values()]
-            + [report[k] for k in ("loss_V", "loss_PG", "H_en", "loss_BC")])
+    return _written_arrays(agent) + [report[k] for k in ("loss_V", "loss_PG", "H_en", "loss_BC")]
 
 
 def _batches(agent, seed):
@@ -878,7 +953,7 @@ def test_flat_policy_normalization_invariant():
         out = forward(agent.policy, encode(agent.policy.encoder, state),
                       flat=True)
     total = sum(
-        math.exp(float(slate_log_prob(out, [z]).data))
+        math.exp(float(per_item_log_probs(out, [z]).data[0]))
         for z in itertools.product(range(VOCAB[0]), range(VOCAB[1])))
     assert abs(total - 1.0) < 1e-9
 
