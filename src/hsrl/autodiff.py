@@ -356,7 +356,10 @@ def embed(x: Tensor, ids) -> Tensor:
     dense `zeros_like(x)` scatter."""
     if x.ndim < 1:
         raise ShapeError("embed: expected at least one axis")
-    idx = np.asarray(ids, dtype=np.intp)
+    idx = np.asarray(ids)
+    if idx.size and idx.dtype.kind not in "iu":  # a float or bool would truncate
+        raise ContractError(f"embed: ids must be integers, got {idx.dtype}")
+    idx = idx.astype(np.intp, copy=False)
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ContractError("embed: index out of range")
     if x._backward is None and x.shape[0] > idx.size:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DataError, UnknownItemError
+from .errors import ContractError, DataError, UnknownItemError
 
 # Attention score of a padded key: its softmax weight underflows to exactly 0.
 _MASKED_SCORE = -1e30
@@ -111,16 +111,16 @@ def encode(params: EncoderParams, state: UserState) -> Tensor:
 
 
 def history_arrays(cfg: EncoderConfig, states):
-    """`(ids, bits, lengths)`: the histories cut to the window, zero-padded."""
+    """`(ids, bits, lengths)`: the histories cut to the window, zero-padded,
+    filled from one row-major list of their pairs by one masked assignment."""
     histories = [_window(cfg, state) for state in states]
     lengths = np.array([len(h) for h in histories], dtype=np.intp)
-    n, width = len(histories), int(lengths.max(initial=0))
-    ids = np.zeros((n, width), dtype=np.intp)
-    bits = np.zeros((n, width), dtype=np.intp)
-    for r, history in enumerate(histories):
-        for c, (item, bit) in enumerate(history):
-            ids[r, c], bits[r, c] = item, bit
-    return ids, bits, lengths
+    both = np.zeros((2, len(histories), int(lengths.max(initial=0))), dtype=np.intp)
+    flat = np.array([x for history in histories for pair in history for x in pair])
+    if flat.size and flat.dtype.kind not in "iu":  # a float or bool would truncate
+        raise ContractError(f"history items and bits must be integers, got {flat.dtype}")
+    both[:, np.arange(both.shape[2]) < lengths[:, None]] = flat.reshape(-1, 2).T
+    return both[0], both[1], lengths
 
 
 def encode_batch(params: EncoderParams, states) -> Tensor:

@@ -10,9 +10,10 @@ the episode at zero; a hard horizon caps depth regardless.
 A fit builds every record's encoder, slate and label arrays once and
 takes each batch's rows by index. One formula scores slates: a block of
 them in the fit and in `click_probs_batch`, and one slate as row 0 of a
-one-row block in `click_probs`. The module also ingests ratings logs
-into fixed-size slate records and generates a synthetic catalog with
-planted cluster structure for desk-scale experiments.
+one-row block in `click_probs`. One formula responds to a block of
+sessions, each drawing its clicks from its own rng; `step` is its
+one-session case. The module also ingests ratings logs into slate
+records and generates a planted-cluster synthetic catalog.
 """
 
 from __future__ import annotations
@@ -317,47 +318,46 @@ class Environment:
             raise ContractError(f"slate has {len(slate)} items, expected "
                                 f"{self.cfg.slate_size}")
 
-    def _respond(self, session: SessionState, slate, probs: np.ndarray,
-                 rng: np.random.Generator):
-        """Sample feedback from the slate's click probabilities, average the
-        item signals, advance history/patience, and flag termination."""
+    def _respond(self, sessions, slates, probs, rngs) -> list[tuple]:
+        """Sample row r's feedback from the (B, k) click probabilities with k
+        uniforms from rngs[r], average its item signals (one array formula for
+        the block), then advance each history/patience and flag termination."""
         cfg = self.cfg
-        feedback = (rng.random(len(slate)) < probs).astype(np.int64)
-        signals = np.where(feedback == 1, CLICK_SIGNAL, NO_CLICK_SIGNAL)
-        reward = float(signals.mean())
-
-        # Histories track positive behavior only, mirroring the record format
-        # the response models are fitted on; zero-click slates leave the
-        # state's history untouched.
-        clicked = tuple((int(i), 1) for i, b in zip(slate, feedback) if b == 1)
-        history = (session.state.history + clicked)[-cfg.history_window:]
-        patience = cfg.patience if feedback.any() else session.patience - 1
-        step = session.step + 1
-        done = patience == 0 or step == cfg.horizon
-        nxt = SessionState(
-            user_id=session.user_id,
-            state=UserState(history=history),
-            patience=patience,
-            step=step,
-            done=done,
-        )
-        return feedback, reward, nxt, done
+        draws = np.empty((len(rngs), cfg.slate_size))
+        for rng, row in zip(rngs, draws):
+            rng.random(out=row)
+        feedback = (draws < probs).astype(np.int64)
+        signals = np.where(feedback, CLICK_SIGNAL, NO_CLICK_SIGNAL)
+        rewards = (signals.sum(axis=1) / cfg.slate_size).tolist()  # mean: sum / count
+        steps = []
+        for session, slate, row, clicks, reward in zip(
+                sessions, slates, feedback, feedback.tolist(), rewards, strict=True):
+            # Histories keep clicks only, as the records the models are
+            # fitted on do; a zero-click slate leaves the history as it was.
+            clicked = tuple([(int(i), 1) for i, b in zip(slate, clicks) if b])
+            history = (session.state.history + clicked)[-cfg.history_window:]
+            patience = cfg.patience if clicked else session.patience - 1
+            step = session.step + 1
+            done = patience == 0 or step == cfg.horizon
+            nxt = SessionState(user_id=session.user_id, state=UserState(history=history),
+                               patience=patience, step=step, done=done)
+            steps.append((row, reward, nxt, done))
+        return steps
 
     def step(self, session: SessionState, slate, rng: np.random.Generator):
         """One environment step: (feedback, reward, next session, done)."""
         self._check(session, slate)
-        return self._respond(session, slate, self.model.click_probs(session, slate),
-                             rng)
+        return self._respond([session], [slate],
+                             self.model.click_probs(session, slate)[None], [rng])[0]
 
     def step_batch(self, sessions: list[SessionState], slates, rngs) -> list[tuple]:
         """`step` for each session with its slate and its own rng, from one
         `click_probs_batch` block; every session and slate is checked before
-        the model runs."""
+        the model runs, and an empty block returns [] without running it."""
         for session, slate in zip(sessions, slates, strict=True):
             self._check(session, slate)
-        probs = self.model.click_probs_batch(sessions, slates)
-        return [self._respond(*args)
-                for args in zip(sessions, slates, probs, rngs, strict=True)]
+        return self._respond(sessions, slates, self.model.click_probs_batch(
+            sessions, slates), rngs) if sessions else []
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +493,8 @@ class GroundTruthResponse:
     def click_probs_batch(self, sessions, slates) -> np.ndarray:
         """(B, k) block: `p_preferred` where item `slates[r][j]` is in the
         preferred cluster of `sessions[r]`'s user, else `p_other`."""
+        if not sessions:
+            return np.zeros((0, 0))
         prefs = self.user_prefs[[s.user_id for s in sessions]]
         match = self.item_clusters[np.asarray(slates)] == prefs[:, None]
         return np.where(match, self.p_preferred, self.p_other)

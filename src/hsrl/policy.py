@@ -144,7 +144,8 @@ def per_item_log_probs(output: PolicyOutput, sids, rows=None) -> Tensor:
         raise ContractError("slate must hold at least one SID")
     levels = len(output.vocab_sizes)
     try:
-        z = np.array(sids, dtype=np.int64)
+        if (z := np.array(sids)).dtype.kind not in "iu":  # a float or bool is no token
+            raise ValueError
     except ValueError:
         raise ContractError(f"SIDs are ragged or not integers; each needs {levels} "
                             f"tokens") from None
@@ -176,12 +177,14 @@ def _raw_scores(output: PolicyOutput, sids: np.ndarray) -> np.ndarray:
 
 def _top_k_rows(scores: np.ndarray, ids: np.ndarray, k: int) -> list[list[int]]:
     """The k best ids of each row of a (B, N) score block, ranked by score
-    descending, ties by ascending item id."""
-    # Nothing scoring below its row's k-th best score can make that row's
-    # slate; np.nonzero lists the rest row by row.
-    kth = np.partition(scores, -k, axis=1)[:, -k]
-    rows, cols = np.nonzero(scores >= kth[:, None])
-    order = np.lexsort((ids[cols], -scores[rows, cols], rows))
+    descending, ties by ascending item id. A row's floor, the least of the
+    maxima of k disjoint column chunks, is at most its k-th best score (those
+    maxima are k entries at or above it), so only entries at or above the
+    floor are sorted."""
+    n = scores.shape[1]
+    floor = np.maximum.reduceat(scores, np.arange(k) * n // k, axis=1).min(axis=1)
+    rows, cols = np.divmod(flat := np.flatnonzero(scores >= floor[:, None]), n)
+    order = np.lexsort((ids[cols], -scores.ravel()[flat], rows))
     first = np.searchsorted(rows, np.arange(len(scores)))
     return ids[cols[order[first[:, None] + np.arange(k)]]].tolist()
 
@@ -191,9 +194,9 @@ def select_slate(output: PolicyOutput, sids: np.ndarray, candidates, k: int,
                  ) -> list[int] | list[list[int]]:
     """Pick k (1 <= k <= len(candidates)) of the candidate item ids.
 
-    `greedy` takes the k best by score, ties broken by ascending item id: a
-    linear-time partial selection finds the k-th best score, and only the
-    candidates scoring at least that much are sorted. On the output of a
+    `greedy` takes the k best by score, ties broken by ascending item id: one
+    pass finds a floor at most the k-th best score, and only the candidates
+    scoring at least that much are sorted. On the output of a
     block of contexts it returns one slate per row. `sample` draws k
     without replacement in proportion to score; when fewer than k candidates
     have mass it takes those (in sampled order) and pads with the first

@@ -101,6 +101,8 @@ class SidIndex:
 
     def sid_matrix(self, item_ids) -> np.ndarray:
         """(n, L) int64 tokens of a sequence of items, in the given order."""
+        if (raw := np.asarray(item_ids)).size and raw.dtype.kind not in "iuO":
+            raise UnknownItemError(f"item {raw.flat[0]} has no SID")
         try:
             ids = np.asarray(item_ids, dtype=np.int64)
         except OverflowError:  # held ids fit int64: name the first unknown one
@@ -174,7 +176,7 @@ def _nearest(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.nd
     for start in range(0, len(points), NEAREST_BLOCK_ROWS):
         block = points[start:start + NEAREST_BLOCK_ROWS]
         lo, hi = _screen(block, _sq_norms(block), centers, centers_sq)
-        rows, cols = np.nonzero(lo <= hi.min(axis=1, keepdims=True))
+        rows, cols = np.divmod(np.flatnonzero(lo <= hi.min(axis=1, keepdims=True)), t)
         exact = ((block[rows] - centers[cols]) ** 2).sum(axis=-1)
         firsts = np.searchsorted(rows, np.arange(len(block)))  # every row has one
         best = np.minimum.reduceat(exact, firsts)

@@ -596,6 +596,21 @@ def test_embed_rejects_a_scalar():
         ad.embed(ad.constant(1.0), [0])
 
 
+@pytest.mark.parametrize("ids", [[2.5], [2.0], [True, False], np.array([1.5, 0.0])],
+                         ids=["float", "whole_float", "bool", "float_array"])
+def test_embed_rejects_ids_that_are_not_integers(ids):
+    # truncating a float, or reading a bool as 0/1, would take another row
+    table = ad.parameter((6, 3), np.random.default_rng(0), 0.1)
+    with pytest.raises(ContractError, match="embed: ids must be integers"):
+        ad.embed(table, ids)
+
+
+def test_embed_of_no_ids_is_empty():
+    table = ad.parameter((6, 3), np.random.default_rng(0), 0.1)
+    for ids in ([], np.array([], dtype=np.int64)):
+        assert ad.embed(table, ids).data.shape == (0, 3)
+
+
 def _probe(rng, shape):
     """Random entries spread over 24 orders of magnitude, so a sum taken in
     another order rounds differently."""

@@ -141,6 +141,93 @@ def test_step_batch_rejects_what_step_rejects_before_the_model(slates, finished,
     assert str(batch.value) == str(one.value) == message
 
 
+def test_an_empty_block_steps_to_nothing_without_the_model():
+    env = Environment(_UncalledResponse(), [], EnvConfig(slate_size=2))
+    assert env.step_batch([], [], []) == []
+    data = generate_synthetic(SynthConfig(n_items=16, n_clusters=2, n_users=4,
+                                          slates_per_user=1), 0)
+    assert GroundTruthResponse(data).click_probs_batch([], []).shape == (0, 0)
+
+
+class _BlockResponse:
+    """Responds with a caller-chosen (B, k) block of click probabilities."""
+
+    def __init__(self, block):
+        self.block = block
+
+    def click_probs(self, session, slate):
+        return self.block[0]
+
+    def click_probs_batch(self, sessions, slates):
+        return self.block
+
+
+def _respond_reference(cfg, session, slate, probs, rng):
+    """The per-session response formula the block step replaced."""
+    feedback = (rng.random(len(slate)) < probs).astype(np.int64)
+    signals = np.where(feedback == 1, CLICK_SIGNAL, NO_CLICK_SIGNAL)
+    reward = float(signals.mean())
+    clicked = tuple((int(i), 1) for i, b in zip(slate, feedback) if b == 1)
+    history = (session.state.history + clicked)[-cfg.history_window:]
+    patience = cfg.patience if feedback.any() else session.patience - 1
+    step = session.step + 1
+    done = patience == 0 or step == cfg.horizon
+    return feedback, reward, SessionState(session.user_id, UserState(history=history),
+                                          patience, step, done), done
+
+
+def _assert_same_step(got, want):
+    (feedback, reward, nxt, done), (w_feedback, w_reward, w_nxt, w_done) = got, want
+    assert feedback.dtype == w_feedback.dtype and feedback.tobytes() == w_feedback.tobytes()
+    assert type(reward) is float and reward == w_reward
+    assert nxt == w_nxt and done is w_done
+
+
+def test_block_response_equals_the_per_session_formula():
+    # slates of 1 to 20 items, so reward means cross numpy's 8-element
+    # pairwise-sum blocks; histories at and past the window, patience 1 and
+    # the horizon step; every generator must end where the formula leaves it
+    fuzz = np.random.default_rng(2026)
+    for _ in range(300):
+        k, b = int(fuzz.integers(1, 21)), int(fuzz.integers(1, 9))
+        cfg = EnvConfig(slate_size=k, patience=int(fuzz.integers(1, 4)),
+                        horizon=int(fuzz.integers(1, 6)),
+                        history_window=int(fuzz.integers(1, 6)))
+        sessions = [SessionState(
+            uid, UserState(history=tuple((int(i), 1) for i in fuzz.integers(
+                0, 50, fuzz.integers(0, cfg.history_window + 2)))),
+            int(fuzz.integers(1, cfg.patience + 1)), int(fuzz.integers(0, cfg.horizon)))
+            for uid in range(b)]
+        slates = [fuzz.integers(0, 50, k).tolist() for _ in range(b)]
+        probs = np.where(fuzz.random((b, k)) < 0.3, fuzz.integers(0, 2, (b, k)),
+                         fuzz.random((b, k)))
+        seeds = fuzz.integers(0, 2 ** 32, b)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        want_rngs = [np.random.default_rng(s) for s in seeds]
+        got = Environment(_BlockResponse(probs), [], cfg).step_batch(sessions, slates, rngs)
+        for r in range(b):
+            _assert_same_step(got[r], _respond_reference(cfg, sessions[r], slates[r],
+                                                         probs[r], want_rngs[r]))
+            assert rngs[r].bit_generator.state == want_rngs[r].bit_generator.state
+            # `step` is the block step of a one-session block
+            one, want_one = np.random.default_rng(seeds[r]), np.random.default_rng(seeds[r])
+            _assert_same_step(
+                Environment(_BlockResponse(probs[r:r + 1]), [], cfg).step(
+                    sessions[r], slates[r], one),
+                _respond_reference(cfg, sessions[r], slates[r], probs[r], want_one))
+            assert one.bit_generator.state == want_one.bit_generator.state
+
+
+def test_slate_items_that_are_not_integers_are_rejected():
+    # truncated, item 2.5 would take item 2's click probability
+    model = ResponseModel(10, SimFitConfig(embed_dim=4), np.random.default_rng(0))
+    for slate in ([2.5, 3], [2.0, 3.0], [True, False]):
+        with pytest.raises(ContractError, match="ids must be integers"):
+            model.click_probs(_session(), slate)
+        with pytest.raises(ContractError, match="ids must be integers"):
+            model.click_probs_batch([_session()], [slate])
+
+
 def test_history_keeps_only_clicked_items():
     cfg = EnvConfig(slate_size=3, history_window=10)
     model = FixedResponse([1.0, 0.0, 1.0])

@@ -10,11 +10,12 @@ import pytest
 import hsrl.autodiff as ad
 from hsrl.checkpoint import CHECKPOINT_MAGIC, load_tensors, save_tensors
 from hsrl.critic import CriticConfig
-from hsrl.encoder import UserState, encode, encode_batch, history_arrays
+from hsrl.encoder import (EncoderConfig, UserState, encode, encode_batch,
+                          history_arrays)
 from hsrl.errors import (ContractError, DataError, FormatError, ShapeError,
                          UnknownItemError)
 from hsrl.policy import (PolicyConfig, PolicyOutput, PolicyParams, _draw, _raw_scores,
-                         forward, per_item_log_probs, select_slate)
+                         _top_k_rows, forward, per_item_log_probs, select_slate)
 from hsrl.tokenizer import SidIndex
 from hsrl.trainer import Agent, TrainConfig
 
@@ -73,6 +74,70 @@ def test_encode_and_encode_batch_name_the_same_first_unknown_item():
         with pytest.raises(UnknownItemError) as caught:
             call()
         assert caught.value.args == ("item 7 outside embedding table",)
+
+
+def _loop_history_arrays(cfg, states):
+    """The per-entry fill `history_arrays` replaced, with its item check."""
+    histories = []
+    for state in states:
+        history = state.history[-cfg.history_window:]
+        for item, _ in history:
+            if not 0 <= item < cfg.n_items:
+                raise UnknownItemError(f"item {item} outside embedding table")
+        histories.append(history)
+    lengths = np.array([len(h) for h in histories], dtype=np.intp)
+    n, width = len(histories), int(lengths.max(initial=0))
+    ids = np.zeros((n, width), dtype=np.intp)
+    bits = np.zeros((n, width), dtype=np.intp)
+    for r, history in enumerate(histories):
+        for c, (item, bit) in enumerate(history):
+            ids[r, c], bits[r, c] = item, bit
+    return ids, bits, lengths
+
+
+def _outcome(call):
+    try:
+        return call()
+    except UnknownItemError as exc:
+        return type(exc), exc.args
+
+
+def test_history_fill_equals_the_per_entry_loop():
+    # no states, all-empty histories (width 0), histories past the window,
+    # and now and then an item outside the table (the same first bad item
+    # must be named)
+    fuzz = np.random.default_rng(41)
+    for case in range(400):
+        cfg = EncoderConfig(n_items=12, history_window=int(fuzz.integers(1, 6)))
+        empty_share = [1.0, 0.3, 0.0][case % 3]
+        states = []
+        for _ in range(int(fuzz.integers(0, 9))):
+            length = 0 if fuzz.random() < empty_share else int(
+                fuzz.integers(1, cfg.history_window + 4))
+            items = fuzz.integers(0, cfg.n_items, length).tolist()
+            if length and fuzz.random() < 0.05:
+                items[int(fuzz.integers(length))] = int(fuzz.choice([-1, 12, 99]))
+            bits = fuzz.integers(0, 2, length).tolist()
+            states.append(UserState(history=tuple(zip(items, bits))))
+        got = _outcome(lambda: history_arrays(cfg, states))
+        want = _outcome(lambda: _loop_history_arrays(cfg, states))
+        if isinstance(want[0], type):
+            assert got == want
+            continue
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.flags.c_contiguous and g.tobytes() == w.tobytes()
+
+
+def test_history_items_that_are_not_integers_are_rejected():
+    # a float item would truncate to another item's row, a float bit to 0 or 1
+    params = _params(n_items=5)
+    for history in (((2.5, 1),), ((1, 1), (2.0, 0)), ((2, 1.0),)):
+        state = UserState(history=history)
+        for call in (lambda: encode(params.encoder, state),
+                     lambda: encode_batch(params.encoder, [UserState(), state])):
+            with pytest.raises(ContractError, match="must be integers"):
+                call()
 
 
 def test_encode_deterministic():
@@ -272,6 +337,15 @@ def test_sid_log_prob_token_out_of_range():
         per_item_log_probs(out, [(0, 0)])
     with pytest.raises(ContractError, match="ragged"):  # SIDs of two lengths
         per_item_log_probs(out, [(0, 0, 1), (0, 1)])
+
+
+@pytest.mark.parametrize("sids", [[(1.5, 2, 0)], [(1.0, 2.0, 0.0)], [(True, False, True)],
+                                  np.array([[0.5, 1.0, 2.0]])],
+                         ids=["float", "whole_floats", "bools", "float_array"])
+def test_sid_log_prob_rejects_tokens_that_are_not_integers(sids):
+    out = _output(_params())
+    with pytest.raises(ContractError, match="not integers"):
+        per_item_log_probs(out, sids)
 
 
 def test_exhaustive_enumeration_sums_to_one():
@@ -538,6 +612,44 @@ def test_greedy_block_equals_each_row_alone():
                    for out in collided]
 
 
+def _partition_top_k_rows(scores, ids, k):
+    """The full-partition top-k `_top_k_rows` replaced: the k-th best score
+    by `np.partition`, survivors listed by a 2-D `np.nonzero`."""
+    kth = np.partition(scores, -k, axis=1)[:, -k]
+    rows, cols = np.nonzero(scores >= kth[:, None])
+    order = np.lexsort((ids[cols], -scores[rows, cols], rows))
+    first = np.searchsorted(rows, np.arange(len(scores)))
+    return ids[cols[order[first[:, None] + np.arange(k)]]].tolist()
+
+
+def test_top_k_rows_equals_the_full_partition():
+    # ties, zeros and subnormal scores; k = 1, k = N and any k between, so
+    # N is often not a multiple of k; one row and many
+    fuzz = np.random.default_rng(37)
+    tiny = np.nextafter(0.0, 1.0)
+    for case in range(600):
+        b = int(fuzz.choice([1, 1, 2, 5, 30]))
+        n = int(fuzz.integers(1, 60))
+        k = [1, n, int(fuzz.integers(1, n + 1))][case % 3]
+        kind = case // 3 % 5
+        if kind == 0:
+            scores = fuzz.random((b, n))
+        elif kind == 1:                                  # ties and zeros
+            scores = fuzz.choice([0.0, 0.25, 0.5], size=(b, n))
+        elif kind == 2:                                  # subnormals
+            scores = fuzz.integers(0, 4, (b, n)) * tiny
+        elif kind == 3:                                  # mostly zero
+            scores = fuzz.random((b, n)) * (fuzz.random((b, n)) < 0.2)
+        else:                                            # all tied
+            scores = np.full((b, n), fuzz.choice([0.0, tiny, 0.5]))
+        ids = fuzz.permutation(3 * n)[:n].astype(np.int64)
+        assert _top_k_rows(scores, ids, k) == _partition_top_k_rows(scores, ids, k)
+    scores = fuzz.random((10, 5000)) ** 8                # a catalog-sized block
+    ids = np.arange(5000, dtype=np.int64)
+    for k in (1, 7, 10, 5000):
+        assert _top_k_rows(scores, ids, k) == _partition_top_k_rows(scores, ids, k)
+
+
 def test_sample_mode_rejects_a_block():
     block = _stacked([_output(_params(seed=33)), _output(_params(seed=34))])
     with pytest.raises(ShapeError, match="sample mode takes the output of one"):
@@ -640,6 +752,19 @@ def test_sid_matrix_equals_per_item_lookup():
 def test_sid_matrix_unknown_ids_raise(index, query, bad):
     with pytest.raises(UnknownItemError, match=f"item {bad} has no SID"):
         index.sid_matrix(query)
+
+
+@pytest.mark.parametrize("query, bad", [
+    ([2.5], "2.5"), ([2, 5.0], "2.0"), ([True], "True"), (np.array([5.0]), "5.0"),
+], ids=["float", "whole_float_in_list", "bool", "float_array"])
+def test_sid_matrix_rejects_ids_that_are_not_integers(query, bad):
+    # truncated, 2.5 would read item 2's SID
+    with pytest.raises(UnknownItemError, match=f"item {bad} has no SID"):
+        SidIndex([2, 5], [(0,), (1,)]).sid_matrix(query)
+
+
+def test_sid_matrix_of_no_ids_is_empty():
+    assert SidIndex([2, 5], [(0,), (1,)]).sid_matrix([]).shape == (0, 1)
 
 
 def test_token_embeddings_can_start_from_codebook():

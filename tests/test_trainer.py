@@ -220,26 +220,39 @@ def test_bc_all_positive_equal_logprobs():
 # ---------------------------------------------------------------------------
 
 
-def test_train_step_component_isolation():
-    # lambda_en = lambda_bc = 0 and advantage forced 0: only the critic
-    # loss moves parameters
-    agent = _agent(lambda_entropy=0.0, lambda_bc=0.0)
-    env = _env()
-    transitions = _fake_transitions(agent, env)
+def test_train_step_component_isolation(monkeypatch):
+    # lambda_entropy = lambda_bc = 0: the BC and entropy terms are never
+    # built and loss_BC reads 0.0; the critic moves, and the policy heads
+    # move exactly when some clipped advantage in the batch is nonzero (run
+    # with the real advantages and with all of them zero)
+    def uncalled(*args):
+        raise AssertionError("a zero-weight loss term was built")
 
-    before = {k: v.copy() for k, v in agent.tensors().items()}
-    report = train_step(agent, transitions)
-    assert report["loss_BC"] == 0.0 or report["loss_BC"] > 0.0  # value logged
-    moved_policy_heads = any(
-        not np.array_equal(before[f"hpn/level{l}/head_w"],
-                           agent.tensors()[f"hpn/level{l}/head_w"])
-        for l in range(len(VOCAB)))
-    moved_critic = any(
-        not np.array_equal(before[k], agent.tensors()[k])
-        for k in agent.tensors() if k.startswith("mlc/"))
-    assert moved_critic
-    # pg loss still active (advantage generally nonzero); heads may move.
-    assert moved_policy_heads or True
+    for zero_advantage in (False, True):
+        agent = _agent(lambda_entropy=0.0, lambda_bc=0.0)
+        transitions = _fake_transitions(agent, _env())
+        seen = []
+
+        def spy_pg_loss(log_probs, rows, adv):
+            seen.append(adv.copy())
+            return pg_loss(log_probs, rows, adv)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(trainer, "pg_loss", spy_pg_loss)
+            patch.setattr(trainer, "bc_loss", uncalled)
+            patch.setattr(trainer, "entropy_term", uncalled)
+            if zero_advantage:
+                patch.setattr(trainer, "advantage", lambda q, v, clip: np.zeros_like(q))
+            before = {k: v.copy() for k, v in agent.tensors().items()}
+            report = train_step(agent, transitions)
+        after = agent.tensors()
+        moved = {k for k in before if not np.array_equal(before[k], after[k])}
+        assert report["loss_BC"] == 0.0
+        assert any(k.startswith("mlc/") for k in moved)
+        [adv] = seen
+        assert bool(np.any(adv != 0.0)) is not zero_advantage  # both cases reached
+        heads = {f"hpn/level{lvl}/head_w" for lvl in range(len(VOCAB))}
+        assert bool(heads & moved) is bool(np.any(adv != 0.0))
 
 
 def test_gradient_isolation_between_actor_and_critic():
