@@ -49,6 +49,7 @@ from .errors import ContractError, NumericsError, ShapeError
 
 _NODE_IDS = itertools.count()
 _GRAD_ENABLED = True
+_BOOLS = {bool, np.bool_}
 
 
 @contextmanager
@@ -346,6 +347,14 @@ def stack(parts: list[Tensor]) -> Tensor:
     return _node(data, tuple(parts), lambda g: tuple(np.asarray(gi) for gi in g))
 
 
+def first_bool(ids):
+    """The first bool of a flat Python sequence, which `np.asarray` reads as
+    0 or 1 among integers, or None; an ndarray's own dtype says it."""
+    if isinstance(ids, np.ndarray) or _BOOLS.isdisjoint(map(type, ids)):
+        return None
+    return next(i for i in ids if type(i) in _BOOLS)
+
+
 def embed(x: Tensor, ids) -> Tensor:
     """Take rows `ids` along axis 0 of `x` (entries, when `x` is 1-D);
     the gradient scatter-adds back, so duplicate ids accumulate.
@@ -357,8 +366,9 @@ def embed(x: Tensor, ids) -> Tensor:
     if x.ndim < 1:
         raise ShapeError("embed: expected at least one axis")
     idx = np.asarray(ids)
-    if idx.size and idx.dtype.kind not in "iu":  # a float or bool would truncate
-        raise ContractError(f"embed: ids must be integers, got {idx.dtype}")
+    dtype = idx.dtype if first_bool(ids) is None else np.dtype(bool)
+    if idx.size and dtype.kind not in "iu":  # a float or bool would truncate
+        raise ContractError(f"embed: ids must be integers, got {dtype}")
     idx = idx.astype(np.intp, copy=False)
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ContractError("embed: index out of range")

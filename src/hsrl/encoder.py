@@ -6,10 +6,11 @@ projected to the output width. A learned start vector stands in for the
 pooled projection when the history is empty; both paths encode it as
 `0 + start`, so no encoder call returns a parameter itself.
 
-`encode` maps one state to a vector; `encode_batch` maps a batch to one
-matrix as `history_arrays` (padded to the longest) then `encode_arrays`
-(masking the padding), which the simulator fit calls on arrays built once.
-Both cut each history to the window and check its items in one place.
+`encode` maps one state, a user's (item, feedback-bit) history tuple, to a
+vector; `encode_batch` maps a batch to one matrix as `history_arrays`
+(padded to the longest) then `encode_arrays` (masking the padding), which
+the simulator fit calls on arrays built once. Both cut each history to the
+window and check its items in one place.
 """
 
 from __future__ import annotations
@@ -25,13 +26,6 @@ from .errors import ContractError, DataError, UnknownItemError
 
 # Attention score of a padded key: its softmax weight underflows to exactly 0.
 _MASKED_SCORE = -1e30
-
-
-@dataclass(frozen=True)
-class UserState:
-    """The recent (item, feedback-bit) history."""
-
-    history: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass
@@ -82,16 +76,16 @@ class EncoderParams:
         self.item_emb.data = feats @ proj
 
 
-def _window(cfg: EncoderConfig, state: UserState) -> tuple[tuple[int, int], ...]:
-    """The state's history cut to the window, every item checked against the table."""
-    history = state.history[-cfg.history_window:]
+def _window(cfg: EncoderConfig, state: tuple[tuple[int, int], ...]):
+    """The history cut to the window, every item checked against the table."""
+    history = state[-cfg.history_window:]
     for item, _ in history:
         if not 0 <= item < cfg.n_items:
             raise UnknownItemError(f"item {item} outside embedding table")
     return history
 
 
-def encode(params: EncoderParams, state: UserState) -> Tensor:
+def encode(params: EncoderParams, state: tuple[tuple[int, int], ...]) -> Tensor:
     """Deterministic state encoding; an empty history maps to `0 + start`,
     a new tensor holding the start vector's bytes, as in `encode_arrays`."""
     cfg = params.cfg
@@ -116,9 +110,11 @@ def history_arrays(cfg: EncoderConfig, states):
     histories = [_window(cfg, state) for state in states]
     lengths = np.array([len(h) for h in histories], dtype=np.intp)
     both = np.zeros((2, len(histories), int(lengths.max(initial=0))), dtype=np.intp)
-    flat = np.array([x for history in histories for pair in history for x in pair])
-    if flat.size and flat.dtype.kind not in "iu":  # a float or bool would truncate
-        raise ContractError(f"history items and bits must be integers, got {flat.dtype}")
+    values = [x for history in histories for pair in history for x in pair]
+    flat = np.array(values)
+    dtype = flat.dtype if ad.first_bool(values) is None else np.dtype(bool)
+    if flat.size and dtype.kind not in "iu":  # a float or bool would truncate
+        raise ContractError(f"history items and bits must be integers, got {dtype}")
     both[:, np.arange(both.shape[2]) < lengths[:, None]] = flat.reshape(-1, 2).T
     return both[0], both[1], lengths
 

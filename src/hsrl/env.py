@@ -25,8 +25,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import load_into, load_tensors, read_lines, save_tensors
-from .encoder import (EncoderConfig, EncoderParams, UserState, encode,
-                      encode_arrays, encode_batch, history_arrays)
+from .encoder import (EncoderConfig, EncoderParams, encode, encode_arrays,
+                      encode_batch, history_arrays)
 from .errors import ConfigError, ContractError, DataError
 from .optim import Optimizer
 from .tokenizer import ItemEmbeddings
@@ -71,7 +71,7 @@ class EnvConfig:
 @dataclass
 class SessionState:
     user_id: int
-    state: UserState
+    state: tuple[tuple[int, int], ...]  # (item, feedback-bit) history: the encoder's input
     patience: int
     step: int
     done: bool = False
@@ -144,14 +144,13 @@ class ResponseModel:
         the last call's state encoding (kept in the block's (1, d, 1) shape)
         while the history and the encoder's arrays are the ones it came from
         (the model is frozen once fitted; `load_into` replaces arrays)."""
-        history = session.state.history
         arrays = [t.data for t in self.encoder.tensors().values()]
         seen = self._seen
         with ad.no_grad():
-            if not (seen and seen[0] == history
+            if not (seen and seen[0] == session.state
                     and all(a is b for a, b in zip(seen[1], arrays))):
                 u = encode(self.encoder, session.state)
-                seen = history, arrays, ad.reshape(u, (1, self.cfg.embed_dim, 1))
+                seen = session.state, arrays, ad.reshape(u, (1, self.cfg.embed_dim, 1))
             logits = self._block_logits(seen[2], np.asarray([slate]))
             probs = ad.sigmoid(logits).data[0].copy()
         self._seen = seen  # kept only once the whole call has succeeded
@@ -165,9 +164,9 @@ class ResponseModel:
             return ad.sigmoid(self._block_logits(u, np.asarray(slates))).data.copy()
 
 
-def _positive_state(items) -> UserState:
+def _positive_state(items) -> tuple[tuple[int, int], ...]:
     """Encoder state of a positive-only history, the form records log."""
-    return UserState(history=tuple((i, 1) for i in items))
+    return tuple((i, 1) for i in items)
 
 
 def _record_batches(model: ResponseModel, records: list[LogRecord]):
@@ -335,11 +334,11 @@ class Environment:
             # Histories keep clicks only, as the records the models are
             # fitted on do; a zero-click slate leaves the history as it was.
             clicked = tuple([(int(i), 1) for i, b in zip(slate, clicks) if b])
-            history = (session.state.history + clicked)[-cfg.history_window:]
+            history = (session.state + clicked)[-cfg.history_window:]
             patience = cfg.patience if clicked else session.patience - 1
             step = session.step + 1
             done = patience == 0 or step == cfg.horizon
-            nxt = SessionState(user_id=session.user_id, state=UserState(history=history),
+            nxt = SessionState(user_id=session.user_id, state=history,
                                patience=patience, step=step, done=done)
             steps.append((row, reward, nxt, done))
         return steps

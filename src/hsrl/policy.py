@@ -10,7 +10,7 @@ c_0..c_L form the trajectory the critic consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,8 +138,8 @@ def forward(params: PolicyParams, c0: Tensor, flat: bool = False,
 def per_item_log_probs(output: PolicyOutput, sids, rows=None) -> Tensor:
     """(n,) vector of log pi(z|s) = sum_l log p_l[z_l], one entry per SID,
     all read off one forward pass; differentiable through the recursion.
-    For the output of a block of contexts, `rows[i]` names the row SID i is
-    read off."""
+    For a block output, `rows[i]` names the row r SID i is read off: its
+    level-l token z is entry r * T_l + z of the flattened log-probs."""
     if len(sids) < 1:
         raise ContractError("slate must hold at least one SID")
     levels = len(output.vocab_sizes)
@@ -155,13 +155,14 @@ def per_item_log_probs(output: PolicyOutput, sids, rows=None) -> Tensor:
     if len(bad):
         i, lvl = bad[0]
         raise ContractError(f"token {z[i, lvl]} out of range at level {lvl + 1}")
-    if rows is not None:  # token z of row r is entry r * T_l + z of the flat block
+    if rows is not None:
         z = z + np.outer(rows, output.vocab_sizes)
-        output = replace(output, log_probs=[ad.reshape(lp, (lp.data.size,))
-                                            for lp in output.log_probs])
-    total = ad.embed(output.log_probs[0], z[:, 0])
+    elif output.log_probs[0].ndim == 2:
+        raise ContractError("the output of a block of contexts needs the row of each SID")
+    flat = [ad.reshape(lp, (lp.data.size,)) for lp in output.log_probs]  # 1-D: itself
+    total = ad.embed(flat[0], z[:, 0])
     for lvl in range(1, z.shape[1]):
-        total = ad.add(total, ad.embed(output.log_probs[lvl], z[:, lvl]))
+        total = ad.add(total, ad.embed(flat[lvl], z[:, lvl]))
     return total
 
 

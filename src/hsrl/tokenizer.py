@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import first_bool
 from .checkpoint import BinaryReader, read_lines, write_atomic
 from .errors import (ContractError, DataError, FormatError, ShapeError,
                      UnknownItemError, VocabTooLargeError)
@@ -36,6 +37,18 @@ CODEBOOK_MAGIC = b"HSRLCB1\x00"
 MAX_VOCAB_SIZE = 0xFFFF
 
 
+def _is_int64(i) -> bool:
+    """Whether `i` is an item id: an integer within int64, not a bool or a float."""
+    return type(i) is not bool and isinstance(i, (int, np.integer)) and -2**63 <= i < 2**63
+
+
+def _int64_ids(ids, error: type[Exception]) -> np.ndarray:
+    """`ids` as int64; `error` names the first that is no item id (a cast would change it)."""
+    if bad := [i for i in np.ravel(np.array(ids, dtype=object)) if not _is_int64(i)]:
+        raise error(f"item id {bad[0]} is not an integer within int64")
+    return np.asarray(ids, dtype=np.int64)
+
+
 @dataclass
 class ItemEmbeddings:
     """Catalog of item vectors sharing one dimension, rows sorted by id, so
@@ -45,7 +58,7 @@ class ItemEmbeddings:
     vectors: np.ndarray   # (N, d) float64
 
     def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int64)
+        self.ids = _int64_ids(self.ids, DataError)
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
         if self.vectors.ndim != 2 or self.ids.shape[0] != self.vectors.shape[0]:
             raise ShapeError("ids and vectors disagree on item count")
@@ -86,7 +99,7 @@ class SidIndex:
     `UnknownItemError` naming the first such id."""
 
     def __init__(self, ids, tokens):
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = _int64_ids(ids, ContractError)
         tokens = np.asarray(tokens, dtype=np.int64)
         if ids.ndim != 1 or tokens.ndim != 2 or len(tokens) != len(ids):
             raise ShapeError(f"tokens {tokens.shape} are not (N, L) for ids {ids.shape}")
@@ -101,21 +114,19 @@ class SidIndex:
 
     def sid_matrix(self, item_ids) -> np.ndarray:
         """(n, L) int64 tokens of a sequence of items, in the given order."""
-        if (raw := np.asarray(item_ids)).size and raw.dtype.kind not in "iuO":
-            raise UnknownItemError(f"item {raw.flat[0]} has no SID")
-        try:
-            ids = np.asarray(item_ids, dtype=np.int64)
-        except OverflowError:  # held ids fit int64: name the first unknown one
-            for item in item_ids:
-                if not -2 ** 63 <= item < 2 ** 63:
-                    raise UnknownItemError(f"item {item} has no SID") from None
-                self.sid_matrix([item])
-            raise
+        raw = np.asarray(item_ids)
+        if raw.size and ((bad := first_bool(item_ids)) is not None
+                         or raw.dtype.kind not in "iuO"):
+            raise UnknownItemError(f"item {raw.flat[0] if bad is None else bad} has no SID")
+        ids, fits = raw, True
+        if raw.dtype.kind in "uO":  # no index holds a non-id, which a cast could wrap
+            fits = np.array([_is_int64(i) for i in raw.tolist()], dtype=bool)
+            ids = np.where(fits, raw, 0).astype(np.int64)
         pos = np.searchsorted(self.ids, ids)
-        known = pos < len(self.ids)
+        known = (pos < len(self.ids)) & fits
         known[known] = self.ids[pos[known]] == ids[known]
         if not known.all():
-            raise UnknownItemError(f"item {ids[~known][0]} has no SID")
+            raise UnknownItemError(f"item {raw[~known][0]} has no SID")
         return self.tokens.take(pos, axis=0)
 
 
@@ -269,7 +280,7 @@ def fit_codebook(items: ItemEmbeddings, vocab_sizes: tuple[int, ...],
         if distinct < t_l:
             raise VocabTooLargeError(lvl + 1, distinct, t_l)
         centers = _canonical_order(_lloyd(learn, t_l, rng))
-        if np.unique(centers, axis=0).shape[0] != t_l:
+        if (centers[1:] == centers[:-1]).all(axis=1).any():  # sorted: equal rows adjoin
             raise DataError(f"level {lvl + 1}: k-means produced duplicate centroids")
         book.centroids.append(centers)
 

@@ -38,7 +38,7 @@ from .autodiff import Tensor
 from .checkpoint import load_into
 from .critic import (CriticConfig, CriticParams, TargetCritic, aggregate,
                      value_of_context, weight_snapshot)
-from .encoder import UserState, encode, encode_batch
+from .encoder import encode, encode_batch
 from .env import Environment, EnvConfig, EpisodeMetrics
 from .errors import ConfigError, ContractError
 from .optim import Optimizer
@@ -96,10 +96,10 @@ class TrainConfig:
 
 @dataclass
 class Transition:
-    """One rollout step: the state, the item ids of the slate `env.step` was
-    shown (the update looks their SIDs up), and what the step returned."""
+    """One rollout step: the state (its history tuple), the item ids of the
+    slate (the update looks their SIDs up), and what `env.step` returned."""
 
-    state: UserState
+    state: tuple[tuple[int, int], ...]
     slate: tuple[int, ...]
     feedback: np.ndarray
     reward: float
@@ -218,12 +218,11 @@ def rollout(agent: Agent, env: Environment, mode: str,
     transitions: list[Transition] = []
     done, seen = False, None
     while not done:
-        # compare histories, not states: every step builds a new UserState
-        if session.state.history != seen:
+        if session.state != seen:
             with ad.no_grad():
                 out = forward(agent.policy, encode(agent.policy.encoder, session.state),
                               flat=flat)
-            seen = session.state.history
+            seen = session.state
         if transitions:
             transitions[-1].next_contexts = [c.data for c in out.trajectory]
         slate = select_slate(out, agent.sids, agent.catalog,

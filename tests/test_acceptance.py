@@ -17,7 +17,7 @@ import hsrl.autodiff as ad
 from hsrl.cli import SWEEP_GRIDS, main as cli_main
 from hsrl.critic import (CriticConfig, CriticParams, aggregate,
                          value_of_context)
-from hsrl.encoder import UserState, encode
+from hsrl.encoder import encode
 from hsrl.env import (EnvConfig, Environment, GroundTruthResponse, SimFitConfig,
                       SynthConfig, fit_simulators, generate_synthetic,
                       make_user_pool)
@@ -75,7 +75,7 @@ def test_criterion_1_gradient_suite():
         # HRSM recursion end to end, rel 1e-3
         for trial in range(15):
             params = _tiny_policy(trial)
-            state = UserState(history=((trial % 8, 1), ((trial + 3) % 8, 0)))
+            state = ((trial % 8, 1), ((trial + 3) % 8, 0))
             tensors = list(params.tensors().values())
             sid = (trial % 3, (trial + 1) % 3)
             check_gradients(
@@ -99,7 +99,7 @@ def test_criterion_1_gradient_suite():
         # the four loss terms, rel 1e-3
         for trial in range(20):
             params = _tiny_policy(trial + 100)
-            state = UserState(history=((trial % 8, 1),))
+            state = ((trial % 8, 1),)
             critic = CriticParams(CriticConfig(d_model=6, levels=2, hidden=4),
                                   np.random.default_rng(trial + 200))
             sids = [(trial % 3, 2), (0, (trial + 1) % 3)]
@@ -211,7 +211,7 @@ def test_criterion_3_policy_normalization():
     with verdict(3, "policy normalization"):
         for draw in range(20):
             params = _tiny_policy(3000 + draw, vocab=(4, 4, 4), d_model=8)
-            state = UserState(history=((draw % 8, 1),))
+            state = ((draw % 8, 1),)
             with ad.no_grad():
                 out = forward(params, encode(params.encoder, state))
             total = sum(
@@ -221,7 +221,7 @@ def test_criterion_3_policy_normalization():
 
         # one-hot residual alignment, bitwise on e_l
         params = _tiny_policy(3100, vocab=(4, 4, 4), d_model=8)
-        state = UserState(history=((2, 1), (5, 0)))
+        state = ((2, 1), (5, 0))
         with ad.no_grad():
             c0 = encode(params.encoder, state)
             out = forward(params, c0, force_onehot={0: 3, 1: 1, 2: 0})

@@ -12,8 +12,8 @@ import hsrl
 import hsrl.autodiff as ad
 import hsrl.env as env_module
 from hsrl.checkpoint import load_into
-from hsrl.encoder import (EncoderConfig, EncoderParams, UserState, encode,
-                          encode_batch, history_arrays)
+from hsrl.encoder import (EncoderConfig, EncoderParams, encode, encode_batch,
+                          history_arrays)
 from hsrl.env import (CLICK_SIGNAL, NO_CLICK_SIGNAL, EnvConfig, Environment,
                       GroundTruthResponse, LogRecord, ResponseModel,
                       SessionState, SimFitConfig, SynthConfig, _batch_loss,
@@ -39,7 +39,7 @@ class FixedResponse:
 
 
 def _session(history=((1, 1),), patience=3, step=0, uid=0):
-    return SessionState(uid, UserState(history=history), patience, step)
+    return SessionState(uid, history, patience, step)
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +168,11 @@ def _respond_reference(cfg, session, slate, probs, rng):
     signals = np.where(feedback == 1, CLICK_SIGNAL, NO_CLICK_SIGNAL)
     reward = float(signals.mean())
     clicked = tuple((int(i), 1) for i, b in zip(slate, feedback) if b == 1)
-    history = (session.state.history + clicked)[-cfg.history_window:]
+    history = (session.state + clicked)[-cfg.history_window:]
     patience = cfg.patience if feedback.any() else session.patience - 1
     step = session.step + 1
     done = patience == 0 or step == cfg.horizon
-    return feedback, reward, SessionState(session.user_id, UserState(history=history),
+    return feedback, reward, SessionState(session.user_id, history,
                                           patience, step, done), done
 
 
@@ -194,8 +194,8 @@ def test_block_response_equals_the_per_session_formula():
                         horizon=int(fuzz.integers(1, 6)),
                         history_window=int(fuzz.integers(1, 6)))
         sessions = [SessionState(
-            uid, UserState(history=tuple((int(i), 1) for i in fuzz.integers(
-                0, 50, fuzz.integers(0, cfg.history_window + 2)))),
+            uid, tuple((int(i), 1) for i in fuzz.integers(
+                0, 50, fuzz.integers(0, cfg.history_window + 2))),
             int(fuzz.integers(1, cfg.patience + 1)), int(fuzz.integers(0, cfg.horizon)))
             for uid in range(b)]
         slates = [fuzz.integers(0, 50, k).tolist() for _ in range(b)]
@@ -233,7 +233,7 @@ def test_history_keeps_only_clicked_items():
     model = FixedResponse([1.0, 0.0, 1.0])
     _, _, nxt, _ = _step(model, _session(history=()), [7, 8, 9], cfg,
                          np.random.default_rng(0))
-    assert nxt.state.history == ((7, 1), (9, 1))
+    assert nxt.state == ((7, 1), (9, 1))
 
 
 def test_history_window_truncation():
@@ -242,8 +242,8 @@ def test_history_window_truncation():
     session = _session(history=tuple((i, 1) for i in range(4)))
     _, _, nxt, _ = _step(model, session, [10, 11, 12, 13], cfg,
                          np.random.default_rng(0))
-    assert len(nxt.state.history) == 5
-    assert nxt.state.history[-1] == (13, 1)
+    assert len(nxt.state) == 5
+    assert nxt.state[-1] == (13, 1)
 
 
 def test_reset_deterministic_and_never_done():
@@ -253,7 +253,7 @@ def test_reset_deterministic_and_never_done():
     env = Environment(FixedResponse([0.5, 0.5]), make_user_pool(records), cfg)
     a = env.reset(np.random.default_rng(42))
     b = env.reset(np.random.default_rng(42))
-    assert (a.user_id, a.state.history) == (b.user_id, b.state.history)
+    assert (a.user_id, a.state) == (b.user_id, b.state)
     assert a.patience == cfg.patience and a.step == 0 and not a.done
 
 
@@ -261,7 +261,7 @@ def test_reset_cold_start_user():
     pool = make_user_pool([LogRecord(3, (), (1, 2), (0, 0))])
     env = Environment(FixedResponse([0.5, 0.5]), pool, EnvConfig())
     session = env.reset(np.random.default_rng(0))
-    assert session.state.history == ()
+    assert session.state == ()
     assert session.patience == EnvConfig().patience
 
 
@@ -332,7 +332,7 @@ def test_fit_all_positive_labels_majority():
     probs = []
     for rec in records:
         sess = SessionState(rec.user_id,
-                            UserState(history=tuple((i, 1) for i in rec.history)),
+                            tuple((i, 1) for i in rec.history),
                             3, 0)
         probs.extend(model.click_probs(sess, rec.slate))
     assert np.mean(probs) > 0.5
@@ -411,11 +411,10 @@ def test_click_probs_bytes_equal_the_one_state_formula(seed, calls):
     history = ()
     for fresh, again, slate in calls:
         history = history if again else fresh
-        state = UserState(history=history)
-        got = model.click_probs(SessionState(0, state, 3, 0), slate)
+        got = model.click_probs(SessionState(0, history, 3, 0), slate)
         with ad.no_grad():
             want = ad.sigmoid(_one_state_logits(
-                model, encode(model.encoder, state), slate)).data
+                model, encode(model.encoder, history), slate)).data
         assert got.shape == (len(slate),)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -453,7 +452,7 @@ def test_click_probs_reuse_the_encoding_only_while_history_and_parameters_hold(
 
     def encode_counted(params, state):
         if params is model.encoder:
-            encoded.append(state.history)
+            encoded.append(state)
         return real_encode(params, state)
 
     monkeypatch.setattr(env_module, "encode", encode_counted)
@@ -479,7 +478,7 @@ def test_click_probs_reuse_the_encoding_only_while_history_and_parameters_hold(
     # the graph path under gradients still reaches the encoder
     for t in model.tensors().values():
         t.zero_grad()
-    u = ad.reshape(encode(model.encoder, UserState(history=a)), (1, 8, 1))
+    u = ad.reshape(encode(model.encoder, a), (1, 8, 1))
     ad.backward(ad.vsum(model._block_logits(u, np.array([[3, 4, 5]]))))
     enc = model.encoder
     assert all(t.grad is not None and t.grad.any() for t in (
@@ -505,7 +504,7 @@ def test_simulator_checkpoint_that_does_not_fit_names_block(tmp_path, n_items,
 def _record_bce(model, rec):
     """Per-item cross-entropy of one record on its own graph, as the
     simulator was fitted before losses were batched."""
-    state = UserState(history=tuple((i, 1) for i in rec.history))
+    state = tuple((i, 1) for i in rec.history)
     logits = _one_state_logits(model, encode(model.encoder, state), rec.slate)
     labels = ad.constant(np.asarray(rec.labels, dtype=np.float64))
     return ad.sub(ad.softplus(logits), ad.mul(labels, logits))
@@ -619,22 +618,22 @@ def test_encode_batch_rows_match_encode():
     enc = EncoderParams(EncoderConfig(n_items=30, embed_dim=8, out_dim=6,
                                       history_window=6), np.random.default_rng(2))
     rng = np.random.default_rng(3)
-    states = [UserState(history=tuple((int(i), int(b)) for i, b in zip(
-        rng.integers(0, 30, size=n), rng.integers(0, 2, size=n))))
+    states = [tuple((int(i), int(b)) for i, b in zip(
+        rng.integers(0, 30, size=n), rng.integers(0, 2, size=n)))
         for n in [4, 0, 10, 1, 6, 0, 7, 3]]
     with ad.no_grad():
         rows = encode_batch(enc, states).data
         assert rows.shape == (len(states), 6)
         for row, state in zip(rows, states):
             single = encode(enc, state).data
-            if state.history:
+            if state:
                 assert np.abs(row - single).max() <= 1e-12
             else:
                 assert np.array_equal(row, enc.start.data)
-        empty = encode_batch(enc, [UserState(), UserState()]).data
+        empty = encode_batch(enc, [(), ()]).data
     assert np.array_equal(empty, np.stack([enc.start.data] * 2))
     with pytest.raises(UnknownItemError):
-        encode_batch(enc, [UserState(history=((3, 1),)), UserState(history=((30, 1),))])
+        encode_batch(enc, [((3, 1),), ((30, 1),)])
 
 
 def test_held_out_log_loss_matches_per_record_value():

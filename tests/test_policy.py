@@ -10,8 +10,7 @@ import pytest
 import hsrl.autodiff as ad
 from hsrl.checkpoint import CHECKPOINT_MAGIC, load_tensors, save_tensors
 from hsrl.critic import CriticConfig
-from hsrl.encoder import (EncoderConfig, UserState, encode, encode_batch,
-                          history_arrays)
+from hsrl.encoder import EncoderConfig, encode, encode_batch, history_arrays
 from hsrl.errors import (ContractError, DataError, FormatError, ShapeError,
                          UnknownItemError)
 from hsrl.policy import (PolicyConfig, PolicyOutput, PolicyParams, _draw, _raw_scores,
@@ -29,7 +28,7 @@ def _params(vocab=(4, 4, 4), d_model=8, n_items=20, seed=1, **kw):
 
 
 def _output(params, history=((3, 1), (5, 0), (7, 1)), **kw):
-    c0 = encode(params.encoder, UserState(history=history))
+    c0 = encode(params.encoder, history)
     return forward(params, c0, **kw)
 
 
@@ -58,7 +57,7 @@ def test_empty_history_zero_profile_is_start_vector():
     # place, and an encoding must not move with it
     params = _params()
     start = params.encoder.start
-    c0 = encode(params.encoder, UserState())
+    c0 = encode(params.encoder, ())
     assert c0 is not start and not np.shares_memory(c0.data, start.data)
     assert c0.data.tobytes() == start.data.tobytes()
 
@@ -66,9 +65,7 @@ def test_empty_history_zero_profile_is_start_vector():
 def test_encode_and_encode_batch_name_the_same_first_unknown_item():
     enc = _params(n_items=5, history_window=2).encoder
     # item 9 falls out of the window of 2; 7 is the first unknown item left
-    states = [UserState(history=((1, 1),)),
-              UserState(history=((9, 1), (2, 0), (7, 1))),
-              UserState(history=((8, 1),))]
+    states = [((1, 1),), ((9, 1), (2, 0), (7, 1)), ((8, 1),)]
     for call in (lambda: encode(enc, states[1]), lambda: encode_batch(enc, states),
                  lambda: history_arrays(enc.cfg, states)):
         with pytest.raises(UnknownItemError) as caught:
@@ -80,7 +77,7 @@ def _loop_history_arrays(cfg, states):
     """The per-entry fill `history_arrays` replaced, with its item check."""
     histories = []
     for state in states:
-        history = state.history[-cfg.history_window:]
+        history = state[-cfg.history_window:]
         for item, _ in history:
             if not 0 <= item < cfg.n_items:
                 raise UnknownItemError(f"item {item} outside embedding table")
@@ -118,7 +115,7 @@ def test_history_fill_equals_the_per_entry_loop():
             if length and fuzz.random() < 0.05:
                 items[int(fuzz.integers(length))] = int(fuzz.choice([-1, 12, 99]))
             bits = fuzz.integers(0, 2, length).tolist()
-            states.append(UserState(history=tuple(zip(items, bits))))
+            states.append(tuple(zip(items, bits)))
         got = _outcome(lambda: history_arrays(cfg, states))
         want = _outcome(lambda: _loop_history_arrays(cfg, states))
         if isinstance(want[0], type):
@@ -130,19 +127,20 @@ def test_history_fill_equals_the_per_entry_loop():
 
 
 def test_history_items_that_are_not_integers_are_rejected():
-    # a float item would truncate to another item's row, a float bit to 0 or 1
+    # a float item would truncate to another item's row, a float bit to 0 or
+    # 1, and a bool among integers would read as 0 or 1
     params = _params(n_items=5)
-    for history in (((2.5, 1),), ((1, 1), (2.0, 0)), ((2, 1.0),)):
-        state = UserState(history=history)
+    for state in (((2.5, 1),), ((1, 1), (2.0, 0)), ((2, 1.0),), ((True, 1), (2, 0)),
+                  ((1, 1), (2, False))):
         for call in (lambda: encode(params.encoder, state),
-                     lambda: encode_batch(params.encoder, [UserState(), state])):
+                     lambda: encode_batch(params.encoder, [(), state])):
             with pytest.raises(ContractError, match="must be integers"):
                 call()
 
 
 def test_encode_deterministic():
     params = _params()
-    s = UserState(history=((1, 1), (2, 0)))
+    s = ((1, 1), (2, 0))
     assert np.array_equal(encode(params.encoder, s).data,
                           encode(params.encoder, s).data)
 
@@ -150,12 +148,12 @@ def test_encode_deterministic():
 def test_encode_unknown_item():
     params = _params(n_items=5)
     with pytest.raises(UnknownItemError):
-        encode(params.encoder, UserState(history=((17, 1),)))
+        encode(params.encoder, ((17, 1),))
 
 
 def test_encode_gradient_matches_finite_differences():
     params = _params(vocab=(3, 3), d_model=6, n_items=8, seed=4)
-    state = UserState(history=((1, 1), (3, 0), (5, 1)))
+    state = ((1, 1), (3, 0), (5, 1))
     enc = params.encoder
     tensors = [enc.item_emb, enc.fb_emb, enc.attn_q, enc.attn_k, enc.attn_v,
                enc.proj_w, enc.proj_b]
@@ -217,7 +215,7 @@ def test_trajectory_contexts_zero_mean():
 
 def test_flat_mode_reads_context_zero_everywhere():
     params = _params(seed=12)
-    c0 = encode(params.encoder, UserState(history=((3, 1),)))
+    c0 = encode(params.encoder, ((3, 1),))
     out = forward(params, c0, flat=True)
     for c in out.trajectory:
         assert np.array_equal(c.data, c0.data)
@@ -253,14 +251,14 @@ def test_forward_block_rows_match_forward(flat):
     # a block of contexts: each row against the same forward of that context
     # alone and against the recursion in plain numpy
     params = _params(seed=4)
-    states = [UserState(), UserState(((3, 1), (5, 0), (7, 1))), UserState(((9, 0),))]
+    states = [(), ((3, 1), (5, 0), (7, 1)), ((9, 0),)]
     c0 = encode_batch(params.encoder, states)
     out = forward(params, c0, flat=flat)
     slates = [[(0, 1, 2), (3, 3, 3)], [(1, 0, 2)], [(2, 2, 0), (0, 0, 0), (1, 3, 2)]]
     rows = np.repeat(np.arange(3), [len(s) for s in slates])
     batched = per_item_log_probs(out, sum(slates, []), rows).data
     for r, state in enumerate(states):
-        one = _output(params, state.history, flat=flat)
+        one = _output(params, state, flat=flat)
         plain = _numpy_forward(params, c0.data[r], flat)
         for got, want, ref in [(out.probs, one.probs, plain[0]),
                                (out.log_probs, one.log_probs, plain[1]),
@@ -272,6 +270,22 @@ def test_forward_block_rows_match_forward(flat):
         assert np.abs(batched[rows == r] - lp).max() <= 1e-12
         assert np.abs(lp - [sum(plain[1][lvl][z] for lvl, z in enumerate(sid))
                              for sid in slates[r]]).max() <= 1e-12
+
+
+def test_sid_log_probs_read_flat_log_probs_and_a_block_needs_the_rows():
+    params = _params(seed=4)
+    # one context: the flat view is the log-prob vector itself, so the gather
+    # builds one embed per level and one add per level after the first
+    one = _output(params)
+    start = int(repr(ad._NODE_IDS)[len("count("):-1])
+    per_item_log_probs(one, [(1, 2, 0), (0, 1, 3)])
+    assert int(repr(ad._NODE_IDS)[len("count("):-1]) - start == 5
+    # a block without rows would read whole rows of each (B, T_l) block, or
+    # fail past its first rows
+    block = forward(params, encode_batch(params.encoder, [(), ((3, 1),), ((9, 0),)]))
+    for sids in ([(1, 2, 0), (0, 1, 3)], [(3, 3, 3)]):
+        with pytest.raises(ContractError, match="needs the row of each SID"):
+            per_item_log_probs(block, sids)
 
 
 def test_force_onehot_applies_to_every_row_of_a_block():
@@ -359,7 +373,7 @@ def test_exhaustive_enumeration_sums_to_one():
 
 def test_sid_log_prob_gradient_through_recursion():
     params = _params(vocab=(3, 3), d_model=6, n_items=8, seed=20)
-    state = UserState(history=((1, 1), (2, 0)))
+    state = ((1, 1), (2, 0))
     tensors = ([params.encoder.item_emb, params.encoder.proj_w]
                + params.head_w + params.tok_emb + params.ln_gain + params.ln_bias)
 
@@ -747,8 +761,12 @@ def test_sid_matrix_equals_per_item_lookup():
     (SidIndex([], np.empty((0, 1))), [0], 0),
     (SidIndex([2, 5], [(0,), (1,)]), [2, 7, 2 ** 64], 7),
     (SidIndex([5, 2], [(1,), (0,)]), [5, 2 ** 64], 2 ** 64),
+    # a uint64 past int64 is named as asked, not as the int64 it would wrap to
+    (SidIndex([-1, 2], [(1,), (0,)]), np.array([2 ** 64 - 1], dtype=np.uint64), 2 ** 64 - 1),
+    (SidIndex([2, 5], [(0,), (1,)]), np.array([2, 7, 2 ** 63], dtype=np.uint64), 7),
 ], ids=["between_ids", "negative", "past_largest", "empty_index",
-        "first_of_two_unknown", "past_int64"])
+        "first_of_two_unknown", "past_int64", "uint64_past_int64",
+        "first_of_two_unknown_uint64"])
 def test_sid_matrix_unknown_ids_raise(index, query, bad):
     with pytest.raises(UnknownItemError, match=f"item {bad} has no SID"):
         index.sid_matrix(query)
@@ -756,7 +774,9 @@ def test_sid_matrix_unknown_ids_raise(index, query, bad):
 
 @pytest.mark.parametrize("query, bad", [
     ([2.5], "2.5"), ([2, 5.0], "2.0"), ([True], "True"), (np.array([5.0]), "5.0"),
-], ids=["float", "whole_float_in_list", "bool", "float_array"])
+    ([2, True], "True"), ([5, np.False_], "False"), ([2.5, 2 ** 70], "2.5"),
+], ids=["float", "whole_float_in_list", "bool", "float_array", "bool_among_ints",
+        "numpy_bool_among_ints", "float_before_int_past_uint64"])
 def test_sid_matrix_rejects_ids_that_are_not_integers(query, bad):
     # truncated, 2.5 would read item 2's SID
     with pytest.raises(UnknownItemError, match=f"item {bad} has no SID"):

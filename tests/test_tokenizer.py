@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hsrl.errors import (ContractError, DataError, FormatError, ShapeError,
                          VocabTooLargeError)
+import hsrl.tokenizer as tokenizer
 from hsrl.tokenizer import (CODEBOOK_MAGIC, NEAREST_BLOCK_ROWS, Codebook,
                             ItemEmbeddings, SidIndex, _kmeanspp_init, _nearest, collision_report,
                             fit_codebook, load_codebook, load_embeddings,
@@ -111,6 +112,24 @@ def test_centroids_canonically_sorted():
     for centers in book.centroids:
         order = np.lexsort(centers.T[::-1])
         assert np.array_equal(order, np.arange(len(centers)))
+
+
+@pytest.mark.parametrize("centers, duplicated", [
+    ([[1.0, 2.0], [0.0, 1.0], [0.0, 1.0]], True),
+    ([[0.0, 1.0], [1.0, 2.0], [-0.0, 1.0]], True),  # a zero's sign is no difference
+    ([[0.0, 1.0], [1.0, 2.0], [0.0, 1.5]], False),
+], ids=["equal", "signed_zero", "distinct"])
+def test_duplicate_centroids_rejected_after_the_canonical_sort(monkeypatch, centers,
+                                                               duplicated):
+    # the sort puts equal rows side by side, wherever k-means left them
+    monkeypatch.setattr(tokenizer, "_lloyd", lambda points, k, rng: np.array(centers))
+    items = _random_items(n=6, d=2)
+    if duplicated:
+        with pytest.raises(DataError, match="level 1: k-means produced duplicate"):
+            fit_codebook(items, (3,), seed=0)
+    else:
+        book, _ = fit_codebook(items, (3,), seed=0)
+        assert book.centroids[0].tolist() == sorted(centers)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +287,31 @@ def test_index_sorts_rows_by_id():
 def test_index_rejects_duplicate_id():
     with pytest.raises(ContractError, match="duplicate item id 5"):
         SidIndex([9, 5, 3, 5, 9], [(0,), (1,), (0,), (2,), (1,)])
+
+
+# ids that an int64 cast would change: a float truncates, a bool reads as 0
+# or 1 (also among integers), a uint64 past int64 wraps negative
+NOT_INT64_IDS = [
+    ([2.5, 1.0], "2.5"),
+    (np.array([True, False]), "True"),
+    ([3, True], "True"),
+    (np.array([2 ** 64 - 1], dtype=np.uint64), str(2 ** 64 - 1)),
+    ([1, 2 ** 64], str(2 ** 64)),
+]
+NOT_INT64_NAMES = ["float", "bool_array", "bool_among_ints", "uint64_past_int64",
+                   "int_past_uint64"]
+
+
+@pytest.mark.parametrize("ids, bad", NOT_INT64_IDS, ids=NOT_INT64_NAMES)
+def test_index_rejects_ids_a_cast_would_change(ids, bad):
+    with pytest.raises(ContractError, match=f"item id {bad} is not an integer"):
+        SidIndex(ids, [(0,)] * len(ids))
+
+
+@pytest.mark.parametrize("ids, bad", NOT_INT64_IDS, ids=NOT_INT64_NAMES)
+def test_item_embeddings_reject_ids_a_cast_would_change(ids, bad):
+    with pytest.raises(DataError, match=f"item id {bad} is not an integer"):
+        ItemEmbeddings(ids, np.zeros((len(ids), 2)))
 
 
 @pytest.mark.parametrize("ids, tokens", [

@@ -10,7 +10,7 @@ import hsrl.autodiff as ad
 import hsrl.trainer as trainer
 from hsrl import optim
 from hsrl.critic import CriticConfig, aggregate, value_of_context
-from hsrl.encoder import UserState, encode
+from hsrl.encoder import encode
 from hsrl.env import (EnvConfig, Environment, LogRecord, SimFitConfig,
                       fit_response_model, make_user_pool)
 from hsrl.errors import ConfigError, ContractError, FormatError, NumericsError
@@ -183,7 +183,7 @@ def test_entropy_onehot_zero():
 def test_entropy_bounds():
     agent = _agent(seed=5)
     for trial in range(20):
-        state = UserState(history=((trial % N_ITEMS, 1),))
+        state = ((trial % N_ITEMS, 1),)
         with ad.no_grad():
             out = forward(agent.policy, encode(agent.policy.encoder, state))
         h = float(entropy_term(out).data)
@@ -672,7 +672,7 @@ def test_rollout_forwards_once_per_changed_state(model, monkeypatch):
             assert a.feedback.tobytes() == b.feedback.tobytes()
             assert [c.tobytes() for c in a.next_contexts or []] == [
                 c.tobytes() for c in b.next_contexts or []]
-        changed = 1 + sum(a.state.history != b.state.history
+        changed = 1 + sum(a.state != b.state
                           for a, b in zip(got, got[1:]))
         assert len(calls) == changed
         reused += len(got) - changed
@@ -691,7 +691,7 @@ def test_next_contexts_keep_their_values_after_an_update():
                           np.random.default_rng([41, episode]),
                           np.random.default_rng([42, episode]))
         transitions.extend(more)
-    assert any(not tr.state.history and tr.next_contexts for tr in transitions)
+    assert any(not tr.state and tr.next_contexts for tr in transitions)
     start = agent.policy.encoder.start.data.copy()
     kept = [[c.copy() for c in tr.next_contexts or []] for tr in transitions]
     train_step(agent, transitions)
@@ -896,7 +896,7 @@ def test_batched_update_matches_the_per_transition_update(variant):
     start = {k: v.copy() for k, v in agent.tensors().items()}
     seen = {"empty": 0, "mid_terminal": 0, "no_click": 0}
     for batch in _batches(agent, 43):
-        seen["empty"] += sum(not tr.state.history for tr in batch)
+        seen["empty"] += sum(not tr.state for tr in batch)
         seen["mid_terminal"] += sum(tr.done for tr in batch[:-1])
         seen["no_click"] += not any(tr.feedback.any() for tr in batch)
         got = _update_state(agent, train_step(agent, batch))
@@ -924,7 +924,7 @@ def test_recorded_graph_update_matches_reencode_with_an_empty_history(variant):
         transitions, _ = rollout(agent, env, "sample",
                                  np.random.default_rng([seed, 0, episode]),
                                  np.random.default_rng([seed, 1, episode]))
-        empty += sum(not tr.state.history for tr in transitions)
+        empty += sum(not tr.state for tr in transitions)
         states = []
         for i, (who, step) in enumerate(((agent, train_step), (twin, _reference_step))):
             start = _nodes_created()
@@ -961,7 +961,7 @@ def test_flat_policy_normalization_invariant():
     import itertools
 
     agent = _agent(seed=26, variant="flat_policy")
-    state = UserState(history=((2, 1),))
+    state = ((2, 1),)
     with ad.no_grad():
         out = forward(agent.policy, encode(agent.policy.encoder, state),
                       flat=True)
@@ -1026,7 +1026,7 @@ def test_nan_forward_aborts_step_with_params_intact():
     env = _env()
     transitions = _fake_transitions(agent, env, n=2, seed=35)
     train_step(agent, _fake_transitions(agent, env, n=2, seed=36))
-    assert any(tr.state.history for tr in transitions)
+    assert any(tr.state for tr in transitions)
     agent.policy.encoder.proj_b.data[:] = np.inf  # poison mid-graph
     before = {k: v.copy() for k, v in agent.tensors().items()}
 
