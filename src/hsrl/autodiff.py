@@ -49,7 +49,6 @@ from .errors import ContractError, NumericsError, ShapeError
 
 _NODE_IDS = itertools.count()
 _GRAD_ENABLED = True
-_BOOLS = {bool, np.bool_}
 
 
 @contextmanager
@@ -347,17 +346,27 @@ def stack(parts: list[Tensor]) -> Tensor:
     return _node(data, tuple(parts), lambda g: tuple(np.asarray(gi) for gi in g))
 
 
-def first_bool(ids):
-    """The first bool of a flat Python sequence, which `np.asarray` reads as
-    0 or 1 among integers, or None; an ndarray's own dtype says it."""
-    if isinstance(ids, np.ndarray) or _BOOLS.isdisjoint(map(type, ids)):
-        return None
-    return next(i for i in ids if type(i) in _BOOLS)
+def int_ids(ids) -> tuple[np.ndarray, tuple[int, object] | None]:
+    """`(ids as int64, None)` if every entry is an int within int64 (no float,
+    even a whole one, and no bool), else `(the entries before the first that
+    is not, as int64, (its row-major position, its value))`. An int ndarray is
+    not scanned, a sequence's types are; uint, object or float input is read per entry."""
+    arr = np.asarray(ids)
+    if arr.dtype.kind == "i" and isinstance(ids, np.ndarray):
+        return arr.astype(np.int64, copy=False), None
+    flat = ids if arr.ndim == 1 else np.array(ids, dtype=object).ravel()
+    if arr.dtype.kind == "i" and {bool, np.bool_}.isdisjoint(map(type, flat)):
+        return arr.astype(np.int64, copy=False), None
+    for pos, value in enumerate(flat):
+        if (type(value) is bool or not isinstance(value, (int, np.integer))
+                or not -2**63 <= value < 2**63):
+            return np.array(flat[:pos], dtype=np.int64), (pos, value)
+    return np.array(flat, dtype=np.int64).reshape(arr.shape), None
 
 
 def embed(x: Tensor, ids) -> Tensor:
-    """Take rows `ids` along axis 0 of `x` (entries, when `x` is 1-D);
-    the gradient scatter-adds back, so duplicate ids accumulate.
+    """Take rows `ids` (integers, by `int_ids`) along axis 0 of `x` (entries
+    when `x` is 1-D); the gradient scatter-adds back, so duplicates accumulate.
 
     When `x` is a leaf with more rows than `ids`, the gradient goes back as
     `Rows` holding `ids` and `g`: dense on any merge, and densified at the
@@ -365,11 +374,9 @@ def embed(x: Tensor, ids) -> Tensor:
     dense `zeros_like(x)` scatter."""
     if x.ndim < 1:
         raise ShapeError("embed: expected at least one axis")
-    idx = np.asarray(ids)
-    dtype = idx.dtype if first_bool(ids) is None else np.dtype(bool)
-    if idx.size and dtype.kind not in "iu":  # a float or bool would truncate
-        raise ContractError(f"embed: ids must be integers, got {dtype}")
-    idx = idx.astype(np.intp, copy=False)
+    idx, bad = int_ids(ids)
+    if bad:
+        raise ContractError(f"embed: ids must be integers within int64, got {bad[1]}")
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ContractError("embed: index out of range")
     if x._backward is None and x.shape[0] > idx.size:

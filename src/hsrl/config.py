@@ -28,13 +28,10 @@ from .policy import PolicyConfig
 from .tokenizer import MAX_VOCAB_SIZE
 from .trainer import TrainConfig
 
-_BOOL_VALUES = {"true": True, "yes": True, "1": True, "on": True,
-                "false": False, "no": False, "0": False, "off": False}
-
 
 def _parse_bool(raw: str) -> bool:
     try:
-        return _BOOL_VALUES[raw.strip().lower()]
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
     except KeyError:
         raise ConfigError(f"expected a boolean, got {raw!r}") from None
 

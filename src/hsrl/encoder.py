@@ -10,7 +10,7 @@ pooled projection when the history is empty; both paths encode it as
 vector; `encode_batch` maps a batch to one matrix as `history_arrays`
 (padded to the longest) then `encode_arrays` (masking the padding), which
 the simulator fit calls on arrays built once. Both cut each history to the
-window and check its items in one place.
+window and check its items and feedback bits in one place.
 """
 
 from __future__ import annotations
@@ -77,11 +77,13 @@ class EncoderParams:
 
 
 def _window(cfg: EncoderConfig, state: tuple[tuple[int, int], ...]):
-    """The history cut to the window, every item checked against the table."""
+    """The history cut to the window: items checked against the table, bits against {0, 1}."""
     history = state[-cfg.history_window:]
-    for item, _ in history:
+    for item, bit in history:
         if not 0 <= item < cfg.n_items:
             raise UnknownItemError(f"item {item} outside embedding table")
+        if bit not in (0, 1):
+            raise ContractError(f"feedback bit {bit} of item {item} is not 0 or 1")
     return history
 
 
@@ -110,11 +112,9 @@ def history_arrays(cfg: EncoderConfig, states):
     histories = [_window(cfg, state) for state in states]
     lengths = np.array([len(h) for h in histories], dtype=np.intp)
     both = np.zeros((2, len(histories), int(lengths.max(initial=0))), dtype=np.intp)
-    values = [x for history in histories for pair in history for x in pair]
-    flat = np.array(values)
-    dtype = flat.dtype if ad.first_bool(values) is None else np.dtype(bool)
-    if flat.size and dtype.kind not in "iu":  # a float or bool would truncate
-        raise ContractError(f"history items and bits must be integers, got {dtype}")
+    flat, bad = ad.int_ids([x for history in histories for pair in history for x in pair])
+    if bad:
+        raise ContractError(f"history items and bits must be integers, got {bad[1]}")
     both[:, np.arange(both.shape[2]) < lengths[:, None]] = flat.reshape(-1, 2).T
     return both[0], both[1], lengths
 

@@ -53,6 +53,8 @@ class LogRecord:
             raise DataError(f"record history longer than {RECORD_HISTORY}")
         if any(y not in (0, 1) for y in self.labels):
             raise DataError(f"click labels must be 0 or 1, got {self.labels}")
+        if bad := ad.int_ids((*self.history, *self.slate))[1]:
+            raise DataError(f"record item {bad[1]} is not an integer within int64")
 
 
 @dataclass
@@ -132,10 +134,10 @@ class ResponseModel:
         out["bias"] = self.bias
         return out
 
-    def _block_logits(self, u: Tensor, slates: np.ndarray) -> Tensor:
+    def _block_logits(self, u: Tensor, slates) -> Tensor:
         """(n, k) logits of slate row r for encoding u[r], one graph for the block."""
-        n, k = slates.shape
         rows = ad.embed(self.encoder.item_emb, slates)                 # (n, k, d)
+        n, k = rows.shape[:2]
         scores = ad.matmul(rows, ad.reshape(u, (n, self.cfg.embed_dim, 1)))
         return ad.add(ad.reshape(scores, (n, k)), self.bias)
 
@@ -144,6 +146,9 @@ class ResponseModel:
         the last call's state encoding (kept in the block's (1, d, 1) shape)
         while the history and the encoder's arrays are the ones it came from
         (the model is frozen once fitted; `load_into` replaces arrays)."""
+        ids, bad = ad.int_ids(slate)
+        if bad:
+            raise ContractError(f"slate: ids must be integers within int64, got {bad[1]}")
         arrays = [t.data for t in self.encoder.tensors().values()]
         seen = self._seen
         with ad.no_grad():
@@ -151,8 +156,7 @@ class ResponseModel:
                     and all(a is b for a, b in zip(seen[1], arrays))):
                 u = encode(self.encoder, session.state)
                 seen = session.state, arrays, ad.reshape(u, (1, self.cfg.embed_dim, 1))
-            logits = self._block_logits(seen[2], np.asarray([slate]))
-            probs = ad.sigmoid(logits).data[0].copy()
+            probs = ad.sigmoid(self._block_logits(seen[2], ids[None])).data[0].copy()
         self._seen = seen  # kept only once the whole call has succeeded
         return probs
 
@@ -161,7 +165,7 @@ class ResponseModel:
         up to rounding (encode_batch against encode)."""
         with ad.no_grad():
             u = encode_batch(self.encoder, [s.state for s in sessions])
-            return ad.sigmoid(self._block_logits(u, np.asarray(slates))).data.copy()
+            return ad.sigmoid(self._block_logits(u, slates)).data.copy()
 
 
 def _positive_state(items) -> tuple[tuple[int, int], ...]:

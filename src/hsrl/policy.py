@@ -144,7 +144,8 @@ def per_item_log_probs(output: PolicyOutput, sids, rows=None) -> Tensor:
         raise ContractError("slate must hold at least one SID")
     levels = len(output.vocab_sizes)
     try:
-        if (z := np.array(sids)).dtype.kind not in "iu":  # a float or bool is no token
+        z, bad = ad.int_ids(sids)  # a ragged block raises ValueError
+        if bad:
             raise ValueError
     except ValueError:
         raise ContractError(f"SIDs are ragged or not integers; each needs {levels} "

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import first_bool
+from .autodiff import int_ids
 from .checkpoint import BinaryReader, read_lines, write_atomic
 from .errors import (ContractError, DataError, FormatError, ShapeError,
                      UnknownItemError, VocabTooLargeError)
@@ -37,16 +37,12 @@ CODEBOOK_MAGIC = b"HSRLCB1\x00"
 MAX_VOCAB_SIZE = 0xFFFF
 
 
-def _is_int64(i) -> bool:
-    """Whether `i` is an item id: an integer within int64, not a bool or a float."""
-    return type(i) is not bool and isinstance(i, (int, np.integer)) and -2**63 <= i < 2**63
-
-
 def _int64_ids(ids, error: type[Exception]) -> np.ndarray:
-    """`ids` as int64; `error` names the first that is no item id (a cast would change it)."""
-    if bad := [i for i in np.ravel(np.array(ids, dtype=object)) if not _is_int64(i)]:
-        raise error(f"item id {bad[0]} is not an integer within int64")
-    return np.asarray(ids, dtype=np.int64)
+    """`ids` as int64; `error` names the first that is no item id (`int_ids`)."""
+    arr, bad = int_ids(ids)
+    if bad:
+        raise error(f"item id {bad[1]} is not an integer within int64")
+    return arr
 
 
 @dataclass
@@ -94,9 +90,9 @@ class Codebook:
 
 class SidIndex:
     """The fixed item -> SID table, the one item -> SID lookup: read-only
-    item ids, ascending, and their (N, L) int64 tokens. `sid_matrix`
-    binary-searches it; an id the index does not hold raises
-    `UnknownItemError` naming the first such id."""
+    item ids, ascending, and their (N, L) int64 tokens. `sid_matrix` binary-
+    searches it; the first id it does not hold, a non-id by `int_ids` (a float,
+    a bool, an int past int64) included, raises `UnknownItemError` naming it."""
 
     def __init__(self, ids, tokens):
         ids = _int64_ids(ids, ContractError)
@@ -114,19 +110,12 @@ class SidIndex:
 
     def sid_matrix(self, item_ids) -> np.ndarray:
         """(n, L) int64 tokens of a sequence of items, in the given order."""
-        raw = np.asarray(item_ids)
-        if raw.size and ((bad := first_bool(item_ids)) is not None
-                         or raw.dtype.kind not in "iuO"):
-            raise UnknownItemError(f"item {raw.flat[0] if bad is None else bad} has no SID")
-        ids, fits = raw, True
-        if raw.dtype.kind in "uO":  # no index holds a non-id, which a cast could wrap
-            fits = np.array([_is_int64(i) for i in raw.tolist()], dtype=bool)
-            ids = np.where(fits, raw, 0).astype(np.int64)
+        ids, bad = int_ids(item_ids)  # with a non-id, the ids before it
         pos = np.searchsorted(self.ids, ids)
-        known = (pos < len(self.ids)) & fits
+        known = pos < len(self.ids)
         known[known] = self.ids[pos[known]] == ids[known]
-        if not known.all():
-            raise UnknownItemError(f"item {raw[~known][0]} has no SID")
+        if not known.all() or bad:  # no index holds a non-id
+            raise UnknownItemError(f"item {bad[1] if known.all() else ids[~known][0]} has no SID")
         return self.tokens.take(pos, axis=0)
 
 

@@ -246,6 +246,8 @@ def train_step(agent: Agent, transitions: list[Transition]) -> dict:
         if len(tr.feedback) != len(tr.slate):
             raise ContractError(f"transition {i}: {len(tr.feedback)} feedback entries "
                                 f"for a slate of {len(tr.slate)} items")
+        if variant != "bc_only" and tr.done == 0 and tr.next_contexts is None:
+            raise ContractError(f"transition {i}: done=0 with no next contexts to bootstrap")
     weights = {"loss_V": 1.0, "loss_PG": 1.0, "loss_BC": cfg.lambda_bc,
                "H_en": 0.0 if variant in ("no_entropy", "bc_only") else cfg.lambda_entropy}
 

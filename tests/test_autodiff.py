@@ -597,9 +597,11 @@ def test_embed_rejects_a_scalar():
 
 
 @pytest.mark.parametrize("ids", [[2.5], [2.0], [True, False], np.array([1.5, 0.0]),
-                                 [True, 2], (0, np.True_)],
+                                 [True, 2], (0, np.True_),
+                                 np.array([1, 2 ** 63], dtype=np.uint64), [1, 2.0]],
                          ids=["float", "whole_float", "bool", "float_array",
-                              "bool_among_ints", "numpy_bool_among_ints"])
+                              "bool_among_ints", "numpy_bool_among_ints",
+                              "uint64_past_int64", "whole_float_among_ints"])
 def test_embed_rejects_ids_that_are_not_integers(ids):
     # truncating a float, or reading a bool as 0/1, would take another row
     table = ad.parameter((6, 3), np.random.default_rng(0), 0.1)

@@ -221,7 +221,7 @@ def test_block_response_equals_the_per_session_formula():
 def test_slate_items_that_are_not_integers_are_rejected():
     # truncated, item 2.5 would take item 2's click probability
     model = ResponseModel(10, SimFitConfig(embed_dim=4), np.random.default_rng(0))
-    for slate in ([2.5, 3], [2.0, 3.0], [True, False]):
+    for slate in ([2.5, 3], [2.0, 3.0], [True, False], [True, 3], [3, np.True_]):
         with pytest.raises(ContractError, match="ids must be integers"):
             model.click_probs(_session(), slate)
         with pytest.raises(ContractError, match="ids must be integers"):
@@ -764,6 +764,16 @@ def test_click_labels_outside_zero_one_rejected(label):
     LogRecord(0, (), (1, 2), (0, 1))
     with pytest.raises(DataError, match="click labels must be 0 or 1"):
         LogRecord(0, (), (1, 2), (0, label))
+
+
+@pytest.mark.parametrize("history, slate, bad", [
+    ((), (1.5, 2), "1.5"), ((), (True, 2), "True"), ((3, 2.0), (1, 2), "2.0"),
+], ids=["float_slate", "bool_slate", "whole_float_history"])
+def test_fit_rejects_record_items_that_are_not_integers(history, slate, bad):
+    # cast, 1.5 and True would train item 1's click probability
+    with pytest.raises(DataError, match=f"record item {bad} is not an integer"):
+        fit_response_model([LogRecord(0, history, slate, (1, 0))], 10,
+                           SimFitConfig(embed_dim=4), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,16 @@ def test_history_items_that_are_not_integers_are_rejected():
                 call()
 
 
+def test_feedback_bits_outside_zero_one_are_named():
+    params = _params(n_items=5)
+    for bit in (2, -1):
+        for call in (lambda: encode(params.encoder, ((1, bit),)),
+                     lambda: encode_batch(params.encoder, [(), ((1, bit),)])):
+            with pytest.raises(ContractError,
+                               match=f"feedback bit {bit} of item 1 is not 0 or 1"):
+                call()
+
+
 def test_encode_deterministic():
     params = _params()
     s = ((1, 1), (2, 0))
@@ -354,8 +364,9 @@ def test_sid_log_prob_token_out_of_range():
 
 
 @pytest.mark.parametrize("sids", [[(1.5, 2, 0)], [(1.0, 2.0, 0.0)], [(True, False, True)],
-                                  np.array([[0.5, 1.0, 2.0]])],
-                         ids=["float", "whole_floats", "bools", "float_array"])
+                                  np.array([[0.5, 1.0, 2.0]]), [(True, 2, 0)]],
+                         ids=["float", "whole_floats", "bools", "float_array",
+                              "bool_among_ints"])
 def test_sid_log_prob_rejects_tokens_that_are_not_integers(sids):
     out = _output(_params())
     with pytest.raises(ContractError, match="not integers"):
@@ -773,7 +784,7 @@ def test_sid_matrix_unknown_ids_raise(index, query, bad):
 
 
 @pytest.mark.parametrize("query, bad", [
-    ([2.5], "2.5"), ([2, 5.0], "2.0"), ([True], "True"), (np.array([5.0]), "5.0"),
+    ([2.5], "2.5"), ([2, 5.0], "5.0"), ([True], "True"), (np.array([5.0]), "5.0"),
     ([2, True], "True"), ([5, np.False_], "False"), ([2.5, 2 ** 70], "2.5"),
 ], ids=["float", "whole_float_in_list", "bool", "float_array", "bool_among_ints",
         "numpy_bool_among_ints", "float_before_int_past_uint64"])

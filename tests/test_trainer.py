@@ -632,6 +632,26 @@ def test_train_step_rejects_feedback_that_does_not_match_its_slate(case):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("variant", ["full", "bc_only"])
+def test_train_step_needs_next_contexts_to_bootstrap(variant):
+    # a done=0 transition's TD target reads its next contexts; bc_only has no
+    # critic and never reads them. The update names the transition and
+    # writes nothing.
+    agent, env = _agent(seed=5, variant=variant), _env()
+    batch = _fake_transitions(agent, env, n=4, seed=3)
+    i = next(i for i, tr in enumerate(batch) if tr.done == 0)
+    batch[i] = replace(batch[i], next_contexts=None)
+    if variant == "bc_only":
+        train_step(agent, batch)
+        return
+    before = copy.deepcopy(agent)
+    with pytest.raises(ContractError, match=f"^transition {i}: done=0 with no next contexts"):
+        train_step(agent, batch)
+    assert (agent.updates, agent.opt.step_count) == (before.updates, before.opt.step_count)
+    for a, b in zip(_written_arrays(agent), _written_arrays(before)):
+        assert np.array_equal(a, b)
+
+
 def _reference_rollout(agent, env, rng_env, rng_act):
     """`rollout` with a policy pass on every step, whether or not the state
     changed."""
