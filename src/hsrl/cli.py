@@ -116,16 +116,6 @@ def _n_items(items) -> int:
     return len(items)
 
 
-def _build_codebook(cfg: RunConfig, items, out: Path | None = None):
-    """Fit `cfg`'s codebook on the catalog, saved as `codebook.bin` in `out`
-    when one is given."""
-    book, index = tok_mod.fit_codebook(items, cfg.vocab_sizes(),
-                                       cfg["seeds"]["tokenizer"])
-    if out is not None:
-        tok_mod.save_codebook(out / "codebook.bin", book, index)
-    return book, index
-
-
 def _build_simulators(cfg: RunConfig, items, n_items: int, records, out: Path,
                       manifest: Manifest):
     """Fit, save and score the two simulators. The manifest gets the train
@@ -145,8 +135,8 @@ def _build_simulators(cfg: RunConfig, items, n_items: int, records, out: Path,
     return train_sim, eval_sim
 
 
-def _build_contexts(cfg: RunConfig, out: Path, manifest: Manifest,
-                    grid: list[RunConfig] | None = None) -> list[tr_mod.ExperimentContext]:
+def build_contexts(cfg: RunConfig, out: Path, manifest: Manifest,
+                   grid: list[RunConfig] | None = None) -> list[tr_mod.ExperimentContext]:
     """One experiment context per config point: `cfg` alone, whose codebook
     is saved as `codebook.bin`, or each point of a sweep's `grid`. The data
     comes first, then every point's codebook, then the two simulators, fitted
@@ -155,7 +145,10 @@ def _build_contexts(cfg: RunConfig, out: Path, manifest: Manifest,
     items, records = _load_dataset(cfg, out)
     n_items = _n_items(items)
     points = grid or [cfg]
-    books = [_build_codebook(p, items, None if grid else out) for p in points]
+    books = [tok_mod.fit_codebook(items, p.vocab_sizes(), p["seeds"]["tokenizer"])
+             for p in points]
+    if not grid:
+        tok_mod.save_codebook(out / "codebook.bin", *books[0])
     train_sim, eval_sim = _build_simulators(cfg, items, n_items, records, out,
                                             manifest)
     pool = env_mod.make_user_pool(records)
@@ -188,7 +181,9 @@ def cmd_gen_data(cfg: RunConfig, out: Path, args) -> int:
 
 def cmd_tokenize(cfg: RunConfig, out: Path, args) -> int:
     items, _ = _load_dataset(cfg, out)
-    book, index = _build_codebook(cfg, items, out)
+    book, index = tok_mod.fit_codebook(items, cfg.vocab_sizes(),
+                                       cfg["seeds"]["tokenizer"])
+    tok_mod.save_codebook(out / "codebook.bin", book, index)
     report = tok_mod.collision_report(index, book.vocab_sizes)
     print(f"codebook: L={book.levels} d={book.dim} vocab={book.vocab_sizes}")
     print(f"items={report.n_items} sids={report.n_sids} "
@@ -207,7 +202,7 @@ def cmd_fit_sim(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_train(cfg: RunConfig, out: Path, args) -> int:
-    ctx, = _build_contexts(cfg, out, args.manifest)
+    ctx, = build_contexts(cfg, out, args.manifest)
     train_cfg = cfg.train_config()
     seed = cfg["seeds"]["agent"]
     agent = tr_mod.Agent(ctx.policy_cfg, ctx.critic_cfg, train_cfg, ctx.index,
@@ -268,7 +263,7 @@ def cmd_eval(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_ablate(cfg: RunConfig, out: Path, args) -> int:
-    ctx, = _build_contexts(cfg, out, args.manifest)
+    ctx, = build_contexts(cfg, out, args.manifest)
     seeds = cfg.agent_seeds()
     base_cfg = cfg.train_config()
     medians = {}  # variant -> (median total reward, median depth) over seeds
@@ -303,7 +298,7 @@ def cmd_sweep(cfg: RunConfig, out: Path, args) -> int:
         point = RunConfig({s: dict(sec) for s, sec in cfg.values.items()})
         point.values[section][key] = value
         grid.append(point)
-    contexts = _build_contexts(cfg, out, args.manifest, grid)
+    contexts = build_contexts(cfg, out, args.manifest, grid)
     with tr_mod.MetricsWriter(out / "sweep.csv", [
             "axis", "value", "median_total_reward", "mean_total_reward",
             "median_depth", "mean_depth", "n_seeds"]) as writer:

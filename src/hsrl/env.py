@@ -494,13 +494,17 @@ class GroundTruthResponse:
         return self.click_probs_batch([session], [slate])[0]
 
     def click_probs_batch(self, sessions, slates) -> np.ndarray:
+        """`user_click_probs` of the sessions' users; (0, 0) for none."""
+        return self.user_click_probs([s.user_id for s in sessions], slates)
+
+    def user_click_probs(self, users, slates) -> np.ndarray:
         """(B, k) block: `p_preferred` where item `slates[r][j]` is in the
-        preferred cluster of `sessions[r]`'s user, else `p_other`."""
-        if not sessions:
-            return np.zeros((0, 0))
-        prefs = self.user_prefs[[s.user_id for s in sessions]]
-        match = self.item_clusters[np.asarray(slates)] == prefs[:, None]
-        return np.where(match, self.p_preferred, self.p_other)
+        preferred cluster of user `users[r]`, else `p_other`."""
+        ids, bad = ad.int_ids(slates)
+        if bad:
+            raise ContractError(f"slate: ids must be integers within int64, got {bad[1]}")
+        return np.where(self.item_clusters[ids] == self.user_prefs[users][:, None],
+                        self.p_preferred, self.p_other)
 
 
 def generate_synthetic(cfg: SynthConfig, seed) -> SyntheticDataset:
@@ -518,24 +522,21 @@ def generate_synthetic(cfg: SynthConfig, seed) -> SyntheticDataset:
     vectors = centers[item_clusters] + cfg.noise * rng.normal(
         size=(cfg.n_items, cfg.dim))
     user_prefs = np.arange(cfg.n_users) % cfg.n_clusters
+    data = SyntheticDataset(ItemEmbeddings(np.arange(cfg.n_items), vectors), [],
+                            item_clusters, user_prefs, replace(cfg))
+    truth = GroundTruthResponse(data)
 
     positives: list[list[int]] = [[] for _ in range(cfg.n_users)]
-    records: list[LogRecord] = []
     for _ in range(cfg.slates_per_user):
         for uid in range(cfg.n_users):
             slate = rng.choice(cfg.n_items, size=cfg.slate_size, replace=False)
-            probs = np.where(item_clusters[slate] == user_prefs[uid],
-                             cfg.p_preferred, cfg.p_other)
+            probs = truth.user_click_probs([uid], slate[None])[0]
             labels = (rng.random(cfg.slate_size) < probs).astype(int)
-            records.append(LogRecord(
+            data.records.append(LogRecord(
                 user_id=uid,
                 history=tuple(positives[uid][-RECORD_HISTORY:]),
                 slate=tuple(int(i) for i in slate),
                 labels=tuple(int(y) for y in labels),
             ))
             positives[uid].extend(int(i) for i, y in zip(slate, labels) if y)
-
-    items = ItemEmbeddings(np.arange(cfg.n_items), vectors)
-    return SyntheticDataset(items=items, records=records,
-                            item_clusters=item_clusters, user_prefs=user_prefs,
-                            cfg=replace(cfg))
+    return data

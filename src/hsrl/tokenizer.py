@@ -96,7 +96,9 @@ class SidIndex:
 
     def __init__(self, ids, tokens):
         ids = _int64_ids(ids, ContractError)
-        tokens = np.asarray(tokens, dtype=np.int64)
+        tokens, bad = int_ids(tokens)
+        if bad:
+            raise ContractError(f"token {bad[1]} is not an integer within int64")
         if ids.ndim != 1 or tokens.ndim != 2 or len(tokens) != len(ids):
             raise ShapeError(f"tokens {tokens.shape} are not (N, L) for ids {ids.shape}")
         order = np.argsort(ids, kind="stable")
@@ -355,7 +357,7 @@ def load_codebook(path) -> tuple[Codebook, SidIndex]:
     over = (tokens >= np.array(vocab_sizes, dtype=np.int64)).any(axis=0)
     if over.any():
         raise FormatError(f"token out of range at level {int(np.argmax(over)) + 1}")
-    return book, SidIndex(ids, tokens)
+    return book, SidIndex(ids.astype(np.int64), tokens.astype(np.int64))
 
 
 def save_embeddings(path, items: ItemEmbeddings) -> None:

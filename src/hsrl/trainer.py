@@ -82,6 +82,8 @@ class TrainConfig:
             raise ConfigError("loss weights must be non-negative")
         if self.variant not in TRAIN_VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
+        if self.variant == "bc_only" and self.lambda_bc == 0.0:
+            raise ConfigError("variant bc_only trains the BC term alone; lambda_bc must be > 0")
         if not 0.0 < self.target_tau <= 1.0:
             raise ConfigError("target_tau must lie in (0, 1]")
         if not self.learning_rate > 0.0:
@@ -272,7 +274,7 @@ def train_step(agent: Agent, transitions: list[Transition]) -> dict:
         terms["loss_PG"] = pg_loss(log_probs, rows, adv)
     if weights["H_en"]:
         terms["H_en"] = ad.scale(entropy_term(out), 1.0 / batch)
-    if (cfg.lambda_bc > 0.0 and variant != "no_bc") or variant == "bc_only":
+    if cfg.lambda_bc > 0.0 and variant != "no_bc":
         clicks = np.concatenate([tr.feedback for tr in transitions])
         if (bc := bc_loss(log_probs, rows, clicks, batch)) is not None:
             terms["loss_BC"] = bc

@@ -6,21 +6,23 @@ runtime (a few minutes on two cores); everything else finishes in seconds.
 
 import itertools
 import math
+import tempfile
 import time
 from contextlib import contextmanager
 from multiprocessing import Pool, cpu_count
+from pathlib import Path
 from statistics import median
 
 import numpy as np
 
 import hsrl.autodiff as ad
-from hsrl.cli import SWEEP_GRIDS, main as cli_main
+from hsrl.cli import SWEEP_GRIDS, build_contexts, main as cli_main
+from hsrl.config import Manifest, default_config
 from hsrl.critic import (CriticConfig, CriticParams, aggregate,
                          value_of_context)
 from hsrl.encoder import encode
-from hsrl.env import (EnvConfig, Environment, GroundTruthResponse, SimFitConfig,
-                      SynthConfig, fit_simulators, generate_synthetic,
-                      make_user_pool)
+from hsrl.env import (EnvConfig, Environment, GroundTruthResponse, SynthConfig,
+                      generate_synthetic, make_user_pool)
 from hsrl.policy import PolicyConfig, PolicyParams, forward, per_item_log_probs
 from hsrl.tokenizer import ItemEmbeddings, fit_codebook
 from hsrl.trainer import (Agent, ExperimentContext, TrainConfig, advantage,
@@ -361,21 +363,13 @@ _CTX = None
 
 
 def _directional_context() -> ExperimentContext:
-    synth = generate_synthetic(SynthConfig(n_items=300, n_clusters=8),
-                               [11, 100])
-    book, index = fit_codebook(synth.items, (16, 16, 16), 7)
-    train_sim, eval_sim = fit_simulators(synth.records, 300, SimFitConfig(),
-                                         11, synth.items.vectors)
-    pool = make_user_pool(synth.records)
-    env_cfg = EnvConfig(slate_size=5, patience=3, horizon=20)
-    return ExperimentContext(
-        policy_cfg=PolicyConfig(n_items=300, vocab_sizes=(16, 16, 16)),
-        critic_cfg=CriticConfig(d_model=32, levels=3),
-        env_cfg=env_cfg, codebook=book, index=index,
-        catalog=list(range(300)),
-        train_env=Environment(train_sim, pool, env_cfg),
-        eval_env=Environment(eval_sim, pool, env_cfg),
-        item_features=synth.items.vectors)
+    """The CLI's context for the default config at vocab 16: data seeds
+    [11, 100], tokenizer seed 7, simulator seed 11."""
+    cfg = default_config()
+    cfg["tokenizer"]["vocab_size"] = 16
+    with tempfile.TemporaryDirectory() as tmp:
+        ctx, = build_contexts(cfg, Path(tmp), Manifest(Path(tmp), "train", cfg, [tmp]))
+    return ctx
 
 
 def _init_worker():

@@ -3,7 +3,8 @@ it builds a context with `fit_simulators` and `ExperimentContext`'s keywords,
 makes an `Agent` with positional `codebook` and `item_features`, trains,
 evaluates, and samples extra episodes with `rollout(..., "sample", ...)`.
 A signature change in `src/` that breaks those calls must fail here, in the
-unit suite, not only when the benchmark runs."""
+unit suite, not only when the benchmark runs. Its hand-built contexts are
+the ones `cli.build_contexts` builds from the configs its workloads stand for."""
 
 import importlib
 import sys
@@ -13,6 +14,8 @@ import numpy as np
 import pytest
 
 import hsrl.trainer as trainer
+from hsrl.cli import build_contexts
+from hsrl.config import Manifest, default_config
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -38,3 +41,22 @@ def test_a_short_benchmark_run_passes_its_output_checks(workloads):
     transitions, _ = trainer.rollout(run.agent, ctx.train_env, "sample", *rngs)
     report = trainer.train_step(run.agent, transitions)
     assert transitions and np.isfinite(report["loss_BC"])
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("desk_full", {"tokenizer": {"vocab_size": 16}}),
+    ("catalog_5k", {"data": {"n_items": 5000, "n_clusters": 32, "embed_dim": 32,
+                             "slates_per_user": 8},
+                    "tokenizer": {"vocab_size": 64}}),
+])
+def test_the_benchmark_measures_the_context_the_cli_builds(workloads, tmp_path,
+                                                           name, overrides):
+    cfg = default_config()
+    for section, values in overrides.items():
+        cfg[section].update(values)
+    cli_ctx, = build_contexts(cfg, tmp_path, Manifest(tmp_path, "train", cfg,
+                                                      [str(tmp_path)]))
+    bench_ctx = workloads.build_context(workloads.WORKLOADS[name])
+    assert workloads.fingerprint(cli_ctx) == workloads.fingerprint(bench_ctx)
+    for field in ("policy_cfg", "critic_cfg", "env_cfg", "catalog"):
+        assert getattr(cli_ctx, field) == getattr(bench_ctx, field), field

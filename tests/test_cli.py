@@ -699,6 +699,7 @@ def test_unknown_config_section_rejected(tmp_path, capsys):
     pytest.param("[data]\nnoise = -1.0\n", 2, id="data_noise"),
     pytest.param("[training]\nadvantage_clip = nan\n", 2, id="advantage_clip_nan"),
     pytest.param("[training]\nlambda_bc = nan\n", 2, id="lambda_bc_nan"),
+    pytest.param("[training]\nvariant = bc_only\nlambda_bc = 0\n", 2, id="bc_only_without_bc"),
     pytest.param("[data]\nnoise = inf\n", 2, id="data_noise_inf"),
     pytest.param("[training]\nlearning_rate = -inf\n", 2, id="learning_rate_minus_inf"),
     pytest.param("[tokenizer]\nlevels = 0\n", 2, id="tokenizer_levels_zero"),

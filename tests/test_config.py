@@ -42,6 +42,13 @@ def test_train_config_rejects_nan(field):
         TrainConfig(**{field: float("nan")})
 
 
+def test_bc_only_without_a_bc_weight_rejected():
+    # bc_only's one loss is the BC term: at weight 0 no update would step
+    with pytest.raises(ConfigError, match="lambda_bc"):
+        TrainConfig(variant="bc_only", lambda_bc=0.0)
+    assert TrainConfig(variant="no_bc", lambda_bc=0.0).lambda_bc == 0.0
+
+
 def test_default_config_builds_dataclass_defaults():
     cfg = default_config()
     vocab = cfg.vocab_sizes()

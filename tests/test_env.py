@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -220,8 +221,10 @@ def test_block_response_equals_the_per_session_formula():
 
 def test_slate_items_that_are_not_integers_are_rejected():
     # truncated, item 2.5 would take item 2's click probability
-    model = ResponseModel(10, SimFitConfig(embed_dim=4), np.random.default_rng(0))
-    for slate in ([2.5, 3], [2.0, 3.0], [True, False], [True, 3], [3, np.True_]):
+    fitted = ResponseModel(10, SimFitConfig(embed_dim=4), np.random.default_rng(0))
+    planted = GroundTruthResponse(generate_synthetic(SynthConfig(n_items=10, n_clusters=2), 0))
+    for model, slate in itertools.product(
+            (fitted, planted), ([2.5, 3], [2.0, 3.0], [True, False], [True, 3], [3, np.True_])):
         with pytest.raises(ContractError, match="ids must be integers"):
             model.click_probs(_session(), slate)
         with pytest.raises(ContractError, match="ids must be integers"):

@@ -289,6 +289,15 @@ def test_index_rejects_duplicate_id():
         SidIndex([9, 5, 3, 5, 9], [(0,), (1,), (0,), (2,), (1,)])
 
 
+@pytest.mark.parametrize("tokens, shown", [([(0.7,), (1.2,)], "0.7"),
+                                           ([(1, 0), (True, 2)], "True")],
+                         ids=["float", "bool_among_ints"])
+def test_index_rejects_tokens_that_are_not_integers(tokens, shown):
+    # an int64 cast would truncate 0.7 to token 0 and read True as token 1
+    with pytest.raises(ContractError, match=f"token {shown} is not an integer"):
+        SidIndex([1, 2], tokens)
+
+
 # ids that an int64 cast would change: a float truncates, a bool reads as 0
 # or 1 (also among integers), a uint64 past int64 wraps negative
 NOT_INT64_IDS = [
